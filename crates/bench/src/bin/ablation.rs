@@ -20,9 +20,7 @@
 
 use ccnvm::metacache::MetaCacheOrg;
 use ccnvm::prelude::*;
-use ccnvm_bench::{
-    instructions_from_args, maybe_epoch_timeline, parallel::parallel_map, row, threads_from_args,
-};
+use ccnvm_bench::{instructions_from_args, parallel::parallel_map, row, threads_from_args};
 use ccnvm_mem::CacheConfig;
 
 const META_KBS: [u64; 4] = [32, 64, 128, 256];
@@ -183,5 +181,4 @@ fn main() {
     }
     println!("\nSC's hottest lines are the shared upper tree nodes — the cells a real");
     println!("PCM DIMM would lose first; cc-NVM's epochs rewrite them once per drain.");
-    maybe_epoch_timeline(&profiles::mixed(), instructions);
 }

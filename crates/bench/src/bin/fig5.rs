@@ -18,8 +18,8 @@
 
 use ccnvm::prelude::*;
 use ccnvm_bench::{
-    geomean, instructions_from_args, maybe_epoch_timeline, mean, parallel::parallel_map, row,
-    run_design, run_design_sharded, shards_from_args, threads_from_args,
+    geomean, instructions_from_args, mean, parallel::parallel_map, row, run_design,
+    run_design_sharded, shards_from_args, threads_from_args,
 };
 
 fn main() {
@@ -166,5 +166,4 @@ fn main() {
         println!("{}", row(&profile.name, &cells));
     }
     println!("* wb/epoch measured on the cc-NVM run");
-    maybe_epoch_timeline(&profiles::mixed(), instructions);
 }

@@ -19,8 +19,7 @@
 
 use ccnvm::prelude::*;
 use ccnvm_bench::{
-    instructions_from_args, maybe_epoch_timeline, parallel::parallel_map, row, run_design_with,
-    threads_from_args,
+    instructions_from_args, parallel::parallel_map, row, run_design_with, threads_from_args,
 };
 
 const DESIGNS: [DesignKind; 3] = [
@@ -144,5 +143,4 @@ fn main() {
         (m_ipc_gain - 1.0) * 100.0,
         (1.0 - 1.0 / m_write_cut) * 100.0
     );
-    maybe_epoch_timeline(&profile, instructions);
 }

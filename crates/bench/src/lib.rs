@@ -78,50 +78,6 @@ pub fn run_design_sharded(
     router.stats()
 }
 
-/// Prints an epoch-timeline summary — and a metrics time-series
-/// summary of the same recorded run — for cc-NVM on `profile` when
-/// `CCNVM_EPOCH_REPORT=1` is set in the environment.
-///
-/// The extra recorded run is opt-in so the binaries' default output
-/// stays byte-identical with the variable unset.
-///
-/// # Panics
-///
-/// Panics on configuration or integrity errors (harness bugs).
-pub fn maybe_epoch_timeline(profile: &WorkloadProfile, instructions: u64) {
-    if std::env::var("CCNVM_EPOCH_REPORT").as_deref() != Ok("1") {
-        return;
-    }
-    let mut sim = Simulator::new(SimConfig::paper(DesignKind::CcNvm)).expect("paper config");
-    sim.memory_mut().attach_recorder(RecorderConfig::default());
-    sim.memory_mut().attach_metrics(MetricsConfig::default());
-    sim.run(TraceGenerator::new(profile.clone(), SEED), instructions)
-        .unwrap_or_else(|e| panic!("{}/{instructions}: {e}", profile.name));
-    println!(
-        "\n=== epoch timeline — {} on cc-NVM (CCNVM_EPOCH_REPORT=1) ===",
-        profile.name
-    );
-    println!(
-        "{}",
-        sim.memory()
-            .recorder()
-            .expect("recorder attached")
-            .epoch_report()
-    );
-    let samples: Vec<_> = sim
-        .memory()
-        .metrics()
-        .expect("metrics attached")
-        .samples()
-        .copied()
-        .collect();
-    println!(
-        "=== metrics summary — {} on cc-NVM ===\n{}",
-        profile.name,
-        ccnvm::obs::metrics::render_summary(&samples)
-    );
-}
-
 /// Parses the optional instruction-budget CLI argument.
 pub fn instructions_from_args() -> u64 {
     std::env::args()

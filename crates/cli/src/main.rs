@@ -21,7 +21,6 @@ mod args;
 
 use args::{BackendChoice, Command, ReportArgs, RunArgs, SweepArgs, SweepParam, USAGE};
 use ccnvm::metacache::MetaCacheOrg;
-use ccnvm::obs::chrome::write_sharded_chrome_trace;
 use ccnvm::obs::metrics::render_shard_gauges;
 use ccnvm::obs::profile::{compare, parse_profile};
 use ccnvm::prelude::*;
@@ -68,7 +67,7 @@ fn main() -> ExitCode {
 fn list() {
     println!("designs:");
     for d in DesignKind::ALL {
-        println!("  {:<14} {}", cli_name(d), d.label());
+        println!("  {:<14} {}", d.slug(), d.label());
     }
     println!("\nbenchmarks (synthetic SPEC2006 stand-ins):");
     for p in profiles::spec2006() {
@@ -81,10 +80,6 @@ fn list() {
         );
     }
     println!("  {:<12} balanced mix for sensitivity sweeps", "mixed");
-}
-
-fn cli_name(d: DesignKind) -> &'static str {
-    d.slug()
 }
 
 fn config_of(run: &RunArgs) -> Result<SimConfig, String> {
@@ -168,48 +163,54 @@ fn simulate(run: &RunArgs) -> Result<(Simulator, Option<Arc<FileIoCounters>>), S
             (sim, Some(io))
         }
     };
+    attach_observers(run, sim.memory_mut())?;
+    drive(&mut sim, run)?;
+    Ok((sim, io))
+}
+
+/// Attaches every observer the flags ask for. The selftest injections
+/// go to shard 0 only (a single-owner run is shard 0).
+fn attach_observers(run: &RunArgs, mem: &mut SecureMemory) -> Result<(), String> {
+    let first = mem.config().shard_index == 0;
+    let selftest = |var: &str| first && std::env::var_os(var).is_some();
     if run.trace_out.is_some() || run.epoch_report || run.chrome_trace.is_some() {
-        sim.memory_mut().attach_recorder(RecorderConfig::default());
+        mem.attach_recorder(RecorderConfig::default());
     }
     if run.profile_out.is_some() {
-        sim.memory_mut().attach_profiler();
+        mem.attach_profiler();
     }
     if run.metrics_out.is_some() || run.chrome_trace.is_some() {
-        sim.memory_mut().attach_metrics(MetricsConfig {
+        mem.attach_metrics(MetricsConfig {
             interval: run.metrics_interval,
             ..MetricsConfig::default()
         });
     }
     if run.flight {
-        sim.memory_mut()
-            .attach_flight(ccnvm::obs::flight::FlightConfig::default());
+        mem.attach_flight(ccnvm::obs::flight::FlightConfig::default());
     }
     if run.wear_out.is_some() || run.chrome_trace.is_some() {
-        sim.memory_mut().attach_wear();
-        sim.memory_mut().attach_lag();
-        if std::env::var_os("CCNVM_WEAR_SELFTEST").is_some() {
+        mem.attach_wear();
+        mem.attach_lag();
+        if selftest("CCNVM_WEAR_SELFTEST") {
             // Deliberately skew the ledger's attribution before the
             // workload so the conservation check's negative path
             // (violation -> report -> nonzero exit under strict) is
             // exercised end-to-end.
-            sim.memory_mut().inject_wear_attribution_desync();
+            mem.inject_wear_attribution_desync();
         }
     }
     if let Some(mode) = run.audit {
-        sim.memory_mut().attach_auditor(mode);
-        if std::env::var_os("CCNVM_AUDIT_SELFTEST").is_some() {
-            // Deliberately desynchronize the dirty address queue before
-            // the workload so the negative path (violation -> report ->
-            // nonzero exit under strict) is exercised end-to-end.
-            let t = sim
-                .memory_mut()
+        mem.attach_auditor(mode);
+        if selftest("CCNVM_AUDIT_SELFTEST") {
+            // Same negative path, driven by a dirty address queue
+            // desynchronized before the workload.
+            let t = mem
                 .inject_dirty_queue_desync(0)
                 .map_err(|e| e.to_string())?;
-            sim.memory_mut().audit_now(t);
+            mem.audit_now(t);
         }
     }
-    drive(&mut sim, run)?;
-    Ok((sim, io))
+    Ok(())
 }
 
 /// Prints the file backend's I/O tallies (status stream, so stdout
@@ -226,65 +227,6 @@ fn report_file_io(run: &RunArgs, io: Option<&Arc<FileIoCounters>>) {
     );
 }
 
-/// Writes `--trace-out` and prints `--epoch-report`, when requested.
-///
-/// The trace file goes out as CSV when the path ends in `.csv`,
-/// JSON lines otherwise. Status goes to stderr so stdout stays
-/// machine-parseable under `--csv`.
-fn emit_observability(run: &RunArgs, sim: &Simulator) -> Result<(), String> {
-    let Some(rec) = sim.memory().recorder() else {
-        return Ok(());
-    };
-    if let Some(path) = &run.trace_out {
-        let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut out = BufWriter::new(file);
-        if path.ends_with(".csv") {
-            rec.write_csv(&mut out)
-        } else {
-            rec.write_jsonl(&mut out)
-        }
-        .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!(
-            "wrote {} events to {path} ({} dropped at capacity {})",
-            rec.trace().len(),
-            rec.trace().dropped(),
-            rec.trace().capacity()
-        );
-    }
-    if run.epoch_report {
-        println!("{}", rec.epoch_report());
-    }
-    Ok(())
-}
-
-/// Writes `--profile-out` (and prints the stage table unless `--csv`),
-/// when requested. A recovery report, if given, is folded in so the
-/// profile carries the recovery-domain stages too.
-fn emit_profile(
-    run: &RunArgs,
-    sim: &Simulator,
-    recovery: Option<&RecoveryReport>,
-) -> Result<(), String> {
-    let Some(path) = &run.profile_out else {
-        return Ok(());
-    };
-    let mut prof = sim
-        .memory()
-        .profiler()
-        .cloned()
-        .expect("profiler is attached whenever --profile-out is set");
-    if let Some(report) = recovery {
-        prof.absorb_recovery(report);
-    }
-    let json = prof.to_json(cli_name(run.design), &run.bench, run.instructions);
-    std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-    if !run.csv {
-        println!("{}", prof.render_table());
-    }
-    eprintln!("wrote stage profile to {path}");
-    Ok(())
-}
-
 /// Creates the `--chrome-trace` output file up front, before the
 /// (potentially long) simulation, so an unwritable path fails fast.
 fn create_chrome_file(run: &RunArgs) -> Result<Option<File>, String> {
@@ -294,95 +236,189 @@ fn create_chrome_file(run: &RunArgs) -> Result<Option<File>, String> {
         .transpose()
 }
 
-/// Writes `--metrics-out`, when requested. CSV when the path ends in
-/// `.csv`, JSON lines otherwise; status goes to stderr.
-fn emit_metrics(run: &RunArgs, sim: &Simulator) -> Result<(), String> {
-    let Some(path) = &run.metrics_out else {
-        return Ok(());
-    };
-    let m = sim
-        .memory()
-        .metrics()
-        .expect("metrics are attached whenever --metrics-out is set");
-    let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = BufWriter::new(file);
-    if path.ends_with(".csv") {
-        m.write_csv(&mut out)
-    } else {
-        m.write_jsonl(&mut out)
+/// Inserts `.shardN` before the path's extension (or appends it), so
+/// per-shard artifacts of one run sit next to each other. A run of one
+/// shard keeps the path as given.
+fn shard_path(path: &str, shard: usize, shards: usize) -> String {
+    if shards == 1 {
+        return path.to_owned();
     }
-    .map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "wrote {} metrics samples to {path} ({} dropped, interval {} cycles)",
-        m.len(),
-        m.dropped(),
-        m.interval()
-    );
+    match path.rfind('.') {
+        Some(dot) if dot > 0 && !path[dot..].contains('/') => {
+            format!("{}.shard{shard}{}", &path[..dot], &path[dot..])
+        }
+        _ => format!("{path}.shard{shard}"),
+    }
+}
+
+/// Writes every artifact the flags ask for from a run's shards (a
+/// single-owner run is one shard). Per-shard files and report headers
+/// appear only with more than one shard. Status goes to stderr so
+/// stdout stays machine-parseable under `--csv`.
+fn emit_artifacts(
+    run: &RunArgs,
+    shards: &[Simulator],
+    recoveries: Option<&[RecoveryReport]>,
+    chrome_file: Option<File>,
+) -> Result<(), String> {
+    emit_trace(run, shards)?;
+    emit_metrics(run, shards)?;
+    emit_chrome(run, shards, recoveries, chrome_file)?;
+    emit_profile(run, shards, recoveries)?;
+    emit_wear(run, shards)
+}
+
+/// `--trace-out` (CSV when the path ends in `.csv`, JSON lines
+/// otherwise) and `--epoch-report`.
+fn emit_trace(run: &RunArgs, shards: &[Simulator]) -> Result<(), String> {
+    for (i, sim) in shards.iter().enumerate() {
+        let Some(rec) = sim.memory().recorder() else {
+            continue;
+        };
+        if let Some(path) = &run.trace_out {
+            let path = shard_path(path, i, shards.len());
+            let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
+            let mut out = BufWriter::new(file);
+            if path.ends_with(".csv") {
+                rec.write_csv(&mut out)
+            } else {
+                rec.write_jsonl(&mut out)
+            }
+            .map_err(|e| format!("{path}: {e}"))?;
+            eprintln!(
+                "wrote {} events to {path} ({} dropped at capacity {})",
+                rec.trace().len(),
+                rec.trace().dropped(),
+                rec.trace().capacity()
+            );
+        }
+        if run.epoch_report {
+            if shards.len() > 1 {
+                println!("=== shard {i} epoch report ===");
+            }
+            println!("{}", rec.epoch_report());
+        }
+    }
     Ok(())
 }
 
-/// Renders the run as a Chrome trace-event file into the handle opened
-/// by [`create_chrome_file`].
+/// `--metrics-out`: CSV when the path ends in `.csv`, JSON lines
+/// otherwise.
+fn emit_metrics(run: &RunArgs, shards: &[Simulator]) -> Result<(), String> {
+    let Some(path) = &run.metrics_out else {
+        return Ok(());
+    };
+    for (i, sim) in shards.iter().enumerate() {
+        let m = sim
+            .memory()
+            .metrics()
+            .expect("metrics are attached whenever --metrics-out is set");
+        let path = shard_path(path, i, shards.len());
+        let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
+        let mut out = BufWriter::new(file);
+        if path.ends_with(".csv") {
+            m.write_csv(&mut out)
+        } else {
+            m.write_jsonl(&mut out)
+        }
+        .map_err(|e| format!("{path}: {e}"))?;
+        eprintln!(
+            "wrote {} metrics samples to {path} ({} dropped, interval {} cycles)",
+            m.len(),
+            m.dropped(),
+            m.interval()
+        );
+    }
+    Ok(())
+}
+
+/// `--chrome-trace`: one document for the run, shard `i` as process
+/// `i + 1`, into the handle opened by [`create_chrome_file`].
 fn emit_chrome(
     run: &RunArgs,
-    sim: &Simulator,
-    recovery: Option<&RecoveryReport>,
+    shards: &[Simulator],
+    recoveries: Option<&[RecoveryReport]>,
     file: Option<File>,
 ) -> Result<(), String> {
     let (Some(path), Some(file)) = (&run.chrome_trace, file) else {
         return Ok(());
     };
-    let mem = sim.memory();
-    let input = ChromeTraceInput {
-        recorder: mem.recorder(),
-        metrics: mem.metrics(),
-        profile: mem.profiler(),
-        recovery: recovery.map(|r| r.timeline.as_slice()),
-        lag: mem.lag(),
-    };
+    let inputs: Vec<ChromeTraceInput<'_>> = shards
+        .iter()
+        .enumerate()
+        .map(|(i, sim)| {
+            let mem = sim.memory();
+            ChromeTraceInput {
+                recorder: mem.recorder(),
+                metrics: mem.metrics(),
+                profile: mem.profiler(),
+                recovery: recoveries.map(|r| r[i].timeline.as_slice()),
+                lag: mem.lag(),
+            }
+        })
+        .collect();
     let mut out = BufWriter::new(file);
-    write_chrome_trace(&mut out, &input).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!("wrote Chrome trace to {path} (load it at https://ui.perfetto.dev)");
+    write_chrome_trace(&mut out, &inputs).map_err(|e| format!("{path}: {e}"))?;
+    let processes = match inputs.len() {
+        1 => String::new(),
+        n => format!(" ({n} shard processes)"),
+    };
+    eprintln!("wrote Chrome trace{processes} to {path} (load it at https://ui.perfetto.dev)");
     Ok(())
 }
 
-/// Writes `--wear-out`: the `ccnvm-wear/1` write-provenance, per-line
-/// wear and durability-lag report (and prints the rendered table
-/// unless `--csv`).
-fn emit_wear(run: &RunArgs, sim: &Simulator) -> Result<(), String> {
-    let Some(path) = &run.wear_out else {
+/// `--profile-out` (and the stage table unless `--csv`): the stage-wise
+/// sum over the shards' profilers, with each recovery folded in so the
+/// profile carries the recovery-domain stages too.
+fn emit_profile(
+    run: &RunArgs,
+    shards: &[Simulator],
+    recoveries: Option<&[RecoveryReport]>,
+) -> Result<(), String> {
+    let Some(path) = &run.profile_out else {
         return Ok(());
     };
-    let report = sim
-        .memory()
-        .wear_report(&run.bench, sim.instructions())
-        .expect("the wear ledger is attached whenever --wear-out is set");
-    std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
-    if !run.csv {
-        print!("{}", ccnvm::obs::wear::render_report(&report));
+    let mut prof = SpanProfiler::new();
+    for sim in shards {
+        prof.merge(
+            sim.memory()
+                .profiler()
+                .expect("profilers are attached whenever --profile-out is set"),
+        );
     }
-    eprintln!(
-        "wrote wear report ({}) to {path}",
-        ccnvm::obs::wear::WEAR_SCHEMA
-    );
+    for report in recoveries.unwrap_or_default() {
+        prof.absorb_recovery(report);
+    }
+    let json = prof.to_json(run.design.slug(), &run.bench, run.instructions);
+    std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
+    if !run.csv {
+        println!("{}", prof.render_table());
+    }
+    match shards.len() {
+        1 => eprintln!("wrote stage profile to {path}"),
+        n => eprintln!("wrote merged stage profile ({n} shards) to {path}"),
+    }
     Ok(())
 }
 
-/// Per-shard `--wear-out` files (shards are independent devices, so
-/// wear is reported per shard, never merged).
-fn emit_wear_sharded(run: &RunArgs, router: &ShardRouter) -> Result<(), String> {
+/// `--wear-out` (and the rendered table unless `--csv`): one
+/// `ccnvm-wear/1` report per shard. Shards are independent devices,
+/// so wear is never merged.
+fn emit_wear(run: &RunArgs, shards: &[Simulator]) -> Result<(), String> {
     let Some(path) = &run.wear_out else {
         return Ok(());
     };
-    for (i, sim) in router.shards().iter().enumerate() {
+    for (i, sim) in shards.iter().enumerate() {
         let report = sim
             .memory()
             .wear_report(&run.bench, sim.instructions())
             .expect("wear ledgers are attached whenever --wear-out is set");
-        let path = shard_path(path, i);
+        let path = shard_path(path, i, shards.len());
         std::fs::write(&path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
         if !run.csv {
-            println!("=== shard {i} wear report ===");
+            if shards.len() > 1 {
+                println!("=== shard {i} wear report ===");
+            }
             print!("{}", ccnvm::obs::wear::render_report(&report));
         }
         eprintln!(
@@ -393,35 +429,41 @@ fn emit_wear_sharded(run: &RunArgs, router: &ShardRouter) -> Result<(), String> 
     Ok(())
 }
 
-/// Prints the auditor's verdict; a strict-mode auditor that latched a
-/// violation turns into a nonzero exit.
-fn audit_verdict(sim: &Simulator) -> Result<(), String> {
-    let Some(aud) = sim.memory().auditor() else {
-        return Ok(());
-    };
-    if aud.violations().is_empty() {
-        eprintln!("audit: clean ({} checkpoints)", aud.checks_run());
-        return Ok(());
-    }
-    eprint!("{}", aud.report());
-    if aud.failed() {
-        Err(format!(
-            "audit: {} invariant violation(s) under strict mode",
-            aud.violations().len()
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-/// Inserts `.shardN` before the path's extension (or appends it), so
-/// per-shard artifacts of one run sit next to each other.
-fn shard_path(path: &str, shard: usize) -> String {
-    match path.rfind('.') {
-        Some(dot) if dot > 0 && !path[dot..].contains('/') => {
-            format!("{}.shard{shard}{}", &path[..dot], &path[dot..])
+/// Prints each shard's audit verdict; a strict-mode auditor that
+/// latched a violation turns into a nonzero exit.
+fn audit_verdict(shards: &[Simulator]) -> Result<(), String> {
+    let sharded = shards.len() > 1;
+    let mut failing = Vec::new();
+    for (i, sim) in shards.iter().enumerate() {
+        let Some(aud) = sim.memory().auditor() else {
+            continue;
+        };
+        let who = if sharded {
+            format!("audit shard {i}")
+        } else {
+            "audit".to_owned()
+        };
+        if aud.violations().is_empty() {
+            eprintln!("{who}: clean ({} checkpoints)", aud.checks_run());
+            continue;
         }
-        _ => format!("{path}.shard{shard}"),
+        if sharded {
+            eprintln!("{who}:");
+        }
+        eprint!("{}", aud.report());
+        if aud.failed() {
+            failing.push(aud.violations().len());
+        }
+    }
+    match failing[..] {
+        [] => Ok(()),
+        [n] if !sharded => Err(format!(
+            "audit: {n} invariant violation(s) under strict mode"
+        )),
+        _ => Err(format!(
+            "audit: invariant violations on {} shard(s) under strict mode",
+            failing.len()
+        )),
     }
 }
 
@@ -438,44 +480,8 @@ fn simulate_sharded(run: &RunArgs) -> Result<ShardRouter, String> {
     }
     let config = config_of(run)?;
     let mut router = ShardRouter::new(config, run.shards).map_err(|e| e.to_string())?;
-    if run.trace_out.is_some() || run.epoch_report || run.chrome_trace.is_some() {
-        router.attach_recorders(RecorderConfig::default());
-    }
-    if run.profile_out.is_some() {
-        router.attach_profilers();
-    }
-    if run.metrics_out.is_some() || run.chrome_trace.is_some() {
-        router.attach_metrics(MetricsConfig {
-            interval: run.metrics_interval,
-            ..MetricsConfig::default()
-        });
-    }
-    if run.flight {
-        router.attach_flight_recorders(ccnvm::obs::flight::FlightConfig::default());
-    }
-    if run.wear_out.is_some() || run.chrome_trace.is_some() {
-        router.attach_wear_ledgers();
-        router.attach_lag_tracers();
-        if std::env::var_os("CCNVM_WEAR_SELFTEST").is_some() {
-            // Shard 0 takes the injected skew, as with the audit
-            // selftest.
-            router
-                .shard_mut(0)
-                .memory_mut()
-                .inject_wear_attribution_desync();
-        }
-    }
-    if let Some(mode) = run.audit {
-        router.attach_auditors(mode);
-        if std::env::var_os("CCNVM_AUDIT_SELFTEST").is_some() {
-            // Same negative-path exercise as the single-owner service;
-            // shard 0 takes the injected desync.
-            let mem = router.shard_mut(0).memory_mut();
-            let t = mem
-                .inject_dirty_queue_desync(0)
-                .map_err(|e| e.to_string())?;
-            router.shard_mut(0).memory_mut().audit_now(t);
-        }
+    for shard in router.shards_mut() {
+        attach_observers(run, shard.memory_mut())?;
     }
     if let Some(path) = &run.trace {
         let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -503,164 +509,13 @@ fn simulate_sharded(run: &RunArgs) -> Result<ShardRouter, String> {
     Ok(router)
 }
 
-/// Per-shard `--trace-out` files and `--epoch-report` sections.
-fn emit_observability_sharded(run: &RunArgs, router: &ShardRouter) -> Result<(), String> {
-    for (i, sim) in router.shards().iter().enumerate() {
-        let Some(rec) = sim.memory().recorder() else {
-            continue;
-        };
-        if let Some(path) = &run.trace_out {
-            let path = shard_path(path, i);
-            let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-            let mut out = BufWriter::new(file);
-            if path.ends_with(".csv") {
-                rec.write_csv(&mut out)
-            } else {
-                rec.write_jsonl(&mut out)
-            }
-            .map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "wrote {} events to {path} ({} dropped at capacity {})",
-                rec.trace().len(),
-                rec.trace().dropped(),
-                rec.trace().capacity()
-            );
-        }
-        if run.epoch_report {
-            println!("=== shard {i} epoch report ===");
-            println!("{}", rec.epoch_report());
-        }
-    }
-    Ok(())
-}
-
-/// Per-shard `--metrics-out` files.
-fn emit_metrics_sharded(run: &RunArgs, router: &ShardRouter) -> Result<(), String> {
-    let Some(path) = &run.metrics_out else {
-        return Ok(());
-    };
-    for (i, sim) in router.shards().iter().enumerate() {
-        let m = sim
-            .memory()
-            .metrics()
-            .expect("metrics are attached whenever --metrics-out is set");
-        let path = shard_path(path, i);
-        let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-        let mut out = BufWriter::new(file);
-        if path.ends_with(".csv") {
-            m.write_csv(&mut out)
-        } else {
-            m.write_jsonl(&mut out)
-        }
-        .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!(
-            "wrote {} metrics samples to {path} ({} dropped, interval {} cycles)",
-            m.len(),
-            m.dropped(),
-            m.interval()
-        );
-    }
-    Ok(())
-}
-
-/// One Chrome trace for the whole service: shard `i` renders as
-/// process `i + 1` with the standard nine tracks.
-fn emit_chrome_sharded(
-    run: &RunArgs,
-    router: &ShardRouter,
-    recoveries: Option<&[RecoveryReport]>,
-    file: Option<File>,
-) -> Result<(), String> {
-    let (Some(path), Some(file)) = (&run.chrome_trace, file) else {
-        return Ok(());
-    };
-    let inputs: Vec<ChromeTraceInput<'_>> = router
-        .shards()
-        .iter()
-        .enumerate()
-        .map(|(i, sim)| {
-            let mem = sim.memory();
-            ChromeTraceInput {
-                recorder: mem.recorder(),
-                metrics: mem.metrics(),
-                profile: mem.profiler(),
-                recovery: recoveries.map(|r| r[i].timeline.as_slice()),
-                lag: mem.lag(),
-            }
-        })
-        .collect();
-    let mut out = BufWriter::new(file);
-    write_sharded_chrome_trace(&mut out, &inputs).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "wrote Chrome trace ({} shard processes) to {path} (load it at https://ui.perfetto.dev)",
-        inputs.len()
-    );
-    Ok(())
-}
-
-/// `--profile-out` for the service: the stage-wise sum over every
-/// shard profiler, with each shard's recovery (if any) folded in.
-fn emit_profile_sharded(
-    run: &RunArgs,
-    router: &ShardRouter,
-    recoveries: Option<&[RecoveryReport]>,
-) -> Result<(), String> {
-    let Some(path) = &run.profile_out else {
-        return Ok(());
-    };
-    let mut prof = router
-        .merged_profile()
-        .expect("profilers are attached whenever --profile-out is set");
-    if let Some(reports) = recoveries {
-        for report in reports {
-            prof.absorb_recovery(report);
-        }
-    }
-    let json = prof.to_json(cli_name(run.design), &run.bench, run.instructions);
-    std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
-    if !run.csv {
-        println!("{}", prof.render_table());
-    }
-    eprintln!(
-        "wrote merged stage profile ({} shards) to {path}",
-        router.shard_count()
-    );
-    Ok(())
-}
-
-/// Aggregated audit verdict: every shard's auditor must be clean.
-fn audit_verdict_sharded(router: &ShardRouter) -> Result<(), String> {
-    let mut failing = 0usize;
-    for (i, sim) in router.shards().iter().enumerate() {
-        let Some(aud) = sim.memory().auditor() else {
-            continue;
-        };
-        if aud.violations().is_empty() {
-            eprintln!("audit shard {i}: clean ({} checkpoints)", aud.checks_run());
-        } else {
-            eprintln!("audit shard {i}:");
-            eprint!("{}", aud.report());
-            if aud.failed() {
-                failing += 1;
-            }
-        }
-    }
-    if failing > 0 {
-        Err(format!(
-            "audit: invariant violations on {failing} shard(s) under strict mode"
-        ))
-    } else {
-        Ok(())
-    }
-}
-
 fn cmd_run_sharded(run: &RunArgs) -> Result<(), String> {
     let chrome_file = create_chrome_file(run)?;
     let router = simulate_sharded(run)?;
     let stats = router.stats();
     if run.csv {
         println!("design,bench,{}", RunStats::csv_header());
-        println!("{},{},{}", cli_name(run.design), run.bench, stats.csv_row());
+        println!("{},{},{}", run.design.slug(), run.bench, stats.csv_row());
     } else {
         println!(
             "{} on {} ({} instructions, seed {}, {} shards):",
@@ -680,12 +535,8 @@ fn cmd_run_sharded(run: &RunArgs) -> Result<(), String> {
     } else {
         print!("{gauges}");
     }
-    emit_observability_sharded(run, &router)?;
-    emit_metrics_sharded(run, &router)?;
-    emit_chrome_sharded(run, &router, None, chrome_file)?;
-    emit_profile_sharded(run, &router, None)?;
-    emit_wear_sharded(run, &router)?;
-    audit_verdict_sharded(&router)
+    emit_artifacts(run, router.shards(), None, chrome_file)?;
+    audit_verdict(router.shards())
 }
 
 fn cmd_recover_sharded(run: &RunArgs) -> Result<(), String> {
@@ -742,12 +593,8 @@ fn cmd_recover_sharded(run: &RunArgs) -> Result<(), String> {
             }
         );
     }
-    emit_observability_sharded(run, &router)?;
-    emit_metrics_sharded(run, &router)?;
-    emit_chrome_sharded(run, &router, Some(&reports), chrome_file)?;
-    emit_profile_sharded(run, &router, Some(&reports))?;
-    emit_wear_sharded(run, &router)?;
-    audit_verdict_sharded(&router)?;
+    emit_artifacts(run, router.shards(), Some(&reports), chrome_file)?;
+    audit_verdict(router.shards())?;
     if reports.iter().all(RecoveryReport::is_clean) {
         println!(
             "verdict: CLEAN — all {} shards fully recovered",
@@ -775,7 +622,7 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
     let stats = sim.stats();
     if run.csv {
         println!("design,bench,{}", RunStats::csv_header());
-        println!("{},{},{}", cli_name(run.design), run.bench, stats.csv_row());
+        println!("{},{},{}", run.design.slug(), run.bench, stats.csv_row());
     } else {
         println!(
             "{} on {} ({} instructions, seed {}):",
@@ -793,12 +640,9 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
             wear.mean_line_writes
         );
     }
-    emit_observability(run, &sim)?;
-    emit_metrics(run, &sim)?;
-    emit_chrome(run, &sim, None, chrome_file)?;
-    emit_profile(run, &sim, None)?;
-    emit_wear(run, &sim)?;
-    audit_verdict(&sim)
+    let shards = std::slice::from_ref(&sim);
+    emit_artifacts(run, shards, None, chrome_file)?;
+    audit_verdict(shards)
 }
 
 fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
@@ -853,7 +697,7 @@ fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
                 "{},{},{},{},{}",
                 name,
                 value,
-                cli_name(run.design),
+                run.design.slug(),
                 run.bench,
                 stats.csv_row()
             );
@@ -963,11 +807,13 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
     }
     // Artifacts go out in every branch so a failed recovery still
     // leaves a trace and profile to debug with.
-    emit_observability(run, &sim)?;
-    emit_metrics(run, &sim)?;
-    emit_chrome(run, &sim, Some(&report), chrome_file)?;
-    emit_profile(run, &sim, Some(&report))?;
-    emit_wear(run, &sim)?;
+    let shards = std::slice::from_ref(&sim);
+    emit_artifacts(
+        run,
+        shards,
+        Some(std::slice::from_ref(&report)),
+        chrome_file,
+    )?;
     if let Some(path) = &run.forensics_out {
         // File backend: the recovered sidecar. Mem backend: the
         // in-process ring (empty unless --flight was set — a crash
@@ -997,7 +843,7 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
             ccnvm::obs::flight::FORENSICS_SCHEMA
         );
     }
-    audit_verdict(&sim)?;
+    audit_verdict(shards)?;
     if report.is_clean() {
         println!("verdict: CLEAN — memory fully recovered");
         Ok(())

@@ -117,3 +117,47 @@ fn metrics_export_report_round_trip() {
     assert!(text.contains("write_amp_milli"), "stdout was: {text}");
     std::fs::remove_file(&path).ok();
 }
+
+/// Runs `run --wear-out w.json --metrics-out m.jsonl` (plus `extra`) in
+/// a fresh directory and returns the names of the files it wrote.
+fn artifact_names(name: &str, extra: &[&str]) -> Vec<String> {
+    let dir = tmp(name);
+    std::fs::create_dir_all(&dir).expect("fresh directory");
+    let out = bin()
+        .current_dir(&dir)
+        .args(["run", "--bench", "lbm", "--instructions", "20000"])
+        .args(["--wear-out", "w.json", "--metrics-out", "m.jsonl"])
+        .args(extra)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .expect("readable directory")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    names.sort();
+    std::fs::remove_dir_all(&dir).ok();
+    names
+}
+
+#[test]
+fn single_owner_artifacts_keep_the_given_names() {
+    assert_eq!(artifact_names("names-1", &[]), ["m.jsonl", "w.json"]);
+}
+
+#[test]
+fn sharded_artifacts_get_a_shard_suffix() {
+    assert_eq!(
+        artifact_names("names-2", &["--shards", "2"]),
+        [
+            "m.shard0.jsonl",
+            "m.shard1.jsonl",
+            "w.shard0.json",
+            "w.shard1.json"
+        ]
+    );
+}

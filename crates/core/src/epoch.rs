@@ -16,7 +16,7 @@
 //! normal (non-crash) behaviour.
 
 use crate::engine::{CryptoEngine, MT_MSG_LEN};
-use crate::obs;
+use crate::obs::{self, profile::Stage, wear::WriteCause};
 use crate::secmem::{DrainTrigger, SecureMemory};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
 use ccnvm_crypto::Mac128;
@@ -53,13 +53,7 @@ impl SecureMemory {
         }
         let queued = self.dirty_queue.len() as u64;
         let wbs = self.wbs_this_epoch;
-        self.obs_event(|| obs::Event::Drain {
-            at: now,
-            stage: obs::DrainStage::Stage,
-            trigger: Some(trigger),
-            lines: queued,
-        });
-        self.flight_event(|| obs::Event::Drain {
+        self.emit(obs::Event::Drain {
             at: now,
             stage: obs::DrainStage::Stage,
             trigger: Some(trigger),
@@ -74,31 +68,23 @@ impl SecureMemory {
         self.commit_staged();
         // The committed epoch covers every write-back stamped so far
         // (`discard_staged` — the crash model — keeps them pending).
-        self.lag_resolve_all(end);
-        self.flight_event(|| obs::Event::Drain {
+        self.obs.resolve_lag(end);
+        // Fold the stage's WPQ accepts in first so the trace stays
+        // chronologically ordered, then close out the epoch.
+        self.obs_sync_queues();
+        self.emit(obs::Event::Drain {
             at: end,
             stage: obs::DrainStage::Commit,
             trigger: Some(trigger),
             lines: queued,
         });
-        if self.recorder.is_some() {
-            // Fold the stage's WPQ accepts in first so the trace stays
-            // chronologically ordered, then close out the epoch.
-            self.obs_sync_queues();
+        if let Some(rec) = self.obs.recorder.as_deref_mut() {
             let high_water = self.mc.take_wpq_high_water() as u64;
-            let rec = self.recorder.as_deref_mut().expect("recorder attached");
-            rec.record(obs::Event::Drain {
-                at: end,
-                stage: obs::DrainStage::Commit,
-                trigger: Some(trigger),
-                lines: queued,
-            });
             rec.epoch_committed(trigger, end, queued, wbs, high_water);
         }
         self.stats.drains += 1;
         if self.flight_active() {
-            let line = obs::flight::epoch_line(end, self.stats.drains - 1);
-            self.flight_note(&line);
+            self.flight_note(&obs::flight::epoch_line(end, self.stats.drains - 1));
         }
         match trigger {
             DrainTrigger::QueueFull => self.stats.drains_queue_full += 1,
@@ -157,7 +143,7 @@ impl SecureMemory {
             // child HMAC to its parent (also queued, by construction).
             scratch.ordered.clear();
             for &l in &scratch.entries {
-                let (level, idx) = self.level_of(l);
+                let (level, idx) = self.layout.level_of(l);
                 scratch.ordered.push((level, idx, l));
             }
             scratch
@@ -222,14 +208,17 @@ impl SecureMemory {
         // Everything up to here — content gathering and deferred
         // spreading — is the stage's compute; the WPQ loop below only
         // waits on ADR queue slots.
-        self.prof(obs::profile::Stage::DrainStage, t - now);
+        self.obs.charge(Stage::DrainStage, t - now);
         let wpq_start = t;
         for &line in &scratch.entries {
             self.staged.push((line, scratch.contents[&line.0]));
             t = self.mc.wpq_write(line, t);
-            self.wear_meta(line, true);
+            // The ledger books the WPQ issue; the commit books the
+            // stats and the profiler.
+            let cause = WriteCause::meta(self.layout.level_of(line).0, true);
+            self.obs.book_write(None, Some(cause));
         }
-        self.prof(obs::profile::Stage::WpqStall, t - wpq_start);
+        self.obs.charge(Stage::WpqStall, t - wpq_start);
         self.drain_scratch = scratch;
         // The `end` signal is sent once every line is *in* the WPQ; ADR
         // guarantees the WPQ reaches NVM even across a power failure,
@@ -256,7 +245,7 @@ impl SecureMemory {
         for &(line, content) in &staged {
             self.nvm.persist_meta(line, content);
             self.stats.meta_writes += 1;
-            self.prof_write(obs::profile::Stage::DrainCommit);
+            self.obs.book_write(Some(Stage::DrainCommit), None);
             if self.meta_cache.contains(line) {
                 self.chip_meta.write(line, content);
                 self.meta_cache.mark_clean(line);
@@ -273,8 +262,7 @@ impl SecureMemory {
         self.tcb.commit_drain();
         ccnvm_mem::crashpoint::fire("root-alternate");
         self.flight_boundary("end", "root-alternate");
-        self.wear_root_alt();
-        self.epoch_lengths.record(self.wbs_this_epoch);
+        self.obs.note_root_alternation();
         self.wbs_this_epoch = 0;
     }
 
@@ -290,13 +278,7 @@ impl SecureMemory {
             // Discard models a crash before the `end` signal, which has
             // no simulated-time cost; stamp it with the last known
             // event time (0 when nothing was ever traced).
-            self.obs_event(|| obs::Event::Drain {
-                at: 0,
-                stage: obs::DrainStage::Discard,
-                trigger: None,
-                lines: staged,
-            });
-            self.flight_event(|| obs::Event::Drain {
+            self.emit(obs::Event::Drain {
                 at: 0,
                 stage: obs::DrainStage::Discard,
                 trigger: None,
@@ -446,6 +428,7 @@ mod tests {
     #[test]
     fn epoch_length_histogram_records_drains() {
         let mut m = mem(DesignKind::CcNvm);
+        m.attach_recorder(obs::RecorderConfig::default());
         for i in 0..10u64 {
             m.write_back(LineAddr((i % 2) * 64), i * 100_000).unwrap();
         }
@@ -454,7 +437,7 @@ mod tests {
             m.write_back(LineAddr(0), 20_000_000 + i * 100_000).unwrap();
         }
         m.drain(30_000_000, DrainTrigger::External);
-        let h = m.epoch_lengths();
+        let h = m.recorder().expect("attached").epoch_len();
         assert_eq!(h.total(), 2);
         assert_eq!(h.max(), 10);
         assert!((h.mean() - 6.5).abs() < 1e-12);

@@ -275,6 +275,19 @@ impl SecureLayout {
         panic!("{line} is not a Merkle-tree node line");
     }
 
+    /// `(level, idx)` of a counter line (level 0) or a stored tree node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` is neither a counter nor a tree line.
+    pub(crate) fn level_of(&self, line: LineAddr) -> (usize, u64) {
+        if self.is_counter_line(line) {
+            (0, self.counter_index(line))
+        } else {
+            self.node_of_line(line)
+        }
+    }
+
     /// The path of stored tree nodes from (above) counter-leaf `idx` to
     /// the top node, as `(level, node_idx)` pairs, bottom-up.
     ///

@@ -20,8 +20,7 @@
 //! [`Event::Audit`](crate::obs::Event::Audit) records when a
 //! `Recorder` is attached, and — under [`AuditMode::Strict`] — stop
 //! the simulation at the next step boundary so the CLI can exit
-//! nonzero. Detached (the default) the hot path pays one branch per
-//! checkpoint.
+//! nonzero.
 
 use ccnvm_crypto::Mac128;
 use ccnvm_mem::Cycle;

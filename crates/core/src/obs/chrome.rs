@@ -11,7 +11,7 @@
 //!
 //! Track layout (pid 1 for a single-owner run; a sharded run repeats
 //! the same nine tracks once per shard under pid = shard + 1, see
-//! [`write_sharded_chrome_trace`]):
+//! [`write_chrome_trace`]):
 //!
 //! | tid | track          | events                                        |
 //! |-----|----------------|-----------------------------------------------|
@@ -54,7 +54,6 @@ pub struct ChromeTraceInput<'a> {
     pub lag: Option<&'a crate::obs::lag::LagTracer>,
 }
 
-const PID: u32 = 1;
 const TID_COUNTERS: u32 = 0;
 const TID_WRITEBACK: u32 = 1;
 const TID_DRAIN: u32 = 2;
@@ -436,29 +435,17 @@ fn write_doc<W: Write>(out: &mut W, processes: &[(u32, String, Vec<Slice>)]) -> 
     Ok(())
 }
 
-/// Writes the Chrome trace-event JSON document for `input`.
+/// Writes one Chrome trace-event document for a run's shards (a
+/// single-owner run is one shard): shard `i` becomes process
+/// `pid = i + 1`, named `ccnvm` when it is the only one and
+/// `ccnvm shard i` otherwise, each carrying the nine tracks above.
+/// Perfetto renders each shard as its own process group, so a
+/// multi-shard drain reads as N parallel `drain` B/E pairs.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `out`.
-pub fn write_chrome_trace<W: Write>(out: &mut W, input: &ChromeTraceInput<'_>) -> io::Result<()> {
-    let processes = vec![(PID, "ccnvm".to_string(), render_input(input, PID))];
-    write_doc(out, &processes)
-}
-
-/// Writes one Chrome trace-event document for a sharded run: shard `i`
-/// becomes process `pid = i + 1` named `ccnvm shard i`, carrying the
-/// same nine tracks as the single-owner exporter. Perfetto renders
-/// each shard as its own process group, so a multi-shard drain reads
-/// as N parallel `drain` B/E pairs, one per process.
-///
-/// With a single input this degenerates to [`write_chrome_trace`]
-/// byte-for-byte.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `out`.
-pub fn write_sharded_chrome_trace<W: Write>(
+pub fn write_chrome_trace<W: Write>(
     out: &mut W,
     shards: &[ChromeTraceInput<'_>],
 ) -> io::Result<()> {
@@ -502,13 +489,13 @@ mod tests {
         let mut out = Vec::new();
         write_chrome_trace(
             &mut out,
-            &ChromeTraceInput {
+            &[ChromeTraceInput {
                 recorder: sim.memory().recorder(),
                 metrics: sim.memory().metrics(),
                 profile: sim.memory().profiler(),
                 recovery: None,
                 lag: sim.memory().lag(),
-            },
+            }],
         )
         .unwrap();
         String::from_utf8(out).unwrap()
@@ -531,6 +518,11 @@ mod tests {
                 assert!(e.get(key).is_some(), "missing {key}: {e:?}");
             }
             phases.insert(ph.to_string());
+            assert_eq!(e.num_field("pid"), Ok(1), "one input is process 1");
+            if e.str_field("name") == Ok("process_name") {
+                let name = e.get("args").map(|a| a.str_field("name"));
+                assert_eq!(name, Some(Ok("ccnvm")), "a lone shard keeps the plain name");
+            }
             let tid = e.num_field("tid").unwrap();
             let ts = e.num_field("ts").unwrap();
             if ph != "M" {
@@ -575,31 +567,12 @@ mod tests {
     #[test]
     fn empty_input_is_still_valid_json() {
         let mut out = Vec::new();
-        write_chrome_trace(&mut out, &ChromeTraceInput::default()).unwrap();
+        write_chrome_trace(&mut out, &[ChromeTraceInput::default()]).unwrap();
         let doc = json::parse(std::str::from_utf8(&out).unwrap()).unwrap();
         assert_eq!(
             doc.get("otherData").unwrap().str_field("schema"),
             Ok("ccnvm-chrome/1")
         );
-    }
-
-    #[test]
-    fn single_shard_export_is_byte_identical_to_the_plain_exporter() {
-        let mut sim = Simulator::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
-        sim.memory_mut().attach_recorder(RecorderConfig::default());
-        sim.memory_mut().attach_profiler();
-        let trace = TraceGenerator::new(profiles::by_name("lbm").unwrap(), 3);
-        sim.run(trace, 20_000).unwrap();
-        let input = ChromeTraceInput {
-            recorder: sim.memory().recorder(),
-            profile: sim.memory().profiler(),
-            ..Default::default()
-        };
-        let mut plain = Vec::new();
-        write_chrome_trace(&mut plain, &input).unwrap();
-        let mut sharded = Vec::new();
-        write_sharded_chrome_trace(&mut sharded, &[input]).unwrap();
-        assert_eq!(plain, sharded);
     }
 
     #[test]
@@ -621,7 +594,7 @@ mod tests {
             })
             .collect();
         let mut out = Vec::new();
-        write_sharded_chrome_trace(&mut out, &inputs).unwrap();
+        write_chrome_trace(&mut out, &inputs).unwrap();
         let text = String::from_utf8(out).unwrap();
         let doc = json::parse(&text).unwrap();
         let events = doc.get("traceEvents").and_then(json::Json::as_arr).unwrap();

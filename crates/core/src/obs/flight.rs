@@ -261,19 +261,6 @@ pub fn analyze(entries: &[String]) -> Result<FlightAnalysis, String> {
     Ok(a)
 }
 
-/// Stable lower-case slug for a design in machine-readable reports
-/// (the CLI spelling, not the paper label — `"w/o CC"` makes a poor
-/// identifier).
-pub fn design_slug(design: DesignKind) -> &'static str {
-    match design {
-        DesignKind::WithoutCc => "wo-cc",
-        DesignKind::StrictConsistency => "sc",
-        DesignKind::OsirisPlus => "osiris-plus",
-        DesignKind::CcNvmNoDs => "ccnvm-no-ds",
-        DesignKind::CcNvm => "ccnvm",
-    }
-}
-
 /// The post-crash forensic report: what the flight log says happened,
 /// joined with what recovery found in the durable image. Serialized
 /// as `ccnvm-forensics/1` JSON ([`ForensicReport::to_json`]) and as
@@ -356,7 +343,7 @@ impl ForensicReport {
         let mut out = format!(
             "{{\"schema\":\"{FORENSICS_SCHEMA}\",\"design\":\"{}\",\"fsync\":\"{}\",\
 \"verdict\":\"{}\",\"clean\":{},\"durability_loss\":{},\"quiescent\":{}",
-            design_slug(self.design),
+            self.design.slug(),
             self.fsync,
             self.verdict(),
             self.clean,

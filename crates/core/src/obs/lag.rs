@@ -23,11 +23,6 @@
 //! A *discarded* drain (the crash model's staged-but-uncommitted
 //! state) resolves nothing: those writes are exactly the ones a crash
 //! would replay, and their stamps stay pending.
-//!
-//! Like every observability layer the tracer hangs off the owner as an
-//! `Option<Box<_>>`: detached costs one branch per hook, and all
-//! recording is keyed to simulated cycles, so traces are byte-identical
-//! at any host thread count.
 
 use crate::stats::Histogram;
 use ccnvm_mem::Cycle;
@@ -152,23 +147,6 @@ impl LagTracer {
             max: self.max,
         }
     }
-
-    /// Folds `other` into `self` (commutative up to the bounded recent
-    /// ring; counters and the histogram sum exactly). Pending stamps
-    /// are carried over as still-pending.
-    pub fn merge(&mut self, other: &LagTracer) {
-        self.pending.extend_from_slice(&other.pending);
-        self.hist.merge(&other.hist);
-        self.resolved += other.resolved;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        for &span in &other.recent {
-            if self.recent.len() == RECENT_SPANS {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(span);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,23 +196,6 @@ mod tests {
         t.resolve_all(400);
         assert_eq!(t.summary().max, 0);
         assert_eq!(t.summary().resolved, 1);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_keeps_pending() {
-        let mut a = LagTracer::new();
-        a.stamp(0);
-        a.resolve_all(10);
-        let mut b = LagTracer::new();
-        b.stamp(5);
-        b.stamp(7);
-        b.resolve_all(15);
-        b.stamp(99); // still pending
-        a.merge(&b);
-        let s = a.summary();
-        assert_eq!(s.resolved, 3);
-        assert_eq!(s.unresolved, 1);
-        assert_eq!(s.max, 10);
     }
 
     #[test]

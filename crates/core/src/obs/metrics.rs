@@ -8,10 +8,7 @@
 //! [`MetricsRegistry`] holds a bounded ring of [`Sample`]s taken every
 //! `interval` *simulated* cycles — never host time — so the exported
 //! series is byte-identical at any host thread count, in either HMAC
-//! mode, and across runs. Like `Recorder` and `SpanProfiler` the
-//! registry hangs off [`SecureMemory`](crate::secmem::SecureMemory) as
-//! an `Option<Box<_>>`: detached (the default) the hot path pays one
-//! branch per retired trace operation and allocates nothing.
+//! mode, and across runs.
 //!
 //! Fractions are exported as scaled integers (parts-per-million /
 //! milli-units) to keep every serialized value an exact `u64` — no

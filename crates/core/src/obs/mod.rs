@@ -17,13 +17,19 @@
 //!   [`Histogram`]s with percentile support, and renders them as
 //!   JSON-lines, CSV, or a human-readable epoch-timeline report.
 //!
-//! Hooks throughout the pipeline are guarded by `Option<Recorder>`:
-//! with no recorder attached (the default) the hot path performs a
-//! single branch and allocates nothing, so timing results are
-//! byte-identical with and without the subsystem compiled in. All
-//! recording is driven by simulated time, never host state, so traces
-//! are deterministic: the same run produces the same bytes at any
-//! host thread count.
+//! The recorder is one of seven sinks — with the [`profile`],
+//! [`metrics`], [`audit`], [`flight`], [`wear`] and [`lag`] layers —
+//! that [`SecureMemory`](crate::secmem::SecureMemory) carries in one
+//! `Observers` hub. The pipeline books each issued NVM write once (a
+//! `WriteKind` picks its `RunStats` counter, profiler stage and wear
+//! cause together) and sends each event once, through `emit`.
+//!
+//! **Detached cost.** Every sink is an `Option<Box<_>>` in the hub and
+//! none is attached by default. A detached sink costs one branch per
+//! hook and allocates nothing, so simulated results are byte-identical
+//! with and without observers. All recording is driven by simulated
+//! time, never host state, so every export is deterministic: the same
+//! run produces the same bytes at any host thread count.
 //!
 //! # Example
 //!
@@ -54,9 +60,107 @@ pub mod wear;
 use crate::secmem::DrainTrigger;
 use crate::stats::Histogram;
 use ccnvm_mem::{Cycle, LineAddr, QueueKind};
+use profile::Stage;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, Write};
+use wear::WriteCause;
+
+/// The observer hub: the seven optional sinks of one
+/// [`SecureMemory`](crate::secmem::SecureMemory), behind its single
+/// `obs` field. See the module docs for the detached-cost contract.
+#[derive(Debug, Default)]
+pub(crate) struct Observers {
+    pub(crate) recorder: Option<Box<Recorder>>,
+    pub(crate) profiler: Option<Box<profile::SpanProfiler>>,
+    pub(crate) metrics: Option<Box<metrics::MetricsRegistry>>,
+    pub(crate) auditor: Option<Box<audit::Auditor>>,
+    /// The in-process flight ring. The durable `flight.log` half lives
+    /// on the backend, so flight hooks also fire without this ring.
+    pub(crate) flight: Option<Box<flight::FlightRecorder>>,
+    pub(crate) wear: Option<Box<wear::WearLedger>>,
+    pub(crate) lag: Option<Box<lag::LagTracer>>,
+}
+
+impl Observers {
+    /// Charges `cycles` of simulated time to profiler `stage`.
+    #[inline]
+    pub(crate) fn charge(&mut self, stage: Stage, cycles: Cycle) {
+        if let Some(p) = self.profiler.as_deref_mut() {
+            p.charge(stage, cycles);
+        }
+    }
+
+    /// Books one NVM line-write to the profiler `stage` and the wear
+    /// `cause`. Issued writes book both at once; the drain books its
+    /// WPQ issue (cause only) apart from its commit (stage only),
+    /// since a discarded stage falls between the two.
+    #[inline]
+    pub(crate) fn book_write(&mut self, stage: Option<Stage>, cause: Option<WriteCause>) {
+        if let (Some(p), Some(stage)) = (self.profiler.as_deref_mut(), stage) {
+            p.charge_write(stage);
+        }
+        if let (Some(w), Some(cause)) = (self.wear.as_deref_mut(), cause) {
+            w.charge(cause);
+        }
+    }
+
+    /// Notes one `ROOT_old ← ROOT_new` alternation, a TCB register
+    /// write outside the NVM conservation sum.
+    #[inline]
+    pub(crate) fn note_root_alternation(&mut self) {
+        if let Some(w) = self.wear.as_deref_mut() {
+            w.note_root_alternation();
+        }
+    }
+
+    /// Notes one persistent `N_wb` bump, a TCB register write outside
+    /// the NVM conservation sum.
+    #[inline]
+    pub(crate) fn note_nwb_update(&mut self) {
+        if let Some(w) = self.wear.as_deref_mut() {
+            w.note_nwb_update();
+        }
+    }
+
+    /// Stamps one accepted write-back at `at` for durability-lag
+    /// tracing.
+    #[inline]
+    pub(crate) fn stamp_lag(&mut self, at: Cycle) {
+        if let Some(l) = self.lag.as_deref_mut() {
+            l.stamp(at);
+        }
+    }
+
+    /// Resolves every pending lag stamp at `at`, the completion of the
+    /// commit that made those write-backs durable.
+    #[inline]
+    pub(crate) fn resolve_lag(&mut self, at: Cycle) {
+        if let Some(l) = self.lag.as_deref_mut() {
+            l.resolve_all(at);
+        }
+    }
+}
+
+/// What an issued NVM line-write was for. `SecureMemory::post_write`
+/// takes one at every write site and derives from it, in one `match`,
+/// the `RunStats` counter, the profiler [`Stage`] and the
+/// [`WriteCause`]. A cause alone cannot pick the stage: eager and
+/// evicted counters are both [`WriteCause::Counter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WriteKind {
+    /// A write-back's encrypted data line.
+    Data,
+    /// A write-back's data-HMAC line.
+    DataHmac,
+    /// A line rewritten by a page re-encryption sweep.
+    PageReencrypt,
+    /// A metadata line the write-back persists itself (SC's path,
+    /// Osiris stop-loss).
+    EagerMeta,
+    /// A dirty metadata line written out on Meta Cache eviction.
+    EvictedMeta,
+}
 
 impl DrainTrigger {
     /// Stable lower-case name used in trace exports and reports.

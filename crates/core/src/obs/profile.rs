@@ -19,9 +19,7 @@
 //! story to tell).
 //!
 //! Everything is driven by simulated time, so profiles are
-//! byte-identical at any host thread count, and the hooks follow the
-//! same `Option<Box<_>>` pattern as [`super::Recorder`]: one branch
-//! per charge site when detached.
+//! byte-identical at any host thread count.
 
 use ccnvm_mem::Cycle;
 use std::fmt::Write as _;

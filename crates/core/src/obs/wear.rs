@@ -70,12 +70,20 @@ pub enum WriteCause {
     PageReencrypt,
 }
 
+impl WriteCause {
+    /// The cause of one metadata line-write at tree `level` (counter
+    /// lines are level 0); `wpq` selects the drain-retire variants.
+    pub(crate) fn meta(level: usize, wpq: bool) -> Self {
+        match (level, wpq) {
+            (0, false) => WriteCause::Counter,
+            (0, true) => WriteCause::CounterWpq,
+            (l, false) => WriteCause::Bmt(l),
+            (l, true) => WriteCause::BmtWpq(l),
+        }
+    }
+}
+
 /// Per-cause write attribution for one secure-memory instance.
-///
-/// Zero-cost when detached: the owner holds `Option<Box<WearLedger>>`
-/// and every hook pays one branch. All counters are driven by the
-/// simulated pipeline, so ledgers are byte-identical at any host
-/// thread count.
 #[derive(Debug, Clone)]
 pub struct WearLedger {
     /// Internal BMT levels of the owning layout (export range
@@ -186,29 +194,6 @@ impl WearLedger {
             out.push((format!("bmt-wpq-l{level}"), self.bmt_wpq[level]));
         }
         out
-    }
-
-    /// Folds `other` into `self` (commutative; merging an empty ledger
-    /// is the identity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two ledgers attribute over different tree depths.
-    pub fn merge(&mut self, other: &WearLedger) {
-        assert_eq!(self.levels, other.levels, "ledger depth mismatch");
-        self.data += other.data;
-        self.data_hmac += other.data_hmac;
-        self.counter += other.counter;
-        self.counter_wpq += other.counter_wpq;
-        self.page_reencrypt += other.page_reencrypt;
-        for (mine, theirs) in self.bmt.iter_mut().zip(&other.bmt) {
-            *mine += theirs;
-        }
-        for (mine, theirs) in self.bmt_wpq.iter_mut().zip(&other.bmt_wpq) {
-            *mine += theirs;
-        }
-        self.root_alternations += other.root_alternations;
-        self.nwb_updates += other.nwb_updates;
     }
 
     /// Skews the attribution by one phantom data write — a deliberate
@@ -595,22 +580,6 @@ mod tests {
         l.note_nwb_update();
         assert_eq!(l.attributed_total(), 0);
         assert_eq!((l.root_alternations(), l.nwb_updates()), (1, 1));
-    }
-
-    #[test]
-    fn merge_is_addition_with_identity() {
-        let mut a = WearLedger::new(2);
-        a.charge(WriteCause::Data);
-        a.charge(WriteCause::Bmt(1));
-        let mut b = WearLedger::new(2);
-        b.charge(WriteCause::Bmt(1));
-        b.note_root_alternation();
-        let before = a.clone();
-        a.merge(&WearLedger::new(2));
-        assert_eq!(a.attributed_total(), before.attributed_total());
-        a.merge(&b);
-        assert_eq!(a.attributed_total(), 3);
-        assert_eq!(a.root_alternations(), 1);
     }
 
     #[test]

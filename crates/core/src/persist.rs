@@ -15,8 +15,11 @@ use crate::engine::{CryptoEngine, HmacMode};
 use crate::error::{ConfigError, ResumeError};
 use crate::layout::SecureLayout;
 use crate::metacache::MetaCache;
+use crate::obs::profile::Stage;
+use crate::obs::wear::WriteCause;
+use crate::obs::WriteKind;
 use crate::secmem::SecureMemory;
-use crate::stats::{Histogram, RunStats};
+use crate::stats::RunStats;
 use crate::tcb::{Keys, Tcb};
 use ccnvm_mem::timing::BoundedQueue;
 use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineStore, MemController};
@@ -144,27 +147,40 @@ impl SecureMemory {
             drain_scratch: Default::default(),
             meta_chain_scratch: Vec::new(),
             wbs_this_epoch: 0,
-            epoch_lengths: Histogram::new(&[4, 8, 16, 32, 64, 128]),
             stats: RunStats::default(),
-            recorder: None,
-            profiler: None,
-            metrics: None,
-            auditor: None,
-            flight: None,
-            wear: None,
-            lag: None,
+            obs: Default::default(),
             in_write_back: false,
             config,
         })
     }
 
-    /// Posts a write through the regular write queue, reporting
-    /// whether the controller actually issued an array write (writes
-    /// coalesced into a pending entry are free).
-    pub(crate) fn post_write(&mut self, line: LineAddr, t: Cycle) -> (Cycle, bool) {
+    /// Posts a write through the regular write queue and returns its
+    /// completion cycle. A write the controller actually issues (one
+    /// coalesced into a pending entry is free) is booked here, once:
+    /// `kind` picks its `RunStats` counter, profiler stage and wear
+    /// cause.
+    pub(crate) fn post_write(&mut self, line: LineAddr, t: Cycle, kind: WriteKind) -> Cycle {
         let before = self.mc.stats().writes;
         let at = self.mc.write(line, t);
-        (at, self.mc.stats().writes > before)
+        if self.mc.stats().writes == before {
+            return at;
+        }
+        let s = &mut self.stats;
+        let meta = || WriteCause::meta(self.layout.level_of(line).0, false);
+        let (count, stage, cause) = match kind {
+            WriteKind::Data => (&mut s.data_writes, Stage::WbPersist, WriteCause::Data),
+            WriteKind::DataHmac => (&mut s.dh_writes, Stage::WbPersist, WriteCause::DataHmac),
+            WriteKind::PageReencrypt => (
+                &mut s.reenc_writes,
+                Stage::PageReenc,
+                WriteCause::PageReencrypt,
+            ),
+            WriteKind::EagerMeta => (&mut s.meta_writes, Stage::TreeEager, meta()),
+            WriteKind::EvictedMeta => (&mut s.meta_writes, Stage::MetaCacheMaint, meta()),
+        };
+        *count += 1;
+        self.obs.book_write(Some(stage), Some(cause));
+        at
     }
 
     /// Rebuilds a running secure memory from a crash image and its

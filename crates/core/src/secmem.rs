@@ -53,8 +53,9 @@ use crate::drainer::DirtyAddressQueue;
 use crate::error::{ConfigError, IntegrityError};
 use crate::layout::SecureLayout;
 use crate::metacache::MetaCache;
+use crate::obs::Event;
 use crate::persist::NvmState;
-use crate::stats::{Histogram, RunStats};
+use crate::stats::RunStats;
 use crate::tcb::Tcb;
 use ccnvm_crypto::latency::AES_LATENCY_CYCLES;
 use ccnvm_crypto::Mac128;
@@ -144,41 +145,12 @@ pub struct SecureMemory {
     pub(crate) mc: MemController,
     pub(crate) wb_buffer: BoundedQueue,
     pub(crate) engine_busy_until: Cycle,
-    /// Write-backs since the last committed drain (for the epoch-length
-    /// histogram; mirrors `tcb.nwb` but is kept for every design).
+    /// Write-backs since the last committed drain (mirrors `tcb.nwb`
+    /// but is kept for every design).
     pub(crate) wbs_this_epoch: u64,
-    pub(crate) epoch_lengths: Histogram,
     pub(crate) stats: RunStats,
-    /// Optional observability recorder (see [`crate::obs`]); `None`
-    /// (the default) keeps every hook down to a single branch with no
-    /// allocation.
-    pub(crate) recorder: Option<Box<crate::obs::Recorder>>,
-    /// Optional cycle/write attribution profiler (see
-    /// [`crate::obs::profile`]); same zero-cost-when-off contract as
-    /// the recorder.
-    pub(crate) profiler: Option<Box<crate::obs::profile::SpanProfiler>>,
-    /// Optional time-series metrics sampler (see
-    /// [`crate::obs::metrics`]); same zero-cost-when-off contract as
-    /// the recorder.
-    pub(crate) metrics: Option<Box<crate::obs::metrics::MetricsRegistry>>,
-    /// Optional runtime invariant auditor (see [`crate::obs::audit`]);
-    /// same zero-cost-when-off contract as the recorder.
-    pub(crate) auditor: Option<Box<crate::obs::audit::Auditor>>,
-    /// Optional in-process flight-recorder ring (see
-    /// [`crate::obs::flight`]); same zero-cost-when-off contract as
-    /// the recorder. Entries are also mirrored into the durable
-    /// backend's `flight.log` sidecar whenever that backend keeps one,
-    /// independently of whether this ring is attached.
-    pub(crate) flight: Option<Box<crate::obs::flight::FlightRecorder>>,
-    /// Optional write-provenance ledger (see [`crate::obs::wear`]);
-    /// same zero-cost-when-off contract as the recorder. Every NVM
-    /// line-write is tagged with a typed cause at its call site, under
-    /// a conservation invariant against the controller's totals.
-    pub(crate) wear: Option<Box<crate::obs::wear::WearLedger>>,
-    /// Optional durability-lag tracer (see [`crate::obs::lag`]); same
-    /// zero-cost-when-off contract as the recorder. Write-backs are
-    /// stamped at acceptance and resolved at their covering commit.
-    pub(crate) lag: Option<Box<crate::obs::lag::LagTracer>>,
+    /// Every attached observer (see [`crate::obs`]).
+    pub(crate) obs: crate::obs::Observers,
     /// True while `write_back` is on the stack: engine-domain charges
     /// in the shared verify/drain helpers count toward
     /// `engine_cycles` only in that scope (mirroring how
@@ -256,41 +228,111 @@ impl SecureMemory {
         self.mc.wear_stats()
     }
 
-    /// Distribution of epoch lengths (write-backs per committed drain).
-    pub fn epoch_lengths(&self) -> &Histogram {
-        &self.epoch_lengths
-    }
+    // ----- observers ----------------------------------------------------
+    //
+    // Every sink lives in the `obs` hub (see [`crate::obs`]). Each
+    // `attach_*` replaces any sink of its kind already attached.
 
-    // ----- observability ----------------------------------------------
-
-    /// Attaches an observability recorder (see [`crate::obs`]),
-    /// replacing any existing one. Also arms queue-event sampling in
-    /// the memory controller.
+    /// Attaches an event recorder and arms queue-event sampling in the
+    /// memory controller.
     pub fn attach_recorder(&mut self, config: crate::obs::RecorderConfig) {
-        let mut rec = Box::new(crate::obs::Recorder::new(config));
+        let mut rec = crate::obs::Recorder::new(config);
         rec.set_wpq_capacity(self.config.mem.wpq_entries);
         self.mc.attach_queue_recorder(config.trace_capacity);
-        self.recorder = Some(rec);
+        self.obs.recorder = Some(Box::new(rec));
     }
 
-    /// The attached recorder, if any (with any controller queue events
-    /// accumulated since the last entry point already folded in).
+    /// Attaches a [`SpanProfiler`](crate::obs::profile::SpanProfiler):
+    /// from now on every simulated cycle and NVM line-write is charged
+    /// to a pipeline stage.
+    pub fn attach_profiler(&mut self) {
+        self.obs.profiler = Some(Box::default());
+    }
+
+    /// Attaches a [`MetricsRegistry`](crate::obs::metrics::MetricsRegistry),
+    /// sampled as simulated time crosses each interval boundary.
+    pub fn attach_metrics(&mut self, config: crate::obs::metrics::MetricsConfig) {
+        self.obs.metrics = Some(Box::new(crate::obs::metrics::MetricsRegistry::new(config)));
+    }
+
+    /// Attaches an [`Auditor`](crate::obs::audit::Auditor) in `mode`:
+    /// from now on the crash-consistency invariants are re-checked at
+    /// every write-back completion, drain commit and Meta Cache
+    /// install.
+    pub fn attach_auditor(&mut self, mode: crate::obs::audit::AuditMode) {
+        self.obs.auditor = Some(Box::new(crate::obs::audit::Auditor::new(mode)));
+    }
+
+    /// Attaches an in-process
+    /// [`FlightRecorder`](crate::obs::flight::FlightRecorder) ring. The
+    /// file backend's durable `flight.log` sidecar is enabled on the
+    /// backend instead; either half activates the flight hooks.
+    pub fn attach_flight(&mut self, config: crate::obs::flight::FlightConfig) {
+        self.obs.flight = Some(Box::new(crate::obs::flight::FlightRecorder::new(config)));
+    }
+
+    /// Attaches a [`WearLedger`](crate::obs::wear::WearLedger) sized for
+    /// this layout's tree depth: from now on every NVM line-write is
+    /// attributed to a typed cause, and an attached auditor re-checks
+    /// conservation (attributed == controller totals) at every audit
+    /// point.
+    pub fn attach_wear(&mut self) {
+        let levels = self.layout.internal_levels();
+        self.obs.wear = Some(Box::new(crate::obs::wear::WearLedger::new(levels)));
+    }
+
+    /// Attaches a [`LagTracer`](crate::obs::lag::LagTracer): from now on
+    /// every accepted write-back is stamped at issue and resolved when
+    /// its covering durable commit completes.
+    pub fn attach_lag(&mut self) {
+        self.obs.lag = Some(Box::default());
+    }
+
+    /// The attached recorder, if any.
     pub fn recorder(&self) -> Option<&crate::obs::Recorder> {
-        self.recorder.as_deref()
+        self.obs.recorder.as_deref()
     }
 
-    /// Detaches and returns the recorder.
-    pub fn take_recorder(&mut self) -> Option<Box<crate::obs::Recorder>> {
-        self.obs_sync_queues();
-        self.recorder.take()
+    /// The attached profiler, if any.
+    pub fn profiler(&self) -> Option<&crate::obs::profile::SpanProfiler> {
+        self.obs.profiler.as_deref()
     }
 
-    /// Records one event, building it only when a recorder is
-    /// attached.
+    /// The attached metrics registry, if any.
+    pub fn metrics(&self) -> Option<&crate::obs::metrics::MetricsRegistry> {
+        self.obs.metrics.as_deref()
+    }
+
+    /// The attached auditor, if any.
+    pub fn auditor(&self) -> Option<&crate::obs::audit::Auditor> {
+        self.obs.auditor.as_deref()
+    }
+
+    /// The attached flight recorder, if any.
+    pub fn flight(&self) -> Option<&crate::obs::flight::FlightRecorder> {
+        self.obs.flight.as_deref()
+    }
+
+    /// The attached wear ledger, if any.
+    pub fn wear(&self) -> Option<&crate::obs::wear::WearLedger> {
+        self.obs.wear.as_deref()
+    }
+
+    /// The attached durability-lag tracer, if any.
+    pub fn lag(&self) -> Option<&crate::obs::lag::LagTracer> {
+        self.obs.lag.as_deref()
+    }
+
+    /// Sends one event to every sink that takes it: the recorder takes
+    /// all of them, the flight ring and durable sidecar only drain and
+    /// audit events.
     #[inline]
-    pub(crate) fn obs_event(&mut self, make: impl FnOnce() -> crate::obs::Event) {
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(make());
+    pub(crate) fn emit(&mut self, event: Event) {
+        if let Some(rec) = self.obs.recorder.as_deref_mut() {
+            rec.record(event);
+        }
+        if matches!(event, Event::Drain { .. } | Event::Audit { .. }) && self.flight_active() {
+            self.flight_note(&crate::obs::flight::event_line(&event));
         }
     }
 
@@ -298,16 +340,11 @@ impl SecureMemory {
     /// into the unified trace. Called at the end of each public entry
     /// point so the merged ordering is deterministic.
     pub(crate) fn obs_sync_queues(&mut self) {
-        if self.recorder.is_none() {
+        let Some(rec) = self.obs.recorder.as_deref_mut() else {
             return;
-        }
-        let events = self.mc.take_queue_events();
-        if events.is_empty() {
-            return;
-        }
-        let rec = self.recorder.as_deref_mut().expect("recorder attached");
-        for e in events {
-            rec.record(crate::obs::Event::Queue {
+        };
+        for e in self.mc.take_queue_events() {
+            rec.record(Event::Queue {
                 at: e.at,
                 queue: e.queue,
                 occupancy: e.occupancy as u64,
@@ -316,77 +353,21 @@ impl SecureMemory {
         }
     }
 
-    // ----- attribution profiler ---------------------------------------
-
-    /// Attaches a fresh [`SpanProfiler`](crate::obs::profile::SpanProfiler),
-    /// replacing any existing one. From this point every simulated
-    /// cycle and NVM line-write is charged to a pipeline stage.
-    pub fn attach_profiler(&mut self) {
-        self.profiler = Some(Box::default());
-    }
-
-    /// The attached profiler, if any.
-    pub fn profiler(&self) -> Option<&crate::obs::profile::SpanProfiler> {
-        self.profiler.as_deref()
-    }
-
-    /// Detaches and returns the profiler.
-    pub fn take_profiler(&mut self) -> Option<Box<crate::obs::profile::SpanProfiler>> {
-        self.profiler.take()
-    }
-
-    /// Charges `cycles` to `stage` when a profiler is attached.
-    #[inline]
-    pub(crate) fn prof(&mut self, stage: crate::obs::profile::Stage, cycles: Cycle) {
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.charge(stage, cycles);
-        }
-    }
-
     /// Charges `cycles` to `stage` only inside a write-back — the scope
     /// where helper time accrues to `RunStats::engine_cycles`.
     #[inline]
     pub(crate) fn prof_engine(&mut self, stage: crate::obs::profile::Stage, cycles: Cycle) {
         if self.in_write_back {
-            self.prof(stage, cycles);
+            self.obs.charge(stage, cycles);
         }
-    }
-
-    /// Attributes one NVM line-write to `stage` (always in scope:
-    /// every write counts toward `RunStats::total_writes()`).
-    #[inline]
-    pub(crate) fn prof_write(&mut self, stage: crate::obs::profile::Stage) {
-        if let Some(p) = self.profiler.as_deref_mut() {
-            p.charge_write(stage);
-        }
-    }
-
-    // ----- time-series metrics ----------------------------------------
-
-    /// Attaches a fresh [`MetricsRegistry`](crate::obs::metrics::MetricsRegistry),
-    /// replacing any existing one. The simulator samples it as
-    /// simulated time crosses each interval boundary.
-    pub fn attach_metrics(&mut self, config: crate::obs::metrics::MetricsConfig) {
-        self.metrics = Some(Box::new(crate::obs::metrics::MetricsRegistry::new(config)));
-    }
-
-    /// The attached metrics registry, if any.
-    pub fn metrics(&self) -> Option<&crate::obs::metrics::MetricsRegistry> {
-        self.metrics.as_deref()
-    }
-
-    /// Detaches and returns the metrics registry.
-    pub fn take_metrics(&mut self) -> Option<Box<crate::obs::metrics::MetricsRegistry>> {
-        self.metrics.take()
     }
 
     /// Takes a [`Sample`](crate::obs::metrics::Sample) if one is due at
-    /// simulated time `now`. Detached (or between boundaries) this is
-    /// a single branch. All gauges derive from simulated state, so the
-    /// series is byte-identical across host thread counts and HMAC
+    /// simulated time `now`. All gauges derive from simulated state, so
+    /// the series is byte-identical across host thread counts and HMAC
     /// modes.
     pub(crate) fn maybe_sample_metrics(&mut self, now: Cycle) {
-        let Some(m) = self.metrics.as_deref() else {
+        let Some(m) = self.obs.metrics.as_deref() else {
             return;
         };
         if !m.is_due(now) {
@@ -405,6 +386,7 @@ impl SecureMemory {
         let meta_dirty = self.meta_cache.dirty_len() as u64;
         let write_backs = self.stats.write_backs;
         let nvm_writes = self.stats.total_writes();
+        let (wear, lag) = (self.obs.wear.as_deref(), self.obs.lag.as_deref());
         let sample = crate::obs::metrics::Sample {
             at,
             meta_resident,
@@ -423,46 +405,19 @@ impl SecureMemory {
                 (nvm_writes as u128 * 1000 / write_backs as u128) as u64
             },
             engine_share_ppm: ppm(self.stats.engine_cycles, now),
-            attributed_writes: self
-                .wear
-                .as_deref()
-                .map_or(0, crate::obs::wear::WearLedger::attributed_total),
+            attributed_writes: wear.map_or(0, |w| w.attributed_total()),
             max_line_writes: self.mc.max_line_wear(),
-            lag_pending: self.lag.as_deref().map_or(0, |l| l.pending() as u64),
-            lag_p99: self
-                .lag
-                .as_deref()
-                .map_or(0, crate::obs::lag::LagTracer::p99),
+            lag_pending: lag.map_or(0, |l| l.pending() as u64),
+            lag_p99: lag.map_or(0, |l| l.p99()),
         };
-        self.metrics
+        self.obs
+            .metrics
             .as_deref_mut()
             .expect("checked above")
             .record(sample);
         if self.flight_active() {
-            let line = crate::obs::flight::metric_line(&sample);
-            self.flight_note(&line);
+            self.flight_note(&crate::obs::flight::metric_line(&sample));
         }
-    }
-
-    // ----- flight recorder --------------------------------------------
-
-    /// Attaches a fresh in-process
-    /// [`FlightRecorder`](crate::obs::flight::FlightRecorder) ring,
-    /// replacing any existing one. Durable flight recording (the
-    /// file backend's `flight.log` sidecar) is enabled separately on
-    /// the backend; either half activates the flight hooks.
-    pub fn attach_flight(&mut self, config: crate::obs::flight::FlightConfig) {
-        self.flight = Some(Box::new(crate::obs::flight::FlightRecorder::new(config)));
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&crate::obs::flight::FlightRecorder> {
-        self.flight.as_deref()
-    }
-
-    /// Detaches and returns the flight recorder.
-    pub fn take_flight(&mut self) -> Option<Box<crate::obs::flight::FlightRecorder>> {
-        self.flight.take()
     }
 
     /// Whether any flight sink is live — the in-process ring or the
@@ -470,26 +425,15 @@ impl SecureMemory {
     /// default path pays one branch.
     #[inline]
     pub(crate) fn flight_active(&self) -> bool {
-        self.flight.is_some() || self.nvm.durable.flight_enabled()
+        self.obs.flight.is_some() || self.nvm.durable.flight_enabled()
     }
 
     /// Records one prebuilt flight entry into every live sink.
     pub(crate) fn flight_note(&mut self, line: &str) {
-        if let Some(f) = self.flight.as_deref_mut() {
+        if let Some(f) = self.obs.flight.as_deref_mut() {
             f.record(line.to_string());
         }
         self.nvm.durable.flight_append(line.as_bytes());
-    }
-
-    /// Records one trace event as a flight entry, building it only
-    /// when a flight sink is live.
-    #[inline]
-    pub(crate) fn flight_event(&mut self, make: impl FnOnce() -> crate::obs::Event) {
-        if !self.flight_active() {
-            return;
-        }
-        let line = crate::obs::flight::event_line(&make());
-        self.flight_note(&line);
     }
 
     /// Writes one boundary bracket (`begin`/`end` around a crash-point
@@ -499,38 +443,17 @@ impl SecureMemory {
     /// inference sound.
     #[inline]
     pub(crate) fn flight_boundary(&mut self, op: &str, label: &str) {
-        if !self.flight_active() {
-            return;
+        if self.flight_active() {
+            self.flight_note(&ccnvm_mem::flight_boundary_line(op, label));
         }
-        let line = ccnvm_mem::flight_boundary_line(op, label);
-        self.flight_note(&line);
-    }
-
-    // ----- invariant auditor ------------------------------------------
-
-    /// Attaches a fresh [`Auditor`](crate::obs::audit::Auditor) in
-    /// `mode`, replacing any existing one. From this point the
-    /// crash-consistency invariants are re-checked at every write-back
-    /// completion, drain commit and Meta Cache install.
-    pub fn attach_auditor(&mut self, mode: crate::obs::audit::AuditMode) {
-        self.auditor = Some(Box::new(crate::obs::audit::Auditor::new(mode)));
-    }
-
-    /// The attached auditor, if any.
-    pub fn auditor(&self) -> Option<&crate::obs::audit::Auditor> {
-        self.auditor.as_deref()
-    }
-
-    /// Detaches and returns the auditor.
-    pub fn take_auditor(&mut self) -> Option<Box<crate::obs::audit::Auditor>> {
-        self.auditor.take()
     }
 
     /// Whether a strict-mode auditor has recorded a violation — the
     /// simulator's fail-fast condition.
     #[inline]
     pub fn audit_failed(&self) -> bool {
-        self.auditor
+        self.obs
+            .auditor
             .as_deref()
             .is_some_and(crate::obs::audit::Auditor::failed)
     }
@@ -542,11 +465,11 @@ impl SecureMemory {
     }
 
     /// One audit checkpoint: re-checks the structural invariants (see
-    /// [`crate::obs::audit`]) and records any violations, mirroring
-    /// them into the event trace when a recorder is attached.
+    /// [`crate::obs::audit`]) and records any violations, emitting each
+    /// as an audit event.
     pub(crate) fn audit_check(&mut self, point: crate::obs::audit::AuditPoint, now: Cycle) {
         use crate::obs::audit::{AuditCheck, Violation};
-        if self.auditor.is_none() {
+        if self.obs.auditor.is_none() {
             return;
         }
         let mut found: Vec<(AuditCheck, String)> = Vec::new();
@@ -570,7 +493,7 @@ impl SecureMemory {
                 ),
             ));
         }
-        if let Some(w) = self.wear.as_deref() {
+        if let Some(w) = self.obs.wear.as_deref() {
             let attributed = w.attributed_total();
             let counted = self.mc.stats().total_writes();
             if attributed != counted {
@@ -585,22 +508,18 @@ impl SecureMemory {
         }
         let (root_old, root_new, nwb) = (self.tcb.root_old, self.tcb.root_new, self.tcb.nwb);
         let drainer = self.config.design.has_drainer();
-        self.auditor
+        self.obs
+            .auditor
             .as_deref_mut()
             .expect("checked above")
             .observe_tcb(point, root_old, root_new, nwb, drainer, &mut found);
         for (check, detail) in found {
-            self.obs_event(|| crate::obs::Event::Audit {
+            self.emit(Event::Audit {
                 at: now,
                 check,
                 point,
             });
-            self.flight_event(|| crate::obs::Event::Audit {
-                at: now,
-                check,
-                point,
-            });
-            if let Some(aud) = self.auditor.as_deref_mut() {
+            if let Some(aud) = self.obs.auditor.as_deref_mut() {
                 aud.record(Violation {
                     at: now,
                     point,
@@ -633,117 +552,12 @@ impl SecureMemory {
         Ok(t)
     }
 
-    // ----- wear ledger & durability lag -------------------------------
-
-    /// Attaches a fresh [`WearLedger`](crate::obs::wear::WearLedger)
-    /// sized for this layout's tree depth, replacing any existing one.
-    /// From this point every NVM line-write is attributed to a typed
-    /// cause at its call site; with an auditor also attached, the
-    /// conservation invariant (attributed == controller totals) is
-    /// re-checked at every audit point.
-    pub fn attach_wear(&mut self) {
-        self.wear = Some(Box::new(crate::obs::wear::WearLedger::new(
-            self.layout.internal_levels(),
-        )));
-    }
-
-    /// The attached wear ledger, if any.
-    pub fn wear(&self) -> Option<&crate::obs::wear::WearLedger> {
-        self.wear.as_deref()
-    }
-
-    /// Detaches and returns the wear ledger.
-    pub fn take_wear(&mut self) -> Option<Box<crate::obs::wear::WearLedger>> {
-        self.wear.take()
-    }
-
-    /// Attaches a fresh [`LagTracer`](crate::obs::lag::LagTracer),
-    /// replacing any existing one. From this point every accepted
-    /// write-back is stamped at issue and resolved when its covering
-    /// durable commit completes.
-    pub fn attach_lag(&mut self) {
-        self.lag = Some(Box::new(crate::obs::lag::LagTracer::new()));
-    }
-
-    /// The attached durability-lag tracer, if any.
-    pub fn lag(&self) -> Option<&crate::obs::lag::LagTracer> {
-        self.lag.as_deref()
-    }
-
-    /// Detaches and returns the durability-lag tracer.
-    pub fn take_lag(&mut self) -> Option<Box<crate::obs::lag::LagTracer>> {
-        self.lag.take()
-    }
-
-    /// Attributes one NVM line-write to `cause` when a ledger is
-    /// attached.
-    #[inline]
-    pub(crate) fn wear_charge(&mut self, cause: crate::obs::wear::WriteCause) {
-        if let Some(w) = self.wear.as_deref_mut() {
-            w.charge(cause);
-        }
-    }
-
-    /// Attributes one metadata line-write, classified by tree level:
-    /// counter lines are level 0, tree nodes keep their 1-based level.
-    /// `wpq` selects the drain-retire cause variants.
-    #[inline]
-    pub(crate) fn wear_meta(&mut self, line: LineAddr, wpq: bool) {
-        use crate::obs::wear::WriteCause;
-        if self.wear.is_none() {
-            return;
-        }
-        let (level, _) = self.level_of(line);
-        self.wear_charge(match (level, wpq) {
-            (0, false) => WriteCause::Counter,
-            (0, true) => WriteCause::CounterWpq,
-            (l, false) => WriteCause::Bmt(l),
-            (l, true) => WriteCause::BmtWpq(l),
-        });
-    }
-
-    /// Notes one `ROOT_old ← ROOT_new` alternation — a TCB register
-    /// write, counted outside the NVM conservation sum.
-    #[inline]
-    pub(crate) fn wear_root_alt(&mut self) {
-        if let Some(w) = self.wear.as_deref_mut() {
-            w.note_root_alternation();
-        }
-    }
-
-    /// Notes one persistent `N_wb` register bump — a TCB register
-    /// write, counted outside the NVM conservation sum.
-    #[inline]
-    pub(crate) fn wear_nwb(&mut self) {
-        if let Some(w) = self.wear.as_deref_mut() {
-            w.note_nwb_update();
-        }
-    }
-
-    /// Stamps one accepted write-back at simulated time `at` for
-    /// durability-lag tracing.
-    #[inline]
-    pub(crate) fn lag_stamp(&mut self, at: Cycle) {
-        if let Some(l) = self.lag.as_deref_mut() {
-            l.stamp(at);
-        }
-    }
-
-    /// Resolves every pending durability-lag stamp at `at` — the
-    /// completion of the commit that made those write-backs durable.
-    #[inline]
-    pub(crate) fn lag_resolve_all(&mut self, at: Cycle) {
-        if let Some(l) = self.lag.as_deref_mut() {
-            l.resolve_all(at);
-        }
-    }
-
     /// Deliberately skews the wear ledger's attribution away from the
     /// memory controller's ground truth, so the conservation check's
     /// negative path can be exercised end-to-end (tests, CI,
     /// `CCNVM_WEAR_SELFTEST`). No-op without an attached ledger.
     pub fn inject_wear_attribution_desync(&mut self) {
-        if let Some(w) = self.wear.as_deref_mut() {
+        if let Some(w) = self.obs.wear.as_deref_mut() {
             w.inject_attribution_skew();
         }
     }
@@ -759,7 +573,7 @@ impl SecureMemory {
         instructions: u64,
     ) -> Option<crate::obs::wear::WearReport> {
         use crate::obs::wear::{HostIo, WearReport, TOP_K, WEAR_HIST_BOUNDS};
-        let ledger = self.wear.as_deref()?;
+        let ledger = self.obs.wear.as_deref()?;
         let entries = self.mc.wear_entries();
         let mut histogram = vec![0u64; WEAR_HIST_BOUNDS.len() + 1];
         let mut total_wear = 0u64;
@@ -803,11 +617,7 @@ impl SecureMemory {
                 .unwrap_or(0),
             wear_histogram: histogram,
             hot_lines: hot.into_iter().map(|(l, c)| (l.0, c)).collect(),
-            lag: self
-                .lag
-                .as_deref()
-                .map(crate::obs::lag::LagTracer::summary)
-                .unwrap_or_default(),
+            lag: self.lag().map(|l| l.summary()).unwrap_or_default(),
             root_alternations: ledger.root_alternations(),
             nwb_updates: ledger.nwb_updates(),
             host_io,
@@ -838,17 +648,8 @@ impl SecureMemory {
             .unwrap_or_else(|| self.meta_default(line))
     }
 
-    /// `(level, index)` of a counter or tree line.
-    pub(crate) fn level_of(&self, line: LineAddr) -> (usize, u64) {
-        if self.layout.is_counter_line(line) {
-            (0, self.layout.counter_index(line))
-        } else {
-            self.layout.node_of_line(line)
-        }
-    }
-
     pub(crate) fn parent_of(&self, line: LineAddr) -> Option<LineAddr> {
-        let (level, idx) = self.level_of(line);
+        let (level, idx) = self.layout.level_of(line);
         if level >= self.layout.internal_levels() {
             None
         } else {

@@ -220,55 +220,6 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// Attaches an event recorder to every shard.
-    pub fn attach_recorders(&mut self, config: crate::obs::RecorderConfig) {
-        for shard in &mut self.shards {
-            shard.memory_mut().attach_recorder(config);
-        }
-    }
-
-    /// Attaches a stage profiler to every shard.
-    pub fn attach_profilers(&mut self) {
-        for shard in &mut self.shards {
-            shard.memory_mut().attach_profiler();
-        }
-    }
-
-    /// Attaches a metrics registry to every shard.
-    pub fn attach_metrics(&mut self, config: crate::obs::metrics::MetricsConfig) {
-        for shard in &mut self.shards {
-            shard.memory_mut().attach_metrics(config);
-        }
-    }
-
-    /// Attaches a runtime invariant auditor to every shard.
-    pub fn attach_auditors(&mut self, mode: crate::obs::audit::AuditMode) {
-        for shard in &mut self.shards {
-            shard.memory_mut().attach_auditor(mode);
-        }
-    }
-
-    /// Attaches an in-process flight-recorder ring to every shard.
-    pub fn attach_flight_recorders(&mut self, config: crate::obs::flight::FlightConfig) {
-        for shard in &mut self.shards {
-            shard.memory_mut().attach_flight(config);
-        }
-    }
-
-    /// Attaches a write-provenance wear ledger to every shard.
-    pub fn attach_wear_ledgers(&mut self) {
-        for shard in &mut self.shards {
-            shard.memory_mut().attach_wear();
-        }
-    }
-
-    /// Attaches a durability-lag tracer to every shard.
-    pub fn attach_lag_tracers(&mut self) {
-        for shard in &mut self.shards {
-            shard.memory_mut().attach_lag();
-        }
-    }
-
     /// Per-shard wear reports, in shard order. Shards are independent
     /// devices with their own line stores, so per-line wear is never
     /// merged across them — a service-wide view that summed two
@@ -460,7 +411,9 @@ mod tests {
     fn merged_profile_sums_shard_profiles() {
         let mut r = router(2);
         assert!(r.merged_profile().is_none(), "nothing attached yet");
-        r.attach_profilers();
+        for s in r.shards_mut() {
+            s.memory_mut().attach_profiler();
+        }
         r.run(
             TraceGenerator::new(profiles::by_name("lbm").unwrap(), 3),
             30_000,
@@ -488,8 +441,10 @@ mod tests {
     #[test]
     fn per_shard_wear_reports_each_conserve() {
         let mut r = router(2);
-        r.attach_wear_ledgers();
-        r.attach_lag_tracers();
+        for s in r.shards_mut() {
+            s.memory_mut().attach_wear();
+            s.memory_mut().attach_lag();
+        }
         r.run(
             TraceGenerator::new(profiles::by_name("lbm").unwrap(), 7),
             40_000,
@@ -561,7 +516,10 @@ mod tests {
     #[test]
     fn forensic_reports_attribute_the_mid_drain_shard() {
         let mut r = router(2);
-        r.attach_flight_recorders(crate::obs::flight::FlightConfig::default());
+        for s in r.shards_mut() {
+            s.memory_mut()
+                .attach_flight(crate::obs::flight::FlightConfig::default());
+        }
         r.run(
             TraceGenerator::new(profiles::by_name("lbm").unwrap(), 13),
             60_000,

@@ -21,6 +21,7 @@
 
 use crate::config::SimConfig;
 use crate::error::IntegrityError;
+use crate::obs::profile::Stage;
 use crate::secmem::SecureMemory;
 use crate::stats::RunStats;
 use ccnvm_mem::cache::SetAssocCache;
@@ -127,7 +128,7 @@ impl Simulator {
         let total = instrs + self.issue_carry;
         let issue = total / self.config.issue_width;
         self.cycles += issue;
-        self.mem.prof(crate::obs::profile::Stage::CoreIssue, issue);
+        self.mem.obs.charge(Stage::CoreIssue, issue);
         self.issue_carry = total % self.config.issue_width;
     }
 
@@ -149,10 +150,9 @@ impl Simulator {
         let l1 = self.l1.access(line, is_store);
         if l1.is_hit() {
             self.cycles += self.config.l1_hit_cycles;
-            self.mem.prof(
-                crate::obs::profile::Stage::CacheHit,
-                self.config.l1_hit_cycles,
-            );
+            self.mem
+                .obs
+                .charge(Stage::CacheHit, self.config.l1_hit_cycles);
         } else {
             self.l2_fill(line)?;
             if let Some(victim) = l1.evicted {
@@ -178,10 +178,9 @@ impl Simulator {
         let l2 = self.l2.access(line, false);
         if l2.is_hit() {
             self.cycles += self.config.l2_hit_cycles;
-            self.mem.prof(
-                crate::obs::profile::Stage::CacheHit,
-                self.config.l2_hit_cycles,
-            );
+            self.mem
+                .obs
+                .charge(Stage::CacheHit, self.config.l2_hit_cycles);
             return Ok(());
         }
         if let Some(victim) = l2.evicted {
@@ -194,8 +193,7 @@ impl Simulator {
         let penalty = done.saturating_sub(now + self.config.hide_cycles);
         self.cycles += penalty;
         self.mem.stats.read_stall_cycles += penalty;
-        self.mem
-            .prof(crate::obs::profile::Stage::ReadStall, penalty);
+        self.mem.obs.charge(Stage::ReadStall, penalty);
         Ok(())
     }
 
@@ -207,7 +205,7 @@ impl Simulator {
         let stall = release.saturating_sub(now);
         self.cycles += stall;
         self.mem.stats.wb_stall_cycles += stall;
-        self.mem.prof(crate::obs::profile::Stage::WbStall, stall);
+        self.mem.obs.charge(Stage::WbStall, stall);
         Ok(())
     }
 

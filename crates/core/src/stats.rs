@@ -91,22 +91,6 @@ impl Histogram {
         &self.bounds
     }
 
-    /// Folds `other`'s observations into `self` (bucket-wise sums;
-    /// commutative, and merging an empty histogram is the identity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms were built with different bounds.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds mismatch");
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// Nearest-rank percentile at bucket resolution: an inclusive
     /// upper bound on the value below or at which at least `p` percent
     /// of observations fall. The k-th smallest observation (k =

@@ -12,7 +12,7 @@ use crate::config::DesignKind;
 use crate::engine::{CryptoEngine, MT_MSG_LEN};
 use crate::error::IntegrityError;
 use crate::layout::MAX_TREE_LEVELS;
-use crate::obs;
+use crate::obs::{self, profile::Stage};
 use crate::secmem::{DrainTrigger, SecureMemory};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
 use ccnvm_mem::{Cycle, Line, LineAddr};
@@ -58,7 +58,7 @@ impl SecureMemory {
                 .chip_meta
                 .erase(victim)
                 .unwrap_or_else(|| self.meta_default(victim));
-            self.obs_event(|| obs::Event::Meta {
+            self.emit(obs::Event::Meta {
                 at: t,
                 action: if dirty {
                     obs::MetaAction::EvictDirty
@@ -78,7 +78,7 @@ impl SecureMemory {
         debug_assert!(result.evicted.is_none(), "room was made above");
         debug_assert!(result.is_miss(), "install_meta on a resident line");
         self.chip_meta.write(line, content);
-        self.obs_event(|| obs::Event::Meta {
+        self.emit(obs::Event::Meta {
             at: t,
             action: obs::MetaAction::Install,
             line,
@@ -100,14 +100,9 @@ impl SecureMemory {
         match self.design() {
             DesignKind::WithoutCc | DesignKind::StrictConsistency => {
                 self.nvm.persist_meta(victim, content);
-                let (at, issued) = self.post_write(victim, t);
-                self.prof_engine(obs::profile::Stage::MetaCacheMaint, at.saturating_sub(t));
+                let at = self.post_write(victim, t, obs::WriteKind::EvictedMeta);
+                self.prof_engine(Stage::MetaCacheMaint, at.saturating_sub(t));
                 t = at;
-                if issued {
-                    self.stats.meta_writes += 1;
-                    self.prof_write(obs::profile::Stage::MetaCacheMaint);
-                    self.wear_meta(victim, false);
-                }
             }
             DesignKind::OsirisPlus => {
                 // Not persisted: recoverable online within N updates.
@@ -132,13 +127,13 @@ impl SecureMemory {
     /// it cannot trigger further evictions — eviction repair is
     /// reentrancy-free.
     pub(crate) fn repair_chain(&mut self, from: LineAddr, content: &Line, mut t: Cycle) -> Cycle {
-        let (mut level, mut idx) = self.level_of(from);
+        let (mut level, mut idx) = self.layout.level_of(from);
         let mut child_content = *content;
         let top = self.layout.internal_levels();
         loop {
             self.stats.hmacs += 1;
             t += HMAC_LATENCY_CYCLES;
-            self.prof_engine(obs::profile::Stage::MetaCacheMaint, HMAC_LATENCY_CYCLES);
+            self.prof_engine(Stage::MetaCacheMaint, HMAC_LATENCY_CYCLES);
             if level == top {
                 let root = self.bmt.engine().node_mac(top, 0, &child_content);
                 self.tcb.root_new = root;
@@ -191,7 +186,7 @@ impl SecureMemory {
         verify: bool,
     ) -> Result<Cycle, IntegrityError> {
         let mut t = now + self.config.meta_cycles;
-        self.prof_engine(obs::profile::Stage::MetaFetch, self.config.meta_cycles);
+        self.prof_engine(Stage::MetaFetch, self.config.meta_cycles);
         if self.meta_cache.contains(line) {
             self.meta_cache.access(line, false);
             self.stats.meta_hits += 1;
@@ -229,7 +224,7 @@ impl SecureMemory {
                 let content = self
                     .functional_nvm(l)
                     .unwrap_or_else(|| self.meta_default(l));
-                let (level, idx) = self.level_of(l);
+                let (level, idx) = self.layout.level_of(l);
                 msgs[slot] = CryptoEngine::node_mac_msg(level, (idx % 4) as u8, &content);
                 contents[slot] = content;
             }
@@ -251,10 +246,7 @@ impl SecureMemory {
                 .unwrap_or_else(|| self.meta_default(l));
             let fetch_start = t;
             t = self.mc.read(l, t);
-            self.prof_engine(
-                obs::profile::Stage::MetaFetch,
-                t.saturating_sub(fetch_start),
-            );
+            self.prof_engine(Stage::MetaFetch, t.saturating_sub(fetch_start));
             if verify {
                 let prefetched = (content == contents[i]).then_some(macs[i]);
                 t = self.verify_fetched(l, &content, t, prefetched)?;
@@ -279,14 +271,14 @@ impl SecureMemory {
         mut t: Cycle,
         prefetched: Option<ccnvm_crypto::Mac128>,
     ) -> Result<Cycle, IntegrityError> {
-        let (level, idx) = self.level_of(line);
+        let (level, idx) = self.layout.level_of(line);
         self.stats.hmacs += 1;
         t += HMAC_LATENCY_CYCLES;
         self.prof_engine(
             if level == 0 {
-                obs::profile::Stage::CounterHmac
+                Stage::CounterHmac
             } else {
-                obs::profile::Stage::BmtPathWalk
+                Stage::BmtPathWalk
             },
             HMAC_LATENCY_CYCLES,
         );

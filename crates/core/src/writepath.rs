@@ -21,7 +21,7 @@ use crate::counter::CounterLine;
 use crate::engine::{CryptoEngine, DH_MSG_LEN};
 use crate::error::IntegrityError;
 use crate::layout::MAX_TREE_LEVELS;
-use crate::obs;
+use crate::obs::{self, profile::Stage, WriteKind};
 use crate::secmem::{pattern, DrainTrigger, SecureMemory};
 use crate::view::{MetaSource, MetaView};
 use ccnvm_crypto::latency::{AES_LATENCY_CYCLES, DIRTY_QUEUE_LOOKUP_CYCLES, HMAC_LATENCY_CYCLES};
@@ -137,14 +137,14 @@ impl SecureMemory {
         let release = self.wb_buffer.accept(now);
         let mut t = release.max(self.engine_busy_until);
         let service_start = t;
-        if let Some(rec) = self.recorder.as_deref_mut() {
+        if let Some(rec) = self.obs.recorder.as_deref_mut() {
             rec.note_write_back(release);
-            rec.record(obs::Event::WriteBack {
-                at: release,
-                phase: obs::WbPhase::Accept,
-                line,
-            });
         }
+        self.emit(obs::Event::WriteBack {
+            at: release,
+            phase: obs::WbPhase::Accept,
+            line,
+        });
 
         let path = PathLines::of(self, line);
         let ctr_line = path.ctr_line;
@@ -167,7 +167,7 @@ impl SecureMemory {
                 t = self.ensure_meta_cached(ctr_line, t, true)?;
             }
         }
-        self.obs_event(|| obs::Event::WriteBack {
+        self.emit(obs::Event::WriteBack {
             at: t,
             phase: obs::WbPhase::Fetch,
             line,
@@ -190,8 +190,8 @@ impl SecureMemory {
             // every 8 cycles after that.
             let reserve = DIRTY_QUEUE_LOOKUP_CYCLES + 8 * entries.len() as u64;
             t += reserve;
-            self.prof(obs::profile::Stage::DirtyQueueReserve, reserve);
-            self.obs_event(|| obs::Event::WriteBack {
+            self.obs.charge(Stage::DirtyQueueReserve, reserve);
+            self.emit(obs::Event::WriteBack {
                 at: t,
                 phase: obs::WbPhase::Reserve,
                 line,
@@ -202,7 +202,7 @@ impl SecureMemory {
         // queue-full drain above (which covers *prior* write-backs,
         // not this one) cannot resolve the stamp prematurely; every
         // drain that can cover this write-back runs later.
-        self.lag_stamp(release);
+        self.obs.stamp_lag(release);
         // Phase 3 — bump the counter. From here to the end of the
         // write-back nothing may install into the Meta Cache (no
         // drains may fire except the ones this function issues
@@ -226,7 +226,7 @@ impl SecureMemory {
             let reenc_start = t;
             t = self.reencrypt_page(line, &old_ctr, &ctr, t);
             let reenc = t - reenc_start;
-            self.prof(obs::profile::Stage::PageReenc, reenc);
+            self.obs.charge(Stage::PageReenc, reenc);
         }
 
         // Encrypt + data HMAC (parallel with tree work below).
@@ -241,7 +241,7 @@ impl SecureMemory {
         self.stats.aes_ops += 1;
         self.stats.hmacs += 1;
         let crypto_done = t + AES_LATENCY_CYCLES + HMAC_LATENCY_CYCLES;
-        self.obs_event(|| obs::Event::WriteBack {
+        self.emit(obs::Event::WriteBack {
             at: crypto_done,
             phase: obs::WbPhase::Encrypt,
             line,
@@ -297,14 +297,9 @@ impl SecureMemory {
                 for &l in path.all_lines() {
                     let content = self.meta_content(l);
                     self.nvm.persist_meta(l, content);
-                    let (at, issued) = self.post_write(l, tree_done);
+                    let at = self.post_write(l, tree_done, WriteKind::EagerMeta);
                     tree_persist += at.saturating_sub(tree_done);
                     tree_done = at;
-                    if issued {
-                        self.stats.meta_writes += 1;
-                        self.prof_write(obs::profile::Stage::TreeEager);
-                        self.wear_meta(l, false);
-                    }
                     self.meta_cache.mark_clean(l);
                 }
                 if let Some(p) = self.meta_cache.payload_mut(ctr_line) {
@@ -320,14 +315,9 @@ impl SecureMemory {
                 if (minor_now as u32).is_multiple_of(self.config.update_limit) {
                     let content = self.meta_content(ctr_line);
                     self.nvm.persist_meta(ctr_line, content);
-                    let (at, issued) = self.post_write(ctr_line, tree_done);
+                    let at = self.post_write(ctr_line, tree_done, WriteKind::EagerMeta);
                     tree_persist += at.saturating_sub(tree_done);
                     tree_done = at;
-                    if issued {
-                        self.stats.meta_writes += 1;
-                        self.prof_write(obs::profile::Stage::TreeEager);
-                        self.wear_meta(ctr_line, false);
-                    }
                     self.meta_cache.mark_clean(ctr_line);
                     if let Some(p) = self.meta_cache.payload_mut(ctr_line) {
                         p.updates = 0;
@@ -345,39 +335,28 @@ impl SecureMemory {
         self.nvm.persist_data(dh_line, dh_content);
         self.nvm.versions.insert(line.0, version);
         let mut done = crypto_done.max(tree_done);
-        if self.profiler.is_some() {
+        if self.obs.profiler.is_some() {
             // Attribute the parallel crypto‖tree span `[t, done)`: the
             // AES pad + data HMAC pipeline is on the critical path up
             // to its own latency; whatever the tree side adds beyond
             // that is eager persistence first (it forms the tail of
             // `tree_done`), then unhidden tree-walk HMAC time.
             let pad = AES_LATENCY_CYCLES + HMAC_LATENCY_CYCLES;
-            self.prof(obs::profile::Stage::AesPad, AES_LATENCY_CYCLES);
-            self.prof(obs::profile::Stage::DataHmac, HMAC_LATENCY_CYCLES);
+            self.obs.charge(Stage::AesPad, AES_LATENCY_CYCLES);
+            self.obs.charge(Stage::DataHmac, HMAC_LATENCY_CYCLES);
             let excess = (done - t) - pad;
             let persist = tree_persist.min(excess);
             if persist > 0 {
-                self.prof(obs::profile::Stage::TreeEager, persist);
+                self.obs.charge(Stage::TreeEager, persist);
             }
             if excess > persist {
-                self.prof(obs::profile::Stage::BmtPathWalk, excess - persist);
+                self.obs.charge(Stage::BmtPathWalk, excess - persist);
             }
         }
-        let (at, issued) = self.post_write(line, done);
-        self.prof(obs::profile::Stage::WbPersist, at.saturating_sub(done));
-        done = at;
-        if issued {
-            self.stats.data_writes += 1;
-            self.prof_write(obs::profile::Stage::WbPersist);
-            self.wear_charge(obs::wear::WriteCause::Data);
-        }
-        let (at, issued) = self.post_write(dh_line, done);
-        self.prof(obs::profile::Stage::WbPersist, at.saturating_sub(done));
-        done = at;
-        if issued {
-            self.stats.dh_writes += 1;
-            self.prof_write(obs::profile::Stage::WbPersist);
-            self.wear_charge(obs::wear::WriteCause::DataHmac);
+        for (l, kind) in [(line, WriteKind::Data), (dh_line, WriteKind::DataHmac)] {
+            let at = self.post_write(l, done, kind);
+            self.obs.charge(Stage::WbPersist, at.saturating_sub(done));
+            done = at;
         }
         self.nvm.commit_atomic();
         // The persistent TCB registers update in the same atomic step
@@ -396,14 +375,14 @@ impl SecureMemory {
                 }
                 ccnvm_mem::crashpoint::fire("root-alternate");
                 self.flight_boundary("end", "root-alternate");
-                self.wear_root_alt();
+                self.obs.note_root_alternation();
             }
             None => {
                 self.flight_boundary("begin", "nwb-update");
                 self.tcb.nwb += 1;
                 ccnvm_mem::crashpoint::fire("nwb-update");
                 self.flight_boundary("end", "nwb-update");
-                self.wear_nwb();
+                self.obs.note_nwb_update();
             }
         }
 
@@ -426,7 +405,7 @@ impl SecureMemory {
             // within the write-back itself (SC/Osiris root updates are
             // ADR-atomic with the persist group; w/o CC offers no later
             // commit to wait for), so the durability lag closes here.
-            self.lag_resolve_all(done);
+            self.obs.resolve_lag(done);
         }
 
         // Feed the simulated clock to backends with time-based flush
@@ -435,12 +414,12 @@ impl SecureMemory {
         self.stats.engine_cycles += done.saturating_sub(service_start);
         self.engine_busy_until = self.engine_busy_until.max(done);
         self.wb_buffer.push(done);
-        if let Some(rec) = self.recorder.as_deref_mut() {
-            rec.record(obs::Event::WriteBack {
-                at: done,
-                phase: obs::WbPhase::Persist,
-                line,
-            });
+        self.emit(obs::Event::WriteBack {
+            at: done,
+            phase: obs::WbPhase::Persist,
+            line,
+        });
+        if let Some(rec) = self.obs.recorder.as_deref_mut() {
             rec.note_wb_latency(done.saturating_sub(service_start));
         }
         self.obs_sync_queues();
@@ -507,13 +486,7 @@ impl SecureMemory {
             self.nvm.persist_data(dh_line, dh_content);
             t = self.mc.read(dline, t);
             for l in [dline, dh_line] {
-                let (at, issued) = self.post_write(l, t);
-                t = at;
-                if issued {
-                    self.stats.reenc_writes += 1;
-                    self.prof_write(obs::profile::Stage::PageReenc);
-                    self.wear_charge(obs::wear::WriteCause::PageReencrypt);
-                }
+                t = self.post_write(l, t, WriteKind::PageReencrypt);
             }
             t += AES_LATENCY_CYCLES + HMAC_LATENCY_CYCLES;
         }
@@ -531,13 +504,7 @@ impl SecureMemory {
                 let ctr_line = self.layout.counter_line_of(written);
                 let content = self.meta_content(ctr_line);
                 self.nvm.persist_meta(ctr_line, content);
-                let (at, issued) = self.post_write(ctr_line, t);
-                t = at;
-                if issued {
-                    self.stats.reenc_writes += 1;
-                    self.prof_write(obs::profile::Stage::PageReenc);
-                    self.wear_charge(obs::wear::WriteCause::PageReencrypt);
-                }
+                t = self.post_write(ctr_line, t, WriteKind::PageReencrypt);
                 if let Some(p) = self.meta_cache.payload_mut(ctr_line) {
                     p.updates = 0;
                 }

@@ -249,15 +249,21 @@ fn trace_export_is_deterministic() {
     assert_eq!(a, b);
 }
 
-/// Attribution conservation: for any design, benchmark and seed, the
-/// profiler's per-stage cycles sum *exactly* to the run counters —
-/// core stages to `cycles`, engine stages to `engine_cycles` — and
-/// per-stage NVM writes to `total_writes()`. The WPQ-stall stage is
-/// additionally pinned to the controller's own wait-cycle counter, so
-/// the two accounting layers cannot drift apart silently.
+/// Attribution conservation with every observer attached: for any
+/// design, benchmark and seed, the profiler's per-stage cycles sum
+/// *exactly* to the run counters — core stages to `cycles`, engine
+/// stages to `engine_cycles` — and the NVM writes agree across all
+/// four ledgers: `RunStats`, the profiler, the wear ledger and the
+/// controller. The WPQ-stall stage is additionally pinned to the
+/// controller's own wait-cycle counter. A strict auditor stays clean,
+/// and the stats equal those of a detached twin run.
 #[test]
 fn profiler_conserves_cycles_and_writes() {
+    use ccnvm::obs::audit::AuditMode;
+    use ccnvm::obs::flight::FlightConfig;
+    use ccnvm::obs::metrics::MetricsConfig;
     use ccnvm::obs::profile::{Domain, Stage};
+    use ccnvm::obs::RecorderConfig;
     use ccnvm::prelude::{profiles, Simulator, TraceGenerator};
 
     let mut rng = Rng::seed_from_u64(0xc0e9);
@@ -266,17 +272,37 @@ fn profiler_conserves_cycles_and_writes() {
         let design = DesignKind::ALL[case % DesignKind::ALL.len()];
         let bench = benches[rng.gen_range(0usize..benches.len())];
         let seed = rng.next_u64();
-        let mut sim = Simulator::new(SimConfig::small(design)).expect("valid config");
-        sim.memory_mut().attach_profiler();
-        let trace = TraceGenerator::new(profiles::by_name(bench).unwrap(), seed);
-        sim.run(trace, 20_000).expect("attack-free run");
-        if case % 3 == 0 {
-            sim.flush_caches().expect("flush is attack-free");
-        }
+        let run = |observed: bool| {
+            let mut sim = Simulator::new(SimConfig::small(design)).expect("valid config");
+            if observed {
+                let mem = sim.memory_mut();
+                mem.attach_recorder(RecorderConfig::default());
+                mem.attach_profiler();
+                mem.attach_metrics(MetricsConfig::default());
+                mem.attach_auditor(AuditMode::Strict);
+                mem.attach_flight(FlightConfig::default());
+                mem.attach_wear();
+                mem.attach_lag();
+            }
+            let trace = TraceGenerator::new(profiles::by_name(bench).unwrap(), seed);
+            sim.run(trace, 20_000).expect("attack-free run");
+            if case % 3 == 0 {
+                sim.flush_caches().expect("flush is attack-free");
+            }
+            sim
+        };
+        let sim = run(true);
         let stats = sim.stats();
-        let mem_stats = sim.memory().mem_stats();
-        let prof = sim.memory().profiler().expect("attached").clone();
+        let mem = sim.memory();
         let label = format!("{design} on {bench} (seed {seed:#x})");
+        let auditor = mem.auditor().expect("attached");
+        assert!(!auditor.failed(), "{label}:\n{}", auditor.report());
+        assert_eq!(
+            stats,
+            run(false).stats(),
+            "{label}: observers changed the run"
+        );
+        let prof = mem.profiler().expect("attached");
         assert_eq!(
             prof.domain_cycles(Domain::Core),
             stats.cycles,
@@ -288,14 +314,19 @@ fn profiler_conserves_cycles_and_writes() {
             "{label}: engine stages must sum to engine cycles"
         );
         assert_eq!(prof.domain_cycles(Domain::Recovery), 0, "{label}");
-        assert_eq!(
+        let writes = [
             prof.total_writes(),
-            stats.total_writes(),
-            "{label}: per-stage writes must sum to total writes"
+            mem.wear().expect("attached").attributed_total(),
+            mem.mem_stats().total_writes(),
+        ];
+        assert_eq!(
+            writes,
+            [stats.total_writes(); 3],
+            "{label}: profiler, wear ledger and controller must count every write"
         );
         assert_eq!(
             prof.cycles_of(Stage::WpqStall),
-            mem_stats.wpq_wait_cycles,
+            mem.mem_stats().wpq_wait_cycles,
             "{label}: WPQ stall attribution must match the controller"
         );
     }

@@ -104,7 +104,9 @@ fn render_sharded_profile(shards: u32, legacy_hmac: bool) -> String {
     let profile = profiles::by_name("lbm").expect("known benchmark");
     let mut router =
         ShardRouter::new(config(DesignKind::CcNvm, legacy_hmac), shards).expect("valid topology");
-    router.attach_profilers();
+    for shard in router.shards_mut() {
+        shard.memory_mut().attach_profiler();
+    }
     router
         .run(TraceGenerator::new(profile, SEED), PROFILE_INSTRUCTIONS)
         .expect("attack-free run is clean");

@@ -122,8 +122,10 @@ fn per_shard_reports_conserve_and_reruns_are_byte_identical() {
         let render = || {
             let mut router = ShardRouter::new(SimConfig::small(DesignKind::CcNvm), shards)
                 .expect("valid topology");
-            router.attach_wear_ledgers();
-            router.attach_lag_tracers();
+            for shard in router.shards_mut() {
+                shard.memory_mut().attach_wear();
+                shard.memory_mut().attach_lag();
+            }
             router
                 .run(
                     TraceGenerator::new(profiles::by_name("lbm").unwrap(), SEED),
