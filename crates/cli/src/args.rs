@@ -104,7 +104,8 @@ pub struct RunArgs {
     /// this on.
     pub flight: bool,
     /// Write the `ccnvm-forensics/1` JSON report to this path
-    /// (`recover` / `forensics` only).
+    /// (`recover` / `forensics` only; per-shard files under
+    /// `recover --shards N`).
     pub forensics_out: Option<String>,
     /// Exit nonzero on any non-clean recovery verdict — including
     /// `DURABILITY LOSS`, which the default exit treats as expected
@@ -260,7 +261,8 @@ OPTIONS:
                       entries also persist to the flight.log sidecar)
 
 RECOVER / FORENSICS OPTIONS:
-  --forensics-out FILE  write the ccnvm-forensics/1 JSON report
+  --forensics-out FILE  write the ccnvm-forensics/1 JSON report (per-shard
+                      files under recover --shards N)
   --strict            exit nonzero on any non-clean recovery verdict,
                       including DURABILITY LOSS
   --kill B            (forensics) kill the run at persist boundary B: a
@@ -388,6 +390,21 @@ fn parse_common<'a, I: Iterator<Item = &'a str>>(
     Ok(true)
 }
 
+/// A file store is one single-owner durable image, so it takes one
+/// shard.
+fn check_topology(args: &RunArgs) -> Result<(), ParseArgsError> {
+    match &args.backend {
+        BackendChoice::File(dir) if args.shards > 1 => Err(ParseArgsError(format!(
+            "--backend file:{dir} is a single-owner store; it cannot be \
+             combined with --shards {} (each shard owns a slice of one \
+             durable image — run the shards against separate directories \
+             or use --backend mem)",
+            args.shards
+        ))),
+        _ => Ok(()),
+    }
+}
+
 fn parse_number(flag: &str, v: &str) -> Result<u64, ParseArgsError> {
     v.replace('_', "")
         .parse()
@@ -415,6 +432,7 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                     return Err(ParseArgsError(format!("unknown option {flag:?}")));
                 }
             }
+            check_topology(&args)?;
             if sub != "forensics" && args.kill.is_some() {
                 return Err(ParseArgsError(format!(
                     "--kill only applies to the forensics subcommand, not `{sub}`"
@@ -514,6 +532,7 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                     }
                 }
             }
+            check_topology(&args)?;
             let param = param.ok_or_else(|| ParseArgsError("sweep needs --param {n|m}".into()))?;
             if values.is_empty() {
                 return Err(ParseArgsError("sweep needs --values a,b,c".into()));
@@ -621,6 +640,19 @@ mod tests {
             panic!("expected recover");
         };
         assert_eq!(args.shards, 2);
+    }
+
+    #[test]
+    fn file_store_with_shards_is_a_parse_error() {
+        let sweep = ["sweep", "--param", "n", "--values", "4"];
+        for sub in [&["run"][..], &["recover"], &["forensics"], &sweep] {
+            let mut argv = sub.to_vec();
+            argv.extend(["--backend", "file:d", "--shards", "2"]);
+            let err = parse(&argv).unwrap_err();
+            assert!(err.to_string().contains("--shards 2"), "{sub:?}: {err}");
+            argv.extend(["--shards", "1"]);
+            assert!(parse(&argv).is_ok(), "{sub:?}: one shard owns the store");
+        }
     }
 
     #[test]

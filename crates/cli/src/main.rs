@@ -9,13 +9,14 @@
 //! ccnvm-sim forensics --backend file:/tmp/f --kill drain-stage
 //! ```
 //!
-//! With `--shards N` (N > 1) the run goes through the
-//! [`ShardRouter`](ccnvm::shard::ShardRouter): N independent
-//! secure-memory shards behind a page-interleaving request router.
-//! Per-shard artifacts get a `.shardI` suffix before the extension,
+//! Every command runs its workload through one
+//! [`ShardRouter`](ccnvm::shard::ShardRouter): `--shards N` in-memory
+//! secure-memory shards behind a page-interleaving request router, or
+//! one shard over a `--backend file:` store. A one-shard router is
+//! byte-identical to a bare simulator. With more than one shard,
+//! per-shard artifacts get a `.shardI` suffix before the extension,
 //! the Chrome trace carries one process per shard, and the stage
-//! profile is the stage-wise sum over shards. `--shards 1` takes the
-//! original single-owner code paths, byte for byte.
+//! profile is the stage-wise sum over shards.
 
 mod args;
 
@@ -28,6 +29,7 @@ use ccnvm_bench::parallel::{parallel_for_mut, parallel_map, thread_count};
 use ccnvm_mem::{crashpoint, DurableBackend, FileBackend, FileBackendConfig, FileIoCounters};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -104,9 +106,60 @@ fn backend_cfg(run: &RunArgs) -> FileBackendConfig {
     }
 }
 
-/// Feeds the workload — a replayed trace or a synthetic profile — into
-/// the simulator until the instruction budget is met.
-fn drive(sim: &mut Simulator, run: &RunArgs) -> Result<(), String> {
+/// Opens the file store at `dir` for a new run. A fresh simulation
+/// starts from an all-zero image and a default TCB root; layering it
+/// over a previous run's lines would trip the integrity checks, so a
+/// populated store is refused.
+fn open_fresh_store(dir: &str, cfg: FileBackendConfig) -> Result<FileBackend, String> {
+    let store = FileBackend::open(dir, cfg).map_err(|e| e.to_string())?;
+    if !store.is_empty() {
+        return Err(format!(
+            "file store {dir} already holds {} lines from a previous run; \
+             the simulator starts from a fresh image — point --backend \
+             file: at a new (or emptied) directory",
+            store.len()
+        ));
+    }
+    let replay = store.io_counters().stats();
+    if replay.discarded_bytes > 0 {
+        eprintln!(
+            "file backend {dir}: discarded {} torn bytes from the log tail",
+            replay.discarded_bytes
+        );
+    }
+    Ok(store)
+}
+
+/// Builds the run's shards — `--shards N` in-memory shards, or one
+/// shard over a fresh `--backend file:` store — with every observer the
+/// flags ask for attached. The second return is the file store's I/O
+/// counter handle (usable after the store is boxed away), `None` in
+/// memory.
+fn build(run: &RunArgs) -> Result<(ShardRouter, Option<Arc<FileIoCounters>>), String> {
+    let config = config_of(run)?;
+    let (mut router, io) = match &run.backend {
+        BackendChoice::Mem => (
+            ShardRouter::new(config, run.shards).map_err(|e| e.to_string())?,
+            None,
+        ),
+        BackendChoice::File(dir) => {
+            let store = open_fresh_store(dir, backend_cfg(run))?;
+            let io = store.io_counters();
+            let sim =
+                Simulator::with_backend(config, Box::new(store)).map_err(|e| e.to_string())?;
+            (ShardRouter::from(sim), Some(io))
+        }
+    };
+    for shard in router.shards_mut() {
+        attach_observers(run, shard.memory_mut())?;
+    }
+    Ok((router, io))
+}
+
+/// Feeds the workload — a replayed trace or a synthetic profile —
+/// through the router until the instruction budget is met or a strict
+/// auditor latches a violation.
+fn drive(router: &mut ShardRouter, run: &RunArgs) -> Result<(), String> {
     if let Some(path) = &run.trace {
         let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
         let ops = ccnvm_trace::text::read_trace(BufReader::new(file))
@@ -116,60 +169,35 @@ fn drive(sim: &mut Simulator, run: &RunArgs) -> Result<(), String> {
         }
         // Replay the trace cyclically until the instruction budget is
         // met, so short captures still produce steady-state numbers.
-        while sim.instructions() < run.instructions {
-            sim.run(ops.iter().copied(), run.instructions - sim.instructions())
+        while router.total_instructions() < run.instructions && !router.audit_failed() {
+            router
+                .run(
+                    ops.iter().copied(),
+                    run.instructions - router.total_instructions(),
+                )
                 .map_err(|e| e.to_string())?;
         }
     } else {
         let profile = profiles::by_name(&run.bench)
             .ok_or_else(|| format!("unknown benchmark {:?} (try `list`)", run.bench))?;
         let trace = TraceGenerator::new(profile, run.seed);
-        sim.run(trace, run.instructions)
+        router
+            .run(trace, run.instructions)
             .map_err(|e| e.to_string())?;
     }
     Ok(())
 }
 
-/// Builds the simulator over the chosen durable backend. The second
-/// return is the file backend's I/O counter handle (usable after the
-/// backend is boxed away), `None` for the in-memory store.
-fn simulate(run: &RunArgs) -> Result<(Simulator, Option<Arc<FileIoCounters>>), String> {
-    let config = config_of(run)?;
-    let (mut sim, io) = match &run.backend {
-        BackendChoice::Mem => (Simulator::new(config).map_err(|e| e.to_string())?, None),
-        BackendChoice::File(dir) => {
-            let backend = FileBackend::open(dir, backend_cfg(run)).map_err(|e| e.to_string())?;
-            if !backend.is_empty() {
-                // A fresh simulation starts from an all-zero image and
-                // a default TCB root; layering it over a previous
-                // run's lines would trip the integrity checks.
-                return Err(format!(
-                    "file store {dir} already holds {} lines from a previous run; \
-                     the simulator starts from a fresh image — point --backend \
-                     file: at a new (or emptied) directory",
-                    backend.len()
-                ));
-            }
-            let io = backend.io_counters();
-            let replay = io.stats();
-            if replay.discarded_bytes > 0 {
-                eprintln!(
-                    "file backend {dir}: discarded {} torn bytes from the log tail",
-                    replay.discarded_bytes
-                );
-            }
-            let sim =
-                Simulator::with_backend(config, Box::new(backend)).map_err(|e| e.to_string())?;
-            (sim, Some(io))
-        }
-    };
-    attach_observers(run, sim.memory_mut())?;
-    drive(&mut sim, run)?;
-    Ok((sim, io))
+/// A clean shutdown: pushes every shard's buffered commit-log records
+/// to disk, so a file store reopens to exactly the run's end state.
+fn sync_durable(router: &mut ShardRouter) {
+    for shard in router.shards_mut() {
+        shard.memory_mut().sync_durable();
+    }
 }
 
 /// Attaches every observer the flags ask for. The selftest injections
-/// go to shard 0 only (a single-owner run is shard 0).
+/// go to shard 0 only.
 fn attach_observers(run: &RunArgs, mem: &mut SecureMemory) -> Result<(), String> {
     let first = mem.config().shard_index == 0;
     let selftest = |var: &str| first && std::env::var_os(var).is_some();
@@ -251,20 +279,21 @@ fn shard_path(path: &str, shard: usize, shards: usize) -> String {
     }
 }
 
-/// Writes every artifact the flags ask for from a run's shards (a
-/// single-owner run is one shard). Per-shard files and report headers
-/// appear only with more than one shard. Status goes to stderr so
-/// stdout stays machine-parseable under `--csv`.
+/// Writes every artifact the flags ask for from the router's shards.
+/// Per-shard files and report headers appear only with more than one
+/// shard. Status goes to stderr so stdout stays machine-parseable
+/// under `--csv`.
 fn emit_artifacts(
     run: &RunArgs,
-    shards: &[Simulator],
+    router: &ShardRouter,
     recoveries: Option<&[RecoveryReport]>,
     chrome_file: Option<File>,
 ) -> Result<(), String> {
+    let shards = router.shards();
     emit_trace(run, shards)?;
     emit_metrics(run, shards)?;
     emit_chrome(run, shards, recoveries, chrome_file)?;
-    emit_profile(run, shards, recoveries)?;
+    emit_profile(run, router, recoveries)?;
     emit_wear(run, shards)
 }
 
@@ -372,20 +401,15 @@ fn emit_chrome(
 /// profile carries the recovery-domain stages too.
 fn emit_profile(
     run: &RunArgs,
-    shards: &[Simulator],
+    router: &ShardRouter,
     recoveries: Option<&[RecoveryReport]>,
 ) -> Result<(), String> {
     let Some(path) = &run.profile_out else {
         return Ok(());
     };
-    let mut prof = SpanProfiler::new();
-    for sim in shards {
-        prof.merge(
-            sim.memory()
-                .profiler()
-                .expect("profilers are attached whenever --profile-out is set"),
-        );
-    }
+    let mut prof = router
+        .merged_profile()
+        .expect("profilers are attached whenever --profile-out is set");
     for report in recoveries.unwrap_or_default() {
         prof.absorb_recovery(report);
     }
@@ -394,7 +418,7 @@ fn emit_profile(
     if !run.csv {
         println!("{}", prof.render_table());
     }
-    match shards.len() {
+    match router.shard_count() {
         1 => eprintln!("wrote stage profile to {path}"),
         n => eprintln!("wrote merged stage profile ({n} shards) to {path}"),
     }
@@ -467,169 +491,40 @@ fn audit_verdict(shards: &[Simulator]) -> Result<(), String> {
     }
 }
 
-/// Builds, instruments and runs the sharded service for `--shards N`.
-fn simulate_sharded(run: &RunArgs) -> Result<ShardRouter, String> {
-    if let BackendChoice::File(dir) = &run.backend {
-        return Err(format!(
-            "--backend file:{dir} is a single-owner store; it cannot be \
-             combined with --shards {} (each shard owns a slice of one \
-             durable image — run the shards against separate directories \
-             or use --backend mem)",
-            run.shards
-        ));
-    }
-    let config = config_of(run)?;
-    let mut router = ShardRouter::new(config, run.shards).map_err(|e| e.to_string())?;
-    for shard in router.shards_mut() {
-        attach_observers(run, shard.memory_mut())?;
-    }
-    if let Some(path) = &run.trace {
-        let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        let ops = ccnvm_trace::text::read_trace(BufReader::new(file))
-            .map_err(|e| format!("{path}: {e}"))?;
-        if ops.is_empty() {
-            return Err(format!("{path}: trace is empty"));
-        }
-        while router.total_instructions() < run.instructions && !router.audit_failed() {
-            router
-                .run(
-                    ops.iter().copied(),
-                    run.instructions - router.total_instructions(),
-                )
-                .map_err(|e| e.to_string())?;
-        }
-    } else {
-        let profile = profiles::by_name(&run.bench)
-            .ok_or_else(|| format!("unknown benchmark {:?} (try `list`)", run.bench))?;
-        let trace = TraceGenerator::new(profile, run.seed);
-        router
-            .run(trace, run.instructions)
-            .map_err(|e| e.to_string())?;
-    }
-    Ok(router)
-}
-
-fn cmd_run_sharded(run: &RunArgs) -> Result<(), String> {
-    let chrome_file = create_chrome_file(run)?;
-    let router = simulate_sharded(run)?;
-    let stats = router.stats();
-    if run.csv {
-        println!("design,bench,{}", RunStats::csv_header());
-        println!("{},{},{}", run.design.slug(), run.bench, stats.csv_row());
-    } else {
-        println!(
-            "{} on {} ({} instructions, seed {}, {} shards):",
-            run.design,
-            run.bench,
-            run.instructions,
-            run.seed,
-            router.shard_count()
-        );
-        println!("{stats}");
-    }
-    // The load-balance view; status-stream under --csv so stdout stays
-    // machine-parseable.
-    let gauges = render_shard_gauges(&router.shard_gauges());
-    if run.csv {
-        eprint!("{gauges}");
-    } else {
-        print!("{gauges}");
-    }
-    emit_artifacts(run, router.shards(), None, chrome_file)?;
-    audit_verdict(router.shards())
-}
-
-fn cmd_recover_sharded(run: &RunArgs) -> Result<(), String> {
-    let chrome_file = create_chrome_file(run)?;
-    let mut router = simulate_sharded(run)?;
-    let threads = thread_count(run.threads);
-    // Crash scenario: quiesce every shard except the one with the
-    // deepest dirty queue, then power-fail with that one mid-drain —
-    // staged to the WPQ but never committed.
-    let victim = router
-        .shard_gauges()
-        .iter()
-        .max_by_key(|g| g.dirty_queue_depth)
-        .map(|g| g.shard as usize)
-        .unwrap_or(0);
-    let flushed = parallel_for_mut(router.shards_mut(), threads, |i, sim| {
-        if i == victim {
-            Ok(())
-        } else {
-            sim.flush_caches().map_err(|e| e.to_string())
-        }
-    });
-    for r in flushed {
-        r?;
-    }
-    router.inject_mid_drain_crash(victim);
-    let images = router.crash_images();
-    println!(
-        "{} on {}: service crashed after {} instructions across {} shards \
-         (shard {victim} caught mid-drain)",
-        run.design,
-        run.bench,
-        router.total_instructions(),
-        router.shard_count()
-    );
-    // Shards recover independently — fan the rebuilds out on the same
-    // worker pool that quiesced them.
-    let reports = parallel_map(&images, threads, |_, image| recover(image));
-    for (i, (image, report)) in images.iter().zip(&reports).enumerate() {
-        let surface = image.surface();
-        println!(
-            "shard {i}: {} durable lines, {} staged lines lost, {} counter lines \
-             patched ({} retries), roots stored {:?} rebuilt {:?} — {}",
-            surface.total_lines(),
-            image.staged_lines_lost,
-            report.recovered_counter_lines,
-            report.total_retries,
-            report.stored_root_match,
-            report.rebuilt_root_match,
-            if report.is_clean() {
-                "clean"
-            } else {
-                "NOT CLEAN"
-            }
-        );
-    }
-    emit_artifacts(run, router.shards(), Some(&reports), chrome_file)?;
-    audit_verdict(router.shards())?;
-    if reports.iter().all(RecoveryReport::is_clean) {
-        println!(
-            "verdict: CLEAN — all {} shards fully recovered",
-            router.shard_count()
-        );
-        Ok(())
-    } else if run.design.is_crash_consistent() {
-        Err("recovery reported attacks on an attack-free run (bug!)".into())
-    } else {
-        println!("verdict: UNRECOVERABLE — expected for w/o CC, the motivating deficiency");
-        Ok(())
-    }
-}
-
 fn cmd_run(run: &RunArgs) -> Result<(), String> {
-    if run.shards > 1 {
-        return cmd_run_sharded(run);
-    }
     let chrome_file = create_chrome_file(run)?;
-    let (mut sim, io) = simulate(run)?;
-    // A clean shutdown pushes buffered commit-log records to disk so
-    // the directory reopens to exactly this run's end state.
-    sim.memory_mut().sync_durable();
+    let (mut router, io) = build(run)?;
+    drive(&mut router, run)?;
+    sync_durable(&mut router);
     report_file_io(run, io.as_ref());
-    let stats = sim.stats();
+    let stats = router.stats();
+    let sharded = router.shard_count() > 1;
     if run.csv {
         println!("design,bench,{}", RunStats::csv_header());
         println!("{},{},{}", run.design.slug(), run.bench, stats.csv_row());
     } else {
+        let topology = if sharded {
+            format!(", {} shards", router.shard_count())
+        } else {
+            String::new()
+        };
         println!(
-            "{} on {} ({} instructions, seed {}):",
+            "{} on {} ({} instructions, seed {}{topology}):",
             run.design, run.bench, run.instructions, run.seed
         );
         println!("{stats}");
-        let wear = sim.memory().wear_stats();
+    }
+    if sharded {
+        // The load-balance view; status-stream under --csv so stdout
+        // stays machine-parseable.
+        let gauges = render_shard_gauges(&router.shard_gauges());
+        if run.csv {
+            eprint!("{gauges}");
+        } else {
+            print!("{gauges}");
+        }
+    } else if !run.csv {
+        let wear = router.shard(0).memory().wear_stats();
         println!(
             "wear: hottest line {} with {} writes; {} lines written (mean {:.2})",
             wear.hottest_line
@@ -640,9 +535,8 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
             wear.mean_line_writes
         );
     }
-    let shards = std::slice::from_ref(&sim);
-    emit_artifacts(run, shards, None, chrome_file)?;
-    audit_verdict(shards)
+    emit_artifacts(run, &router, None, chrome_file)?;
+    audit_verdict(router.shards())
 }
 
 fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
@@ -680,16 +574,7 @@ fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
         })
         .collect();
     let threads = thread_count(sweep.run.threads);
-    let results = parallel_map(&points, threads, |_, (_, _, run)| {
-        if run.shards > 1 {
-            simulate_sharded(run).map(|router| router.stats())
-        } else {
-            simulate(run).map(|(mut sim, _)| {
-                sim.memory_mut().sync_durable();
-                sim.stats()
-            })
-        }
-    });
+    let results = parallel_map(&points, threads, |_, (_, _, run)| sweep_point(run));
     for ((name, value, run), stats) in points.iter().zip(results) {
         let stats = stats?;
         if run.csv {
@@ -715,52 +600,189 @@ fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// One sweep point: build, drive, shut down cleanly.
+fn sweep_point(run: &RunArgs) -> Result<RunStats, String> {
+    let (mut router, _) = build(run)?;
+    drive(&mut router, run)?;
+    sync_durable(&mut router);
+    Ok(router.stats())
+}
+
+/// `recover`: re-simulate the workload, crash it, recover every shard
+/// and report. One shard crashes at the end of the run; with
+/// `--backend file:` its store is reopened from disk. With N shards,
+/// the shard with the deepest dirty queue is caught mid-drain while the
+/// others quiesce.
 fn cmd_recover(run: &RunArgs) -> Result<(), String> {
-    if run.shards > 1 {
-        return cmd_recover_sharded(run);
-    }
     let chrome_file = create_chrome_file(run)?;
     // The re-simulation only reconstructs the pre-crash machine state
     // (TCB registers are battery-backed hardware and survive a crash);
     // it always runs in memory. The durable image under recovery is
     // the file store reopened below, never the re-simulation's writes.
-    let mem_run = match &run.backend {
-        BackendChoice::File(_) => {
-            let mut r = run.clone();
-            r.backend = BackendChoice::Mem;
-            std::borrow::Cow::Owned(r)
-        }
-        BackendChoice::Mem => std::borrow::Cow::Borrowed(run),
-    };
-    let (sim, _io) = simulate(&mem_run)?;
-    let mut image = sim.memory().crash_image();
+    let mut mem_run = run.clone();
+    mem_run.backend = BackendChoice::Mem;
+    let (mut router, _) = build(&mem_run)?;
+    drive(&mut router, &mem_run)?;
+    let shards = router.shard_count() as usize;
+    let threads = thread_count(run.threads);
     // The flight sidecar is read before the reopen below so the
     // forensic analysis sees the log exactly as the power cut left it
     // (reopening truncates a torn tail in place).
     let mut flight_raw: Option<(Vec<String>, u64)> = None;
-    if let BackendChoice::File(dir) = &run.backend {
-        if run.forensics_out.is_some() {
-            flight_raw = Some(ccnvm_mem::read_flight_log(dir).map_err(|e| e.to_string())?);
+    let images = if shards == 1 {
+        let mem = router.shard(0).memory();
+        match &run.backend {
+            BackendChoice::Mem => vec![mem.crash_image()],
+            BackendChoice::File(dir) => {
+                if run.forensics_out.is_some() {
+                    flight_raw = Some(ccnvm_mem::read_flight_log(dir).map_err(|e| e.to_string())?);
+                }
+                // A real crash recovery: reopen the directory from disk
+                // and recover from what the filesystem actually
+                // preserved — records the fsync strategy had not
+                // flushed are gone, exactly as after a power cut.
+                let (image, s) =
+                    CrashImage::reopen(dir, backend_cfg(run), mem.config(), mem.tcb().clone())
+                        .map_err(|e| e.to_string())?;
+                println!(
+                    "reopened file store {dir}: {} log records replayed, {} torn/unsynced \
+                     bytes discarded",
+                    s.replayed_records, s.discarded_bytes
+                );
+                vec![image]
+            }
         }
-        // A real crash recovery: reopen the directory from disk and
-        // recover from what the filesystem actually preserved —
-        // records the fsync strategy had not flushed are gone, exactly
-        // as after a power cut.
-        let reopened = FileBackend::open(dir, backend_cfg(run)).map_err(|e| e.to_string())?;
-        let s = reopened.io_counters().stats();
+    } else {
+        // Quiesce every shard except the one with the deepest dirty
+        // queue, then power-fail with that one mid-drain — staged to
+        // the WPQ but never committed.
+        let victim = router
+            .shard_gauges()
+            .iter()
+            .max_by_key(|g| g.dirty_queue_depth)
+            .map(|g| g.shard as usize)
+            .unwrap_or(0);
+        let flushed = parallel_for_mut(router.shards_mut(), threads, |i, sim| {
+            if i == victim {
+                Ok(())
+            } else {
+                sim.flush_caches().map_err(|e| e.to_string())
+            }
+        });
+        for r in flushed {
+            r?;
+        }
+        router.inject_mid_drain_crash(victim);
         println!(
-            "reopened file store {dir}: {} log records replayed, {} torn/unsynced \
-             bytes discarded",
-            s.replayed_records, s.discarded_bytes
+            "{} on {}: service crashed after {} instructions across {shards} shards \
+             (shard {victim} caught mid-drain)",
+            run.design,
+            run.bench,
+            router.total_instructions(),
         );
-        image.nvm = reopened.snapshot();
+        router.crash_images()
+    };
+    // Shards recover independently — fan the rebuilds out on the same
+    // worker pool that quiesced them.
+    let reports = parallel_map(&images, threads, |_, image| recover(image));
+    if shards == 1 {
+        print_recovery(run, router.total_instructions(), &images[0], &reports[0]);
+    } else {
+        for (i, (image, report)) in images.iter().zip(&reports).enumerate() {
+            println!(
+                "shard {i}: {} durable lines, {} staged lines lost, {} counter lines \
+                 patched ({} retries), roots stored {:?} rebuilt {:?} — {}",
+                image.surface().total_lines(),
+                image.staged_lines_lost,
+                report.recovered_counter_lines,
+                report.total_retries,
+                report.stored_root_match,
+                report.rebuilt_root_match,
+                if report.is_clean() {
+                    "clean"
+                } else {
+                    "NOT CLEAN"
+                }
+            );
+        }
     }
-    let report = recover(&image);
+    // Artifacts go out in every branch so a failed recovery still
+    // leaves a trace and profile to debug with.
+    emit_artifacts(run, &router, Some(&reports), chrome_file)?;
+    if let Some(path) = &run.forensics_out {
+        for (i, (image, report)) in images.iter().zip(&reports).enumerate() {
+            // File store: the recovered sidecar. In memory: the shard's
+            // in-process ring (empty unless --flight was set — a crash
+            // would have destroyed it, but recover's in-memory crash
+            // never actually dies, so the ring is still readable).
+            let (entries, discarded) = flight_raw.take().unwrap_or_else(|| {
+                let ring = router.shard(i).memory().flight();
+                let entries = ring.map(|f| f.entries().map(str::to_owned).collect());
+                (entries.unwrap_or_default(), 0)
+            });
+            let analysis =
+                ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
+            let fsync_name = match &run.backend {
+                BackendChoice::File(_) => run.fsync.to_string(),
+                // The in-memory image has no fsync-loss window.
+                BackendChoice::Mem => "always".to_owned(),
+            };
+            let forensic = ccnvm::obs::flight::forensic_report(
+                image,
+                report,
+                analysis,
+                discarded,
+                &fsync_name,
+            );
+            let path = shard_path(path, i, shards);
+            std::fs::write(&path, forensic.to_json()).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!(
+                "wrote forensic report ({}) to {path}",
+                ccnvm::obs::flight::FORENSICS_SCHEMA
+            );
+        }
+    }
+    audit_verdict(router.shards())?;
+    if reports.iter().all(RecoveryReport::is_clean) {
+        match shards {
+            1 => println!("verdict: CLEAN — memory fully recovered"),
+            n => println!("verdict: CLEAN — all {n} shards fully recovered"),
+        }
+        Ok(())
+    } else if matches!(&run.backend, BackendChoice::File(_))
+        && run.fsync != ccnvm_mem::FsyncStrategy::Always
+    {
+        println!(
+            "verdict: DURABILITY LOSS — records buffered under fsync={} never \
+             reached disk before the crash; recovery detected the loss instead \
+             of silently serving stale state (use --fsync always for the \
+             ADR-faithful zero-loss mode)",
+            run.fsync
+        );
+        if run.strict {
+            return Err(format!(
+                "--strict: durability loss under fsync={} is a gated verdict",
+                run.fsync
+            ));
+        }
+        Ok(())
+    } else if run.design.is_crash_consistent() {
+        Err("recovery reported attacks on an attack-free run (bug!)".into())
+    } else {
+        println!("verdict: UNRECOVERABLE — expected for w/o CC, the motivating deficiency");
+        if run.strict {
+            return Err("--strict: unrecoverable image is a gated verdict".into());
+        }
+        Ok(())
+    }
+}
+
+/// The one-shard recovery walk-through: crash surface, patched
+/// counters, root checks and the recovery timeline.
+fn print_recovery(run: &RunArgs, instructions: u64, image: &CrashImage, report: &RecoveryReport) {
     println!(
-        "{} on {}: crashed after {} instructions",
-        run.design,
-        run.bench,
-        sim.instructions()
+        "{} on {}: crashed after {instructions} instructions",
+        run.design, run.bench
     );
     let surface = image.surface();
     println!(
@@ -805,87 +827,26 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
             span.nvm_writes
         );
     }
-    // Artifacts go out in every branch so a failed recovery still
-    // leaves a trace and profile to debug with.
-    let shards = std::slice::from_ref(&sim);
-    emit_artifacts(
-        run,
-        shards,
-        Some(std::slice::from_ref(&report)),
-        chrome_file,
-    )?;
-    if let Some(path) = &run.forensics_out {
-        // File backend: the recovered sidecar. Mem backend: the
-        // in-process ring (empty unless --flight was set — a crash
-        // would have destroyed it, but recover's mem path never
-        // actually dies, so the ring is still readable).
-        let (entries, discarded) = flight_raw.unwrap_or_else(|| {
-            (
-                sim.memory()
-                    .flight()
-                    .map(|f| f.entries().map(str::to_owned).collect())
-                    .unwrap_or_default(),
-                0,
-            )
-        });
-        let analysis =
-            ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
-        let fsync_name = match &run.backend {
-            BackendChoice::File(_) => run.fsync.to_string(),
-            // The in-memory image has no fsync-loss window.
-            BackendChoice::Mem => "always".to_owned(),
-        };
-        let forensic =
-            ccnvm::obs::flight::forensic_report(&image, &report, analysis, discarded, &fsync_name);
-        std::fs::write(path, forensic.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!(
-            "wrote forensic report ({}) to {path}",
-            ccnvm::obs::flight::FORENSICS_SCHEMA
-        );
-    }
-    audit_verdict(shards)?;
-    if report.is_clean() {
-        println!("verdict: CLEAN — memory fully recovered");
-        Ok(())
-    } else if matches!(&run.backend, BackendChoice::File(_))
-        && run.fsync != ccnvm_mem::FsyncStrategy::Always
-    {
-        println!(
-            "verdict: DURABILITY LOSS — records buffered under fsync={} never \
-             reached disk before the crash; recovery detected the loss instead \
-             of silently serving stale state (use --fsync always for the \
-             ADR-faithful zero-loss mode)",
-            run.fsync
-        );
-        if run.strict {
-            return Err(format!(
-                "--strict: durability loss under fsync={} is a gated verdict",
-                run.fsync
-            ));
-        }
-        Ok(())
-    } else if run.design.is_crash_consistent() {
-        Err("recovery reported attacks on an attack-free run (bug!)".into())
-    } else {
-        println!("verdict: UNRECOVERABLE — expected for w/o CC, the motivating deficiency");
-        if run.strict {
-            return Err("--strict: unrecoverable image is a gated verdict".into());
-        }
-        Ok(())
+}
+
+/// `run` retargeted at the file store in `dir` with the flight
+/// recorder on: the sidecar and the crash image it explains both live
+/// there.
+fn on_flight_store(run: &RunArgs, dir: &Path) -> RunArgs {
+    RunArgs {
+        backend: BackendChoice::File(dir.display().to_string()),
+        flight: true,
+        ..run.clone()
     }
 }
 
 /// Turns `--kill` into a 1-based boundary index: a number passes
 /// through; a label is resolved by a recording pass that replays the
 /// workload under `dir/record` (removed afterwards) and takes the
-/// label's first crossing.
-fn resolve_kill_boundary(
-    spec: &str,
-    config: &SimConfig,
-    run: &RunArgs,
-    dir: &std::path::Path,
-    cfg: FileBackendConfig,
-) -> Result<u64, String> {
+/// label's first crossing. The recording pass builds exactly like the
+/// kill pass — same observers, same selftest injections — so the index
+/// names the same boundary there.
+fn resolve_kill_boundary(spec: &str, run: &RunArgs, dir: &Path) -> Result<u64, String> {
     if let Ok(k) = spec.replace('_', "").parse::<u64>() {
         if k == 0 {
             return Err("--kill: boundaries are 1-based".into());
@@ -893,20 +854,10 @@ fn resolve_kill_boundary(
         return Ok(k);
     }
     let record_dir = dir.join("record");
-    let backend = FileBackend::open(&record_dir, cfg).map_err(|e| e.to_string())?;
-    if !backend.is_empty() {
-        return Err(format!(
-            "record directory {} already holds {} lines from a previous run; \
-             point --backend file: at a new (or emptied) directory",
-            record_dir.display(),
-            backend.len()
-        ));
-    }
-    let mut sim =
-        Simulator::with_backend(config.clone(), Box::new(backend)).map_err(|e| e.to_string())?;
+    let (mut router, _) = build(&on_flight_store(run, &record_dir))?;
     let (res, labels) =
-        crashpoint::record(|| drive(&mut sim, run).map(|()| sim.memory_mut().sync_durable()));
-    drop(sim);
+        crashpoint::record(|| drive(&mut router, run).map(|()| sync_durable(&mut router)));
+    drop(router);
     std::fs::remove_dir_all(&record_dir).ok();
     res?;
     match labels.iter().position(|l| l == spec) {
@@ -948,83 +899,60 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
                 .into(),
         );
     };
-    if run.shards > 1 {
-        return Err(format!(
-            "forensics is a single-owner command; it cannot be combined with \
-             --shards {}",
-            run.shards
-        ));
-    }
-    let config = config_of(run)?;
-    let mut flight_run = run.clone();
-    flight_run.flight = true;
-    let cfg = backend_cfg(&flight_run);
-    let dir = std::path::Path::new(dir);
-
+    let chrome_file = create_chrome_file(run)?;
+    let dir = Path::new(dir);
     // A kill replays the workload in a subdirectory so the recording
     // pass and the crashed run never share a log.
     let (run_dir, kill_target) = match &run.kill {
         None => (dir.to_path_buf(), None),
-        Some(spec) => {
-            let k = resolve_kill_boundary(spec, &config, run, dir, cfg)?;
-            (dir.join("crashed"), Some(k))
-        }
+        Some(spec) => (
+            dir.join("crashed"),
+            Some(resolve_kill_boundary(spec, run, dir)?),
+        ),
     };
-
-    let backend = FileBackend::open(&run_dir, cfg).map_err(|e| e.to_string())?;
-    if !backend.is_empty() {
-        return Err(format!(
-            "file store {} already holds {} lines from a previous run; point \
-             --backend file: at a new (or emptied) directory",
-            run_dir.display(),
-            backend.len()
-        ));
-    }
-    let mut sim =
-        Simulator::with_backend(config.clone(), Box::new(backend)).map_err(|e| e.to_string())?;
-    sim.memory_mut()
-        .attach_flight(ccnvm::obs::flight::FlightConfig::default());
+    let store_run = on_flight_store(run, &run_dir);
+    let (mut router, _) = build(&store_run)?;
+    let mut complete = || drive(&mut router, run).map(|()| sync_durable(&mut router));
     let armed_label = match kill_target {
         None => {
-            drive(&mut sim, run)?;
-            sim.memory_mut().sync_durable();
+            complete()?;
             None
         }
-        Some(k) => {
-            let killed = crashpoint::kill_at(k, || {
-                drive(&mut sim, run).map(|()| sim.memory_mut().sync_durable())
-            });
-            match killed {
-                Err(sig) => {
-                    println!(
-                        "killed at persist boundary #{} ({})",
-                        sig.boundary, sig.label
-                    );
-                    Some(sig.label)
-                }
-                Ok(res) => {
-                    res?;
-                    return Err(format!(
-                        "the workload completed without reaching boundary #{k} — \
-                         nothing to kill (lower --kill or raise --instructions)"
-                    ));
-                }
+        Some(k) => match crashpoint::kill_at(k, complete) {
+            Err(sig) => {
+                println!(
+                    "killed at persist boundary #{} ({})",
+                    sig.boundary, sig.label
+                );
+                Some(sig.label)
             }
-        }
+            Ok(res) => {
+                res?;
+                return Err(format!(
+                    "the workload completed without reaching boundary #{k} — \
+                     nothing to kill (lower --kill or raise --instructions)"
+                ));
+            }
+        },
     };
+    // The observers live in the machine the power cut destroys: write
+    // their artifacts and take the audit verdict first.
+    emit_artifacts(run, &router, None, chrome_file)?;
+    let audit = audit_verdict(router.shards());
     // TCB registers are battery-backed hardware state; they survive
     // the power cut exactly as they were at the kill instant.
-    let tcb = sim.memory().tcb().clone();
-    // Dropping the simulator drops the backend: unsynced bytes are
-    // lost, file handles close — the power cut (a no-op for the
-    // completed, synced run).
-    drop(sim);
+    let mem = router.shard(0).memory();
+    let (config, tcb) = (mem.config().clone(), mem.tcb().clone());
+    // Dropping the router drops the store: unsynced bytes are lost,
+    // file handles close — the power cut (a no-op for the completed,
+    // synced run).
+    drop(router);
 
     // Forensics reads the sidecar before the reopen truncates a torn
     // tail in place.
     let (entries, discarded) = ccnvm_mem::read_flight_log(&run_dir).map_err(|e| e.to_string())?;
-    let reopened = FileBackend::open(&run_dir, cfg).map_err(|e| e.to_string())?;
-    let s = reopened.io_counters().stats();
+    let (image, s) = CrashImage::reopen(&run_dir, backend_cfg(&store_run), &config, tcb)
+        .map_err(|e| e.to_string())?;
     println!(
         "reopened file store {}: {} log records replayed, {} torn/unsynced \
          bytes discarded",
@@ -1032,18 +960,6 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
         s.replayed_records,
         s.discarded_bytes
     );
-    let image = CrashImage {
-        design: run.design,
-        capacity_bytes: config.capacity_bytes,
-        update_limit: config.update_limit,
-        tcb,
-        nvm: reopened.snapshot(),
-        // Staged-but-uncommitted lines never reached the durable log;
-        // recovery re-derives them, and the flight log's open
-        // drain-stage bracket (not this count) attributes them.
-        staged_lines_lost: 0,
-    };
-    drop(reopened);
     let recovery = recover(&image);
     let analysis = ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
     let forensic = ccnvm::obs::flight::forensic_report(
@@ -1080,6 +996,7 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
             ccnvm::obs::flight::FORENSICS_SCHEMA
         );
     }
+    audit?;
     if run.strict {
         let mut problems = Vec::new();
         if !cause_ok {
@@ -1192,12 +1109,9 @@ mod sweep_tests {
                 r
             })
             .collect();
-        let serial: Vec<RunStats> = points
-            .iter()
-            .map(|r| simulate(r).unwrap().0.stats())
-            .collect();
+        let serial: Vec<RunStats> = points.iter().map(|r| sweep_point(r).unwrap()).collect();
         let parallel =
-            ccnvm_bench::parallel::parallel_map(&points, 3, |_, r| simulate(r).unwrap().0.stats());
+            ccnvm_bench::parallel::parallel_map(&points, 3, |_, r| sweep_point(r).unwrap());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.csv_row(), p.csv_row());
         }

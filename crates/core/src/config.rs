@@ -80,13 +80,9 @@ impl DesignKind {
         matches!(self, DesignKind::CcNvmNoDs | DesignKind::CcNvm)
     }
 
-    /// Whether per-write-back tree updates stop at the cached frontier
-    /// (deferred spreading).
-    pub fn has_deferred_spreading(&self) -> bool {
-        matches!(self, DesignKind::CcNvm | DesignKind::WithoutCc)
-    }
-
-    /// Whether the TCB root must be recomputed on every write-back.
+    /// Whether the TCB root must be recomputed on every write-back. The
+    /// designs that do not (cc-NVM, w/o CC) stop per-write-back tree
+    /// updates at the cached frontier instead: deferred spreading.
     pub fn updates_root_every_wb(&self) -> bool {
         matches!(
             self,
@@ -294,10 +290,10 @@ mod tests {
         assert!(!WithoutCc.is_crash_consistent());
         assert!(CcNvm.has_drainer() && CcNvmNoDs.has_drainer());
         assert!(!OsirisPlus.has_drainer());
-        assert!(CcNvm.has_deferred_spreading());
-        assert!(!CcNvmNoDs.has_deferred_spreading());
-        assert!(StrictConsistency.updates_root_every_wb());
-        assert!(!CcNvm.updates_root_every_wb());
+        // Deferred spreading is exactly the complement.
+        for d in DesignKind::ALL {
+            assert_eq!(d.updates_root_every_wb(), !matches!(d, CcNvm | WithoutCc));
+        }
     }
 
     #[test]

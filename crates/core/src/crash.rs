@@ -15,8 +15,8 @@ use crate::tcb::Tcb;
 use ccnvm_mem::crashpoint;
 use ccnvm_mem::file::LOG_FILE;
 use ccnvm_mem::{
-    DurableBackend, FileBackend, FileBackendConfig, FileBackendError, FsyncStrategy, LineAddr,
-    LineStore,
+    DurableBackend, FileBackend, FileBackendConfig, FileBackendError, FileIoStats, FsyncStrategy,
+    LineAddr, LineStore,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -82,6 +82,37 @@ impl CrashImage {
             &SecureLayout::new(self.capacity_bytes),
             &self.nvm.sorted_addrs(),
         )
+    }
+
+    /// Reopens the file store at `dir` after a power cut and pairs what
+    /// the filesystem preserved with the battery-backed TCB registers
+    /// `tcb`, in `config`'s geometry: the image recovery starts from.
+    /// Reopening truncates a torn log tail in place, so read the flight
+    /// sidecar first. Staged-but-uncommitted lines never reached the
+    /// durable log; recovery re-derives them, and the flight log's open
+    /// `drain-stage` bracket (not `staged_lines_lost`, here 0)
+    /// attributes them. Also returns the reopen's I/O tallies (records
+    /// replayed, torn or unsynced bytes discarded).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FileBackendError`] when the store cannot be reopened.
+    pub fn reopen(
+        dir: impl AsRef<Path>,
+        backend: FileBackendConfig,
+        config: &SimConfig,
+        tcb: Tcb,
+    ) -> Result<(CrashImage, FileIoStats), FileBackendError> {
+        let store = FileBackend::open(dir, backend)?;
+        let image = CrashImage {
+            design: config.design,
+            capacity_bytes: config.capacity_bytes,
+            update_limit: config.update_limit,
+            tcb,
+            nvm: store.snapshot(),
+            staged_lines_lost: 0,
+        };
+        Ok((image, store.io_counters().stats()))
     }
 
     /// [`CrashImage::surface`] over a precomputed layout and address
@@ -352,16 +383,7 @@ pub fn sweep_crash_points(
     let truth = mem.ground_truth();
     let tcb = mem.tcb().clone();
     drop(mem);
-    let reopened = FileBackend::open(&record_dir, backend_cfg)?;
-    let image = CrashImage {
-        design: config.design,
-        capacity_bytes: config.capacity_bytes,
-        update_limit: config.update_limit,
-        tcb,
-        nvm: reopened.snapshot(),
-        staged_lines_lost: 0,
-    };
-    drop(reopened);
+    let (image, _) = CrashImage::reopen(&record_dir, backend_cfg, config, tcb)?;
     let report = recover(&image);
     let ground_truth_match = report.is_clean() && report.rebuilt_root == truth.current_root;
     std::fs::remove_dir_all(&record_dir).ok();
@@ -411,7 +433,11 @@ pub fn sweep_crash_points(
             inferred_cause.as_deref() == Some(label.as_str())
         };
 
-        let clean = reopen_and_recover(&kill_dir, backend_cfg, config, &tcb)?;
+        let recovers_clean = || -> Result<bool, CrashSweepError> {
+            let (image, _) = CrashImage::reopen(&kill_dir, backend_cfg, config, tcb.clone())?;
+            Ok(recover(&image).is_clean())
+        };
+        let clean = recovers_clean()?;
         // Power failures tear records mid-write: append a partial
         // frame to the log and make sure reopen discards it.
         let log = kill_dir.join(LOG_FILE);
@@ -422,7 +448,7 @@ pub fn sweep_crash_points(
             .and_then(|mut f| f.write_all(&TORN_TAIL))
             .map_err(|source| FileBackendError::Io { path: log, source });
         torn?;
-        let clean_after_tear = reopen_and_recover(&kill_dir, backend_cfg, config, &tcb)?;
+        let clean_after_tear = recovers_clean()?;
         std::fs::remove_dir_all(&kill_dir).ok();
 
         outcomes.push(BoundaryOutcome {
@@ -442,24 +468,6 @@ pub fn sweep_crash_points(
         outcomes,
         ground_truth_match,
     })
-}
-
-fn reopen_and_recover(
-    dir: &Path,
-    backend_cfg: FileBackendConfig,
-    config: &SimConfig,
-    tcb: &Tcb,
-) -> Result<bool, CrashSweepError> {
-    let reopened = FileBackend::open(dir, backend_cfg)?;
-    let image = CrashImage {
-        design: config.design,
-        capacity_bytes: config.capacity_bytes,
-        update_limit: config.update_limit,
-        tcb: tcb.clone(),
-        nvm: reopened.snapshot(),
-        staged_lines_lost: 0,
-    };
-    Ok(recover(&image).is_clean())
 }
 
 #[cfg(test)]

@@ -138,7 +138,8 @@ impl SecureMemory {
             scratch.contents.insert(line.0, self.meta_content(line));
         }
 
-        if self.design().has_deferred_spreading() {
+        if !self.design().updates_root_every_wb() {
+            // Deferred spreading left the queued ancestors stale.
             // Recompute bottom-up: each queued line contributes one
             // child HMAC to its parent (also queued, by construction).
             scratch.ordered.clear();

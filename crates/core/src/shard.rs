@@ -306,34 +306,21 @@ impl ShardRouter {
         mem.flight_boundary("begin", "drain-stage");
         mem.stage_drain(now);
     }
+}
 
-    /// Post-crash forensics for every shard, in shard order: each
-    /// shard's crash image is recovered independently and joined with
-    /// that shard's own flight ring, so a service-wide power failure
-    /// attributes staged-line losses shard by shard (cross-checked
-    /// against each image's [`CrashSurface`](crate::crash::CrashSurface)
-    /// accounting through
-    /// [`staged_attribution_consistent`](crate::obs::flight::ForensicReport::staged_attribution_consistent)).
-    /// Shards without a flight ring get an empty analysis. In-memory
-    /// shards have no fsync-loss window, so reports carry `always`.
-    pub fn forensic_reports(&self) -> Vec<crate::obs::flight::ForensicReport> {
-        use crate::obs::flight;
-        self.shards
-            .iter()
-            .map(|shard| {
-                let mem = shard.memory();
-                let image = mem.crash_image();
-                let recovery = crate::recovery::recover(&image);
-                let analysis = mem
-                    .flight()
-                    .map(|f| {
-                        let entries: Vec<String> = f.entries().map(str::to_string).collect();
-                        flight::analyze(&entries).expect("ring entries are well-formed")
-                    })
-                    .unwrap_or_default();
-                flight::forensic_report(&image, &recovery, analysis, 0, "always")
-            })
-            .collect()
+/// A one-shard router over a simulator the caller built — for example
+/// one persisting through a file-backed store, which
+/// [`ShardRouter::new`] cannot supply. The simulator must be
+/// single-owner (shard 0 of 1, the default topology).
+impl From<Simulator> for ShardRouter {
+    fn from(shard: Simulator) -> Self {
+        debug_assert_eq!(shard.memory().config().shard_count, 1);
+        let data_lines = shard.memory().layout().data_lines();
+        Self {
+            shards: vec![shard],
+            data_lines,
+            dispatched: vec![0],
+        }
     }
 }
 
@@ -384,6 +371,9 @@ mod tests {
         let direct = sim.run(mk(), 50_000).unwrap();
         assert_eq!(routed, direct);
         assert_eq!(r.dispatched()[0], r.dispatched().iter().sum::<u64>());
+        let mut wrapped =
+            ShardRouter::from(Simulator::new(SimConfig::small(DesignKind::CcNvm)).unwrap());
+        assert_eq!(wrapped.run(mk(), 50_000).unwrap(), direct);
     }
 
     #[test]
@@ -510,50 +500,6 @@ mod tests {
                 report.is_clean(),
                 "shard {i} must recover regardless of drain phase: {report:?}"
             );
-        }
-    }
-
-    #[test]
-    fn forensic_reports_attribute_the_mid_drain_shard() {
-        let mut r = router(2);
-        for s in r.shards_mut() {
-            s.memory_mut()
-                .attach_flight(crate::obs::flight::FlightConfig::default());
-        }
-        r.run(
-            TraceGenerator::new(profiles::by_name("lbm").unwrap(), 13),
-            60_000,
-        )
-        .unwrap();
-        let victim = r
-            .shard_gauges()
-            .iter()
-            .max_by_key(|g| g.dirty_queue_depth)
-            .unwrap()
-            .shard as usize;
-        for i in 0..r.shard_count() as usize {
-            if i != victim {
-                r.shard_mut(i).flush_caches().unwrap();
-            }
-        }
-        assert!(r.shard(victim).memory().dirty_queue_len() > 0);
-        r.inject_mid_drain_crash(victim);
-
-        let reports = r.forensic_reports();
-        assert_eq!(reports.len(), 2);
-        for (i, rep) in reports.iter().enumerate() {
-            assert!(
-                rep.staged_attribution_consistent(),
-                "shard {i}: staged-lines loss must match the flight log\n{rep}"
-            );
-            if i == victim {
-                assert!(rep.staged_lines_lost > 0, "shard {i} was caught mid-drain");
-                assert_eq!(rep.flight.inferred_cause.as_deref(), Some("drain-stage"));
-            } else {
-                assert_eq!(rep.staged_lines_lost, 0, "shard {i} was quiescent");
-                assert!(rep.flight.quiescent(), "shard {i}: {rep}");
-            }
-            assert_eq!(rep.verdict(), "CLEAN", "shard {i}: {rep}");
         }
     }
 }
