@@ -4,42 +4,29 @@
 //! Osiris Plus IPC and write-traffic deltas).
 //!
 //! ```text
-//! cargo run -p ccnvm-bench --release --bin fig5 [instructions] [threads] [shards]
+//! cargo run -p ccnvm-bench --release --bin fig5 [instructions] [threads]
 //! ```
 //!
 //! The benchmark × design matrix points are independent simulations;
 //! they run on `threads` workers (default: all cores, or
 //! `CCNVM_BENCH_THREADS`). Results are identical at any thread count.
-//! With `shards` > 1 (third positional, `--shards N`, or
-//! `CCNVM_SHARDS`) every point runs through the sharded service
-//! router and each point's shards drain on the same worker pool; the
-//! default of 1 keeps the original single-owner runs and output, byte
-//! for byte.
 
 use ccnvm::prelude::*;
 use ccnvm_bench::{
     geomean, instructions_from_args, mean, parallel::parallel_map, row, run_design,
-    run_design_sharded, shards_from_args, threads_from_args,
+    threads_from_args,
 };
 
 fn main() {
     let instructions = instructions_from_args();
     let threads = threads_from_args();
-    let shards = shards_from_args();
     let suite = profiles::spec2006();
     let designs = DesignKind::ALL;
 
-    if shards > 1 {
-        println!(
-            "Figure 5 — {} instructions per point, paper configuration (16 GB PCM, N=16, M=64), {} shards\n",
-            instructions, shards
-        );
-    } else {
-        println!(
-            "Figure 5 — {} instructions per point, paper configuration (16 GB PCM, N=16, M=64)\n",
-            instructions
-        );
-    }
+    println!(
+        "Figure 5 — {} instructions per point, paper configuration (16 GB PCM, N=16, M=64)\n",
+        instructions
+    );
 
     // Flatten the bench × design matrix and fan the independent
     // simulations out across workers; results come back in input
@@ -53,13 +40,7 @@ fn main() {
         points.len()
     );
     let flat = parallel_map(&points, threads, |_, (profile, design)| {
-        if shards > 1 {
-            // Matrix points already occupy the worker pool, so each
-            // point's shards run inline and drain serially (threads=1).
-            run_design_sharded(*design, profile, instructions, shards, 1)
-        } else {
-            run_design(*design, profile, instructions)
-        }
+        run_design(*design, profile, instructions)
     });
     // bench -> design -> stats
     let results: Vec<Vec<RunStats>> = flat

@@ -25,8 +25,9 @@ use ccnvm_mem::{FileBackend, FileBackendConfig, FileIoStats, FsyncStrategy, Line
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Deterministic data-line stream (same shape as the perf bench):
-/// cycles through `pages` 4 KB pages with a rotating line offset.
+/// Deterministic data-line stream (same shape as the hot-path
+/// allocation tests): cycles through `pages` 4 KB pages with a
+/// rotating line offset.
 fn addr(i: u64, pages: u64) -> LineAddr {
     let page = (i * 7) % pages;
     let off = (i * 13) % 64;

@@ -15,7 +15,6 @@
 
 use ccnvm::prelude::*;
 
-pub mod microbench;
 pub mod parallel;
 
 /// Instructions per simulation point used by the harness binaries.
@@ -48,36 +47,6 @@ pub fn run_design_with(
         .unwrap_or_else(|e| panic!("{}/{}: {e}", profile.name, instructions))
 }
 
-/// Runs `profile` through a [`ShardRouter`] of `shards` shards with
-/// the paper configuration, then drains every shard's epoch on the
-/// parallel harness (`threads` workers via
-/// [`parallel::parallel_for_mut`]) — an orderly service shutdown whose
-/// drain traffic is part of the returned merged stats.
-///
-/// # Panics
-///
-/// Panics on configuration or integrity errors (harness bugs).
-pub fn run_design_sharded(
-    design: DesignKind,
-    profile: &WorkloadProfile,
-    instructions: u64,
-    shards: u32,
-    threads: usize,
-) -> RunStats {
-    let mut router = ShardRouter::new(SimConfig::paper(design), shards)
-        .unwrap_or_else(|e| panic!("{}/{shards} shards: {e}", profile.name));
-    router
-        .run(TraceGenerator::new(profile.clone(), SEED), instructions)
-        .unwrap_or_else(|e| panic!("{}/{instructions}: {e}", profile.name));
-    let drained = parallel::parallel_for_mut(router.shards_mut(), threads, |_, shard| {
-        shard.flush_caches()
-    });
-    for (i, r) in drained.into_iter().enumerate() {
-        r.unwrap_or_else(|e| panic!("{}: shard {i} drain: {e}", profile.name));
-    }
-    router.stats()
-}
-
 /// Parses the optional instruction-budget CLI argument.
 pub fn instructions_from_args() -> u64 {
     std::env::args()
@@ -91,27 +60,6 @@ pub fn instructions_from_args() -> u64 {
 /// machine's available parallelism.
 pub fn threads_from_args() -> usize {
     parallel::thread_count(std::env::args().nth(2).and_then(|s| s.parse().ok()))
-}
-
-/// Parses the optional shard-count CLI argument (third positional,
-/// `--shards N` also accepted anywhere), falling back to
-/// `CCNVM_SHARDS` and then to the single-owner default of 1.
-pub fn shards_from_args() -> u32 {
-    let argv: Vec<String> = std::env::args().collect();
-    if let Some(i) = argv.iter().position(|a| a == "--shards") {
-        if let Some(n) = argv.get(i + 1).and_then(|s| s.parse().ok()) {
-            return n;
-        }
-    }
-    argv.get(3)
-        .and_then(|s| s.parse().ok())
-        .or_else(|| {
-            std::env::var("CCNVM_SHARDS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
 }
 
 /// Geometric mean of `values` (the conventional aggregate for

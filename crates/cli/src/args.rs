@@ -94,9 +94,9 @@ pub struct RunArgs {
     /// Flush/fsync policy for the file backend (`--fsync always |
     /// batch:<n> | interval:<cycles>`). Ignored for `mem`.
     pub fsync: FsyncStrategy,
-    /// Crypto implementation tier (`--crypto auto | portable | simd`).
-    /// Bit-identical output across tiers; only wall-clock speed
-    /// changes. Defers to `CCNVM_CRYPTO` when the flag is absent.
+    /// Crypto implementation tier (`--crypto auto | portable | simd`),
+    /// used by the simulation and by recovery. Bit-identical output
+    /// across tiers; only wall-clock speed changes.
     pub crypto: CryptoSelect,
     /// Attach the flight recorder: an in-process ring of recent flight
     /// entries, mirrored into the file backend's durable `flight.log`
@@ -255,8 +255,7 @@ OPTIONS:
                       always | batch:<n> | interval:<cycles>          [always]
   --crypto T          crypto tier: auto | portable | simd             [auto]
                       (bit-identical output; simd errors out when the
-                      build/host has no hardware path; falls back to the
-                      CCNVM_CRYPTO env var when the flag is absent)
+                      build/host has no hardware path)
   --flight            attach the flight recorder (with --backend file: the
                       entries also persist to the flight.log sidecar)
 

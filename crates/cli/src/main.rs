@@ -25,7 +25,9 @@ use ccnvm::metacache::MetaCacheOrg;
 use ccnvm::obs::metrics::render_shard_gauges;
 use ccnvm::obs::profile::{compare, parse_profile};
 use ccnvm::prelude::*;
+use ccnvm::recovery::{recover_with, RecoveryScratch};
 use ccnvm_bench::parallel::{parallel_for_mut, parallel_map, thread_count};
+use ccnvm_crypto::CryptoTier;
 use ccnvm_mem::{crashpoint, DurableBackend, FileBackend, FileBackendConfig, FileIoCounters};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -91,11 +93,16 @@ fn config_of(run: &RunArgs) -> Result<SimConfig, String> {
     if run.split_meta {
         config.meta_org = MetaCacheOrg::Split;
     }
-    // A bare `--crypto` flag wins; otherwise the CCNVM_CRYPTO env var
-    // can force a tier (validate() rejects an unavailable forced tier).
-    config.crypto = run.crypto.from_env_or();
+    // validate() rejects a forced tier the host cannot run.
+    config.crypto = run.crypto;
     config.validate().map_err(|e| e.to_string())?;
     Ok(config)
+}
+
+/// The tier `--crypto` resolves to. Recovery runs on it as well as the
+/// simulation; `config_of` has already rejected an unavailable tier.
+fn tier_of(run: &RunArgs) -> CryptoTier {
+    run.crypto.resolve().expect("config_of validated the tier")
 }
 
 fn backend_cfg(run: &RunArgs) -> FileBackendConfig {
@@ -684,7 +691,10 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
     };
     // Shards recover independently — fan the rebuilds out on the same
     // worker pool that quiesced them.
-    let reports = parallel_map(&images, threads, |_, image| recover(image));
+    let tier = tier_of(run);
+    let reports = parallel_map(&images, threads, |_, image| {
+        recover_with(image, tier, &mut RecoveryScratch::default())
+    });
     if shards == 1 {
         print_recovery(run, router.total_instructions(), &images[0], &reports[0]);
     } else {
@@ -960,7 +970,7 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
         s.replayed_records,
         s.discarded_bytes
     );
-    let recovery = recover(&image);
+    let recovery = recover_with(&image, tier_of(run), &mut RecoveryScratch::default());
     let analysis = ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
     let forensic = ccnvm::obs::flight::forensic_report(
         &image,

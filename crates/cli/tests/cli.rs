@@ -312,3 +312,27 @@ fn forensics_writes_observer_artifacts_before_the_power_cut() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn report_rejects_over_deep_json_with_one_error_line() {
+    let dir = fresh_dir("deep-json");
+    std::fs::write(dir.join("deep.json"), "[".repeat(200_000)).expect("write input");
+    for args in [
+        &["report", "--wear", "deep.json"][..],
+        &["report", "--compare", "deep.json", "deep.json"][..],
+    ] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr was: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr was: {stderr}");
+        assert!(
+            stderr.starts_with("error: deep.json: ") && stderr.contains("nesting deeper"),
+            "{args:?}: stderr was: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

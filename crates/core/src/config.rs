@@ -171,8 +171,8 @@ pub struct SimConfig {
     pub check_plaintext: bool,
     /// Compute HMACs through the pre-optimization rekey-per-MAC path
     /// instead of the keyed midstate engine. Output is bit-identical;
-    /// this exists so the perf bench and the golden-stats tests can
-    /// compare against the original hot-path cost.
+    /// this exists so the golden-stats tests can prove that, and the
+    /// hot-path allocation tests can gate the original path too.
     pub legacy_hmac: bool,
     /// Crypto implementation tier: `Auto` picks the fastest tier this
     /// host supports; `Portable`/`Simd` force one. Every tier is

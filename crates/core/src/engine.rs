@@ -11,8 +11,7 @@
 //! compression per MAC — the key schedule (pad XORs plus two extra
 //! SHA-1 block compressions) is hoisted out of the per-operation cost.
 //! [`HmacMode::Rekey`] keeps the original per-MAC key-schedule path
-//! alive as the bit-identical "before" reference for the perf bench
-//! and the equivalence tests.
+//! alive as the bit-identical reference for the equivalence tests.
 
 use crate::counter::CounterLine;
 use crate::tcb::Keys;
@@ -30,7 +29,9 @@ pub enum HmacMode {
     #[default]
     Midstate,
     /// Re-run the RFC 2104 key schedule on every MAC (the
-    /// pre-optimization reference path; slower, same output).
+    /// pre-optimization reference path behind
+    /// [`SimConfig::legacy_hmac`](crate::config::SimConfig::legacy_hmac);
+    /// slower, same output).
     Rekey,
 }
 
@@ -76,8 +77,8 @@ impl CryptoEngine {
         Self::with_mode(keys, HmacMode::Midstate)
     }
 
-    /// Builds an engine with an explicit HMAC mode (the perf bench and
-    /// equivalence tests compare the two).
+    /// Builds an engine with an explicit HMAC mode (the equivalence
+    /// tests compare the two).
     pub fn with_mode(keys: &Keys, mode: HmacMode) -> Self {
         Self::with_options(keys, mode, CryptoTier::detect())
     }

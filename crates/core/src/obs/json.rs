@@ -76,17 +76,23 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The
+/// exporters nest at most four levels; the cap keeps the recursive
+/// descent from overflowing the stack on hostile input.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON value from `text`, requiring only trailing
 /// whitespace after it.
 ///
 /// # Errors
 ///
 /// Returns a byte-offset description of the first construct outside
-/// the exporter subset (floats, escapes, `null`, negative numbers) or
-/// any malformed input.
+/// the exporter subset (floats, escapes, `null`, negative numbers),
+/// of arrays and objects nested more than 64 deep, or of any
+/// malformed input.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut parser = Parser::new(text);
-    let value = parser.value()?;
+    let value = parser.value(0)?;
     parser.skip_ws();
     if parser.pos != parser.bytes.len() {
         return Err(format!("trailing input at byte {}", parser.pos));
@@ -180,8 +186,13 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value that sits inside `depth` arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -195,7 +206,7 @@ impl<'a> Parser<'a> {
                 loop {
                     let key = self.string()?;
                     self.expect(b':')?;
-                    fields.push((key, self.value()?));
+                    fields.push((key, self.value(depth + 1)?));
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b'}') => {
@@ -214,7 +225,7 @@ impl<'a> Parser<'a> {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     match self.peek() {
                         Some(b',') => self.pos += 1,
                         Some(b']') => {
@@ -253,6 +264,23 @@ mod tests {
         assert!(parse("{\"a\":null}").is_err(), "null");
         assert!(parse("{\"a\":\"x\\n\"}").is_err(), "escapes");
         assert!(parse("{} junk").is_err(), "trailing input");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let deep_objects = "{\"a\":".repeat(100_000);
+        assert!(parse(&deep_objects)
+            .unwrap_err()
+            .starts_with("nesting deeper"));
+        // Exactly MAX_DEPTH levels still parse.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
     }
 
     #[test]

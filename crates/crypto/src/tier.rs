@@ -10,8 +10,7 @@
 //!   cargo feature and picked per-primitive at runtime from CPUID.
 //!
 //! [`CryptoSelect`] is the user-facing knob (`auto` / `portable` /
-//! `simd`, also settable through the `CCNVM_CRYPTO` environment
-//! variable); [`CryptoTier`] is the resolved choice threaded through
+//! `simd`); [`CryptoTier`] is the resolved choice threaded through
 //! the engines. Forcing `simd` on a build or target without any
 //! hardware path is a [`TierUnavailable`] error rather than a silent
 //! fallback, so benchmark labels never lie.
@@ -122,8 +121,7 @@ pub fn simd_available() -> bool {
     caps().any()
 }
 
-/// User-facing tier selection, as taken by `--crypto` and the
-/// `CCNVM_CRYPTO` environment variable.
+/// User-facing tier selection, as taken by `--crypto`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CryptoSelect {
     /// Pick the best tier the host supports (the default).
@@ -136,22 +134,6 @@ pub enum CryptoSelect {
 }
 
 impl CryptoSelect {
-    /// Environment variable consulted by [`Self::from_env_or`].
-    pub const ENV: &'static str = "CCNVM_CRYPTO";
-
-    /// Applies the `CCNVM_CRYPTO` fallback: an explicit (non-`Auto`)
-    /// selection wins; otherwise a set and well-formed environment
-    /// value is used, and anything unset or unparseable stays `Auto`.
-    pub fn from_env_or(self) -> Self {
-        if self != Self::Auto {
-            return self;
-        }
-        match std::env::var(Self::ENV) {
-            Ok(v) => v.parse().unwrap_or(Self::Auto),
-            Err(_) => Self::Auto,
-        }
-    }
-
     /// Resolves the selection against this host.
     ///
     /// # Errors
@@ -272,14 +254,5 @@ mod tests {
         };
         assert_eq!(some.to_string(), "avx2+sha-ni");
         assert!(some.any());
-    }
-
-    #[test]
-    fn env_fallback_only_overrides_auto() {
-        // The env var is process-global; to stay hermetic this test
-        // only exercises the no-override paths plus the explicit-wins
-        // rule, which need no env mutation.
-        assert_eq!(CryptoSelect::Portable.from_env_or(), CryptoSelect::Portable);
-        assert_eq!(CryptoSelect::Simd.from_env_or(), CryptoSelect::Simd);
     }
 }

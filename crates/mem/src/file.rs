@@ -762,8 +762,11 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
                 if group.is_some() {
                     break; // nested BEGIN: corrupt tail
                 }
+                let Some(after) = arg.checked_add(1) else {
+                    break; // no sequence can follow: corrupt tail
+                };
                 group = Some((arg, Vec::new()));
-                next_seq = next_seq.max(arg + 1);
+                next_seq = next_seq.max(after);
             }
             KIND_COMMIT => match group.take() {
                 Some((seq, ops)) if seq == arg => {
@@ -805,23 +808,25 @@ fn load_manifest(path: &Path) -> Result<LineStore, FileBackendError> {
     if bytes.len() < 8 + 8 + 4 || bytes[..8] != MANIFEST_MAGIC {
         return Err(corrupt("missing or bad magic"));
     }
-    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8")) as usize;
-    let expected = 8 + 8 + count * 72 + 4;
-    if bytes.len() != expected {
+    let count = u64::from_le_bytes(bytes[8..16].try_into().expect("8"));
+    let (body, crc) = bytes.split_at(bytes.len() - 4);
+    let entries = &body[16..];
+    // Divide the length rather than multiply the untrusted count,
+    // which can overflow.
+    if entries.len() % 72 != 0 || (entries.len() / 72) as u64 != count {
         return Err(corrupt(&format!(
             "length {} does not match {count} entries",
             bytes.len()
         )));
     }
-    let crc = u32::from_le_bytes(bytes[expected - 4..].try_into().expect("4"));
-    if crc32(&bytes[8..expected - 4]) != crc {
+    let crc = u32::from_le_bytes(crc.try_into().expect("4"));
+    if crc32(&body[8..]) != crc {
         return Err(corrupt("checksum mismatch"));
     }
     let mut store = LineStore::new();
-    for i in 0..count {
-        let off = 16 + i * 72;
-        let addr = u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8"));
-        let content: Line = bytes[off + 8..off + 72].try_into().expect("64");
+    for entry in entries.chunks_exact(72) {
+        let addr = u64::from_le_bytes(entry[..8].try_into().expect("8"));
+        let content: Line = entry[8..].try_into().expect("64");
         store.write(LineAddr(addr), content);
     }
     Ok(store)
@@ -1131,6 +1136,71 @@ mod tests {
         let err = FileBackend::open(&dir, FileBackendConfig::default()).unwrap_err();
         assert!(matches!(err, FileBackendError::CorruptManifest { .. }));
         assert!(err.to_string().contains("manifest"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_count_overflowing_the_length_is_a_typed_error() {
+        // Magic, an entry count of 2^61 (so `count * 72` wraps to 0)
+        // and a valid CRC: 20 bytes that claim an exabyte of entries.
+        let dir = temp_dir("hugemanifest");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        bytes.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        let crc = crc32(&bytes[8..]);
+        bytes.extend_from_slice(&crc.to_le_bytes());
+        std::fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
+        let err = FileBackend::open(&dir, FileBackendConfig::default()).unwrap_err();
+        assert!(
+            matches!(&err, FileBackendError::CorruptManifest { detail, .. }
+                if detail.contains("does not match")),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn begin_at_the_last_sequence_number_is_a_corrupt_tail() {
+        // A CRC-valid group whose BEGIN carries sequence u64::MAX: no
+        // sequence can follow it, so replay stops at the BEGIN and the
+        // group is discarded although its COMMIT is intact.
+        let dir = temp_dir("maxseq");
+        {
+            let mut b = open(&dir);
+            b.store(LineAddr(1), [1u8; 64]);
+        }
+        let frame = |kind: u8, arg: u64, content: Option<Line>| {
+            let mut f = vec![kind];
+            f.extend_from_slice(&arg.to_le_bytes());
+            f.extend_from_slice(content.as_ref().map_or(&[][..], |c| &c[..]));
+            let crc = crc32(&f);
+            f.extend_from_slice(&crc.to_le_bytes());
+            f
+        };
+        let mut tail = frame(KIND_BEGIN, u64::MAX, None);
+        tail.extend(frame(KIND_STORE, 7, Some([7u8; 64])));
+        tail.extend(frame(KIND_COMMIT, u64::MAX, None));
+        let log = dir.join(LOG_FILE);
+        let mut f = OpenOptions::new().append(true).open(&log).unwrap();
+        f.write_all(&tail).unwrap();
+        drop(f);
+        let mut b = open(&dir);
+        assert_eq!(b.load(LineAddr(1)), Some([1u8; 64]), "good prefix intact");
+        assert_eq!(
+            b.load(LineAddr(7)),
+            None,
+            "the group after the BEGIN is cut"
+        );
+        assert_eq!(
+            b.io_counters().stats().discarded_bytes,
+            (2 * SHORT_RECORD + STORE_RECORD) as u64
+        );
+        // The log was truncated back, so appending keeps working.
+        b.begin_atomic();
+        b.store(LineAddr(2), [2u8; 64]);
+        b.commit_atomic();
+        drop(b);
+        assert_eq!(open(&dir).load(LineAddr(2)), Some([2u8; 64]));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,0 +1,224 @@
+//! Heap-allocation gates for the secure-memory hot paths.
+//!
+//! Once warmed, the steady-state write-back (cc-NVM and SC), read and
+//! epoch-drain paths make no heap allocation at all: counter-to-root
+//! path walks use bounded inline arrays, and drains and cache flushes
+//! reuse scratch buffers. Each of them is checked under three
+//! variants: the rekey-per-MAC `legacy_hmac` path and the midstate
+//! path on the portable tier, and the midstate path on whatever tier
+//! `auto` detects on this host.
+//!
+//! Crash recovery on a reused [`RecoveryScratch`] keeps only the
+//! allocations it cannot avoid and stays under
+//! [`RECOVERY_ALLOC_CEILING`] per pass, on the portable and the
+//! detected tier.
+//!
+//! The counting allocator keeps one count per thread, so tests running
+//! in parallel never see each other's allocations. No simulator code
+//! spawns threads, so the count sees every allocation a gate makes.
+
+use ccnvm::prelude::*;
+use ccnvm::recovery::{recover_with, RecoveryScratch};
+use ccnvm_crypto::CryptoSelect;
+use ccnvm_mem::LineAddr;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, counting allocations per thread. `realloc`
+/// and `alloc_zeroed` go through `alloc` and count as one each.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a `const`
+// thread-local of a type without `Drop`, so touching it never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread's count may already be gone while it exits.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations on `layout` pass through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` makes on this thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// `(name, SimConfig::legacy_hmac, crypto)` of each variant a hot path
+/// runs under.
+const VARIANTS: [(&str, bool, CryptoSelect); 3] = [
+    ("legacy", true, CryptoSelect::Portable),
+    ("midstate", false, CryptoSelect::Portable),
+    ("auto", false, CryptoSelect::Auto),
+];
+
+const WRITE_BACKS: u64 = 1024;
+const READS: u64 = 2048;
+const EPOCHS: u64 = 16;
+const RECOVERIES: u64 = 4;
+
+/// Working set of the write-back stream: 64 pages, small enough that
+/// counters and BMT nodes stay resident in the metadata cache, so the
+/// steady state is the pure hot path plus the amortized epoch drains.
+const WB_PAGES: u64 = 64;
+
+/// Recovery's allocation ceiling with a reused scratch. The working
+/// line-store clone (which becomes the recovered image), the layout's
+/// two level tables, the per-level default nodes and the three-span
+/// timeline remain; address walks, retry bookkeeping, rebuild levels
+/// and MAC batches come from the scratch. A pass makes about 5; the
+/// ceiling leaves headroom for map-growth jitter only.
+const RECOVERY_ALLOC_CEILING: f64 = 8.0;
+
+fn memory(design: DesignKind, legacy: bool, crypto: CryptoSelect) -> SecureMemory {
+    let mut config = SimConfig::paper(design);
+    config.legacy_hmac = legacy;
+    config.crypto = crypto;
+    SecureMemory::new(config).expect("paper config")
+}
+
+/// Deterministic data-line stream: addresses cycle through `pages`
+/// 4 KB pages with a rotating line offset, so write-backs exercise
+/// distinct counter-to-root paths and churn the dirty address queue
+/// and the metadata cache.
+fn addr(i: u64, pages: u64) -> LineAddr {
+    let page = (i * 7) % pages;
+    let off = (i * 13) % 64;
+    LineAddr(page * 64 + off)
+}
+
+/// Runs `hot_path` (which returns the allocations of its measured
+/// region) under every variant and requires zero from each.
+fn assert_allocation_free(name: &str, hot_path: impl Fn(bool, CryptoSelect) -> u64) {
+    for (variant, legacy, crypto) in VARIANTS {
+        let allocs = hot_path(legacy, crypto);
+        assert_eq!(
+            allocs, 0,
+            "{name}/{variant}: {allocs} allocations — the hot path must not allocate"
+        );
+    }
+}
+
+fn write_back_allocs(design: DesignKind, legacy: bool, crypto: CryptoSelect) -> u64 {
+    // Warm-up: first-touch growth of the backing maps and caches
+    // happens here, outside the measured region.
+    let mut m = memory(design, legacy, crypto);
+    for i in 0..WRITE_BACKS {
+        m.write_back(addr(i, WB_PAGES), i * 400)
+            .expect("attack-free run");
+    }
+    allocs_in(|| {
+        for i in WRITE_BACKS..2 * WRITE_BACKS {
+            m.write_back(addr(i, WB_PAGES), i * 400)
+                .expect("attack-free run");
+        }
+    })
+}
+
+#[test]
+fn ccnvm_write_back_is_allocation_free() {
+    assert_allocation_free("write_back", |legacy, crypto| {
+        write_back_allocs(DesignKind::CcNvm, legacy, crypto)
+    });
+}
+
+#[test]
+fn sc_write_back_is_allocation_free() {
+    assert_allocation_free("write_back_sc", |legacy, crypto| {
+        write_back_allocs(DesignKind::StrictConsistency, legacy, crypto)
+    });
+}
+
+#[test]
+fn read_is_allocation_free() {
+    assert_allocation_free("read", |legacy, crypto| {
+        let mut m = memory(DesignKind::CcNvm, legacy, crypto);
+        for i in 0..256u64 {
+            m.write_back(addr(i, 64), i * 400).expect("attack-free run");
+        }
+        m.drain(1_000_000_000, DrainTrigger::External);
+        allocs_in(|| {
+            let mut now = 2_000_000_000u64;
+            for i in 0..READS {
+                m.read_data(addr(i, 64), now).expect("verified read");
+                now += 400;
+            }
+        })
+    });
+}
+
+#[test]
+fn drain_is_allocation_free() {
+    // One epoch: a handful of write-backs, then the external end-signal
+    // drain that stages and commits the dirty metadata.
+    let epoch = |m: &mut SecureMemory, e: u64, now: &mut u64| {
+        for i in 0..8u64 {
+            m.write_back(addr(e * 8 + i, 64), *now)
+                .expect("attack-free run");
+            *now += 400;
+        }
+        *now += 100_000;
+        m.drain(*now, DrainTrigger::External);
+    };
+    assert_allocation_free("drain", |legacy, crypto| {
+        // Warm-up: the same epoch loop once, so the line store, the
+        // dirty queue and the drain scratch reach their working-set
+        // size. The address stream has period 64, so the measured
+        // epochs revisit exactly this working set.
+        let mut m = memory(DesignKind::CcNvm, legacy, crypto);
+        let mut now = 0u64;
+        for e in 0..EPOCHS {
+            epoch(&mut m, e, &mut now);
+        }
+        allocs_in(|| {
+            for e in EPOCHS..2 * EPOCHS {
+                epoch(&mut m, e, &mut now);
+            }
+        })
+    });
+}
+
+#[test]
+fn recovery_with_a_reused_scratch_stays_under_its_ceiling() {
+    for crypto in [CryptoSelect::Portable, CryptoSelect::Auto] {
+        let tier = crypto.resolve().expect("portable and auto always resolve");
+        let image = {
+            let mut m = memory(DesignKind::CcNvm, false, crypto);
+            for i in 0..128u64 {
+                m.write_back(addr(i, 64), i * 400).expect("attack-free run");
+            }
+            m.drain(1_000_000_000, DrainTrigger::External);
+            m.crash_image()
+        };
+        // Warm-up: the scratch buffers reach their high-water capacity.
+        let mut scratch = RecoveryScratch::default();
+        assert!(recover_with(&image, tier, &mut scratch).is_clean());
+        let allocs = allocs_in(|| {
+            for _ in 0..RECOVERIES {
+                let report = recover_with(&image, tier, &mut scratch);
+                assert!(report.is_clean(), "a clean image must recover clean");
+            }
+        });
+        let per_op = allocs as f64 / RECOVERIES as f64;
+        assert!(
+            per_op <= RECOVERY_ALLOC_CEILING,
+            "recovery on {tier:?}: {per_op:.2} allocations per pass exceeds the \
+             scratch-reuse ceiling of {RECOVERY_ALLOC_CEILING}"
+        );
+    }
+}
