@@ -1,7 +1,8 @@
 //! Figure 5: system IPC (a) and NVM write traffic (b) for the five
 //! designs over the eight SPEC-like benchmarks, normalized to the
 //! `w/o CC` baseline — plus the paper's headline numbers (cc-NVM vs
-//! Osiris Plus IPC and write-traffic deltas).
+//! Osiris Plus IPC and write-traffic deltas) and its §2.3 motivation,
+//! the cost of strict consistency (SC vs w/o CC).
 //!
 //! ```text
 //! cargo run -p ccnvm-bench --release --bin fig5 [instructions] [threads]
@@ -116,6 +117,12 @@ fn main() {
     println!("cc-NVM IPC vs Osiris Plus:            {ipc_gain:+.1}%  (paper: +20.4%)");
     println!("cc-NVM extra writes vs w/o CC:        {extra_writes:+.1}%  (paper: +39%)");
     println!("cc-NVM extra writes vs Osiris Plus:   {extra_vs_osiris:+.1}%  (paper: +29.6%)");
+    let i_sc = 1;
+    println!(
+        "SC vs w/o CC (§2.3):                  {:+.1}% IPC, {:.2}x writes  (paper: -41.4% IPC, 5.5x writes)",
+        (avg_ipc[i_sc] - 1.0) * 100.0,
+        avg_writes[i_sc]
+    );
 
     println!("\nper-benchmark diagnostics (w/o CC baseline):");
     println!(

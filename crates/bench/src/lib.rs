@@ -4,9 +4,8 @@
 //!
 //! | binary       | paper artifact |
 //! |--------------|----------------|
-//! | `fig5`       | Figure 5(a) IPC and 5(b) NVM write traffic, plus the abstract's headline deltas |
+//! | `fig5`       | Figure 5(a) IPC and 5(b) NVM write traffic, plus the abstract's headline deltas and §2.3's SC vs w/o CC cost |
 //! | `fig6`       | Figure 6(a) N-sweep and 6(b) M-sweep |
-//! | `motivation` | §2.3: SC vs w/o CC cost of naive crash consistency |
 //! | `recovery`   | §4.4: crash recovery and attack locating |
 //!
 //! All binaries accept an optional instruction budget argument

@@ -197,6 +197,30 @@ pub enum SweepParam {
     M,
 }
 
+impl SweepParam {
+    /// The parameter's name in sweep output.
+    pub fn name(self) -> &'static str {
+        match self {
+            SweepParam::N => "n",
+            SweepParam::M => "m",
+        }
+    }
+
+    /// Sets this parameter of `run` to `value`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseArgsError`] naming `--values` when `value`
+    /// does not fit the parameter.
+    pub fn set(self, run: &mut RunArgs, value: u64) -> Result<(), ParseArgsError> {
+        match self {
+            SweepParam::N => run.limit_n = narrow("--values", value)?,
+            SweepParam::M => run.queue_m = narrow("--values", value)?,
+        }
+        Ok(())
+    }
+}
+
 /// Error from argument parsing, with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseArgsError(pub String);
@@ -305,12 +329,8 @@ fn parse_common<'a, I: Iterator<Item = &'a str>>(
             args.instructions = parse_number(flag, take_value(flag, iter)?)?;
         }
         "--seed" => args.seed = parse_number(flag, take_value(flag, iter)?)?,
-        "--limit-n" => {
-            args.limit_n = parse_number(flag, take_value(flag, iter)?)? as u32;
-        }
-        "--queue-m" => {
-            args.queue_m = parse_number(flag, take_value(flag, iter)?)? as usize;
-        }
+        "--limit-n" => args.limit_n = parse_narrow(flag, take_value(flag, iter)?)?,
+        "--queue-m" => args.queue_m = parse_narrow(flag, take_value(flag, iter)?)?,
         "--split-meta" => args.split_meta = true,
         "--csv" => args.csv = true,
         "--trace-out" => args.trace_out = Some(take_value(flag, iter)?.to_owned()),
@@ -340,14 +360,14 @@ fn parse_common<'a, I: Iterator<Item = &'a str>>(
             });
         }
         "--threads" => {
-            let n = parse_number(flag, take_value(flag, iter)?)? as usize;
+            let n = parse_narrow(flag, take_value(flag, iter)?)?;
             if n == 0 {
                 return Err(ParseArgsError("--threads must be positive".into()));
             }
             args.threads = Some(n);
         }
         "--shards" => {
-            let n = parse_number(flag, take_value(flag, iter)?)? as u32;
+            let n = parse_narrow(flag, take_value(flag, iter)?)?;
             if n == 0 {
                 return Err(ParseArgsError("--shards must be positive".into()));
             }
@@ -408,6 +428,16 @@ fn parse_number(flag: &str, v: &str) -> Result<u64, ParseArgsError> {
     v.replace('_', "")
         .parse()
         .map_err(|_| ParseArgsError(format!("{flag}: {v:?} is not a number")))
+}
+
+/// `n` as a `T`, or an error naming `flag` when it does not fit.
+fn narrow<T: TryFrom<u64>>(flag: &str, n: u64) -> Result<T, ParseArgsError> {
+    T::try_from(n).map_err(|_| ParseArgsError(format!("{flag}: {n} is out of range")))
+}
+
+/// [`parse_number`] into a type narrower than `u64`.
+fn parse_narrow<T: TryFrom<u64>>(flag: &str, v: &str) -> Result<T, ParseArgsError> {
+    narrow(flag, parse_number(flag, v)?)
 }
 
 /// Parses the full command line (without the program name).
@@ -536,6 +566,10 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
             if values.is_empty() {
                 return Err(ParseArgsError("sweep needs --values a,b,c".into()));
             }
+            let mut probe = args.clone();
+            for &v in &values {
+                param.set(&mut probe, v)?;
+            }
             Ok(Command::Sweep(SweepArgs {
                 run: args,
                 param,
@@ -639,6 +673,30 @@ mod tests {
             panic!("expected recover");
         };
         assert_eq!(args.shards, 2);
+    }
+
+    /// A count wider than its field is an error naming the flag, never
+    /// silently truncated (2^32 + 16 used to run as `--limit-n 16`).
+    #[test]
+    fn limit_n_beyond_32_bits_is_an_error() {
+        let err = parse(&["run", "--limit-n", "4294967312"]).unwrap_err();
+        assert_eq!(err.to_string(), "--limit-n: 4294967312 is out of range");
+        let Command::Run(args) = parse(&["run", "--limit-n", "4294967295"]).unwrap() else {
+            panic!("expected run");
+        };
+        assert_eq!(args.limit_n, u32::MAX);
+    }
+
+    #[test]
+    fn shards_beyond_32_bits_is_an_error() {
+        let err = parse(&["run", "--shards", "4294967298"]).unwrap_err();
+        assert_eq!(err.to_string(), "--shards: 4294967298 is out of range");
+    }
+
+    #[test]
+    fn sweep_values_beyond_the_parameter_are_an_error() {
+        let err = parse(&["sweep", "--values", "8,4294967312", "--param", "n"]).unwrap_err();
+        assert_eq!(err.to_string(), "--values: 4294967312 is out of range");
     }
 
     #[test]

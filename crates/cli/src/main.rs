@@ -20,7 +20,7 @@
 
 mod args;
 
-use args::{BackendChoice, Command, ReportArgs, RunArgs, SweepArgs, SweepParam, USAGE};
+use args::{BackendChoice, Command, ReportArgs, RunArgs, SweepArgs, USAGE};
 use ccnvm::metacache::MetaCacheOrg;
 use ccnvm::obs::metrics::render_shard_gauges;
 use ccnvm::obs::profile::{compare, parse_profile};
@@ -157,8 +157,8 @@ fn build(run: &RunArgs) -> Result<(ShardRouter, Option<Arc<FileIoCounters>>), St
             (ShardRouter::from(sim), Some(io))
         }
     };
-    for shard in router.shards_mut() {
-        attach_observers(run, shard.memory_mut())?;
+    for (i, shard) in router.shards_mut().iter_mut().enumerate() {
+        attach_observers(run, shard.memory_mut(), i == 0)?;
     }
     Ok((router, io))
 }
@@ -204,9 +204,8 @@ fn sync_durable(router: &mut ShardRouter) {
 }
 
 /// Attaches every observer the flags ask for. The selftest injections
-/// go to shard 0 only.
-fn attach_observers(run: &RunArgs, mem: &mut SecureMemory) -> Result<(), String> {
-    let first = mem.config().shard_index == 0;
+/// go to the `first` shard only.
+fn attach_observers(run: &RunArgs, mem: &mut SecureMemory, first: bool) -> Result<(), String> {
     let selftest = |var: &str| first && std::env::var_os(var).is_some();
     if run.trace_out.is_some() || run.epoch_report || run.chrome_trace.is_some() {
         mem.attach_recorder(RecorderConfig::default());
@@ -562,16 +561,11 @@ fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
         .iter()
         .map(|&value| {
             let mut run = sweep.run.clone();
-            let name = match sweep.param {
-                SweepParam::N => {
-                    run.limit_n = value as u32;
-                    "n"
-                }
-                SweepParam::M => {
-                    run.queue_m = value as usize;
-                    "m"
-                }
-            };
+            let name = sweep.param.name();
+            sweep
+                .param
+                .set(&mut run, value)
+                .expect("args::parse checked every sweep value");
             // Sweep points are independent stores: each gets its own
             // subdirectory so their logs never interleave.
             if let BackendChoice::File(dir) = &run.backend {
@@ -1096,6 +1090,7 @@ fn cmd_report(args: &ReportArgs) -> Result<(), String> {
 #[cfg(test)]
 mod sweep_tests {
     use super::*;
+    use args::SweepParam;
 
     /// The parallel sweep must produce the same per-point stats as
     /// serial simulation, whatever the worker count.
@@ -1115,7 +1110,7 @@ mod sweep_tests {
             .iter()
             .map(|&v| {
                 let mut r = base.clone();
-                r.limit_n = v as u32;
+                sweep.param.set(&mut r, v).unwrap();
                 r
             })
             .collect();

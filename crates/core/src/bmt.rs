@@ -176,33 +176,6 @@ impl Bmt {
         (root, hmacs)
     }
 
-    /// Recomputes the nodes on the path above `ctr_idx` only up to and
-    /// including stored level `top` (deferred spreading stops at the
-    /// first cached node). Returns the number of HMACs computed; the
-    /// root is *not* refreshed.
-    pub fn update_path_to_level<V: MetaView>(
-        &self,
-        view: &mut V,
-        ctr_idx: u64,
-        top: usize,
-    ) -> usize {
-        let top = top.min(self.layout.internal_levels());
-        let mut hmacs = 0;
-        let mut child_idx = ctr_idx;
-        let mut child_content = self.read_node(view, 0, ctr_idx);
-        for level in 1..=top {
-            let mac = self.child_mac(level - 1, child_idx, &child_content);
-            hmacs += 1;
-            let node_idx = child_idx / MACS_PER_LINE;
-            let mut node = self.read_node(view, level, node_idx);
-            Self::patch_slot(&mut node, child_idx, &mac);
-            view.store_meta(self.layout.node_line(level, node_idx), node);
-            child_idx = node_idx;
-            child_content = node;
-        }
-        hmacs
-    }
-
     /// Root over the tree as stored in `src`.
     pub fn root<S: MetaSource>(&self, src: &S) -> Mac128 {
         let top = self.layout.internal_levels();
@@ -516,22 +489,6 @@ mod tests {
             child_level: 0,
             child_index: 8
         }));
-    }
-
-    #[test]
-    fn deferred_update_to_level_leaves_upper_levels_stale() {
-        let b = bmt();
-        let mut store = LineStore::new();
-        store.write(b.layout().counter_line_at(3), [1u8; 64]);
-        let hmacs = b.update_path_to_level(&mut store, 3, 1);
-        assert_eq!(hmacs, 1);
-        // Level-1 node updated…
-        assert!(b.verify_link(&store, 0, 3));
-        // …but level-1 -> level-2 link is now stale.
-        assert!(!b.verify_link(&store, 1, 0));
-        // Spreading the rest repairs it.
-        b.update_path(&mut store, 3);
-        assert!(b.verify_link(&store, 1, 0));
     }
 
     #[test]

@@ -166,26 +166,11 @@ pub struct SimConfig {
     pub issue_width: u64,
     /// Seed for the TCB keys.
     pub key_seed: u64,
-    /// Verify decrypted plaintext against the expected pattern on every
-    /// miss (self-checking mode; small extra host cost).
-    pub check_plaintext: bool,
-    /// Compute HMACs through the pre-optimization rekey-per-MAC path
-    /// instead of the keyed midstate engine. Output is bit-identical;
-    /// this exists so the golden-stats tests can prove that, and the
-    /// hot-path allocation tests can gate the original path too.
-    pub legacy_hmac: bool,
     /// Crypto implementation tier: `Auto` picks the fastest tier this
     /// host supports; `Portable`/`Simd` force one. Every tier is
     /// bit-identical — stats, traces and profiles never change — so
     /// this knob only exists for benchmarking and reproducibility.
     pub crypto: CryptoSelect,
-    /// This instance's shard index when it runs as one epoch domain of
-    /// a [`crate::shard::ShardRouter`] (0 for the single-owner case).
-    pub shard_index: u32,
-    /// Total shards in the router this instance belongs to. `1` is the
-    /// degenerate single-owner configuration and must behave exactly
-    /// like the pre-sharding code paths.
-    pub shard_count: u32,
 }
 
 impl SimConfig {
@@ -208,11 +193,7 @@ impl SimConfig {
             hide_cycles: 60,
             issue_width: 4,
             key_seed: 0xcc_17,
-            check_plaintext: true,
-            legacy_hmac: false,
             crypto: CryptoSelect::Auto,
-            shard_index: 0,
-            shard_count: 1,
         }
     }
 
@@ -251,12 +232,6 @@ impl SimConfig {
         }
         if self.issue_width == 0 {
             return Err(ConfigError::IssueWidthZero);
-        }
-        if self.shard_count == 0 || self.shard_index >= self.shard_count {
-            return Err(ConfigError::ShardTopologyInvalid {
-                index: self.shard_index,
-                count: self.shard_count,
-            });
         }
         if self.crypto.resolve().is_err() {
             return Err(ConfigError::CryptoTierUnavailable);
@@ -317,18 +292,5 @@ mod tests {
         let mut c = SimConfig::paper(DesignKind::CcNvm);
         c.dirty_queue_entries = 128;
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_bad_shard_topology() {
-        let mut c = SimConfig::paper(DesignKind::CcNvm);
-        assert_eq!((c.shard_index, c.shard_count), (0, 1));
-        c.shard_count = 0;
-        assert!(c.validate().is_err());
-        c.shard_count = 4;
-        c.shard_index = 4;
-        assert!(c.validate().is_err());
-        c.shard_index = 3;
-        assert!(c.validate().is_ok());
     }
 }

@@ -151,13 +151,6 @@ pub struct GroundTruth {
     pub current_root: [u8; 16],
 }
 
-impl GroundTruth {
-    /// Version of `line` (0 = never written back).
-    pub fn version_of(&self, line: LineAddr) -> u64 {
-        self.data_versions.get(&line.0).copied().unwrap_or(0)
-    }
-}
-
 /// Why a crash-point sweep could not run (distinct from an *unclean*
 /// sweep, which is reported through [`CrashSweepReport`]).
 #[derive(Debug)]

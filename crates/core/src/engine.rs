@@ -10,30 +10,15 @@
 //! so the hot path pays only the message compressions plus one outer
 //! compression per MAC — the key schedule (pad XORs plus two extra
 //! SHA-1 block compressions) is hoisted out of the per-operation cost.
-//! [`HmacMode::Rekey`] keeps the original per-MAC key-schedule path
-//! alive as the bit-identical reference for the equivalence tests.
+//! The tests check it against the per-MAC key-schedule reference,
+//! [`HmacSha1`](ccnvm_crypto::HmacSha1).
 
 use crate::counter::CounterLine;
 use crate::tcb::Keys;
 use ccnvm_crypto::otp::OtpGenerator;
-use ccnvm_crypto::{Aes128, CryptoTier, HmacEngine, HmacSha1, Mac128};
+use ccnvm_crypto::{Aes128, CryptoTier, HmacEngine, Mac128};
 use ccnvm_mem::{Line, LineAddr};
 use std::cell::Cell;
-
-/// How [`CryptoEngine`] computes its HMACs. Both modes produce
-/// bit-identical tags; they differ only in per-MAC cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HmacMode {
-    /// Keyed midstate engine: message compressions + one outer
-    /// compression per MAC (the optimized default).
-    #[default]
-    Midstate,
-    /// Re-run the RFC 2104 key schedule on every MAC (the
-    /// pre-optimization reference path behind
-    /// [`SimConfig::legacy_hmac`](crate::config::SimConfig::legacy_hmac);
-    /// slower, same output).
-    Rekey,
-}
 
 /// Functional encryption/authentication engine.
 ///
@@ -53,8 +38,6 @@ pub enum HmacMode {
 pub struct CryptoEngine {
     otp: OtpGenerator,
     hmac: HmacEngine,
-    hmac_key: [u8; 16],
-    mode: HmacMode,
     /// Resolved implementation tier (bit-identical across tiers; the
     /// default is whatever this host detects).
     tier: CryptoTier,
@@ -72,35 +55,22 @@ pub const DH_MSG_LEN: usize = 2 + 64 + 8 + 8 + 1;
 pub const MT_MSG_LEN: usize = 2 + 4 + 1 + 64;
 
 impl CryptoEngine {
-    /// Builds an engine from the TCB keys.
+    /// Builds an engine from the TCB keys on the detected tier.
     pub fn new(keys: &Keys) -> Self {
-        Self::with_mode(keys, HmacMode::Midstate)
+        Self::with_tier(keys, CryptoTier::detect())
     }
 
-    /// Builds an engine with an explicit HMAC mode (the equivalence
-    /// tests compare the two).
-    pub fn with_mode(keys: &Keys, mode: HmacMode) -> Self {
-        Self::with_options(keys, mode, CryptoTier::detect())
-    }
-
-    /// Builds an engine with explicit HMAC mode *and* crypto tier. The
-    /// tier never changes any output — only how fast the host computes
-    /// it — so `new`/`with_mode` safely default to the detected tier.
-    pub fn with_options(keys: &Keys, mode: HmacMode, tier: CryptoTier) -> Self {
+    /// Builds an engine on an explicit crypto tier. The tier never
+    /// changes any output — only how fast the host computes it — so
+    /// `new` safely defaults to the detected tier.
+    pub fn with_tier(keys: &Keys, tier: CryptoTier) -> Self {
         Self {
             otp: OtpGenerator::new(Aes128::new(&keys.aes)),
             hmac: HmacEngine::new(&keys.hmac),
-            hmac_key: keys.hmac,
-            mode,
             tier,
             aes_ops: Cell::new(0),
             hmac_ops: Cell::new(0),
         }
-    }
-
-    /// The active HMAC mode.
-    pub fn hmac_mode(&self) -> HmacMode {
-        self.mode
     }
 
     /// The resolved crypto tier this engine dispatches under.
@@ -134,14 +104,7 @@ impl CryptoEngine {
 
     fn mac_bytes(&self, msg: &[u8]) -> Mac128 {
         self.hmac_ops.set(self.hmac_ops.get() + 1);
-        match self.mode {
-            HmacMode::Midstate => self.hmac.mac128_with(self.tier, msg),
-            HmacMode::Rekey => {
-                let mut h = HmacSha1::new(&self.hmac_key);
-                h.update(msg);
-                truncate(h.finalize())
-            }
-        }
+        self.hmac.mac128_with(self.tier, msg)
     }
 
     /// Builds the data-HMAC message without computing the MAC (drain
@@ -199,39 +162,19 @@ impl CryptoEngine {
     /// MACs a whole batch of prebuilt messages into `out`, spreading
     /// independent messages across SIMD lanes where the tier allows.
     ///
-    /// Bit-identical to calling the scalar MAC per message (and does
-    /// exactly that under [`HmacMode::Rekey`], which stays on the
-    /// reference path). Op counters advance by the batch length.
+    /// Bit-identical to calling the scalar MAC per message. Op
+    /// counters advance by the batch length.
     pub fn mac128_batch_msgs<M: AsRef<[u8]>>(&self, msgs: &[M], out: &mut [Mac128]) {
         assert_eq!(msgs.len(), out.len(), "mac128_batch_msgs length mismatch");
         self.hmac_ops.set(self.hmac_ops.get() + msgs.len() as u64);
-        match self.mode {
-            HmacMode::Midstate => self.hmac.mac128_batch(self.tier, msgs, out),
-            HmacMode::Rekey => {
-                for (msg, slot) in msgs.iter().zip(out.iter_mut()) {
-                    let mut h = HmacSha1::new(&self.hmac_key);
-                    h.update(msg.as_ref());
-                    *slot = truncate(h.finalize());
-                }
-            }
-        }
+        self.hmac.mac128_batch(self.tier, msgs, out);
     }
-
-    /// The HMAC key (recovery re-derives engines from the TCB).
-    pub fn hmac_key(&self) -> &[u8; 16] {
-        &self.hmac_key
-    }
-}
-
-fn truncate(full: [u8; 20]) -> Mac128 {
-    let mut out = [0u8; 16];
-    out.copy_from_slice(&full[..16]);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccnvm_crypto::HmacSha1;
 
     fn engine() -> CryptoEngine {
         CryptoEngine::new(&Keys::from_seed(42))
@@ -317,32 +260,9 @@ mod tests {
         );
     }
 
-    /// The midstate port must be bit-identical to the original
-    /// rekey-per-MAC path for every MAC the simulator computes.
-    #[test]
-    fn midstate_and_rekey_modes_are_bit_identical() {
-        let keys = Keys::from_seed(42);
-        let fast = CryptoEngine::with_mode(&keys, HmacMode::Midstate);
-        let slow = CryptoEngine::with_mode(&keys, HmacMode::Rekey);
-        assert_eq!(fast.hmac_mode(), HmacMode::Midstate);
-        assert_eq!(slow.hmac_mode(), HmacMode::Rekey);
-        for i in 0..16u64 {
-            let ct: Line = core::array::from_fn(|j| ((j as u64 * 31) ^ i) as u8);
-            assert_eq!(
-                fast.data_hmac(&ct, LineAddr(i * 7), i, (i % 64) as u8),
-                slow.data_hmac(&ct, LineAddr(i * 7), i, (i % 64) as u8),
-                "data_hmac {i}"
-            );
-            assert_eq!(
-                fast.node_mac(i as usize % 12, (i % 4) as u8, &ct),
-                slow.node_mac(i as usize % 12, (i % 4) as u8, &ct),
-                "node_mac {i}"
-            );
-        }
-    }
-
-    /// Batched MACs must equal per-message MACs in every mode and
-    /// tier, and advance the op counter by the batch length.
+    /// The batched and the per-message modes of computing MACs must
+    /// agree on every tier, and a batch advances the op counter by its
+    /// length.
     #[test]
     fn batch_macs_are_bit_identical_across_modes_and_tiers() {
         let keys = Keys::from_seed(11);
@@ -352,21 +272,19 @@ mod tests {
                 CryptoEngine::node_mac_msg(i as usize % 12, i % 4, &content)
             })
             .collect();
-        for mode in [HmacMode::Midstate, HmacMode::Rekey] {
-            for tier in [CryptoTier::Portable, CryptoTier::Simd] {
-                let e = CryptoEngine::with_options(&keys, mode, tier);
-                assert_eq!(e.tier(), tier);
-                let mut out = vec![[0u8; 16]; msgs.len()];
-                e.mac128_batch_msgs(&msgs, &mut out);
-                assert_eq!(e.hmac_ops(), msgs.len() as u64);
-                for (i, got) in out.iter().enumerate() {
-                    let content: Line = core::array::from_fn(|j| (i as u8) ^ (j as u8));
-                    assert_eq!(
-                        *got,
-                        e.node_mac(i % 12, (i % 4) as u8, &content),
-                        "mode {mode:?}, tier {tier}, msg {i}"
-                    );
-                }
+        for tier in [CryptoTier::Portable, CryptoTier::Simd] {
+            let e = CryptoEngine::with_tier(&keys, tier);
+            assert_eq!(e.tier(), tier);
+            let mut out = vec![[0u8; 16]; msgs.len()];
+            e.mac128_batch_msgs(&msgs, &mut out);
+            assert_eq!(e.hmac_ops(), msgs.len() as u64);
+            for (i, got) in out.iter().enumerate() {
+                let content: Line = core::array::from_fn(|j| (i as u8) ^ (j as u8));
+                assert_eq!(
+                    *got,
+                    e.node_mac(i % 12, (i % 4) as u8, &content),
+                    "tier {tier}, msg {i}"
+                );
             }
         }
     }
@@ -375,8 +293,8 @@ mod tests {
     #[test]
     fn tiers_are_bit_identical_for_engine_outputs() {
         let keys = Keys::from_seed(77);
-        let portable = CryptoEngine::with_options(&keys, HmacMode::Midstate, CryptoTier::Portable);
-        let simd = CryptoEngine::with_options(&keys, HmacMode::Midstate, CryptoTier::Simd);
+        let portable = CryptoEngine::with_tier(&keys, CryptoTier::Portable);
+        let simd = CryptoEngine::with_tier(&keys, CryptoTier::Simd);
         for i in 0..8u64 {
             let plain: Line = core::array::from_fn(|j| ((j as u64).wrapping_mul(i + 3)) as u8);
             let ct_p = portable.encrypt_line(&plain, LineAddr(i * 64), i, (i % 64) as u8);
@@ -390,8 +308,13 @@ mod tests {
         }
     }
 
+    fn truncate(full: [u8; 20]) -> Mac128 {
+        full[..16].try_into().expect("16 of 20 bytes")
+    }
+
     /// The message framing must match the original incremental
-    /// construction byte for byte (same fields, same order).
+    /// construction byte for byte (same fields, same order), MACed by
+    /// the per-MAC key-schedule reference.
     #[test]
     fn data_hmac_framing_matches_incremental_reference() {
         let keys = Keys::from_seed(9);

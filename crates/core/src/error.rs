@@ -89,14 +89,8 @@ pub enum ConfigError {
     UpdateLimitZero,
     /// The core issue width is zero.
     IssueWidthZero,
-    /// The shard topology is inconsistent: zero shards, or a shard
-    /// index outside `0..shard_count`.
-    ShardTopologyInvalid {
-        /// Configured shard index.
-        index: u32,
-        /// Configured shard count.
-        count: u32,
-    },
+    /// The shard topology is inconsistent: a router of zero shards.
+    ShardTopologyInvalid,
     /// The `simd` crypto tier was forced but this build or host has no
     /// hardware crypto path.
     CryptoTierUnavailable,
@@ -121,10 +115,9 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::UpdateLimitZero => write!(f, "update limit N must be positive"),
             ConfigError::IssueWidthZero => write!(f, "issue width must be positive"),
-            ConfigError::ShardTopologyInvalid { index, count } => write!(
-                f,
-                "shard index {index} is not valid for a {count}-shard topology"
-            ),
+            ConfigError::ShardTopologyInvalid => {
+                write!(f, "a shard router needs at least one shard")
+            }
             ConfigError::CryptoTierUnavailable => write!(
                 f,
                 "crypto tier 'simd' forced but this build/host has no hardware crypto path \

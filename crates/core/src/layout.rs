@@ -314,11 +314,6 @@ impl SecureLayout {
     pub fn path_lines(&self) -> usize {
         1 + self.internal_levels()
     }
-
-    /// One line past the last metadata line (for bounds checks).
-    pub fn end_line(&self) -> LineAddr {
-        LineAddr(*self.level_base.last().expect("at least one level") + 1)
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use crate::bmt::Bmt;
 use crate::config::SimConfig;
 use crate::crash::{CrashImage, GroundTruth};
 use crate::drainer::DirtyAddressQueue;
-use crate::engine::{CryptoEngine, HmacMode};
+use crate::engine::CryptoEngine;
 use crate::error::{ConfigError, ResumeError};
 use crate::layout::SecureLayout;
 use crate::metacache::MetaCache;
@@ -122,14 +122,9 @@ impl SecureMemory {
             });
         }
         let keys = Keys::from_seed(config.key_seed);
-        let mode = if config.legacy_hmac {
-            HmacMode::Rekey
-        } else {
-            HmacMode::Midstate
-        };
         // validate() already proved the selection resolvable.
         let tier = config.crypto.resolve().expect("validated crypto tier");
-        let engine = CryptoEngine::with_options(&keys, mode, tier);
+        let engine = CryptoEngine::with_tier(&keys, tier);
         let bmt = Bmt::new(layout.clone(), engine);
         let tcb = Tcb::new(keys, bmt.default_root());
         Ok(Self {
@@ -150,6 +145,7 @@ impl SecureMemory {
             stats: RunStats::default(),
             obs: Default::default(),
             in_write_back: false,
+            check_plaintext: true,
             config,
         })
     }
@@ -219,14 +215,12 @@ impl SecureMemory {
                 potential_replay: report.potential_replay,
             });
         }
-        let mut config = config;
-        config.check_plaintext = false;
         let mut mem = Self::new(config)?;
-        let mode = mem.bmt.engine().hmac_mode();
+        mem.check_plaintext = false;
         let tier = mem.bmt.engine().tier();
         mem.bmt = Bmt::new(
             mem.layout.clone(),
-            CryptoEngine::with_options(&image.tcb.keys, mode, tier),
+            CryptoEngine::with_tier(&image.tcb.keys, tier),
         );
         mem.tcb = Tcb::new(image.tcb.keys.clone(), report.rebuilt_root);
         mem.nvm.durable.restore(&report.recovered_nvm);

@@ -24,7 +24,7 @@ use crate::bmt::{Bmt, RebuildScratch, TreeMismatch};
 use crate::config::DesignKind;
 use crate::counter::{CounterLine, MINOR_MAX};
 use crate::crash::CrashImage;
-use crate::engine::{CryptoEngine, HmacMode};
+use crate::engine::CryptoEngine;
 use crate::layout::SecureLayout;
 use crate::obs::profile::{SpanProfiler, Stage};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
@@ -270,7 +270,7 @@ pub fn recover_with(
     tier: CryptoTier,
     scratch: &mut RecoveryScratch,
 ) -> RecoveryReport {
-    let engine = CryptoEngine::with_options(&image.tcb.keys, HmacMode::Midstate, tier);
+    let engine = CryptoEngine::with_tier(&image.tcb.keys, tier);
     let bmt = Bmt::new(SecureLayout::new(image.capacity_bytes), engine.clone());
     let layout = bmt.layout();
     let budget = image.update_limit as u64;

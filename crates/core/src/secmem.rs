@@ -156,6 +156,10 @@ pub struct SecureMemory {
     /// `engine_cycles` only in that scope (mirroring how
     /// `engine_cycles` itself accrues).
     pub(crate) in_write_back: bool,
+    /// Verify decrypted plaintext against the expected pattern on every
+    /// miss (self-checking mode; small extra host cost). Off after
+    /// [`Self::resume`], whose write versions are not ground truth.
+    pub(crate) check_plaintext: bool,
 }
 
 impl SecureMemory {
@@ -168,20 +172,6 @@ impl SecureMemory {
     /// inconsistent (see [`SimConfig::validate`]), or when the dirty
     /// address queue cannot hold one full tree path.
     pub fn new(config: SimConfig) -> Result<Self, ConfigError> {
-        if config.shard_count > 1 {
-            // One epoch domain of a ShardRouter: durable state goes
-            // through a page-ownership-asserting view, proving the
-            // shards never write each other's slice of the data
-            // region. The single-owner case keeps the plain store so
-            // `--shards 1` stays byte-identical at the seam too.
-            let data_lines = SecureLayout::new(config.capacity_bytes).data_lines();
-            let backend = ccnvm_mem::ShardedBackend::new(
-                config.shard_index as u64,
-                config.shard_count as u64,
-                data_lines,
-            );
-            return Self::with_backend(config, Box::new(backend));
-        }
         Self::with_backend(config, Box::new(LineStore::new()))
     }
 
@@ -725,7 +715,7 @@ impl SecureMemory {
                 ) {
                     return Err(IntegrityError::DataHmacMismatch { line });
                 }
-                if self.config.check_plaintext {
+                if self.check_plaintext {
                     let plain = self.bmt.engine().decrypt_line(&ct, line, major, minor);
                     let version = self.nvm.versions.get(&line.0).copied().unwrap_or(0);
                     if plain != pattern(line, version) {

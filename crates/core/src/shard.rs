@@ -45,11 +45,13 @@
 use crate::config::SimConfig;
 use crate::crash::CrashImage;
 use crate::error::{ConfigError, IntegrityError};
+use crate::layout::SecureLayout;
 use crate::obs::metrics::ShardGauge;
 use crate::obs::profile::SpanProfiler;
 use crate::sim::Simulator;
 use crate::stats::RunStats;
 use ccnvm_mem::addr::LINES_PER_PAGE;
+use ccnvm_mem::ShardedBackend;
 use ccnvm_trace::TraceOp;
 
 /// Request router in front of N independent secure-memory shards.
@@ -67,9 +69,11 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Builds `shard_count` shards of `config`, each stamped with its
-    /// own `shard_index` and backed by a page-ownership-checking
-    /// durable store.
+    /// Builds `shard_count` shards of `config`. With two or more, each
+    /// shard persists through a [`ShardedBackend`] that checks it owns
+    /// every page it writes; a single shard keeps the plain in-memory
+    /// store, so it is byte-identical to a bare [`Simulator`] at the
+    /// durability seam too.
     ///
     /// # Errors
     ///
@@ -78,16 +82,18 @@ impl ShardRouter {
     /// [`ConfigError::ShardTopologyInvalid`].
     pub fn new(config: SimConfig, shard_count: u32) -> Result<Self, ConfigError> {
         if shard_count == 0 {
-            return Err(ConfigError::ShardTopologyInvalid { index: 0, count: 0 });
+            return Err(ConfigError::ShardTopologyInvalid);
         }
-        let mut shards = Vec::with_capacity(shard_count as usize);
-        for index in 0..shard_count {
-            let mut shard_config = config.clone();
-            shard_config.shard_index = index;
-            shard_config.shard_count = shard_count;
-            shards.push(Simulator::new(shard_config)?);
+        if shard_count == 1 {
+            return Ok(Self::from(Simulator::new(config)?));
         }
-        let data_lines = shards[0].memory().layout().data_lines();
+        let data_lines = SecureLayout::new(config.capacity_bytes).data_lines();
+        let shards = (0..u64::from(shard_count))
+            .map(|index| {
+                let backend = ShardedBackend::new(index, u64::from(shard_count), data_lines);
+                Simulator::with_backend(config.clone(), Box::new(backend))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             shards,
             data_lines,
@@ -207,19 +213,6 @@ impl ShardRouter {
         self.shards.iter().any(|s| s.memory().audit_failed())
     }
 
-    /// Flushes every shard's caches and drains its epoch (an orderly
-    /// shutdown of the whole service).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`IntegrityError`] raised by a write-back.
-    pub fn flush_all(&mut self) -> Result<(), IntegrityError> {
-        for shard in &mut self.shards {
-            shard.flush_caches()?;
-        }
-        Ok(())
-    }
-
     /// Per-shard wear reports, in shard order. Shards are independent
     /// devices with their own line stores, so per-line wear is never
     /// merged across them — a service-wide view that summed two
@@ -310,11 +303,9 @@ impl ShardRouter {
 
 /// A one-shard router over a simulator the caller built — for example
 /// one persisting through a file-backed store, which
-/// [`ShardRouter::new`] cannot supply. The simulator must be
-/// single-owner (shard 0 of 1, the default topology).
+/// [`ShardRouter::new`] cannot supply.
 impl From<Simulator> for ShardRouter {
     fn from(shard: Simulator) -> Self {
-        debug_assert_eq!(shard.memory().config().shard_count, 1);
         let data_lines = shard.memory().layout().data_lines();
         Self {
             shards: vec![shard],
@@ -338,7 +329,7 @@ mod tests {
     #[test]
     fn rejects_zero_shards() {
         let err = ShardRouter::new(SimConfig::small(DesignKind::CcNvm), 0).unwrap_err();
-        assert!(matches!(err, ConfigError::ShardTopologyInvalid { .. }));
+        assert!(matches!(err, ConfigError::ShardTopologyInvalid));
     }
 
     #[test]
@@ -459,7 +450,9 @@ mod tests {
             40_000,
         )
         .unwrap();
-        r.flush_all().unwrap();
+        for shard in r.shards_mut() {
+            shard.flush_caches().unwrap();
+        }
         for (i, img) in r.crash_images().iter().enumerate() {
             let report = recover(img);
             assert!(report.is_clean(), "shard {i}: {report:?}");

@@ -33,52 +33,6 @@ impl MetaView for LineStore {
     }
 }
 
-/// On-chip contents layered over the durable NVM image: reads prefer
-/// the overlay (Meta Cache contents), writes land in the overlay only.
-///
-/// # Example
-///
-/// ```
-/// use ccnvm::view::{MetaSource, MetaView, OverlayView};
-/// use ccnvm_mem::{LineAddr, LineStore};
-///
-/// let mut nvm = LineStore::new();
-/// nvm.write(LineAddr(1), [1u8; 64]);
-/// let mut chip = LineStore::new();
-/// let mut view = OverlayView::new(&mut chip, &nvm);
-/// assert_eq!(view.load_meta(LineAddr(1)), Some([1u8; 64]));
-/// view.store_meta(LineAddr(1), [2u8; 64]);
-/// assert_eq!(view.load_meta(LineAddr(1)), Some([2u8; 64]));
-/// assert_eq!(nvm.read(LineAddr(1)), [1u8; 64]); // NVM untouched
-/// ```
-#[derive(Debug)]
-pub struct OverlayView<'a> {
-    overlay: &'a mut LineStore,
-    base: &'a LineStore,
-}
-
-impl<'a> OverlayView<'a> {
-    /// Layers `overlay` (on-chip values) over `base` (durable NVM).
-    pub fn new(overlay: &'a mut LineStore, base: &'a LineStore) -> Self {
-        Self { overlay, base }
-    }
-}
-
-impl MetaSource for OverlayView<'_> {
-    fn load_meta(&self, line: LineAddr) -> Option<Line> {
-        self.overlay
-            .get(line)
-            .or_else(|| self.base.get(line))
-            .copied()
-    }
-}
-
-impl MetaView for OverlayView<'_> {
-    fn store_meta(&mut self, line: LineAddr, content: Line) {
-        self.overlay.write(line, content);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,28 +43,5 @@ mod tests {
         assert_eq!(s.load_meta(LineAddr(0)), None);
         s.store_meta(LineAddr(0), [3u8; 64]);
         assert_eq!(s.load_meta(LineAddr(0)), Some([3u8; 64]));
-    }
-
-    #[test]
-    fn overlay_prefers_overlay() {
-        let mut base = LineStore::new();
-        base.write(LineAddr(0), [1u8; 64]);
-        base.write(LineAddr(1), [1u8; 64]);
-        let mut over = LineStore::new();
-        over.write(LineAddr(0), [2u8; 64]);
-        let view = OverlayView::new(&mut over, &base);
-        assert_eq!(view.load_meta(LineAddr(0)), Some([2u8; 64]));
-        assert_eq!(view.load_meta(LineAddr(1)), Some([1u8; 64]));
-        assert_eq!(view.load_meta(LineAddr(2)), None);
-    }
-
-    #[test]
-    fn overlay_writes_do_not_reach_base() {
-        let base = LineStore::new();
-        let mut over = LineStore::new();
-        let mut view = OverlayView::new(&mut over, &base);
-        view.store_meta(LineAddr(7), [9u8; 64]);
-        assert!(base.get(LineAddr(7)).is_none());
-        assert_eq!(over.read(LineAddr(7)), [9u8; 64]);
     }
 }

@@ -287,20 +287,6 @@ impl MemController {
         self.wpq.len_at(now).min(self.config.wpq_entries)
     }
 
-    /// Read-queue entries in flight as of `now` (pure probe).
-    pub fn read_queue_occupancy(&self, now: Cycle) -> usize {
-        self.read_queue
-            .len_at(now)
-            .min(self.config.read_queue_entries)
-    }
-
-    /// Write-queue entries in flight as of `now` (pure probe).
-    pub fn write_queue_occupancy(&self, now: Cycle) -> usize {
-        self.write_queue
-            .len_at(now)
-            .min(self.config.write_queue_entries)
-    }
-
     /// Issues a blocking read of `line`; returns its completion cycle.
     pub fn read(&mut self, line: LineAddr, now: Cycle) -> Cycle {
         let before = self.read_queue.stalled_accepts();

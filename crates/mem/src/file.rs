@@ -894,6 +894,14 @@ impl DurableBackend for FileBackend {
 
     fn begin_atomic(&mut self) {
         assert!(self.group.is_none(), "atomic groups do not nest");
+        if self.next_seq == u64::MAX {
+            // Replay reads `BEGIN u64::MAX` as a corrupt tail: no
+            // sequence can follow it. Fold the log into the manifest
+            // instead and number the empty log's groups from 0, as a
+            // reopen of it would.
+            self.compact();
+            self.next_seq = 0;
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         self.append_record(|buf| {
@@ -1201,6 +1209,41 @@ mod tests {
         b.commit_atomic();
         drop(b);
         assert_eq!(open(&dir).load(LineAddr(2)), Some([2u8; 64]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_log_ending_at_the_last_sequence_number_keeps_the_next_commit() {
+        // A CRC-valid committed group at u64::MAX - 1 replays, leaving
+        // the writer with no successor sequence for its next group.
+        let dir = temp_dir("lastseq");
+        drop(open(&dir));
+        let frame = |kind: u8, arg: u64, content: Option<Line>| {
+            let mut f = vec![kind];
+            f.extend_from_slice(&arg.to_le_bytes());
+            f.extend_from_slice(content.as_ref().map_or(&[][..], |c| &c[..]));
+            let crc = crc32(&f);
+            f.extend_from_slice(&crc.to_le_bytes());
+            f
+        };
+        let mut log = frame(KIND_BEGIN, u64::MAX - 1, None);
+        log.extend(frame(KIND_STORE, 7, Some([7u8; 64])));
+        log.extend(frame(KIND_COMMIT, u64::MAX - 1, None));
+        std::fs::write(dir.join(LOG_FILE), &log).unwrap();
+        let mut b = open(&dir);
+        assert_eq!(b.load(LineAddr(7)), Some([7u8; 64]), "the group replays");
+        b.begin_atomic();
+        b.store(LineAddr(2), [2u8; 64]);
+        b.commit_atomic();
+        drop(b);
+        let b = open(&dir);
+        assert_eq!(b.load(LineAddr(7)), Some([7u8; 64]));
+        assert_eq!(
+            b.load(LineAddr(2)),
+            Some([2u8; 64]),
+            "the new commit survives"
+        );
+        assert_eq!(b.io_counters().stats().discarded_bytes, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -66,39 +66,24 @@ fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
-fn config(design: DesignKind, legacy_hmac: bool) -> SimConfig {
-    config_tier(design, legacy_hmac, CryptoSelect::Auto)
-}
-
-fn config_tier(design: DesignKind, legacy_hmac: bool, crypto: CryptoSelect) -> SimConfig {
+fn config(design: DesignKind, crypto: CryptoSelect) -> SimConfig {
     let mut c = SimConfig::paper(design);
-    c.legacy_hmac = legacy_hmac;
     c.crypto = crypto;
     c
 }
 
-/// Runs the benchmark × design matrix on `threads` workers and renders
-/// every `RunStats` through its `Debug` form, one matrix point per
-/// paragraph.
-fn render_matrix(threads: usize, legacy_hmac: bool) -> String {
-    render_matrix_tier(threads, legacy_hmac, CryptoSelect::Auto)
-}
-
-/// [`render_matrix`] under a forced crypto tier selection.
-fn render_matrix_tier(threads: usize, legacy_hmac: bool, crypto: CryptoSelect) -> String {
+/// Runs the benchmark × design matrix on `threads` workers under the
+/// `crypto` tier selection and renders every `RunStats` through its
+/// `Debug` form, one matrix point per paragraph.
+fn render_matrix(threads: usize, crypto: CryptoSelect) -> String {
     let points: Vec<(String, DesignKind)> = BENCHES
         .iter()
         .flat_map(|b| DesignKind::ALL.iter().map(|&d| (b.to_string(), d)))
         .collect();
     let stats = parallel_map(&points, threads, |_, (bench, design)| {
         let profile = profiles::by_name(bench).expect("known benchmark");
-        run_profile(
-            config_tier(*design, legacy_hmac, crypto),
-            &profile,
-            INSTRUCTIONS,
-            SEED,
-        )
-        .expect("attack-free run is clean")
+        run_profile(config(*design, crypto), &profile, INSTRUCTIONS, SEED)
+            .expect("attack-free run is clean")
     });
     let mut out = String::new();
     for ((bench, design), s) in points.iter().zip(&stats) {
@@ -107,16 +92,11 @@ fn render_matrix_tier(threads: usize, legacy_hmac: bool, crypto: CryptoSelect) -
     out
 }
 
-/// Records a cc-NVM run and exports the event trace as JSONL bytes.
-fn render_trace(legacy_hmac: bool) -> Vec<u8> {
-    render_trace_tier(legacy_hmac, CryptoSelect::Auto)
-}
-
-/// [`render_trace`] under a forced crypto tier selection.
-fn render_trace_tier(legacy_hmac: bool, crypto: CryptoSelect) -> Vec<u8> {
+/// Records a cc-NVM run under the `crypto` tier selection and exports
+/// the event trace as JSONL bytes.
+fn render_trace(crypto: CryptoSelect) -> Vec<u8> {
     let profile = profiles::by_name("lbm").expect("known benchmark");
-    let mut sim =
-        Simulator::new(config_tier(DesignKind::CcNvm, legacy_hmac, crypto)).expect("paper config");
+    let mut sim = Simulator::new(config(DesignKind::CcNvm, crypto)).expect("paper config");
     sim.memory_mut().attach_recorder(RecorderConfig::default());
     sim.run(TraceGenerator::new(profile, SEED), INSTRUCTIONS)
         .expect("attack-free run is clean");
@@ -133,9 +113,9 @@ fn render_trace_tier(legacy_hmac: bool, crypto: CryptoSelect) -> Vec<u8> {
 /// serializes the stage profile. This is exactly the run the CI
 /// profile-smoke job performs, so the golden also anchors
 /// `report --compare` at zero tolerance there.
-fn render_profile(legacy_hmac: bool) -> String {
+fn render_profile() -> String {
     let profile = profiles::by_name("lbm").expect("known benchmark");
-    let mut sim = Simulator::new(config(DesignKind::CcNvm, legacy_hmac)).expect("paper config");
+    let mut sim = Simulator::new(SimConfig::paper(DesignKind::CcNvm)).expect("paper config");
     sim.memory_mut().attach_profiler();
     sim.run(TraceGenerator::new(profile, SEED), PROFILE_INSTRUCTIONS)
         .expect("attack-free run is clean");
@@ -155,7 +135,7 @@ fn render_profile_matrix(threads: usize) -> String {
         .collect();
     let profiles_json = parallel_map(&points, threads, |_, (bench, design)| {
         let profile = profiles::by_name(bench).expect("known benchmark");
-        let mut sim = Simulator::new(config(*design, false)).expect("paper config");
+        let mut sim = Simulator::new(SimConfig::paper(*design)).expect("paper config");
         sim.memory_mut().attach_profiler();
         sim.run(TraceGenerator::new(profile, SEED), PROFILE_INSTRUCTIONS)
             .expect("attack-free run is clean");
@@ -174,23 +154,18 @@ fn render_profile_matrix(threads: usize) -> String {
 
 #[test]
 fn stats_match_pinned_snapshot() {
-    assert_matches_golden("stats.txt", &render_matrix(1, false));
+    assert_matches_golden("stats.txt", &render_matrix(1, CryptoSelect::Auto));
 }
 
 #[test]
 fn profile_matches_pinned_snapshot() {
-    assert_matches_golden("profile.json", &render_profile(false));
+    assert_matches_golden("profile.json", &render_profile());
 }
 
 /// Attribution is driven entirely by simulated time: the profile must
-/// not depend on the HMAC implementation or the host thread count.
+/// not depend on the host thread count.
 #[test]
-fn profile_is_identical_across_hmac_modes_and_threads() {
-    assert_eq!(
-        render_profile(true),
-        render_profile(false),
-        "stage profile must not depend on the HMAC implementation"
-    );
+fn profile_is_identical_at_any_thread_count() {
     let single = render_profile_matrix(1);
     for threads in [2, 4] {
         assert_eq!(
@@ -203,27 +178,9 @@ fn profile_is_identical_across_hmac_modes_and_threads() {
 
 #[test]
 fn trace_matches_pinned_snapshot() {
-    let jsonl = render_trace(false);
+    let jsonl = render_trace(CryptoSelect::Auto);
     let text = String::from_utf8(jsonl).expect("JSONL is UTF-8");
     assert_matches_golden("trace.jsonl", &text);
-}
-
-/// The keyed-midstate HMAC engine must be a pure speedup: running the
-/// same matrix with the pre-optimization rekey-per-MAC path
-/// (`legacy_hmac = true`) has to produce byte-identical stats and
-/// trace.
-#[test]
-fn legacy_hmac_mode_is_bit_identical() {
-    assert_eq!(
-        render_matrix(1, true),
-        render_matrix(1, false),
-        "rekey and midstate HMAC paths must simulate identically"
-    );
-    assert_eq!(
-        render_trace(true),
-        render_trace(false),
-        "recorded traces must not depend on the HMAC implementation"
-    );
 }
 
 /// The SIMD crypto tier (multi-lane SHA-1 batches, SHA-NI, AES-NI)
@@ -236,16 +193,16 @@ fn crypto_tiers_are_bit_identical() {
         eprintln!("skipping: this build/host has no SIMD crypto tier");
         return;
     }
-    let portable = render_matrix_tier(1, false, CryptoSelect::Portable);
+    let portable = render_matrix(1, CryptoSelect::Portable);
     assert_eq!(
         portable,
-        render_matrix_tier(1, false, CryptoSelect::Simd),
+        render_matrix(1, CryptoSelect::Simd),
         "portable and SIMD crypto tiers must simulate identically"
     );
     assert_matches_golden("stats.txt", &portable);
     assert_eq!(
-        render_trace_tier(false, CryptoSelect::Portable),
-        render_trace_tier(false, CryptoSelect::Simd),
+        render_trace(CryptoSelect::Portable),
+        render_trace(CryptoSelect::Simd),
         "recorded traces must not depend on the crypto tier"
     );
 }
@@ -254,11 +211,11 @@ fn crypto_tiers_are_bit_identical() {
 /// must not depend on the thread count.
 #[test]
 fn output_is_identical_at_any_thread_count() {
-    let single = render_matrix(1, false);
+    let single = render_matrix(1, CryptoSelect::Auto);
     for threads in [2, 4] {
         assert_eq!(
             single,
-            render_matrix(threads, false),
+            render_matrix(threads, CryptoSelect::Auto),
             "matrix output must be identical on {threads} threads"
         );
     }

@@ -3,10 +3,8 @@
 //! Once warmed, the steady-state write-back (cc-NVM and SC), read and
 //! epoch-drain paths make no heap allocation at all: counter-to-root
 //! path walks use bounded inline arrays, and drains and cache flushes
-//! reuse scratch buffers. Each of them is checked under three
-//! variants: the rekey-per-MAC `legacy_hmac` path and the midstate
-//! path on the portable tier, and the midstate path on whatever tier
-//! `auto` detects on this host.
+//! reuse scratch buffers. Each of them is checked on the portable
+//! tier and on whatever tier `auto` detects on this host: 8 cases.
 //!
 //! Crash recovery on a reused [`RecoveryScratch`] keeps only the
 //! allocations it cannot avoid and stays under
@@ -59,13 +57,8 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// `(name, SimConfig::legacy_hmac, crypto)` of each variant a hot path
-/// runs under.
-const VARIANTS: [(&str, bool, CryptoSelect); 3] = [
-    ("legacy", true, CryptoSelect::Portable),
-    ("midstate", false, CryptoSelect::Portable),
-    ("auto", false, CryptoSelect::Auto),
-];
+/// The crypto tier selections every hot path runs under.
+const TIERS: [CryptoSelect; 2] = [CryptoSelect::Portable, CryptoSelect::Auto];
 
 const WRITE_BACKS: u64 = 1024;
 const READS: u64 = 2048;
@@ -85,9 +78,8 @@ const WB_PAGES: u64 = 64;
 /// ceiling leaves headroom for map-growth jitter only.
 const RECOVERY_ALLOC_CEILING: f64 = 8.0;
 
-fn memory(design: DesignKind, legacy: bool, crypto: CryptoSelect) -> SecureMemory {
+fn memory(design: DesignKind, crypto: CryptoSelect) -> SecureMemory {
     let mut config = SimConfig::paper(design);
-    config.legacy_hmac = legacy;
     config.crypto = crypto;
     SecureMemory::new(config).expect("paper config")
 }
@@ -103,21 +95,21 @@ fn addr(i: u64, pages: u64) -> LineAddr {
 }
 
 /// Runs `hot_path` (which returns the allocations of its measured
-/// region) under every variant and requires zero from each.
-fn assert_allocation_free(name: &str, hot_path: impl Fn(bool, CryptoSelect) -> u64) {
-    for (variant, legacy, crypto) in VARIANTS {
-        let allocs = hot_path(legacy, crypto);
+/// region) on every tier and requires zero from each.
+fn assert_allocation_free(name: &str, hot_path: impl Fn(CryptoSelect) -> u64) {
+    for crypto in TIERS {
+        let allocs = hot_path(crypto);
         assert_eq!(
             allocs, 0,
-            "{name}/{variant}: {allocs} allocations — the hot path must not allocate"
+            "{name}/{crypto:?}: {allocs} allocations — the hot path must not allocate"
         );
     }
 }
 
-fn write_back_allocs(design: DesignKind, legacy: bool, crypto: CryptoSelect) -> u64 {
+fn write_back_allocs(design: DesignKind, crypto: CryptoSelect) -> u64 {
     // Warm-up: first-touch growth of the backing maps and caches
     // happens here, outside the measured region.
-    let mut m = memory(design, legacy, crypto);
+    let mut m = memory(design, crypto);
     for i in 0..WRITE_BACKS {
         m.write_back(addr(i, WB_PAGES), i * 400)
             .expect("attack-free run");
@@ -132,22 +124,22 @@ fn write_back_allocs(design: DesignKind, legacy: bool, crypto: CryptoSelect) -> 
 
 #[test]
 fn ccnvm_write_back_is_allocation_free() {
-    assert_allocation_free("write_back", |legacy, crypto| {
-        write_back_allocs(DesignKind::CcNvm, legacy, crypto)
+    assert_allocation_free("write_back", |crypto| {
+        write_back_allocs(DesignKind::CcNvm, crypto)
     });
 }
 
 #[test]
 fn sc_write_back_is_allocation_free() {
-    assert_allocation_free("write_back_sc", |legacy, crypto| {
-        write_back_allocs(DesignKind::StrictConsistency, legacy, crypto)
+    assert_allocation_free("write_back_sc", |crypto| {
+        write_back_allocs(DesignKind::StrictConsistency, crypto)
     });
 }
 
 #[test]
 fn read_is_allocation_free() {
-    assert_allocation_free("read", |legacy, crypto| {
-        let mut m = memory(DesignKind::CcNvm, legacy, crypto);
+    assert_allocation_free("read", |crypto| {
+        let mut m = memory(DesignKind::CcNvm, crypto);
         for i in 0..256u64 {
             m.write_back(addr(i, 64), i * 400).expect("attack-free run");
         }
@@ -175,12 +167,12 @@ fn drain_is_allocation_free() {
         *now += 100_000;
         m.drain(*now, DrainTrigger::External);
     };
-    assert_allocation_free("drain", |legacy, crypto| {
+    assert_allocation_free("drain", |crypto| {
         // Warm-up: the same epoch loop once, so the line store, the
         // dirty queue and the drain scratch reach their working-set
         // size. The address stream has period 64, so the measured
         // epochs revisit exactly this working set.
-        let mut m = memory(DesignKind::CcNvm, legacy, crypto);
+        let mut m = memory(DesignKind::CcNvm, crypto);
         let mut now = 0u64;
         for e in 0..EPOCHS {
             epoch(&mut m, e, &mut now);
@@ -195,10 +187,10 @@ fn drain_is_allocation_free() {
 
 #[test]
 fn recovery_with_a_reused_scratch_stays_under_its_ceiling() {
-    for crypto in [CryptoSelect::Portable, CryptoSelect::Auto] {
+    for crypto in TIERS {
         let tier = crypto.resolve().expect("portable and auto always resolve");
         let image = {
-            let mut m = memory(DesignKind::CcNvm, false, crypto);
+            let mut m = memory(DesignKind::CcNvm, crypto);
             for i in 0..128u64 {
                 m.write_back(addr(i, 64), i * 400).expect("attack-free run");
             }

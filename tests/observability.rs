@@ -1,14 +1,12 @@
 //! Workspace-level observability invariants: metrics byte-identity
-//! across runs and HMAC modes, and CSV/JSONL trace-export consistency.
+//! across runs, and CSV/JSONL trace-export consistency.
 
 use ccnvm::obs::metrics::MetricsConfig;
 use ccnvm::obs::RecorderConfig;
 use ccnvm::prelude::*;
 
-fn traced_sim(legacy_hmac: bool) -> Simulator {
-    let mut config = SimConfig::small(DesignKind::CcNvm);
-    config.legacy_hmac = legacy_hmac;
-    let mut sim = Simulator::new(config).unwrap();
+fn traced_sim() -> Simulator {
+    let mut sim = Simulator::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
     sim.memory_mut().attach_recorder(RecorderConfig::default());
     sim.memory_mut().attach_metrics(MetricsConfig {
         interval: 500,
@@ -29,24 +27,20 @@ fn metrics_exports(sim: &Simulator) -> (Vec<u8>, Vec<u8>) {
 }
 
 /// The exported metrics series is keyed purely on simulated cycles, so
-/// it must be byte-identical across repeated runs and across the two
-/// HMAC modes (the timing model is shared; only host-side hashing
-/// differs).
+/// it must be byte-identical across repeated runs.
 #[test]
-fn metrics_exports_are_byte_identical_across_runs_and_hmac_modes() {
-    let baseline = metrics_exports(&traced_sim(false));
+fn metrics_exports_are_byte_identical_across_runs() {
+    let baseline = metrics_exports(&traced_sim());
     assert!(!baseline.0.is_empty());
-    let repeat = metrics_exports(&traced_sim(false));
+    let repeat = metrics_exports(&traced_sim());
     assert_eq!(baseline, repeat, "repeated runs must match byte-for-byte");
-    let legacy = metrics_exports(&traced_sim(true));
-    assert_eq!(baseline, legacy, "HMAC mode must not perturb the series");
 }
 
 /// Both metrics export formats decode to the same samples, and the
 /// summarizer sees real signal from them.
 #[test]
 fn metrics_csv_and_jsonl_decode_identically() {
-    let sim = traced_sim(false);
+    let sim = traced_sim();
     let (csv, jsonl) = metrics_exports(&sim);
     let a = ccnvm::obs::metrics::parse_metrics(std::str::from_utf8(&csv).unwrap()).unwrap();
     let b = ccnvm::obs::metrics::parse_metrics(std::str::from_utf8(&jsonl).unwrap()).unwrap();
@@ -62,7 +56,7 @@ fn metrics_csv_and_jsonl_decode_identically() {
 /// same order as the JSONL export of the same run.
 #[test]
 fn trace_csv_rows_round_trip_against_jsonl() {
-    let sim = traced_sim(false);
+    let sim = traced_sim();
     let rec = sim.memory().recorder().expect("attached");
     let mut csv = Vec::new();
     rec.write_csv(&mut csv).unwrap();

@@ -13,8 +13,7 @@
 //!    the single-owner totals.
 //! 3. **Multi-shard output is pinned.** The 2- and 4-shard matrices
 //!    and the 4-shard merged stage profile have their own golden
-//!    snapshots, identical across worker-thread counts and HMAC
-//!    implementations. Regenerate intentionally changed snapshots
+//!    snapshots, identical across worker-thread counts. Regenerate intentionally changed snapshots
 //!    with `CCNVM_UPDATE_GOLDEN=1 cargo test --test sharding`.
 
 use ccnvm::prelude::*;
@@ -69,16 +68,10 @@ fn assert_matches_golden(name: &str, actual: &str) {
     );
 }
 
-fn config(design: DesignKind, legacy_hmac: bool) -> SimConfig {
-    let mut c = SimConfig::paper(design);
-    c.legacy_hmac = legacy_hmac;
-    c
-}
-
 /// Runs the benchmark × design matrix through a `shards`-way router
 /// on `threads` workers and renders every merged `RunStats` in the
 /// same format as the `golden_stats.rs` matrix.
-fn render_sharded_matrix(shards: u32, threads: usize, legacy_hmac: bool) -> String {
+fn render_sharded_matrix(shards: u32, threads: usize) -> String {
     let points: Vec<(String, DesignKind)> = BENCHES
         .iter()
         .flat_map(|b| DesignKind::ALL.iter().map(|&d| (b.to_string(), d)))
@@ -86,7 +79,7 @@ fn render_sharded_matrix(shards: u32, threads: usize, legacy_hmac: bool) -> Stri
     let stats = parallel_map(&points, threads, |_, (bench, design)| {
         let profile = profiles::by_name(bench).expect("known benchmark");
         let mut router =
-            ShardRouter::new(config(*design, legacy_hmac), shards).expect("valid topology");
+            ShardRouter::new(SimConfig::paper(*design), shards).expect("valid topology");
         router
             .run(TraceGenerator::new(profile, SEED), INSTRUCTIONS)
             .expect("attack-free run is clean")
@@ -100,10 +93,10 @@ fn render_sharded_matrix(shards: u32, threads: usize, legacy_hmac: bool) -> Stri
 
 /// The merged 4-shard stage profile for cc-NVM on lbm — byte-for-byte
 /// what the CLI writes for the CI compare job.
-fn render_sharded_profile(shards: u32, legacy_hmac: bool) -> String {
+fn render_sharded_profile(shards: u32) -> String {
     let profile = profiles::by_name("lbm").expect("known benchmark");
     let mut router =
-        ShardRouter::new(config(DesignKind::CcNvm, legacy_hmac), shards).expect("valid topology");
+        ShardRouter::new(SimConfig::paper(DesignKind::CcNvm), shards).expect("valid topology");
     for shard in router.shards_mut() {
         shard.memory_mut().attach_profiler();
     }
@@ -123,7 +116,7 @@ fn render_sharded_profile(shards: u32, legacy_hmac: bool) -> String {
 fn every_address_routes_to_exactly_one_owning_shard() {
     for shard_count in [1u32, 2, 3, 4, 8] {
         let router =
-            ShardRouter::new(config(DesignKind::CcNvm, false), shard_count).expect("topology");
+            ShardRouter::new(SimConfig::paper(DesignKind::CcNvm), shard_count).expect("topology");
         let data_lines = router.shard(0).memory().layout().data_lines();
         let backends: Vec<ShardedBackend> = (0..u64::from(shard_count))
             .map(|i| ShardedBackend::new(i, u64::from(shard_count), data_lines))
@@ -172,12 +165,13 @@ fn every_address_routes_to_exactly_one_owning_shard() {
 fn single_shard_stats_sum_to_single_owner_totals() {
     for bench in BENCHES {
         let profile = profiles::by_name(bench).expect("known benchmark");
-        let mut router = ShardRouter::new(config(DesignKind::CcNvm, false), 1).expect("topology");
+        let mut router =
+            ShardRouter::new(SimConfig::paper(DesignKind::CcNvm), 1).expect("topology");
         let routed = router
             .run(TraceGenerator::new(profile.clone(), SEED), INSTRUCTIONS)
             .expect("attack-free run is clean");
         let direct = run_profile(
-            config(DesignKind::CcNvm, false),
+            SimConfig::paper(DesignKind::CcNvm),
             &profile,
             INSTRUCTIONS,
             SEED,
@@ -192,45 +186,39 @@ fn single_shard_stats_sum_to_single_owner_totals() {
 /// snapshot — sharding may not perturb the degenerate case at all.
 #[test]
 fn single_shard_matrix_matches_pre_sharding_golden() {
-    assert_matches_golden("stats.txt", &render_sharded_matrix(1, 1, false));
+    assert_matches_golden("stats.txt", &render_sharded_matrix(1, 1));
 }
 
 #[test]
 fn two_shard_matrix_matches_pinned_snapshot() {
-    assert_matches_golden("stats_shards2.txt", &render_sharded_matrix(2, 1, false));
+    assert_matches_golden("stats_shards2.txt", &render_sharded_matrix(2, 1));
 }
 
 #[test]
 fn four_shard_matrix_matches_pinned_snapshot() {
-    assert_matches_golden("stats_shards4.txt", &render_sharded_matrix(4, 1, false));
+    assert_matches_golden("stats_shards4.txt", &render_sharded_matrix(4, 1));
 }
 
 /// The merged 4-shard profile is pinned; CI re-derives it through the
 /// CLI and compares at zero tolerance.
 #[test]
 fn four_shard_profile_matches_pinned_snapshot() {
-    assert_matches_golden("profile_shards4.json", &render_sharded_profile(4, false));
+    assert_matches_golden("profile_shards4.json", &render_sharded_profile(4));
 }
 
 /// Sharded output is a function of the simulated machine only: for
-/// every shard count it must not depend on the harness thread count
-/// or on which HMAC implementation computes the (identical) MACs.
+/// every shard count it must not depend on the harness thread count.
 #[test]
-fn sharded_output_is_identical_across_threads_and_hmac_modes() {
+fn sharded_output_is_identical_across_threads() {
     for shards in [1u32, 2, 4] {
-        let reference = render_sharded_matrix(shards, 1, false);
+        let reference = render_sharded_matrix(shards, 1);
         for threads in [2usize, 4] {
             assert_eq!(
                 reference,
-                render_sharded_matrix(shards, threads, false),
+                render_sharded_matrix(shards, threads),
                 "{shards} shards: output changed on {threads} threads"
             );
         }
-        assert_eq!(
-            reference,
-            render_sharded_matrix(shards, 1, true),
-            "{shards} shards: output depends on the HMAC implementation"
-        );
     }
 }
 
@@ -239,7 +227,7 @@ fn sharded_output_is_identical_across_threads_and_hmac_modes() {
 #[test]
 fn service_crash_with_one_shard_mid_drain_recovers_everywhere() {
     let profile = profiles::by_name("lbm").expect("known benchmark");
-    let mut router = ShardRouter::new(config(DesignKind::CcNvm, false), 4).expect("topology");
+    let mut router = ShardRouter::new(SimConfig::paper(DesignKind::CcNvm), 4).expect("topology");
     router
         .run(TraceGenerator::new(profile, SEED), INSTRUCTIONS)
         .expect("attack-free run is clean");

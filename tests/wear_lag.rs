@@ -165,29 +165,23 @@ fn exports_are_byte_identical_at_any_thread_count() {
     assert_eq!(serial, render(4));
 }
 
-/// Crypto tiers and HMAC modes change wall-clock speed, never
-/// simulated behavior — the wear/lag export included.
+/// Crypto tiers change wall-clock speed, never simulated behavior —
+/// the wear/lag export included.
 #[test]
-fn exports_are_byte_identical_across_crypto_tiers_and_hmac_modes() {
-    let render = |crypto: CryptoSelect, legacy_hmac: bool| {
+fn exports_are_byte_identical_across_crypto_tiers() {
+    let render = |crypto: CryptoSelect| {
         let mut config = SimConfig::small(DesignKind::CcNvm);
         config.crypto = crypto;
-        config.legacy_hmac = legacy_hmac;
         if config.validate().is_err() {
             return None; // tier unavailable on this host/build
         }
         let (_, report) = instrumented_run(config, "lbm", SEED, 50_000);
         Some(report.to_json())
     };
-    let baseline = render(CryptoSelect::Portable, false).expect("portable always exists");
+    let baseline = render(CryptoSelect::Portable).expect("portable always exists");
     for crypto in [CryptoSelect::Auto, CryptoSelect::Simd] {
-        for legacy in [false, true] {
-            if let Some(json) = render(crypto, legacy) {
-                assert_eq!(
-                    baseline, json,
-                    "{crypto:?}/legacy={legacy} diverged from portable"
-                );
-            }
+        if let Some(json) = render(crypto) {
+            assert_eq!(baseline, json, "{crypto:?} diverged from portable");
         }
     }
 }
