@@ -68,55 +68,6 @@ where
         .collect()
 }
 
-/// Applies `f` to every item of a mutable slice on up to `threads`
-/// worker threads and returns the results in input order.
-///
-/// The mutable sibling of [`parallel_map`], for work that *drives* its
-/// items rather than reading them — e.g. draining the shards of a
-/// `ShardRouter`, where each worker steps a distinct `Simulator`.
-/// Items are handed out one-at-a-time through an atomic cursor, so no
-/// two workers ever hold the same element. With `threads <= 1` (or a
-/// single item) everything runs inline on the caller's thread.
-pub fn parallel_for_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    // Wrap each item in a Mutex so workers can claim disjoint elements
-    // through a shared reference; the cursor guarantees each index is
-    // claimed exactly once, so every lock is uncontended.
-    let cells: Vec<Mutex<(&mut T, Option<R>)>> =
-        items.iter_mut().map(|t| Mutex::new((t, None))).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let mut cell = cells[i].lock().expect("cell poisoned");
-                let result = f(i, cell.0);
-                cell.1 = Some(result);
-            });
-        }
-    });
-    cells
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("cell poisoned")
-                .1
-                .expect("worker filled every claimed cell")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,39 +107,5 @@ mod tests {
     fn explicit_thread_count_wins() {
         assert_eq!(thread_count(Some(3)), 3);
         assert!(thread_count(None) >= 1);
-    }
-
-    #[test]
-    fn for_mut_mutates_in_place_and_returns_in_order() {
-        let mut items: Vec<u64> = (0..50).collect();
-        let out = parallel_for_mut(&mut items, 8, |i, x| {
-            assert_eq!(i as u64, *x);
-            *x *= 2;
-            *x + 1
-        });
-        assert_eq!(items, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(out, (0..50).map(|x| x * 2 + 1).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn for_mut_serial_and_parallel_agree() {
-        let mut a: Vec<u64> = (0..23).collect();
-        let mut b = a.clone();
-        let ra = parallel_for_mut(&mut a, 1, |_, x| {
-            *x = x.wrapping_mul(31);
-            *x
-        });
-        let rb = parallel_for_mut(&mut b, 7, |_, x| {
-            *x = x.wrapping_mul(31);
-            *x
-        });
-        assert_eq!(a, b);
-        assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn for_mut_handles_empty() {
-        let mut empty: Vec<u32> = vec![];
-        assert!(parallel_for_mut(&mut empty, 4, |_, x| *x).is_empty());
     }
 }

@@ -5,8 +5,7 @@
 //! ```text
 //! ccnvm-sim run     [--design D] [--bench B | --trace FILE] [--instructions N]
 //!                   [--seed S] [--limit-n N] [--queue-m M] [--split-meta] [--csv]
-//!                   [--threads T]
-//! ccnvm-sim sweep   --param {n|m} --values a,b,c [run options]
+//! ccnvm-sim sweep   --param {n|m} --values a,b,c [--threads T] [run options]
 //! ccnvm-sim recover [run options]                 # run, crash, recover, report
 //! ccnvm-sim forensics --backend file:DIR [--kill LABEL] [run options]
 //! ccnvm-sim report  --compare A.json B.json [--tolerance PCT]
@@ -76,19 +75,15 @@ pub struct RunArgs {
     /// of the run to this path.
     pub chrome_trace: Option<String>,
     /// Write the `ccnvm-wear/1` write-provenance / wear / durability-lag
-    /// report to this path (per-shard files under `--shards N`).
+    /// report to this path.
     pub wear_out: Option<String>,
     /// Attach the invariant auditor in this mode (`record` keeps
     /// going, `strict` fails fast with a nonzero exit).
     pub audit: Option<AuditMode>,
-    /// Worker threads for multi-point commands (`sweep`). `None`
+    /// Worker threads for the sweep points (`sweep` only). `None`
     /// falls back to `CCNVM_BENCH_THREADS`, then to the machine's
     /// available parallelism.
     pub threads: Option<usize>,
-    /// Independent secure-memory shards behind the request router.
-    /// `1` is the degenerate single-owner service with byte-identical
-    /// output to the pre-sharding paths.
-    pub shards: u32,
     /// Where durable lines live (`--backend mem | file:<dir>`).
     pub backend: BackendChoice,
     /// Flush/fsync policy for the file backend (`--fsync always |
@@ -104,8 +99,7 @@ pub struct RunArgs {
     /// this on.
     pub flight: bool,
     /// Write the `ccnvm-forensics/1` JSON report to this path
-    /// (`recover` / `forensics` only; per-shard files under
-    /// `recover --shards N`).
+    /// (`recover` / `forensics` only).
     pub forensics_out: Option<String>,
     /// Exit nonzero on any non-clean recovery verdict — including
     /// `DURABILITY LOSS`, which the default exit treats as expected
@@ -146,7 +140,6 @@ impl Default for RunArgs {
             wear_out: None,
             audit: None,
             threads: None,
-            shards: 1,
             backend: BackendChoice::Mem,
             fsync: FsyncStrategy::Always,
             crypto: CryptoSelect::Auto,
@@ -265,16 +258,12 @@ OPTIONS:
   --metrics-interval C  simulated cycles between metrics samples     [1000]
   --chrome-trace FILE write a Chrome trace-event JSON (load in Perfetto)
   --wear-out FILE     write the ccnvm-wear/1 write-provenance, per-line
-                      wear and durability-lag report (per-shard files
-                      under --shards N)
+                      wear and durability-lag report
   --audit MODE        attach the invariant auditor: record | strict
-  --threads T         worker threads for sweep points and shards [all cores]
-  --shards N          independent secure-memory shards behind the
-                      request router (1 = single-owner service)       [1]
+  --threads T         worker threads for sweep points (sweep only) [all cores]
   --backend B         durable store: mem | file:<dir>                 [mem]
                       (file: persists through a commit log + manifest in
-                      <dir>; recover reopens it from disk; not combinable
-                      with --shards > 1)
+                      <dir>; recover reopens it from disk)
   --fsync S           file-backend flush policy:
                       always | batch:<n> | interval:<cycles>          [always]
   --crypto T          crypto tier: auto | portable | simd             [auto]
@@ -284,8 +273,7 @@ OPTIONS:
                       entries also persist to the flight.log sidecar)
 
 RECOVER / FORENSICS OPTIONS:
-  --forensics-out FILE  write the ccnvm-forensics/1 JSON report (per-shard
-                      files under recover --shards N)
+  --forensics-out FILE  write the ccnvm-forensics/1 JSON report
   --strict            exit nonzero on any non-clean recovery verdict,
                       including DURABILITY LOSS
   --kill B            (forensics) kill the run at persist boundary B: a
@@ -366,13 +354,6 @@ fn parse_common<'a, I: Iterator<Item = &'a str>>(
             }
             args.threads = Some(n);
         }
-        "--shards" => {
-            let n = parse_narrow(flag, take_value(flag, iter)?)?;
-            if n == 0 {
-                return Err(ParseArgsError("--shards must be positive".into()));
-            }
-            args.shards = n;
-        }
         "--backend" => {
             let v = take_value(flag, iter)?;
             args.backend = if v == "mem" {
@@ -407,21 +388,6 @@ fn parse_common<'a, I: Iterator<Item = &'a str>>(
         _ => return Ok(false),
     }
     Ok(true)
-}
-
-/// A file store is one single-owner durable image, so it takes one
-/// shard.
-fn check_topology(args: &RunArgs) -> Result<(), ParseArgsError> {
-    match &args.backend {
-        BackendChoice::File(dir) if args.shards > 1 => Err(ParseArgsError(format!(
-            "--backend file:{dir} is a single-owner store; it cannot be \
-             combined with --shards {} (each shard owns a slice of one \
-             durable image — run the shards against separate directories \
-             or use --backend mem)",
-            args.shards
-        ))),
-        _ => Ok(()),
-    }
 }
 
 fn parse_number(flag: &str, v: &str) -> Result<u64, ParseArgsError> {
@@ -461,10 +427,14 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                     return Err(ParseArgsError(format!("unknown option {flag:?}")));
                 }
             }
-            check_topology(&args)?;
             if sub != "forensics" && args.kill.is_some() {
                 return Err(ParseArgsError(format!(
                     "--kill only applies to the forensics subcommand, not `{sub}`"
+                )));
+            }
+            if args.threads.is_some() {
+                return Err(ParseArgsError(format!(
+                    "--threads only applies to the sweep subcommand, not `{sub}`"
                 )));
             }
             if sub == "run" {
@@ -561,7 +531,6 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                     }
                 }
             }
-            check_topology(&args)?;
             let param = param.ok_or_else(|| ParseArgsError("sweep needs --param {n|m}".into()))?;
             if values.is_empty() {
                 return Err(ParseArgsError("sweep needs --values a,b,c".into()));
@@ -621,8 +590,6 @@ mod tests {
             "--trace-out",
             "events.jsonl",
             "--epoch-report",
-            "--threads",
-            "3",
         ])
         .unwrap() else {
             panic!("expected run");
@@ -637,7 +604,6 @@ mod tests {
         assert!(args.csv);
         assert_eq!(args.trace_out.as_deref(), Some("events.jsonl"));
         assert!(args.epoch_report);
-        assert_eq!(args.threads, Some(3));
     }
 
     #[test]
@@ -661,18 +627,20 @@ mod tests {
     }
 
     #[test]
-    fn shards_parse_and_reject_zero() {
-        let Command::Run(args) = parse(&["run", "--shards", "4"]).unwrap() else {
-            panic!("expected run");
+    fn threads_parses_for_sweep_only() {
+        let Command::Sweep(sw) =
+            parse(&["sweep", "--param", "n", "--values", "4", "--threads", "3"]).unwrap()
+        else {
+            panic!("expected sweep");
         };
-        assert_eq!(args.shards, 4);
-        assert_eq!(RunArgs::default().shards, 1, "single-owner by default");
-        let err = parse(&["run", "--shards", "0"]).unwrap_err();
-        assert!(err.to_string().contains("--shards"));
-        let Command::Recover(args) = parse(&["recover", "--shards", "2"]).unwrap() else {
-            panic!("expected recover");
-        };
-        assert_eq!(args.shards, 2);
+        assert_eq!(sw.run.threads, Some(3));
+        for sub in ["run", "recover", "forensics"] {
+            let err = parse(&[sub, "--threads", "2"]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("--threads only applies to the sweep subcommand, not `{sub}`")
+            );
+        }
     }
 
     /// A count wider than its field is an error naming the flag, never
@@ -688,28 +656,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_beyond_32_bits_is_an_error() {
-        let err = parse(&["run", "--shards", "4294967298"]).unwrap_err();
-        assert_eq!(err.to_string(), "--shards: 4294967298 is out of range");
-    }
-
-    #[test]
     fn sweep_values_beyond_the_parameter_are_an_error() {
         let err = parse(&["sweep", "--values", "8,4294967312", "--param", "n"]).unwrap_err();
         assert_eq!(err.to_string(), "--values: 4294967312 is out of range");
-    }
-
-    #[test]
-    fn file_store_with_shards_is_a_parse_error() {
-        let sweep = ["sweep", "--param", "n", "--values", "4"];
-        for sub in [&["run"][..], &["recover"], &["forensics"], &sweep] {
-            let mut argv = sub.to_vec();
-            argv.extend(["--backend", "file:d", "--shards", "2"]);
-            let err = parse(&argv).unwrap_err();
-            assert!(err.to_string().contains("--shards 2"), "{sub:?}: {err}");
-            argv.extend(["--shards", "1"]);
-            assert!(parse(&argv).is_ok(), "{sub:?}: one shard owns the store");
-        }
     }
 
     #[test]

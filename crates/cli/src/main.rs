@@ -5,32 +5,25 @@
 //! ccnvm-sim sweep --param n --values 4,8,16,32,64
 //! ccnvm-sim recover --bench gcc
 //! ccnvm-sim run --trace my_trace.txt --design sc
-//! ccnvm-sim run --shards 4 --bench lbm        # sharded service
 //! ccnvm-sim forensics --backend file:/tmp/f --kill drain-stage
 //! ```
 //!
-//! Every command runs its workload through one
-//! [`ShardRouter`](ccnvm::shard::ShardRouter): `--shards N` in-memory
-//! secure-memory shards behind a page-interleaving request router, or
-//! one shard over a `--backend file:` store. A one-shard router is
-//! byte-identical to a bare simulator. With more than one shard,
-//! per-shard artifacts get a `.shardI` suffix before the extension,
-//! the Chrome trace carries one process per shard, and the stage
-//! profile is the stage-wise sum over shards.
+//! Every command builds and drives one [`Simulator`] — one memory
+//! controller with one epoch domain, as in the paper — over the
+//! in-memory line store or a `--backend file:` store.
 
 mod args;
 
 use args::{BackendChoice, Command, ReportArgs, RunArgs, SweepArgs, USAGE};
 use ccnvm::metacache::MetaCacheOrg;
-use ccnvm::obs::metrics::render_shard_gauges;
 use ccnvm::obs::profile::{compare, parse_profile};
 use ccnvm::prelude::*;
 use ccnvm::recovery::{recover_with, RecoveryScratch};
-use ccnvm_bench::parallel::{parallel_for_mut, parallel_map, thread_count};
+use ccnvm_bench::parallel::{parallel_map, thread_count};
 use ccnvm_crypto::CryptoTier;
 use ccnvm_mem::{crashpoint, DurableBackend, FileBackend, FileBackendConfig, FileIoCounters};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -137,36 +130,29 @@ fn open_fresh_store(dir: &str, cfg: FileBackendConfig) -> Result<FileBackend, St
     Ok(store)
 }
 
-/// Builds the run's shards — `--shards N` in-memory shards, or one
-/// shard over a fresh `--backend file:` store — with every observer the
-/// flags ask for attached. The second return is the file store's I/O
-/// counter handle (usable after the store is boxed away), `None` in
-/// memory.
-fn build(run: &RunArgs) -> Result<(ShardRouter, Option<Arc<FileIoCounters>>), String> {
+/// Builds the run's simulator — over the in-memory store, or over a
+/// fresh `--backend file:` store — with every observer the flags ask
+/// for attached. The second return is the file store's I/O counter
+/// handle (usable after the store is boxed away), `None` in memory.
+fn build(run: &RunArgs) -> Result<(Simulator, Option<Arc<FileIoCounters>>), String> {
     let config = config_of(run)?;
-    let (mut router, io) = match &run.backend {
-        BackendChoice::Mem => (
-            ShardRouter::new(config, run.shards).map_err(|e| e.to_string())?,
-            None,
-        ),
+    let (sim, io) = match &run.backend {
+        BackendChoice::Mem => (Simulator::new(config), None),
         BackendChoice::File(dir) => {
             let store = open_fresh_store(dir, backend_cfg(run))?;
             let io = store.io_counters();
-            let sim =
-                Simulator::with_backend(config, Box::new(store)).map_err(|e| e.to_string())?;
-            (ShardRouter::from(sim), Some(io))
+            (Simulator::with_backend(config, Box::new(store)), Some(io))
         }
     };
-    for (i, shard) in router.shards_mut().iter_mut().enumerate() {
-        attach_observers(run, shard.memory_mut(), i == 0)?;
-    }
-    Ok((router, io))
+    let mut sim = sim.map_err(|e| e.to_string())?;
+    attach_observers(run, sim.memory_mut())?;
+    Ok((sim, io))
 }
 
 /// Feeds the workload — a replayed trace or a synthetic profile —
-/// through the router until the instruction budget is met or a strict
-/// auditor latches a violation.
-fn drive(router: &mut ShardRouter, run: &RunArgs) -> Result<(), String> {
+/// through the simulator until the instruction budget is met or a
+/// strict auditor latches a violation.
+fn drive(sim: &mut Simulator, run: &RunArgs) -> Result<(), String> {
     if let Some(path) = &run.trace {
         let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
         let ops = ccnvm_trace::text::read_trace(BufReader::new(file))
@@ -176,37 +162,22 @@ fn drive(router: &mut ShardRouter, run: &RunArgs) -> Result<(), String> {
         }
         // Replay the trace cyclically until the instruction budget is
         // met, so short captures still produce steady-state numbers.
-        while router.total_instructions() < run.instructions && !router.audit_failed() {
-            router
-                .run(
-                    ops.iter().copied(),
-                    run.instructions - router.total_instructions(),
-                )
+        while sim.instructions() < run.instructions && !sim.memory().audit_failed() {
+            sim.run(ops.iter().copied(), run.instructions - sim.instructions())
                 .map_err(|e| e.to_string())?;
         }
     } else {
         let profile = profiles::by_name(&run.bench)
             .ok_or_else(|| format!("unknown benchmark {:?} (try `list`)", run.bench))?;
         let trace = TraceGenerator::new(profile, run.seed);
-        router
-            .run(trace, run.instructions)
+        sim.run(trace, run.instructions)
             .map_err(|e| e.to_string())?;
     }
     Ok(())
 }
 
-/// A clean shutdown: pushes every shard's buffered commit-log records
-/// to disk, so a file store reopens to exactly the run's end state.
-fn sync_durable(router: &mut ShardRouter) {
-    for shard in router.shards_mut() {
-        shard.memory_mut().sync_durable();
-    }
-}
-
-/// Attaches every observer the flags ask for. The selftest injections
-/// go to the `first` shard only.
-fn attach_observers(run: &RunArgs, mem: &mut SecureMemory, first: bool) -> Result<(), String> {
-    let selftest = |var: &str| first && std::env::var_os(var).is_some();
+/// Attaches every observer the flags ask for.
+fn attach_observers(run: &RunArgs, mem: &mut SecureMemory) -> Result<(), String> {
     if run.trace_out.is_some() || run.epoch_report || run.chrome_trace.is_some() {
         mem.attach_recorder(RecorderConfig::default());
     }
@@ -225,7 +196,7 @@ fn attach_observers(run: &RunArgs, mem: &mut SecureMemory, first: bool) -> Resul
     if run.wear_out.is_some() || run.chrome_trace.is_some() {
         mem.attach_wear();
         mem.attach_lag();
-        if selftest("CCNVM_WEAR_SELFTEST") {
+        if std::env::var_os("CCNVM_WEAR_SELFTEST").is_some() {
             // Deliberately skew the ledger's attribution before the
             // workload so the conservation check's negative path
             // (violation -> report -> nonzero exit under strict) is
@@ -235,7 +206,7 @@ fn attach_observers(run: &RunArgs, mem: &mut SecureMemory, first: bool) -> Resul
     }
     if let Some(mode) = run.audit {
         mem.attach_auditor(mode);
-        if selftest("CCNVM_AUDIT_SELFTEST") {
+        if std::env::var_os("CCNVM_AUDIT_SELFTEST").is_some() {
             // Same negative path, driven by a dirty address queue
             // desynchronized before the workload.
             let t = mem
@@ -270,153 +241,119 @@ fn create_chrome_file(run: &RunArgs) -> Result<Option<File>, String> {
         .transpose()
 }
 
-/// Inserts `.shardN` before the path's extension (or appends it), so
-/// per-shard artifacts of one run sit next to each other. A run of one
-/// shard keeps the path as given.
-fn shard_path(path: &str, shard: usize, shards: usize) -> String {
-    if shards == 1 {
-        return path.to_owned();
-    }
-    match path.rfind('.') {
-        Some(dot) if dot > 0 && !path[dot..].contains('/') => {
-            format!("{}.shard{shard}{}", &path[..dot], &path[dot..])
-        }
-        _ => format!("{path}.shard{shard}"),
-    }
-}
-
-/// Writes every artifact the flags ask for from the router's shards.
-/// Per-shard files and report headers appear only with more than one
-/// shard. Status goes to stderr so stdout stays machine-parseable
-/// under `--csv`.
+/// Writes every artifact the flags ask for. Status goes to stderr so
+/// stdout stays machine-parseable under `--csv`.
 fn emit_artifacts(
     run: &RunArgs,
-    router: &ShardRouter,
-    recoveries: Option<&[RecoveryReport]>,
+    sim: &Simulator,
+    recovery: Option<&RecoveryReport>,
     chrome_file: Option<File>,
 ) -> Result<(), String> {
-    let shards = router.shards();
-    emit_trace(run, shards)?;
-    emit_metrics(run, shards)?;
-    emit_chrome(run, shards, recoveries, chrome_file)?;
-    emit_profile(run, router, recoveries)?;
-    emit_wear(run, shards)
+    let mem = sim.memory();
+    emit_trace(run, mem)?;
+    emit_metrics(run, mem)?;
+    emit_chrome(run, mem, recovery, chrome_file)?;
+    emit_profile(run, mem, recovery)?;
+    emit_wear(run, sim)
 }
 
 /// `--trace-out` (CSV when the path ends in `.csv`, JSON lines
 /// otherwise) and `--epoch-report`.
-fn emit_trace(run: &RunArgs, shards: &[Simulator]) -> Result<(), String> {
-    for (i, sim) in shards.iter().enumerate() {
-        let Some(rec) = sim.memory().recorder() else {
-            continue;
-        };
-        if let Some(path) = &run.trace_out {
-            let path = shard_path(path, i, shards.len());
-            let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-            let mut out = BufWriter::new(file);
-            if path.ends_with(".csv") {
-                rec.write_csv(&mut out)
-            } else {
-                rec.write_jsonl(&mut out)
-            }
-            .map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "wrote {} events to {path} ({} dropped at capacity {})",
-                rec.trace().len(),
-                rec.trace().dropped(),
-                rec.trace().capacity()
-            );
+fn emit_trace(run: &RunArgs, mem: &SecureMemory) -> Result<(), String> {
+    let Some(rec) = mem.recorder() else {
+        return Ok(());
+    };
+    if let Some(path) = &run.trace_out {
+        let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
+        let mut out = BufWriter::new(file);
+        if path.ends_with(".csv") {
+            rec.write_csv(&mut out)
+        } else {
+            rec.write_jsonl(&mut out)
         }
-        if run.epoch_report {
-            if shards.len() > 1 {
-                println!("=== shard {i} epoch report ===");
-            }
-            println!("{}", rec.epoch_report());
-        }
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("{path}: {e}"))?;
+        eprintln!(
+            "wrote {} events to {path} ({} dropped at capacity {})",
+            rec.trace().len(),
+            rec.trace().dropped(),
+            rec.trace().capacity()
+        );
+    }
+    if run.epoch_report {
+        println!("{}", rec.epoch_report());
     }
     Ok(())
 }
 
 /// `--metrics-out`: CSV when the path ends in `.csv`, JSON lines
 /// otherwise.
-fn emit_metrics(run: &RunArgs, shards: &[Simulator]) -> Result<(), String> {
+fn emit_metrics(run: &RunArgs, mem: &SecureMemory) -> Result<(), String> {
     let Some(path) = &run.metrics_out else {
         return Ok(());
     };
-    for (i, sim) in shards.iter().enumerate() {
-        let m = sim
-            .memory()
-            .metrics()
-            .expect("metrics are attached whenever --metrics-out is set");
-        let path = shard_path(path, i, shards.len());
-        let file = File::create(&path).map_err(|e| format!("{path}: {e}"))?;
-        let mut out = BufWriter::new(file);
-        if path.ends_with(".csv") {
-            m.write_csv(&mut out)
-        } else {
-            m.write_jsonl(&mut out)
-        }
-        .map_err(|e| format!("{path}: {e}"))?;
-        eprintln!(
-            "wrote {} metrics samples to {path} ({} dropped, interval {} cycles)",
-            m.len(),
-            m.dropped(),
-            m.interval()
-        );
+    let m = mem
+        .metrics()
+        .expect("metrics are attached whenever --metrics-out is set");
+    let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut out = BufWriter::new(file);
+    if path.ends_with(".csv") {
+        m.write_csv(&mut out)
+    } else {
+        m.write_jsonl(&mut out)
     }
+    .and_then(|()| out.flush())
+    .map_err(|e| format!("{path}: {e}"))?;
+    eprintln!(
+        "wrote {} metrics samples to {path} ({} dropped, interval {} cycles)",
+        m.len(),
+        m.dropped(),
+        m.interval()
+    );
     Ok(())
 }
 
-/// `--chrome-trace`: one document for the run, shard `i` as process
-/// `i + 1`, into the handle opened by [`create_chrome_file`].
+/// `--chrome-trace`, into the handle opened by [`create_chrome_file`].
 fn emit_chrome(
     run: &RunArgs,
-    shards: &[Simulator],
-    recoveries: Option<&[RecoveryReport]>,
+    mem: &SecureMemory,
+    recovery: Option<&RecoveryReport>,
     file: Option<File>,
 ) -> Result<(), String> {
     let (Some(path), Some(file)) = (&run.chrome_trace, file) else {
         return Ok(());
     };
-    let inputs: Vec<ChromeTraceInput<'_>> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, sim)| {
-            let mem = sim.memory();
-            ChromeTraceInput {
-                recorder: mem.recorder(),
-                metrics: mem.metrics(),
-                profile: mem.profiler(),
-                recovery: recoveries.map(|r| r[i].timeline.as_slice()),
-                lag: mem.lag(),
-            }
-        })
-        .collect();
-    let mut out = BufWriter::new(file);
-    write_chrome_trace(&mut out, &inputs).map_err(|e| format!("{path}: {e}"))?;
-    let processes = match inputs.len() {
-        1 => String::new(),
-        n => format!(" ({n} shard processes)"),
+    let input = ChromeTraceInput {
+        recorder: mem.recorder(),
+        metrics: mem.metrics(),
+        profile: mem.profiler(),
+        recovery: recovery.map(|r| r.timeline.as_slice()),
+        lag: mem.lag(),
     };
-    eprintln!("wrote Chrome trace{processes} to {path} (load it at https://ui.perfetto.dev)");
+    let mut out = BufWriter::new(file);
+    write_chrome_trace(&mut out, &input)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("{path}: {e}"))?;
+    eprintln!("wrote Chrome trace to {path} (load it at https://ui.perfetto.dev)");
     Ok(())
 }
 
-/// `--profile-out` (and the stage table unless `--csv`): the stage-wise
-/// sum over the shards' profilers, with each recovery folded in so the
-/// profile carries the recovery-domain stages too.
+/// `--profile-out` (and the stage table unless `--csv`), with the
+/// recovery folded in so the profile carries the recovery-domain
+/// stages too.
 fn emit_profile(
     run: &RunArgs,
-    router: &ShardRouter,
-    recoveries: Option<&[RecoveryReport]>,
+    mem: &SecureMemory,
+    recovery: Option<&RecoveryReport>,
 ) -> Result<(), String> {
     let Some(path) = &run.profile_out else {
         return Ok(());
     };
-    let mut prof = router
-        .merged_profile()
-        .expect("profilers are attached whenever --profile-out is set");
-    for report in recoveries.unwrap_or_default() {
+    let mut prof = mem
+        .profiler()
+        .expect("the profiler is attached whenever --profile-out is set")
+        .clone();
+    if let Some(report) = recovery {
         prof.absorb_recovery(report);
     }
     let json = prof.to_json(run.design.slug(), &run.bench, run.instructions);
@@ -424,113 +361,68 @@ fn emit_profile(
     if !run.csv {
         println!("{}", prof.render_table());
     }
-    match router.shard_count() {
-        1 => eprintln!("wrote stage profile to {path}"),
-        n => eprintln!("wrote merged stage profile ({n} shards) to {path}"),
-    }
+    eprintln!("wrote stage profile to {path}");
     Ok(())
 }
 
-/// `--wear-out` (and the rendered table unless `--csv`): one
-/// `ccnvm-wear/1` report per shard. Shards are independent devices,
-/// so wear is never merged.
-fn emit_wear(run: &RunArgs, shards: &[Simulator]) -> Result<(), String> {
+/// `--wear-out` (and the rendered table unless `--csv`): the
+/// `ccnvm-wear/1` report.
+fn emit_wear(run: &RunArgs, sim: &Simulator) -> Result<(), String> {
     let Some(path) = &run.wear_out else {
         return Ok(());
     };
-    for (i, sim) in shards.iter().enumerate() {
-        let report = sim
-            .memory()
-            .wear_report(&run.bench, sim.instructions())
-            .expect("wear ledgers are attached whenever --wear-out is set");
-        let path = shard_path(path, i, shards.len());
-        std::fs::write(&path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        if !run.csv {
-            if shards.len() > 1 {
-                println!("=== shard {i} wear report ===");
-            }
-            print!("{}", ccnvm::obs::wear::render_report(&report));
-        }
-        eprintln!(
-            "wrote wear report ({}) to {path}",
-            ccnvm::obs::wear::WEAR_SCHEMA
-        );
+    let report = sim
+        .memory()
+        .wear_report(&run.bench, sim.instructions())
+        .expect("wear ledgers are attached whenever --wear-out is set");
+    std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    if !run.csv {
+        print!("{}", ccnvm::obs::wear::render_report(&report));
     }
+    eprintln!(
+        "wrote wear report ({}) to {path}",
+        ccnvm::obs::wear::WEAR_SCHEMA
+    );
     Ok(())
 }
 
-/// Prints each shard's audit verdict; a strict-mode auditor that
-/// latched a violation turns into a nonzero exit.
-fn audit_verdict(shards: &[Simulator]) -> Result<(), String> {
-    let sharded = shards.len() > 1;
-    let mut failing = Vec::new();
-    for (i, sim) in shards.iter().enumerate() {
-        let Some(aud) = sim.memory().auditor() else {
-            continue;
-        };
-        let who = if sharded {
-            format!("audit shard {i}")
-        } else {
-            "audit".to_owned()
-        };
-        if aud.violations().is_empty() {
-            eprintln!("{who}: clean ({} checkpoints)", aud.checks_run());
-            continue;
-        }
-        if sharded {
-            eprintln!("{who}:");
-        }
-        eprint!("{}", aud.report());
-        if aud.failed() {
-            failing.push(aud.violations().len());
-        }
+/// Prints the audit verdict; a strict-mode auditor that latched a
+/// violation turns into a nonzero exit.
+fn audit_verdict(mem: &SecureMemory) -> Result<(), String> {
+    let Some(aud) = mem.auditor() else {
+        return Ok(());
+    };
+    if aud.violations().is_empty() {
+        eprintln!("audit: clean ({} checkpoints)", aud.checks_run());
+        return Ok(());
     }
-    match failing[..] {
-        [] => Ok(()),
-        [n] if !sharded => Err(format!(
-            "audit: {n} invariant violation(s) under strict mode"
-        )),
-        _ => Err(format!(
-            "audit: invariant violations on {} shard(s) under strict mode",
-            failing.len()
-        )),
+    eprint!("{}", aud.report());
+    if aud.failed() {
+        return Err(format!(
+            "audit: {} invariant violation(s) under strict mode",
+            aud.violations().len()
+        ));
     }
+    Ok(())
 }
 
 fn cmd_run(run: &RunArgs) -> Result<(), String> {
     let chrome_file = create_chrome_file(run)?;
-    let (mut router, io) = build(run)?;
-    drive(&mut router, run)?;
-    sync_durable(&mut router);
+    let (mut sim, io) = build(run)?;
+    drive(&mut sim, run)?;
+    sim.memory_mut().sync_durable();
     report_file_io(run, io.as_ref());
-    let stats = router.stats();
-    let sharded = router.shard_count() > 1;
+    let stats = sim.stats();
     if run.csv {
         println!("design,bench,{}", RunStats::csv_header());
         println!("{},{},{}", run.design.slug(), run.bench, stats.csv_row());
     } else {
-        let topology = if sharded {
-            format!(", {} shards", router.shard_count())
-        } else {
-            String::new()
-        };
         println!(
-            "{} on {} ({} instructions, seed {}{topology}):",
+            "{} on {} ({} instructions, seed {}):",
             run.design, run.bench, run.instructions, run.seed
         );
         println!("{stats}");
-    }
-    if sharded {
-        // The load-balance view; status-stream under --csv so stdout
-        // stays machine-parseable.
-        let gauges = render_shard_gauges(&router.shard_gauges());
-        if run.csv {
-            eprint!("{gauges}");
-        } else {
-            print!("{gauges}");
-        }
-    } else if !run.csv {
-        let wear = router.shard(0).memory().wear_stats();
+        let wear = sim.memory().wear_stats();
         println!(
             "wear: hottest line {} with {} writes; {} lines written (mean {:.2})",
             wear.hottest_line
@@ -541,8 +433,8 @@ fn cmd_run(run: &RunArgs) -> Result<(), String> {
             wear.mean_line_writes
         );
     }
-    emit_artifacts(run, &router, None, chrome_file)?;
-    audit_verdict(router.shards())
+    emit_artifacts(run, &sim, None, chrome_file)?;
+    audit_verdict(sim.memory())
 }
 
 fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
@@ -603,17 +495,15 @@ fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
 
 /// One sweep point: build, drive, shut down cleanly.
 fn sweep_point(run: &RunArgs) -> Result<RunStats, String> {
-    let (mut router, _) = build(run)?;
-    drive(&mut router, run)?;
-    sync_durable(&mut router);
-    Ok(router.stats())
+    let (mut sim, _) = build(run)?;
+    drive(&mut sim, run)?;
+    sim.memory_mut().sync_durable();
+    Ok(sim.stats())
 }
 
-/// `recover`: re-simulate the workload, crash it, recover every shard
-/// and report. One shard crashes at the end of the run; with
-/// `--backend file:` its store is reopened from disk. With N shards,
-/// the shard with the deepest dirty queue is caught mid-drain while the
-/// others quiesce.
+/// `recover`: re-simulate the workload, crash it at the end of the
+/// run, recover and report. With `--backend file:` the store is
+/// reopened from disk and recovered from what it preserved.
 fn cmd_recover(run: &RunArgs) -> Result<(), String> {
     let chrome_file = create_chrome_file(run)?;
     // The re-simulation only reconstructs the pre-crash machine state
@@ -622,140 +512,70 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
     // the file store reopened below, never the re-simulation's writes.
     let mut mem_run = run.clone();
     mem_run.backend = BackendChoice::Mem;
-    let (mut router, _) = build(&mem_run)?;
-    drive(&mut router, &mem_run)?;
-    let shards = router.shard_count() as usize;
-    let threads = thread_count(run.threads);
+    let (mut sim, _) = build(&mem_run)?;
+    drive(&mut sim, &mem_run)?;
+    let mem = sim.memory();
     // The flight sidecar is read before the reopen below so the
     // forensic analysis sees the log exactly as the power cut left it
     // (reopening truncates a torn tail in place).
     let mut flight_raw: Option<(Vec<String>, u64)> = None;
-    let images = if shards == 1 {
-        let mem = router.shard(0).memory();
-        match &run.backend {
-            BackendChoice::Mem => vec![mem.crash_image()],
-            BackendChoice::File(dir) => {
-                if run.forensics_out.is_some() {
-                    flight_raw = Some(ccnvm_mem::read_flight_log(dir).map_err(|e| e.to_string())?);
-                }
-                // A real crash recovery: reopen the directory from disk
-                // and recover from what the filesystem actually
-                // preserved — records the fsync strategy had not
-                // flushed are gone, exactly as after a power cut.
-                let (image, s) =
-                    CrashImage::reopen(dir, backend_cfg(run), mem.config(), mem.tcb().clone())
-                        .map_err(|e| e.to_string())?;
-                println!(
-                    "reopened file store {dir}: {} log records replayed, {} torn/unsynced \
-                     bytes discarded",
-                    s.replayed_records, s.discarded_bytes
-                );
-                vec![image]
+    let image = match &run.backend {
+        BackendChoice::Mem => mem.crash_image(),
+        BackendChoice::File(dir) => {
+            if run.forensics_out.is_some() {
+                flight_raw = Some(ccnvm_mem::read_flight_log(dir).map_err(|e| e.to_string())?);
             }
-        }
-    } else {
-        // Quiesce every shard except the one with the deepest dirty
-        // queue, then power-fail with that one mid-drain — staged to
-        // the WPQ but never committed.
-        let victim = router
-            .shard_gauges()
-            .iter()
-            .max_by_key(|g| g.dirty_queue_depth)
-            .map(|g| g.shard as usize)
-            .unwrap_or(0);
-        let flushed = parallel_for_mut(router.shards_mut(), threads, |i, sim| {
-            if i == victim {
-                Ok(())
-            } else {
-                sim.flush_caches().map_err(|e| e.to_string())
-            }
-        });
-        for r in flushed {
-            r?;
-        }
-        router.inject_mid_drain_crash(victim);
-        println!(
-            "{} on {}: service crashed after {} instructions across {shards} shards \
-             (shard {victim} caught mid-drain)",
-            run.design,
-            run.bench,
-            router.total_instructions(),
-        );
-        router.crash_images()
-    };
-    // Shards recover independently — fan the rebuilds out on the same
-    // worker pool that quiesced them.
-    let tier = tier_of(run);
-    let reports = parallel_map(&images, threads, |_, image| {
-        recover_with(image, tier, &mut RecoveryScratch::default())
-    });
-    if shards == 1 {
-        print_recovery(run, router.total_instructions(), &images[0], &reports[0]);
-    } else {
-        for (i, (image, report)) in images.iter().zip(&reports).enumerate() {
+            // A real crash recovery: reopen the directory from disk
+            // and recover from what the filesystem actually preserved
+            // — records the fsync strategy had not flushed are gone,
+            // exactly as after a power cut.
+            let (image, s) =
+                CrashImage::reopen(dir, backend_cfg(run), mem.config(), mem.tcb().clone())
+                    .map_err(|e| e.to_string())?;
             println!(
-                "shard {i}: {} durable lines, {} staged lines lost, {} counter lines \
-                 patched ({} retries), roots stored {:?} rebuilt {:?} — {}",
-                image.surface().total_lines(),
-                image.staged_lines_lost,
-                report.recovered_counter_lines,
-                report.total_retries,
-                report.stored_root_match,
-                report.rebuilt_root_match,
-                if report.is_clean() {
-                    "clean"
-                } else {
-                    "NOT CLEAN"
-                }
+                "reopened file store {dir}: {} log records replayed, {} torn/unsynced \
+                 bytes discarded",
+                s.replayed_records, s.discarded_bytes
             );
+            image
         }
-    }
+    };
+    let report = recover_with(&image, tier_of(run), &mut RecoveryScratch::default());
+    print_recovery(run, sim.instructions(), &image, &report);
     // Artifacts go out in every branch so a failed recovery still
     // leaves a trace and profile to debug with.
-    emit_artifacts(run, &router, Some(&reports), chrome_file)?;
+    emit_artifacts(run, &sim, Some(&report), chrome_file)?;
     if let Some(path) = &run.forensics_out {
-        for (i, (image, report)) in images.iter().zip(&reports).enumerate() {
-            // File store: the recovered sidecar. In memory: the shard's
-            // in-process ring (empty unless --flight was set — a crash
-            // would have destroyed it, but recover's in-memory crash
-            // never actually dies, so the ring is still readable).
-            let (entries, discarded) = flight_raw.take().unwrap_or_else(|| {
-                let ring = router.shard(i).memory().flight();
-                let entries = ring.map(|f| f.entries().map(str::to_owned).collect());
-                (entries.unwrap_or_default(), 0)
-            });
-            let analysis =
-                ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
-            let fsync_name = match &run.backend {
-                BackendChoice::File(_) => run.fsync.to_string(),
-                // The in-memory image has no fsync-loss window.
-                BackendChoice::Mem => "always".to_owned(),
-            };
-            let forensic = ccnvm::obs::flight::forensic_report(
-                image,
-                report,
-                analysis,
-                discarded,
-                &fsync_name,
-            );
-            let path = shard_path(path, i, shards);
-            std::fs::write(&path, forensic.to_json()).map_err(|e| format!("{path}: {e}"))?;
-            eprintln!(
-                "wrote forensic report ({}) to {path}",
-                ccnvm::obs::flight::FORENSICS_SCHEMA
-            );
-        }
+        // File store: the recovered sidecar. In memory: the in-process
+        // ring (empty unless --flight was set — a crash would have
+        // destroyed it, but recover's in-memory crash never actually
+        // dies, so the ring is still readable).
+        let (entries, discarded) = flight_raw.unwrap_or_else(|| {
+            let ring = sim.memory().flight();
+            let entries = ring.map(|f| f.entries().map(str::to_owned).collect());
+            (entries.unwrap_or_default(), 0)
+        });
+        let analysis =
+            ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
+        let fsync_name = match &run.backend {
+            BackendChoice::File(_) => run.fsync.to_string(),
+            // The in-memory image has no fsync-loss window.
+            BackendChoice::Mem => "always".to_owned(),
+        };
+        let forensic =
+            ccnvm::obs::flight::forensic_report(&image, &report, analysis, discarded, &fsync_name);
+        std::fs::write(path, forensic.to_json()).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!(
+            "wrote forensic report ({}) to {path}",
+            ccnvm::obs::flight::FORENSICS_SCHEMA
+        );
     }
-    audit_verdict(router.shards())?;
-    if reports.iter().all(RecoveryReport::is_clean) {
-        match shards {
-            1 => println!("verdict: CLEAN — memory fully recovered"),
-            n => println!("verdict: CLEAN — all {n} shards fully recovered"),
-        }
+    audit_verdict(sim.memory())?;
+    let on_file = matches!(&run.backend, BackendChoice::File(_));
+    if report.is_clean() {
+        println!("verdict: CLEAN — memory fully recovered");
         Ok(())
-    } else if matches!(&run.backend, BackendChoice::File(_))
-        && run.fsync != ccnvm_mem::FsyncStrategy::Always
-    {
+    } else if on_file && run.fsync != ccnvm_mem::FsyncStrategy::Always {
         println!(
             "verdict: DURABILITY LOSS — records buffered under fsync={} never \
              reached disk before the crash; recovery detected the loss instead \
@@ -770,19 +590,28 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
             ));
         }
         Ok(())
-    } else if run.design.is_crash_consistent() {
-        Err("recovery reported attacks on an attack-free run (bug!)".into())
-    } else {
+    } else if !run.design.is_crash_consistent() {
         println!("verdict: UNRECOVERABLE — expected for w/o CC, the motivating deficiency");
         if run.strict {
             return Err("--strict: unrecoverable image is a gated verdict".into());
         }
         Ok(())
+    } else if on_file {
+        // The disk is outside the TCB: a fully synced store that fails
+        // verification after the reopen was modified behind the
+        // controller's back — the paper's attacker, not a crash.
+        for attack in &report.located {
+            println!("located: {attack:?}");
+        }
+        println!("verdict: ATTACKED — the reopened store was modified outside the TCB");
+        Err("the reopened file store fails verification against the TCB roots".into())
+    } else {
+        Err("recovery reported attacks on an attack-free run (bug!)".into())
     }
 }
 
-/// The one-shard recovery walk-through: crash surface, patched
-/// counters, root checks and the recovery timeline.
+/// The recovery walk-through: crash surface, patched counters, root
+/// checks and the recovery timeline.
 fn print_recovery(run: &RunArgs, instructions: u64, image: &CrashImage, report: &RecoveryReport) {
     println!(
         "{} on {}: crashed after {instructions} instructions",
@@ -858,10 +687,10 @@ fn resolve_kill_boundary(spec: &str, run: &RunArgs, dir: &Path) -> Result<u64, S
         return Ok(k);
     }
     let record_dir = dir.join("record");
-    let (mut router, _) = build(&on_flight_store(run, &record_dir))?;
+    let (mut sim, _) = build(&on_flight_store(run, &record_dir))?;
     let (res, labels) =
-        crashpoint::record(|| drive(&mut router, run).map(|()| sync_durable(&mut router)));
-    drop(router);
+        crashpoint::record(|| drive(&mut sim, run).map(|()| sim.memory_mut().sync_durable()));
+    drop(sim);
     std::fs::remove_dir_all(&record_dir).ok();
     res?;
     match labels.iter().position(|l| l == spec) {
@@ -915,8 +744,8 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
         ),
     };
     let store_run = on_flight_store(run, &run_dir);
-    let (mut router, _) = build(&store_run)?;
-    let mut complete = || drive(&mut router, run).map(|()| sync_durable(&mut router));
+    let (mut sim, _) = build(&store_run)?;
+    let mut complete = || drive(&mut sim, run).map(|()| sim.memory_mut().sync_durable());
     let armed_label = match kill_target {
         None => {
             complete()?;
@@ -941,16 +770,16 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
     };
     // The observers live in the machine the power cut destroys: write
     // their artifacts and take the audit verdict first.
-    emit_artifacts(run, &router, None, chrome_file)?;
-    let audit = audit_verdict(router.shards());
+    emit_artifacts(run, &sim, None, chrome_file)?;
+    let audit = audit_verdict(sim.memory());
     // TCB registers are battery-backed hardware state; they survive
     // the power cut exactly as they were at the kill instant.
-    let mem = router.shard(0).memory();
+    let mem = sim.memory();
     let (config, tcb) = (mem.config().clone(), mem.tcb().clone());
-    // Dropping the router drops the store: unsynced bytes are lost,
+    // Dropping the simulator drops the store: unsynced bytes are lost,
     // file handles close — the power cut (a no-op for the completed,
     // synced run).
-    drop(router);
+    drop(sim);
 
     // Forensics reads the sidecar before the reopen truncates a torn
     // tail in place.

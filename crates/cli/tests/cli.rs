@@ -1,7 +1,9 @@
-//! End-to-end tests of the `ccnvm-sim` binary: typed CLI errors and
-//! the observability/audit exit-code contract.
+//! End-to-end tests of the `ccnvm-sim` binary: typed CLI errors, the
+//! observability/audit exit-code contract and the recovery verdicts.
 
-use ccnvm::obs::json::Json::{self, Bool};
+use ccnvm::obs::json::Json::Bool;
+use ccnvm::recovery::LocatedAttack;
+use ccnvm_mem::{DurableBackend, FileBackend, FileBackendConfig};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -119,50 +121,6 @@ fn metrics_export_report_round_trip() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Runs `run --wear-out w.json --metrics-out m.jsonl` (plus `extra`) in
-/// a fresh directory and returns the names of the files it wrote.
-fn artifact_names(name: &str, extra: &[&str]) -> Vec<String> {
-    let dir = tmp(name);
-    std::fs::create_dir_all(&dir).expect("fresh directory");
-    let out = bin()
-        .current_dir(&dir)
-        .args(["run", "--bench", "lbm", "--instructions", "20000"])
-        .args(["--wear-out", "w.json", "--metrics-out", "m.jsonl"])
-        .args(extra)
-        .output()
-        .expect("binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let mut names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("readable directory")
-        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
-        .collect();
-    names.sort();
-    std::fs::remove_dir_all(&dir).ok();
-    names
-}
-
-#[test]
-fn single_owner_artifacts_keep_the_given_names() {
-    assert_eq!(artifact_names("names-1", &[]), ["m.jsonl", "w.json"]);
-}
-
-#[test]
-fn sharded_artifacts_get_a_shard_suffix() {
-    assert_eq!(
-        artifact_names("names-2", &["--shards", "2"]),
-        [
-            "m.shard0.jsonl",
-            "m.shard1.jsonl",
-            "w.shard0.json",
-            "w.shard1.json"
-        ]
-    );
-}
-
 /// A fresh, empty working directory for one test.
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = tmp(name);
@@ -171,14 +129,44 @@ fn fresh_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// The sorted names of the files in `dir`.
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("readable directory")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn single_owner_artifacts_keep_the_given_names() {
+    let dir = fresh_dir("names");
+    let out = bin()
+        .current_dir(&dir)
+        .args(["run", "--bench", "lbm", "--instructions", "20000"])
+        .args(["--wear-out", "w.json", "--metrics-out", "m.jsonl"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(file_names(&dir), ["m.jsonl", "w.json"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Parses a written `ccnvm-forensics/1` or `ccnvm-wear/1` document.
 fn read_json(path: &std::path::Path) -> ccnvm::obs::json::Json {
     let text = std::fs::read_to_string(path).expect("artifact written");
     ccnvm::obs::json::parse(&text).expect("well-formed JSON")
 }
 
+/// A strict auditor that latches on the first checkpoint stops a
+/// cyclic trace replay there, well short of the instruction budget.
 #[test]
-fn trace_replay_stops_at_a_latched_strict_audit_at_any_shard_count() {
+fn trace_replay_stops_at_a_latched_strict_audit() {
     let dir = fresh_dir("replay-audit");
     let trace = dir.join("trace.txt");
     let ops: String = (0..64u64)
@@ -192,50 +180,51 @@ fn trace_replay_stops_at_a_latched_strict_audit_at_any_shard_count() {
         })
         .collect();
     std::fs::write(&trace, ops).expect("trace written");
-    let replay = |shards: &str| {
-        let out = bin()
-            .args([
-                "run",
-                "--instructions",
-                "100000",
-                "--audit",
-                "strict",
-                "--csv",
-            ])
-            .args(["--shards", shards, "--trace"])
-            .arg(&trace)
-            .env("CCNVM_AUDIT_SELFTEST", "1")
-            .output()
-            .expect("binary runs");
-        assert!(!out.status.success(), "strict mode must fail");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        let row = stdout.lines().nth(1).expect("csv row");
-        // design,bench,instructions,...
-        let instructions = row
-            .split(',')
-            .nth(2)
-            .expect("instructions column")
-            .to_owned();
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        let violations = stderr.matches("dirty-coverage violated").count();
-        (instructions, violations, stderr)
-    };
-    let (one, one_violations, one_err) = replay("1");
-    let (two, two_violations, two_err) = replay("2");
-    assert_eq!(one_violations, 1, "stderr was: {one_err}");
-    assert_eq!(two_violations, 1, "stderr was: {two_err}");
-    assert_eq!(one, two, "the replay must stop at the same op");
+    let out = bin()
+        .args([
+            "run",
+            "--instructions",
+            "100000",
+            "--audit",
+            "strict",
+            "--csv",
+            "--trace",
+        ])
+        .arg(&trace)
+        .env("CCNVM_AUDIT_SELFTEST", "1")
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success(), "strict mode must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.matches("dirty-coverage violated").count(),
+        1,
+        "stderr was: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout.lines().nth(1).expect("csv row");
+    // design,bench,instructions,...
+    let instructions: u64 = row
+        .split(',')
+        .nth(2)
+        .and_then(|v| v.parse().ok())
+        .expect("instructions column");
+    assert!(
+        instructions < 100_000,
+        "the replay must stop at the latch, not at the budget: {row}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// In memory, `recover` crashes a quiescent machine: the forensic
+/// report from its flight ring is clean with nothing left open.
 #[test]
-fn sharded_recover_writes_one_forensic_report_per_shard() {
-    let dir = fresh_dir("shard-forensics");
+fn in_memory_recover_writes_a_clean_forensic_report() {
+    let dir = fresh_dir("mem-forensics");
     let out = bin()
         .current_dir(&dir)
-        .args(["recover", "--shards", "2", "--bench", "lbm"])
-        .args(["--instructions", "200000", "--flight"])
-        .args(["--forensics-out", "f.json"])
+        .args(["recover", "--bench", "lbm", "--instructions", "200000"])
+        .args(["--flight", "--forensics-out", "f.json"])
         .output()
         .expect("binary runs");
     assert!(
@@ -243,35 +232,20 @@ fn sharded_recover_writes_one_forensic_report_per_shard() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(!dir.join("f.json").exists(), "two shards, two files");
-    let mut victims = 0;
-    for i in 0..2 {
-        let doc = read_json(&dir.join(format!("f.shard{i}.json")));
-        assert_eq!(doc.str_field("verdict"), Ok("CLEAN"), "shard {i}: {doc:?}");
-        assert_eq!(doc.get("staged_attribution_ok"), Some(&Bool(true)));
-        let lost = doc.num_field("staged_lines_lost").expect("field");
-        match doc.get("inferred_cause").and_then(Json::as_str) {
-            Some("drain-stage") => {
-                victims += 1;
-                assert!(lost > 0, "shard {i} was caught mid-drain");
-                assert_eq!(doc.get("quiescent"), Some(&Bool(false)));
-            }
-            cause => {
-                assert_eq!(cause, None, "shard {i}");
-                assert_eq!(lost, 0, "shard {i} was quiescent");
-                assert_eq!(doc.get("quiescent"), Some(&Bool(true)));
-            }
-        }
-    }
-    assert_eq!(victims, 1, "exactly one shard dies mid-drain");
+    assert_eq!(file_names(&dir), ["f.json"]);
+    let doc = read_json(&dir.join("f.json"));
+    assert_eq!(doc.str_field("verdict"), Ok("CLEAN"), "{doc:?}");
+    assert_eq!(doc.get("quiescent"), Some(&Bool(true)));
+    assert_eq!(doc.get("staged_attribution_ok"), Some(&Bool(true)));
+    assert_eq!(doc.get("inferred_cause"), None);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn sharded_strict_recover_gates_an_unrecoverable_image() {
+fn strict_recover_gates_an_unrecoverable_image() {
     let out = bin()
         .args(["recover", "--design", "wo-cc", "--bench", "milc"])
-        .args(["--instructions", "500000", "--shards", "2", "--strict"])
+        .args(["--instructions", "500000", "--strict"])
         .output()
         .expect("binary runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -280,6 +254,69 @@ fn sharded_strict_recover_gates_an_unrecoverable_image() {
         "stdout was: {stdout}"
     );
     assert!(!out.status.success(), "--strict must gate UNRECOVERABLE");
+}
+
+/// The disk is outside the TCB. A bit flipped in a synced file store
+/// between `run` and `recover` is the paper's attacker, so recovery
+/// must locate the line and call the image ATTACKED, not a bug.
+#[test]
+fn recover_locates_a_line_spoofed_on_the_reopened_file_store() {
+    let dir = fresh_dir("spoofed-store");
+    let flags = [
+        "--backend",
+        "file:store",
+        "--bench",
+        "lbm",
+        "--instructions",
+        "200000",
+    ];
+    let out = bin()
+        .current_dir(&dir)
+        .arg("run")
+        .args(flags)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Spoof the lowest durable line through the store's own framing: a
+    // CRC-valid record, exactly what an attacker with the disk can write.
+    let victim = {
+        let mut store = FileBackend::open(dir.join("store"), FileBackendConfig::default())
+            .expect("the run left a readable store");
+        let victim = store.addrs().into_iter().min().expect("a populated store");
+        let mut line = store.load(victim).expect("durable line");
+        line[0] ^= 1;
+        store.store(victim, line);
+        store.sync();
+        victim
+    };
+    let out = bin()
+        .current_dir(&dir)
+        .arg("recover")
+        .args(flags)
+        .args(["--forensics-out", "f.json"])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let located: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("located: "))
+        .collect();
+    let expected = format!(
+        "located: {:?}",
+        LocatedAttack::DataTampered { line: victim }
+    );
+    assert_eq!(located, [expected.as_str()], "stdout was: {stdout}");
+    assert!(stdout.contains("verdict: ATTACKED"), "stdout was: {stdout}");
+    assert_eq!(
+        read_json(&dir.join("f.json")).str_field("verdict"),
+        Ok("ATTACKED")
+    );
+    assert_eq!(out.status.code(), Some(1));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -20,9 +20,8 @@ use ccnvm_crypto::Mac128;
 use ccnvm_mem::{Line, LineAddr, LineStore};
 
 /// Reusable working storage for [`Bmt::rebuild_with`], owned by the
-/// caller so repeated rebuilds (the recovery bench, multi-shard
-/// recovery) reuse the same four buffers instead of reallocating the
-/// level slices and MAC batches every pass.
+/// caller so repeated rebuilds reuse the same four buffers instead of
+/// reallocating the level slices and MAC batches every pass.
 #[derive(Debug, Default)]
 pub struct RebuildScratch {
     /// Sorted `(node idx, content)` slice of the level being consumed.

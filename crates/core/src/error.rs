@@ -89,8 +89,6 @@ pub enum ConfigError {
     UpdateLimitZero,
     /// The core issue width is zero.
     IssueWidthZero,
-    /// The shard topology is inconsistent: a router of zero shards.
-    ShardTopologyInvalid,
     /// The `simd` crypto tier was forced but this build or host has no
     /// hardware crypto path.
     CryptoTierUnavailable,
@@ -115,9 +113,6 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::UpdateLimitZero => write!(f, "update limit N must be positive"),
             ConfigError::IssueWidthZero => write!(f, "issue width must be positive"),
-            ConfigError::ShardTopologyInvalid => {
-                write!(f, "a shard router needs at least one shard")
-            }
             ConfigError::CryptoTierUnavailable => write!(
                 f,
                 "crypto tier 'simd' forced but this build/host has no hardware crypto path \

@@ -25,10 +25,6 @@
 //! * [`sim`] — the trace-driven core + L1/L2 model that turns
 //!   workloads from `ccnvm-trace` into IPC and write-traffic numbers
 //!   ([`stats::RunStats`]).
-//! * [`shard`] — the multi-tenant service layer: a
-//!   [`shard::ShardRouter`] that page-interleaves the address space
-//!   across N independent shards, each with its own Meta Cache, WPQ,
-//!   epoch clock and `ROOT_old`/`ROOT_new` pair.
 //! * [`crash`], [`recovery`], [`attack`] — crash images, the four-step
 //!   recovery/attack-locating procedure of §4.4, and the
 //!   spoof/splice/replay attack injectors it is tested against.
@@ -70,7 +66,6 @@ pub mod obs;
 pub mod persist;
 pub mod recovery;
 pub mod secmem;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod tcb;
@@ -92,7 +87,6 @@ pub mod prelude {
     pub use crate::obs::{Recorder, RecorderConfig};
     pub use crate::recovery::{recover, LocatedAttack, RecoveryReport, RecoverySpan, RootMatch};
     pub use crate::secmem::{DrainTrigger, SecureMemory};
-    pub use crate::shard::ShardRouter;
     pub use crate::sim::{run_profile, Simulator};
     pub use crate::stats::RunStats;
     pub use ccnvm_trace::{profiles, TraceGenerator, WorkloadProfile};

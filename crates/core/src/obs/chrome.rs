@@ -9,9 +9,7 @@
 //! own. Simulated cycles are written as the trace's microsecond
 //! timestamps (1 cycle = 1 µs of display time).
 //!
-//! Track layout (pid 1 for a single-owner run; a sharded run repeats
-//! the same nine tracks once per shard under pid = shard + 1, see
-//! [`write_chrome_trace`]):
+//! Track layout (one process, pid 1, named `ccnvm`):
 //!
 //! | tid | track          | events                                        |
 //! |-----|----------------|-----------------------------------------------|
@@ -98,14 +96,13 @@ fn args_json(args: &[(&str, u64)]) -> String {
 fn event_json(
     ph: char,
     name: &str,
-    pid: u32,
     tid: u32,
     ts: Cycle,
     dur: Option<Cycle>,
     args: &[(&str, u64)],
 ) -> String {
     let mut out =
-        format!("{{\"ph\":\"{ph}\",\"name\":\"{name}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}");
+        format!("{{\"ph\":\"{ph}\",\"name\":\"{name}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}");
     if let Some(d) = dur {
         let _ = write!(out, ",\"dur\":{d}");
     }
@@ -122,7 +119,7 @@ fn push(slices: &mut Vec<Slice>, tid: u32, ts: Cycle, json: String) {
     slices.push(Slice { tid, ts, json });
 }
 
-fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
+fn render_recorder(rec: &Recorder, slices: &mut Vec<Slice>) {
     // Per-line previous phase time, to turn phase-completion instants
     // into duration slices.
     let mut wb_prev: HashMap<u64, Cycle> = HashMap::new();
@@ -145,7 +142,6 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
                             event_json(
                                 'X',
                                 phase.name(),
-                                pid,
                                 TID_WRITEBACK,
                                 prev,
                                 Some(at.saturating_sub(prev)),
@@ -176,7 +172,7 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
                             slices,
                             TID_DRAIN,
                             at,
-                            event_json('B', "drain", pid, TID_DRAIN, at, None, &args),
+                            event_json('B', "drain", TID_DRAIN, at, None, &args),
                         );
                         drain_open = true;
                     }
@@ -186,7 +182,7 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
                                 slices,
                                 TID_DRAIN,
                                 at,
-                                event_json('E', "drain", pid, TID_DRAIN, at, None, &args),
+                                event_json('E', "drain", TID_DRAIN, at, None, &args),
                             );
                             drain_open = false;
                         }
@@ -198,15 +194,7 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
                     slices,
                     TID_META,
                     at,
-                    event_json(
-                        'i',
-                        action.name(),
-                        pid,
-                        TID_META,
-                        at,
-                        None,
-                        &[("line", line.0)],
-                    ),
+                    event_json('i', action.name(), TID_META, at, None, &[("line", line.0)]),
                 );
             }
             Event::Queue {
@@ -227,7 +215,6 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
                     event_json(
                         'C',
                         name,
-                        pid,
                         TID_COUNTERS,
                         at,
                         None,
@@ -247,7 +234,7 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
                     slices,
                     TID_AUDIT,
                     at,
-                    event_json('i', check.name(), pid, TID_AUDIT, at, None, &[]),
+                    event_json('i', check.name(), TID_AUDIT, at, None, &[]),
                 );
             }
         }
@@ -260,7 +247,6 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
             event_json(
                 'X',
                 "epoch",
-                pid,
                 TID_EPOCHS,
                 rollup.start,
                 Some(rollup.duration()),
@@ -276,7 +262,7 @@ fn render_recorder(rec: &Recorder, pid: u32, slices: &mut Vec<Slice>) {
     }
 }
 
-fn render_metrics(metrics: &MetricsRegistry, pid: u32, slices: &mut Vec<Slice>) {
+fn render_metrics(metrics: &MetricsRegistry, slices: &mut Vec<Slice>) {
     for s in metrics.samples() {
         let counters: [(&str, &[(&str, u64)]); 10] = [
             (
@@ -298,13 +284,13 @@ fn render_metrics(metrics: &MetricsRegistry, pid: u32, slices: &mut Vec<Slice>) 
                 slices,
                 TID_COUNTERS,
                 s.at,
-                event_json('C', name, pid, TID_COUNTERS, s.at, None, args),
+                event_json('C', name, TID_COUNTERS, s.at, None, args),
             );
         }
     }
 }
 
-fn render_recovery(timeline: &[RecoverySpan], pid: u32, slices: &mut Vec<Slice>) {
+fn render_recovery(timeline: &[RecoverySpan], slices: &mut Vec<Slice>) {
     for span in timeline {
         push(
             slices,
@@ -313,7 +299,6 @@ fn render_recovery(timeline: &[RecoverySpan], pid: u32, slices: &mut Vec<Slice>)
             event_json(
                 'X',
                 span.stage.name(),
-                pid,
                 TID_RECOVERY,
                 span.start,
                 Some(span.cycles()),
@@ -323,7 +308,7 @@ fn render_recovery(timeline: &[RecoverySpan], pid: u32, slices: &mut Vec<Slice>)
     }
 }
 
-fn render_lag(lag: &crate::obs::lag::LagTracer, pid: u32, slices: &mut Vec<Slice>) {
+fn render_lag(lag: &crate::obs::lag::LagTracer, slices: &mut Vec<Slice>) {
     for (issue, commit) in lag.recent_spans() {
         push(
             slices,
@@ -332,7 +317,6 @@ fn render_lag(lag: &crate::obs::lag::LagTracer, pid: u32, slices: &mut Vec<Slice
             event_json(
                 'X',
                 "vulnerable",
-                pid,
                 TID_LAG,
                 issue,
                 Some(commit.saturating_sub(issue)),
@@ -342,7 +326,7 @@ fn render_lag(lag: &crate::obs::lag::LagTracer, pid: u32, slices: &mut Vec<Slice
     }
 }
 
-fn render_profile(profile: &SpanProfiler, pid: u32, slices: &mut Vec<Slice>) {
+fn render_profile(profile: &SpanProfiler, slices: &mut Vec<Slice>) {
     let mut cursor: Cycle = 0;
     for stage in Stage::ALL {
         let cycles = profile.cycles_of(stage);
@@ -356,7 +340,6 @@ fn render_profile(profile: &SpanProfiler, pid: u32, slices: &mut Vec<Slice>) {
             event_json(
                 'X',
                 stage.name(),
-                pid,
                 TID_PROFILE,
                 cursor,
                 Some(cycles),
@@ -370,99 +353,50 @@ fn render_profile(profile: &SpanProfiler, pid: u32, slices: &mut Vec<Slice>) {
     }
 }
 
-/// Renders one input's event set for process `pid`, sorted per track.
-fn render_input(input: &ChromeTraceInput<'_>, pid: u32) -> Vec<Slice> {
-    let mut slices: Vec<Slice> = Vec::new();
-    if let Some(rec) = input.recorder {
-        render_recorder(rec, pid, &mut slices);
-    }
-    if let Some(metrics) = input.metrics {
-        render_metrics(metrics, pid, &mut slices);
-    }
-    if let Some(timeline) = input.recovery {
-        render_recovery(timeline, pid, &mut slices);
-    }
-    if let Some(lag) = input.lag {
-        render_lag(lag, pid, &mut slices);
-    }
-    if let Some(profile) = input.profile {
-        render_profile(profile, pid, &mut slices);
-    }
-    slices.sort_by_key(|a| (a.tid, a.ts));
-    slices
-}
-
-/// Writes the trace document: one `(pid, process name, slices)` block
-/// per process, each with its own track-name metadata.
-fn write_doc<W: Write>(out: &mut W, processes: &[(u32, String, Vec<Slice>)]) -> io::Result<()> {
-    write!(out, "{{\"traceEvents\":[")?;
-    let mut first = true;
-    let mut emit = |out: &mut W, json: &str| -> io::Result<()> {
-        if first {
-            first = false;
-        } else {
-            write!(out, ",")?;
-        }
-        write!(out, "\n{json}")
-    };
-    for (pid, process_name, slices) in processes {
-        emit(
-            out,
-            &format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\"ts\":0,\
-\"args\":{{\"name\":\"{process_name}\"}}}}"
-            ),
-        )?;
-        for (tid, name) in TRACK_NAMES {
-            emit(
-                out,
-                &format!(
-                    "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"ts\":0,\
-\"args\":{{\"name\":\"{name}\"}}}}"
-                ),
-            )?;
-        }
-        for slice in slices {
-            emit(out, &slice.json)?;
-        }
-    }
-    write!(
-        out,
-        "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"schema\":\"ccnvm-chrome/1\",\
-\"clock\":\"simulated-cycles-as-us\"}}}}"
-    )?;
-    writeln!(out)?;
-    Ok(())
-}
-
-/// Writes one Chrome trace-event document for a run's shards (a
-/// single-owner run is one shard): shard `i` becomes process
-/// `pid = i + 1`, named `ccnvm` when it is the only one and
-/// `ccnvm shard i` otherwise, each carrying the nine tracks above.
-/// Perfetto renders each shard as its own process group, so a
-/// multi-shard drain reads as N parallel `drain` B/E pairs.
+/// Writes one Chrome trace-event document for a run: process 1,
+/// named `ccnvm`, carrying the nine tracks above.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `out`.
-pub fn write_chrome_trace<W: Write>(
-    out: &mut W,
-    shards: &[ChromeTraceInput<'_>],
-) -> io::Result<()> {
-    let processes: Vec<(u32, String, Vec<Slice>)> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, input)| {
-            let pid = i as u32 + 1;
-            let name = if shards.len() == 1 {
-                "ccnvm".to_string()
-            } else {
-                format!("ccnvm shard {i}")
-            };
-            (pid, name, render_input(input, pid))
-        })
-        .collect();
-    write_doc(out, &processes)
+pub fn write_chrome_trace<W: Write>(out: &mut W, input: &ChromeTraceInput<'_>) -> io::Result<()> {
+    let mut slices: Vec<Slice> = Vec::new();
+    if let Some(rec) = input.recorder {
+        render_recorder(rec, &mut slices);
+    }
+    if let Some(metrics) = input.metrics {
+        render_metrics(metrics, &mut slices);
+    }
+    if let Some(timeline) = input.recovery {
+        render_recovery(timeline, &mut slices);
+    }
+    if let Some(lag) = input.lag {
+        render_lag(lag, &mut slices);
+    }
+    if let Some(profile) = input.profile {
+        render_profile(profile, &mut slices);
+    }
+    slices.sort_by_key(|a| (a.tid, a.ts));
+    write!(
+        out,
+        "{{\"traceEvents\":[\n{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"tid\":0,\
+\"ts\":0,\"args\":{{\"name\":\"ccnvm\"}}}}"
+    )?;
+    for (tid, name) in TRACK_NAMES {
+        write!(
+            out,
+            ",\n{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{tid},\"ts\":0,\
+\"args\":{{\"name\":\"{name}\"}}}}"
+        )?;
+    }
+    for slice in &slices {
+        write!(out, ",\n{}", slice.json)?;
+    }
+    writeln!(
+        out,
+        "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"schema\":\"ccnvm-chrome/1\",\
+\"clock\":\"simulated-cycles-as-us\"}}}}"
+    )
 }
 
 #[cfg(test)]
@@ -489,13 +423,13 @@ mod tests {
         let mut out = Vec::new();
         write_chrome_trace(
             &mut out,
-            &[ChromeTraceInput {
+            &ChromeTraceInput {
                 recorder: sim.memory().recorder(),
                 metrics: sim.memory().metrics(),
                 profile: sim.memory().profiler(),
                 recovery: None,
                 lag: sim.memory().lag(),
-            }],
+            },
         )
         .unwrap();
         String::from_utf8(out).unwrap()
@@ -518,10 +452,10 @@ mod tests {
                 assert!(e.get(key).is_some(), "missing {key}: {e:?}");
             }
             phases.insert(ph.to_string());
-            assert_eq!(e.num_field("pid"), Ok(1), "one input is process 1");
+            assert_eq!(e.num_field("pid"), Ok(1), "the run is process 1");
             if e.str_field("name") == Ok("process_name") {
                 let name = e.get("args").map(|a| a.str_field("name"));
-                assert_eq!(name, Some(Ok("ccnvm")), "a lone shard keeps the plain name");
+                assert_eq!(name, Some(Ok("ccnvm")));
             }
             let tid = e.num_field("tid").unwrap();
             let ts = e.num_field("ts").unwrap();
@@ -567,57 +501,11 @@ mod tests {
     #[test]
     fn empty_input_is_still_valid_json() {
         let mut out = Vec::new();
-        write_chrome_trace(&mut out, &[ChromeTraceInput::default()]).unwrap();
+        write_chrome_trace(&mut out, &ChromeTraceInput::default()).unwrap();
         let doc = json::parse(std::str::from_utf8(&out).unwrap()).unwrap();
         assert_eq!(
             doc.get("otherData").unwrap().str_field("schema"),
             Ok("ccnvm-chrome/1")
         );
-    }
-
-    #[test]
-    fn sharded_export_separates_processes_with_monotonic_tracks() {
-        let mut sims: Vec<Simulator> = (0..2u64)
-            .map(|i| {
-                let mut sim = Simulator::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
-                sim.memory_mut().attach_recorder(RecorderConfig::default());
-                let trace = TraceGenerator::new(profiles::by_name("lbm").unwrap(), 3 + i);
-                sim.run(trace, 15_000).unwrap();
-                sim
-            })
-            .collect();
-        let inputs: Vec<ChromeTraceInput<'_>> = sims
-            .iter_mut()
-            .map(|sim| ChromeTraceInput {
-                recorder: sim.memory().recorder(),
-                ..Default::default()
-            })
-            .collect();
-        let mut out = Vec::new();
-        write_chrome_trace(&mut out, &inputs).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let doc = json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").and_then(json::Json::as_arr).unwrap();
-        let mut pids = std::collections::HashSet::new();
-        let mut names = std::collections::HashSet::new();
-        let mut last_ts: HashMap<(u64, u64), u64> = HashMap::new();
-        for e in events {
-            let pid = e.num_field("pid").unwrap();
-            pids.insert(pid);
-            if e.str_field("name") == Ok("process_name") {
-                if let Some(Ok(n)) = e.get("args").map(|a| a.str_field("name")) {
-                    names.insert(n.to_string());
-                }
-            }
-            if e.str_field("ph").unwrap() != "M" {
-                let tid = e.num_field("tid").unwrap();
-                let ts = e.num_field("ts").unwrap();
-                let prev = last_ts.entry((pid, tid)).or_insert(0);
-                assert!(ts >= *prev, "track ({pid},{tid}) ts regressed");
-                *prev = ts;
-            }
-        }
-        assert_eq!(pids, [1u64, 2].into_iter().collect());
-        assert!(names.contains("ccnvm shard 0") && names.contains("ccnvm shard 1"));
     }
 }

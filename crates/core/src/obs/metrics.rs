@@ -476,70 +476,6 @@ pub fn summarize(samples: &[Sample]) -> Vec<SeriesSummary> {
         .collect()
 }
 
-/// Point-in-time pressure gauges for one shard of a
-/// [`ShardRouter`](crate::shard::ShardRouter) — the load-balance view
-/// the multi-tenant service reports next to each shard's own sampled
-/// series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardGauge {
-    /// Shard index within the router.
-    pub shard: u32,
-    /// Trace operations the router dispatched to this shard.
-    pub dispatched: u64,
-    /// Instructions this shard's core retired.
-    pub instructions: u64,
-    /// Cycles on this shard's epoch clock.
-    pub cycles: Cycle,
-    /// Write-backs this shard's engine processed.
-    pub write_backs: u64,
-    /// Epochs this shard committed (drain count).
-    pub epochs: u64,
-    /// Dirty address queue reservations outstanding.
-    pub dirty_queue_depth: u64,
-    /// WPQ entries whose array writes are still in flight.
-    pub wpq_occupancy: u64,
-}
-
-/// Renders a per-shard gauge table with each shard's dispatch share,
-/// so load imbalance across the routed address space is visible at a
-/// glance. All columns are exact integers except the share, which is
-/// a deterministic permille of the total dispatched operations.
-pub fn render_shard_gauges(gauges: &[ShardGauge]) -> String {
-    let total: u64 = gauges.iter().map(|g| g.dispatched).sum();
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<6} {:>12} {:>7} {:>14} {:>14} {:>12} {:>8} {:>11} {:>9}",
-        "shard",
-        "dispatched",
-        "share",
-        "instructions",
-        "cycles",
-        "write_backs",
-        "epochs",
-        "dirty_queue",
-        "wpq"
-    );
-    for g in gauges {
-        let share_milli = (g.dispatched * 1000).checked_div(total).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "{:<6} {:>12} {:>5}.{}% {:>14} {:>14} {:>12} {:>8} {:>11} {:>9}",
-            g.shard,
-            g.dispatched,
-            share_milli / 10,
-            share_milli % 10,
-            g.instructions,
-            g.cycles,
-            g.write_backs,
-            g.epochs,
-            g.dirty_queue_depth,
-            g.wpq_occupancy
-        );
-    }
-    out
-}
-
 /// Renders [`summarize`]'s output as an aligned table.
 pub fn render_summary(samples: &[Sample]) -> String {
     let mut out = String::new();
@@ -712,30 +648,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn shard_gauge_table_reports_dispatch_shares() {
-        let gauges = [
-            ShardGauge {
-                shard: 0,
-                dispatched: 750,
-                write_backs: 12,
-                ..ShardGauge::default()
-            },
-            ShardGauge {
-                shard: 1,
-                dispatched: 250,
-                epochs: 3,
-                ..ShardGauge::default()
-            },
-        ];
-        let table = render_shard_gauges(&gauges);
-        assert!(table.contains("75.0%"), "{table}");
-        assert!(table.contains("25.0%"), "{table}");
-        // Degenerate input renders without dividing by zero.
-        let empty = render_shard_gauges(&[ShardGauge::default()]);
-        assert!(empty.contains("0.0%"), "{empty}");
     }
 
     #[test]

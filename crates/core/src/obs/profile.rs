@@ -216,19 +216,6 @@ impl SpanProfiler {
         self.ops[i] += ops;
     }
 
-    /// Folds every counter of `other` into this profiler — used to
-    /// aggregate the per-shard profiles of a
-    /// [`crate::shard::ShardRouter`] into one document. Addition is
-    /// commutative, so the merged profile is independent of shard
-    /// order and host thread count.
-    pub fn merge(&mut self, other: &SpanProfiler) {
-        for i in 0..Stage::COUNT {
-            self.cycles[i] += other.cycles[i];
-            self.nvm_writes[i] += other.nvm_writes[i];
-            self.ops[i] += other.ops[i];
-        }
-    }
-
     /// Cycles attributed to `stage` so far.
     pub fn cycles_of(&self, stage: Stage) -> u64 {
         self.cycles[stage.index()]
@@ -606,20 +593,6 @@ mod tests {
         assert_eq!(p.domain_cycles(Domain::Engine), 216 + 80 + 400);
         assert_eq!(p.domain_cycles(Domain::Recovery), 0);
         assert_eq!(p.total_writes(), 3);
-    }
-
-    #[test]
-    fn merge_adds_every_counter() {
-        let mut a = sample_profiler();
-        let b = sample_profiler();
-        a.merge(&b);
-        assert_eq!(a.cycles_of(Stage::CoreIssue), 2000);
-        assert_eq!(a.ops_of(Stage::AesPad), 2);
-        assert_eq!(a.total_writes(), 6);
-        // Merging an empty profiler is the identity.
-        let json_before = a.to_json("d", "b", 1);
-        a.merge(&SpanProfiler::new());
-        assert_eq!(a.to_json("d", "b", 1), json_before);
     }
 
     #[test]

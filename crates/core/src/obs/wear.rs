@@ -29,8 +29,8 @@
 //! conservation sum), and the durable backend's host-I/O counters
 //! (commit-log/manifest traffic for the file backend; zeros in
 //! memory). The report serializes as `ccnvm-wear/1` — the repo's
-//! integer-only JSON subset, byte-stable across host thread counts,
-//! shard counts and crypto tiers.
+//! integer-only JSON subset, byte-stable across host thread counts
+//! and crypto tiers.
 
 use crate::layout::MAX_TREE_LEVELS;
 use crate::obs::json::{self, Json};

@@ -35,9 +35,8 @@ use std::fmt;
 
 /// Reusable working storage for [`recover_with`]: every buffer the
 /// recovery pass needs besides the recovered image itself. Repeated
-/// recoveries (the recovery bench, multi-shard recovery sweeps) hold
-/// one of these and amortize the whole pass to a handful of
-/// allocations per run.
+/// recoveries hold one of these and amortize the whole pass to a
+/// handful of allocations per run.
 #[derive(Debug, Default)]
 pub struct RecoveryScratch {
     /// Sorted materialized-address walk of the store under scan.

@@ -253,10 +253,10 @@ impl RunStats {
         }
     }
 
-    /// Folds another shard's counters into this one: every event
-    /// counter is summed, while `cycles` takes the maximum — shards
-    /// run concurrently on independent epoch clocks, so wall time for
-    /// the merged run is the slowest shard, not the sum.
+    /// Folds another run's counters into this one: every event
+    /// counter is summed, while `cycles` takes the maximum — the runs
+    /// are treated as concurrent, each on its own clock, so wall time
+    /// for the total is the slowest run, not the sum.
     pub fn accumulate(&mut self, other: &RunStats) {
         self.instructions += other.instructions;
         self.cycles = self.cycles.max(other.cycles);
@@ -419,7 +419,7 @@ mod tests {
         };
         a.accumulate(&b);
         assert_eq!(a.instructions, 15);
-        assert_eq!(a.cycles, 250, "merged wall time is the slowest shard");
+        assert_eq!(a.cycles, 250, "merged wall time is the slowest run");
         assert_eq!(a.write_backs, 7);
         assert_eq!(a.total_writes(), 8);
         assert_eq!(a.drains, 1);

@@ -7,7 +7,6 @@
 //! flow exclusively through this interface (no hidden side channels to
 //! the durable state).
 
-use crate::addr::LINES_PER_PAGE;
 use crate::store::{Line, LineStore, ZERO_LINE};
 use crate::timing::Cycle;
 use crate::LineAddr;
@@ -108,111 +107,6 @@ pub trait DurableBackend: std::fmt::Debug + Send {
     }
 }
 
-/// A [`DurableBackend`] view belonging to one shard of a partitioned
-/// address space.
-///
-/// The data region (`line < data_lines`) is partitioned page-granular
-/// and round-robin: page `p` belongs to shard `p % shard_count`.
-/// Every store to a data line asserts ownership — a cross-shard write
-/// is a router bug, and catching it at the durability seam proves the
-/// shards really are isolated epoch domains. Metadata lines (at or
-/// above `data_lines`) pass through unchecked: each shard keeps a
-/// private metadata plane for the pages it owns, so those address
-/// ranges never overlap between shard instances by construction.
-#[derive(Debug, Default)]
-pub struct ShardedBackend {
-    inner: LineStore,
-    shard_index: u64,
-    shard_count: u64,
-    data_lines: u64,
-}
-
-impl ShardedBackend {
-    /// Creates the view for shard `shard_index` of `shard_count` over
-    /// a data region of `data_lines` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard_count` is zero or `shard_index` is out of
-    /// range.
-    pub fn new(shard_index: u64, shard_count: u64, data_lines: u64) -> Self {
-        assert!(shard_count > 0, "a shard topology needs at least 1 shard");
-        assert!(
-            shard_index < shard_count,
-            "shard index {shard_index} out of range for {shard_count} shards"
-        );
-        Self {
-            inner: LineStore::new(),
-            shard_index,
-            shard_count,
-            data_lines,
-        }
-    }
-
-    /// Whether `line` is inside this shard's slice of the address
-    /// space (metadata lines always are — see the type docs).
-    pub fn owns(&self, line: LineAddr) -> bool {
-        line.0 >= self.data_lines
-            || (line.0 / LINES_PER_PAGE) % self.shard_count == self.shard_index
-    }
-}
-
-impl DurableBackend for ShardedBackend {
-    fn load(&self, line: LineAddr) -> Option<Line> {
-        self.inner.get(line).copied()
-    }
-
-    fn store(&mut self, line: LineAddr, content: Line) {
-        assert!(
-            self.owns(line),
-            "shard {}/{} asked to persist foreign line {line}",
-            self.shard_index,
-            self.shard_count
-        );
-        self.inner.write(line, content);
-    }
-
-    fn erase(&mut self, line: LineAddr) -> Option<Line> {
-        // Deleting durable state is as destructive as overwriting it:
-        // the same ownership invariant `store` enforces applies, or a
-        // router bug could silently drop another shard's line.
-        assert!(
-            self.owns(line),
-            "shard {}/{} asked to erase foreign line {line}",
-            self.shard_index,
-            self.shard_count
-        );
-        self.inner.erase(line)
-    }
-
-    fn len(&self) -> usize {
-        LineStore::len(&self.inner)
-    }
-
-    fn addrs(&self) -> Vec<LineAddr> {
-        self.inner.iter().map(|(l, _)| l).collect()
-    }
-
-    fn snapshot(&self) -> LineStore {
-        self.inner.clone()
-    }
-
-    fn restore(&mut self, image: &LineStore) {
-        // A service-wide recovery hands every shard the same merged
-        // image; each shard takes exactly its slice of the data region
-        // (plus the metadata plane, disjoint between shards by
-        // construction). Installing foreign data lines here would
-        // double-materialize pages into two epoch domains.
-        let mut filtered = LineStore::new();
-        for (line, content) in image.iter() {
-            if self.owns(line) {
-                filtered.write(line, *content);
-            }
-        }
-        self.inner = filtered;
-    }
-}
-
 impl DurableBackend for LineStore {
     fn load(&self, line: LineAddr) -> Option<Line> {
         self.get(line).copied()
@@ -246,70 +140,6 @@ impl DurableBackend for LineStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sharded_backend_enforces_page_ownership() {
-        // 4 pages of data (256 lines), 2 shards: shard 0 owns pages
-        // 0 and 2, shard 1 owns pages 1 and 3.
-        let mut s0 = ShardedBackend::new(0, 2, 256);
-        assert!(s0.owns(LineAddr(0)));
-        assert!(!s0.owns(LineAddr(64)));
-        assert!(s0.owns(LineAddr(128)));
-        assert!(s0.owns(LineAddr(256)), "metadata lines pass through");
-        s0.store(LineAddr(130), [1u8; 64]);
-        s0.store(LineAddr(300), [2u8; 64]);
-        assert_eq!(s0.load(LineAddr(130)), Some([1u8; 64]));
-        assert_eq!(s0.len(), 2);
-        let snap = s0.snapshot();
-        assert_eq!(s0.erase(LineAddr(130)), Some([1u8; 64]));
-        s0.restore(&snap);
-        assert_eq!(s0.read(LineAddr(130)), [1u8; 64]);
-    }
-
-    #[test]
-    #[should_panic(expected = "foreign line")]
-    fn sharded_backend_rejects_foreign_data_stores() {
-        let mut s1 = ShardedBackend::new(1, 2, 256);
-        s1.store(LineAddr(0), [1u8; 64]); // page 0 belongs to shard 0
-    }
-
-    #[test]
-    #[should_panic(expected = "erase foreign line")]
-    fn sharded_backend_rejects_foreign_data_erases() {
-        // Regression: erase used to skip the ownership check store
-        // performs, so a router bug could delete another shard's line.
-        let mut s1 = ShardedBackend::new(1, 2, 256);
-        s1.erase(LineAddr(0)); // page 0 belongs to shard 0
-    }
-
-    #[test]
-    fn sharded_backend_restore_filters_foreign_lines() {
-        // Regression: restore used to install a merged service-wide
-        // image wholesale, double-materializing pages into two shards.
-        let mut adversarial = LineStore::new();
-        adversarial.write(LineAddr(0), [10u8; 64]); // page 0 → shard 0
-        adversarial.write(LineAddr(64), [11u8; 64]); // page 1 → shard 1
-        adversarial.write(LineAddr(128), [12u8; 64]); // page 2 → shard 0
-        adversarial.write(LineAddr(300), [13u8; 64]); // metadata: both
-
-        let mut s0 = ShardedBackend::new(0, 2, 256);
-        s0.restore(&adversarial);
-        assert_eq!(s0.load(LineAddr(0)), Some([10u8; 64]));
-        assert_eq!(s0.load(LineAddr(128)), Some([12u8; 64]));
-        assert_eq!(s0.load(LineAddr(300)), Some([13u8; 64]));
-        assert_eq!(
-            s0.load(LineAddr(64)),
-            None,
-            "shard 0 must not materialize shard 1's page"
-        );
-        assert_eq!(s0.len(), 3);
-
-        let mut s1 = ShardedBackend::new(1, 2, 256);
-        s1.restore(&adversarial);
-        assert_eq!(s1.load(LineAddr(64)), Some([11u8; 64]));
-        assert_eq!(s1.load(LineAddr(0)), None);
-        assert_eq!(s1.len(), 2);
-    }
 
     #[test]
     fn line_store_implements_the_contract() {

@@ -14,7 +14,7 @@
 //!    asserts recovery is clean.
 //!
 //! The state is thread-local so parallel test threads (and parallel
-//! sweep/shard workers) never observe each other's arming. A panic
+//! sweep workers) never observe each other's arming. A panic
 //! hook filter keeps expected kills out of test output while leaving
 //! genuine panics untouched.
 

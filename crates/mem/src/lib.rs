@@ -45,7 +45,7 @@ pub mod store;
 pub mod timing;
 
 pub use addr::{Addr, LineAddr, LINE_SIZE, PAGE_SIZE};
-pub use backend::{DurableBackend, ShardedBackend};
+pub use backend::DurableBackend;
 pub use cache::{CacheConfig, SetAssocCache};
 pub use controller::{
     MemController, MemControllerConfig, MemStats, QueueEvent, QueueKind, QueueRecorder, WearStats,

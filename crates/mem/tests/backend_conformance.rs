@@ -1,12 +1,12 @@
 //! Reusable conformance suite for the [`DurableBackend`] trait
 //! contract, run against every implementation: the in-memory
-//! [`LineStore`], the ownership-enforcing [`ShardedBackend`] view and
-//! the file-backed [`FileBackend`]. A backend that passes here can be
-//! swapped under `SecureMemory` without the upper layers noticing.
+//! [`LineStore`] and the file-backed [`FileBackend`]. A backend that
+//! passes here can be swapped under `SecureMemory` without the upper
+//! layers noticing.
 
 use ccnvm_mem::file::{FileBackend, FileBackendConfig};
 use ccnvm_mem::store::ZERO_LINE;
-use ccnvm_mem::{DurableBackend, LineAddr, LineStore, ShardedBackend};
+use ccnvm_mem::{DurableBackend, LineAddr, LineStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -17,9 +17,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ccnvm-conf-{tag}-{}-{n}", std::process::id()))
 }
 
-/// Addresses every backend under test may freely use. They live in
-/// the "metadata" range of the [`ShardedBackend`] fixture (at or
-/// above its `data_lines`), which every shard owns.
+/// Addresses every backend under test may freely use.
 const FREE: [LineAddr; 3] = [LineAddr(300), LineAddr(301), LineAddr(400)];
 
 /// The trait contract, exercised through a `dyn` handle exactly the
@@ -86,14 +84,6 @@ fn conformance(mut b: Box<dyn DurableBackend>) {
 #[test]
 fn line_store_conforms() {
     conformance(Box::new(LineStore::new()));
-}
-
-#[test]
-fn sharded_backend_conforms() {
-    // 2 shards over 4 data pages; the suite's addresses are all in
-    // the always-owned metadata range.
-    conformance(Box::new(ShardedBackend::new(0, 2, 256)));
-    conformance(Box::new(ShardedBackend::new(1, 2, 256)));
 }
 
 #[test]

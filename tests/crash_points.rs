@@ -57,6 +57,14 @@ fn interrupted_drain_keeps_old_epoch() {
     }
     // Stage the next epoch but crash before the end signal.
     mem.stage_drain(3_000_000);
+    // Power fails mid-drain: the staged lines never reach durable NVM,
+    // and recovery falls back to the committed epoch without blaming
+    // an attacker for the loss.
+    let mid_drain = mem.crash_image();
+    assert!(mid_drain.staged_lines_lost > 0, "the drain staged lines");
+    let report = recover(&mid_drain);
+    assert!(report.is_clean(), "{report:?}");
+    assert!(report.located.is_empty(), "{:?}", report.located);
     mem.discard_staged();
     let image = mem.crash_image();
 

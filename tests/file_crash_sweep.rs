@@ -5,10 +5,12 @@
 //! come back clean (with and without a torn tail record). The flight
 //! sidecar closes the forensic loop: for every kill, the recovered
 //! log's inferred cause must name exactly the boundary that was armed.
+//! The price of that durability — fsyncs and bytes written under each
+//! fsync strategy and epoch length — is pinned exactly.
 
 use ccnvm::prelude::*;
 use ccnvm::secmem::SecureMemory;
-use ccnvm_mem::LineAddr;
+use ccnvm_mem::{FileBackend, FileBackendConfig, FsyncStrategy, LineAddr};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -131,4 +133,65 @@ fn sweep_crosses_a_manifest_swap_when_compaction_triggers() {
     // Kills inside a manifest swap must still be attributed exactly,
     // even though compaction rotates the flight sidecar.
     assert!(report.cause_attribution_ok(), "{report}");
+}
+
+/// `(fsync strategy, epoch length in write-backs, fsyncs, bytes
+/// written)` for 2 000 cc-NVM write-backs on a fresh store. Bytes
+/// depend only on the epoch length: longer epochs coalesce more
+/// metadata updates into each drain. Fsyncs depend on both axes.
+const FSYNC_COSTS: [(FsyncStrategy, u64, u64, u64); 15] = [
+    (FsyncStrategy::Always, 4, 2500, 1_114_125),
+    (FsyncStrategy::Always, 16, 2125, 748_250),
+    (FsyncStrategy::Always, 64, 2062, 648_052),
+    (FsyncStrategy::Batch(8), 4, 1500, 1_114_125),
+    (FsyncStrategy::Batch(8), 16, 1125, 748_250),
+    (FsyncStrategy::Batch(8), 64, 1032, 648_052),
+    (FsyncStrategy::Batch(64), 4, 250, 1_114_125),
+    (FsyncStrategy::Batch(64), 16, 189, 748_250),
+    (FsyncStrategy::Batch(64), 64, 158, 648_052),
+    (FsyncStrategy::Interval(10_000), 4, 190, 1_114_125),
+    (FsyncStrategy::Interval(10_000), 16, 98, 748_250),
+    (FsyncStrategy::Interval(10_000), 64, 100, 648_052),
+    (FsyncStrategy::Interval(100_000), 4, 23, 1_114_125),
+    (FsyncStrategy::Interval(100_000), 16, 11, 748_250),
+    (FsyncStrategy::Interval(100_000), 64, 12, 648_052),
+];
+
+#[test]
+fn fsync_and_byte_costs_are_pinned_per_strategy_and_epoch_length() {
+    for (strategy, epoch_len, fsyncs, bytes_written) in FSYNC_COSTS {
+        let dir = temp_dir("fsync-cost");
+        let store = FileBackend::open(
+            &dir,
+            FileBackendConfig {
+                fsync: strategy,
+                ..FileBackendConfig::default()
+            },
+        )
+        .expect("fresh store");
+        let io = store.io_counters();
+        let mut mem =
+            SecureMemory::with_backend(SimConfig::paper(DesignKind::CcNvm), Box::new(store))
+                .expect("paper config");
+        let mut now = 0;
+        for i in 0..2_000u64 {
+            // Cycle through 64 pages with a rotating line offset.
+            let line = LineAddr((i * 7) % 64 * 64 + (i * 13) % 64);
+            mem.write_back(line, now).expect("attack-free run");
+            now += 400;
+            if (i + 1) % epoch_len == 0 {
+                mem.drain(now, DrainTrigger::External);
+                now += 400;
+            }
+        }
+        mem.sync_durable();
+        drop(mem);
+        std::fs::remove_dir_all(&dir).ok();
+        let s = io.stats();
+        assert_eq!(
+            (s.fsyncs, s.bytes_written),
+            (fsyncs, bytes_written),
+            "fsync={strategy}, epoch length {epoch_len}"
+        );
+    }
 }
