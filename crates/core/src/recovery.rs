@@ -39,12 +39,10 @@ use std::fmt;
 /// handful of allocations per run.
 #[derive(Debug, Default)]
 pub struct RecoveryScratch {
-    /// Sorted materialized-address walk of the store under scan.
+    /// Sorted materialized-address walk of the image under scan.
     addrs: Vec<LineAddr>,
-    /// The image's data lines, sorted.
-    data_lines: Vec<LineAddr>,
-    /// Counter lines patched during retry (sorted, deduped).
-    touched_counters: Vec<u64>,
+    /// Counter lines patched during retry, sorted.
+    touched_counters: Vec<LineAddr>,
     /// `(counter idx, content)` input to the tree rebuild.
     counters: Vec<(u64, Line)>,
     /// Rebuild ping-pong buffers and MAC batches.
@@ -302,58 +300,64 @@ pub fn recover_with(
         }
     }
 
-    // Step 2: recover counters through the data HMACs.
+    // Step 2: recover counters through the data HMACs. Data lines sort
+    // below every metadata region, and the walk is sorted, so the lines
+    // of one page are adjacent and share one counter line: it is
+    // decoded once, patched in place and written back once when the
+    // walk leaves the page, which keeps `touched_counters` sorted. Runs
+    // of up to four lines likewise share one data-HMAC line.
     let mut working = image.nvm.clone();
     let mut total_retries = 0u64;
     let mut max_line_retries = 0u64;
     let mut recovered_data_lines = 0u64;
     scratch.touched_counters.clear();
-    scratch.data_lines.clear();
-    scratch.data_lines.extend(
-        scratch
-            .addrs
-            .iter()
-            .copied()
-            .filter(|l| layout.is_data_line(*l)),
-    );
-    let data_line_count = scratch.data_lines.len() as u64;
+    let data_end = scratch.addrs.partition_point(|&l| layout.is_data_line(l));
+    let data_line_count = data_end as u64;
+    let dh_line_of = |l: &LineAddr| layout.dh_slot_of(*l).0;
     let probes_before = engine.hmac_ops();
-    for &line in &scratch.data_lines {
-        let ct = image.nvm.read(line);
-        let ctr_line = layout.counter_line_of(line);
-        let mut ctr = CounterLine::decode(&working.read(ctr_line));
-        let off = line.page_offset();
-        let (major, minor) = ctr.seed(off);
-        let (dh_line, dh_off) = layout.dh_slot_of(line);
-        let dh_stored: &[u8] = &image.nvm.read(dh_line)[dh_off..dh_off + 16];
+    for page in scratch.addrs[..data_end].chunk_by(|a, b| a.page() == b.page()) {
+        let ctr_line = layout.counter_line_of(page[0]);
+        let mut ctr = CounterLine::decode(&image.nvm.read(ctr_line));
+        let mut patched = false;
+        for run in page.chunk_by(|a, b| dh_line_of(a) == dh_line_of(b)) {
+            let dh = image.nvm.read(dh_line_of(&run[0]));
+            for &line in run {
+                let ct = image.nvm.read(line);
+                let off = line.page_offset();
+                let (major, minor) = ctr.seed(off);
+                let dh_off = layout.dh_slot_of(line).1;
+                let dh_stored = &dh[dh_off..dh_off + 16];
 
-        let mut found = None;
-        for k in 0..=budget {
-            let candidate = minor as u64 + k;
-            if candidate > MINOR_MAX as u64 {
-                // Overflow persists the counter atomically, so recovery
-                // never crosses a major boundary.
-                break;
-            }
-            let mac = engine.data_hmac(&ct, line, major, candidate as u8);
-            if mac[..] == *dh_stored {
-                found = Some(k);
-                break;
-            }
-        }
-        match found {
-            Some(0) => {}
-            Some(k) => {
-                total_retries += k;
-                max_line_retries = max_line_retries.max(k);
-                recovered_data_lines += 1;
-                ctr.set_minor(off, (minor as u64 + k) as u8);
-                working.write(ctr_line, ctr.encode());
-                if let Err(pos) = scratch.touched_counters.binary_search(&ctr_line.0) {
-                    scratch.touched_counters.insert(pos, ctr_line.0);
+                let mut found = None;
+                for k in 0..=budget {
+                    let candidate = minor as u64 + k;
+                    if candidate > MINOR_MAX as u64 {
+                        // Overflow persists the counter atomically, so
+                        // recovery never crosses a major boundary.
+                        break;
+                    }
+                    let mac = engine.data_hmac(&ct, line, major, candidate as u8);
+                    if mac[..] == *dh_stored {
+                        found = Some(k);
+                        break;
+                    }
+                }
+                match found {
+                    Some(0) => {}
+                    Some(k) => {
+                        total_retries += k;
+                        max_line_retries = max_line_retries.max(k);
+                        recovered_data_lines += 1;
+                        ctr.set_minor(off, (minor as u64 + k) as u8);
+                        patched = true;
+                    }
+                    None => located.push(LocatedAttack::DataTampered { line }),
                 }
             }
-            None => located.push(LocatedAttack::DataTampered { line }),
+        }
+        if patched {
+            working.write(ctr_line, ctr.encode());
+            scratch.touched_counters.push(ctr_line);
         }
     }
 
@@ -362,17 +366,24 @@ pub fn recover_with(
     // Step 3: potential replay detection (deferred spreading only).
     let potential_replay = image.design == DesignKind::CcNvm && total_retries != image.tcb.nwb;
 
-    // Step 4: rebuild the tree over the recovered counters, writing
-    // the rebuilt nodes straight into the recovered image (this is
-    // exactly where they were merged to anyway).
-    working.sorted_addrs_into(&mut scratch.addrs);
+    // Step 4: rebuild the tree over the recovered counters: the image's
+    // own counter lines from step 1's sorted walk, plus the patched ones
+    // the image lacked (`rebuild_with` sorts its input). The rebuilt
+    // nodes go straight into the recovered image (this is exactly where
+    // they were merged to anyway).
     scratch.counters.clear();
     scratch.counters.extend(
-        scratch
-            .addrs
+        scratch.addrs[data_end..]
             .iter()
             .copied()
-            .filter(|l| layout.is_counter_line(*l))
+            .filter(|&l| layout.is_counter_line(l))
+            .chain(
+                scratch
+                    .touched_counters
+                    .iter()
+                    .copied()
+                    .filter(|&l| !image.nvm.contains(l)),
+            )
             .map(|l| (layout.counter_index(l), working.read(l))),
     );
     let mut recovered_nvm = working;
@@ -595,6 +606,87 @@ mod tests {
         assert!(report.is_clean(), "{report:?}");
         assert!(report.total_retries <= m.config().update_limit as u64);
         assert_eq!(report.rebuilt_root_match, RootMatch::New);
+    }
+
+    #[test]
+    fn mixed_image_report_is_pinned() {
+        // Page 0: lines 0 and 4..=7 drained (0 retries each), then line
+        // 1 written once (1 retry) and line 2 three times (3 retries).
+        // Page 1: its counter line never reached NVM (2 retries on line
+        // 67). Line 5 is spoofed; it shares its data-HMAC line with the
+        // clean lines 4, 6 and 7.
+        let mut m = mem(DesignKind::CcNvm);
+        let mut now = 0u64;
+        let mut wb = |m: &mut SecureMemory, line: u64| {
+            now += 100_000;
+            m.write_back(LineAddr(line), now).unwrap();
+        };
+        for line in [0, 4, 5, 6, 7] {
+            wb(&mut m, line);
+        }
+        m.drain(10_000_000, DrainTrigger::External);
+        for line in [1, 2, 2, 2, 67, 67] {
+            wb(&mut m, line);
+        }
+        let mut image = m.crash_image();
+        let layout = SecureLayout::new(image.capacity_bytes);
+        assert!(!image.nvm.contains(layout.counter_line_of(LineAddr(67))));
+        crate::attack::spoof_data(&mut image, LineAddr(5));
+
+        let report = recover(&image);
+        assert_eq!(
+            report.located,
+            vec![LocatedAttack::DataTampered { line: LineAddr(5) }]
+        );
+        assert_eq!(
+            (report.total_retries, report.max_line_retries, report.nwb),
+            (6, 3, 6)
+        );
+        assert_eq!(
+            (report.recovered_counter_lines, report.recovered_data_lines),
+            (2, 3)
+        );
+        assert!(!report.potential_replay);
+        assert_eq!(report.stored_root_match, RootMatch::New);
+        // cc-NVM moves its roots only at a drain, so the rebuilt tree,
+        // which holds the post-drain counters, matches neither.
+        assert_eq!(report.rebuilt_root_match, RootMatch::Neither);
+        let spans: Vec<_> = report
+            .timeline
+            .iter()
+            .map(|s| (s.start, s.end, s.ops, s.nvm_writes))
+            .collect();
+        assert_eq!(
+            spans,
+            vec![(0, 1560, 6, 0), (1560, 6840, 30, 2), (6840, 7240, 5, 4)]
+        );
+        assert_eq!(report.recovery_cycles, 7240);
+        assert_eq!(
+            report.rebuilt_root,
+            [
+                0x6d, 0xd2, 0xf7, 0xde, 0x4b, 0x99, 0x92, 0xea, 0xaf, 0x38, 0xb3, 0xfe, 0xec, 0x0c,
+                0x4a, 0xd1
+            ]
+        );
+        // Packed 7-bit minors after the 8-byte major: page 0 holds
+        // minors 1, 1, 3, 0, 1, 1, 1, 1; page 1 holds minor 2 at offset 3.
+        let ctr = |line: u64| {
+            report
+                .recovered_nvm
+                .read(layout.counter_line_of(LineAddr(line)))
+        };
+        let packed = |bytes: &[(usize, u8)]| {
+            let mut line = [0u8; 64];
+            for &(i, b) in bytes {
+                line[i] = b;
+            }
+            line
+        };
+        assert_eq!(
+            ctr(0),
+            packed(&[(8, 129), (9, 192), (11, 16), (12, 8), (13, 4), (14, 2)])
+        );
+        assert_eq!(ctr(67), packed(&[(10, 64)]));
     }
 
     #[test]

@@ -242,20 +242,63 @@ impl FileIoCounters {
     }
 }
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib/`crc32fast` flavour),
-/// bit-reflected, init and xorout `0xFFFF_FFFF`.
-fn crc32(data: &[u8]) -> u32 {
+/// Slice-by-8 tables of the reflected CRC-32 polynomial, built at
+/// compile time: `CRC_TABLES[0][b]` advances the CRC over byte `b`,
+/// and `CRC_TABLES[k][b]` over `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
     const POLY: u32 = 0xEDB8_8320;
-    let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let lsb = crc & 1;
-            crc >>= 1;
-            if lsb != 0 {
-                crc ^= POLY;
-            }
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
         }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (ISO-HDLC polynomial, the zlib/`crc32fast` flavour),
+/// bit-reflected, init and xorout `0xFFFF_FFFF`. Eight bytes per step
+/// through [`CRC_TABLES`]; the tests check it against the bit-at-a-time
+/// definition.
+fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -558,14 +601,14 @@ impl FileBackend {
     /// and fsyncs the directory — the atomic-replace idiom.
     fn write_manifest(&mut self) -> std::io::Result<()> {
         self.flight_begin("manifest-swap");
-        let mut addrs: Vec<LineAddr> = self.mirror.iter().map(|(l, _)| l).collect();
-        addrs.sort_unstable();
-        let mut bytes = Vec::with_capacity(8 + 8 + addrs.len() * 72 + 4);
+        let mut entries: Vec<(LineAddr, &Line)> = self.mirror.iter().collect();
+        entries.sort_unstable_by_key(|&(addr, _)| addr);
+        let mut bytes = Vec::with_capacity(8 + 8 + entries.len() * 72 + 4);
         bytes.extend_from_slice(&MANIFEST_MAGIC);
-        bytes.extend_from_slice(&(addrs.len() as u64).to_le_bytes());
-        for &addr in &addrs {
+        bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for (addr, content) in entries {
             bytes.extend_from_slice(&addr.0.to_le_bytes());
-            bytes.extend_from_slice(self.mirror.get(addr).expect("addr just listed"));
+            bytes.extend_from_slice(content);
         }
         let crc = crc32(&bytes[8..]);
         bytes.extend_from_slice(&crc.to_le_bytes());
@@ -709,7 +752,10 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
     let mut applied_end = 0usize;
     let mut applied_records = 0u64;
     let mut next_seq = 0u64;
-    let mut group: Option<(u64, Vec<Op>)> = None;
+    // Sequence number of the open group; its members wait in `ops`,
+    // one buffer reused by every group.
+    let mut group: Option<u64> = None;
+    let mut ops: Vec<Op> = Vec::new();
 
     let apply = |mirror: &mut LineStore, op: &Op| match op {
         Op::Store(addr, content) => mirror.write(*addr, *content),
@@ -735,27 +781,18 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
         }
         let arg = u64::from_le_bytes(body[1..9].try_into().expect("8"));
         match kind {
-            KIND_STORE => {
-                let content: Line = body[9..73].try_into().expect("64");
-                let op = Op::Store(LineAddr(arg), content);
-                match &mut group {
-                    Some((_, ops)) => ops.push(op),
-                    None => {
-                        apply(mirror, &op);
-                        applied_records += 1;
-                        applied_end = pos + frame;
-                    }
-                }
-            }
-            KIND_ERASE => {
-                let op = Op::Erase(LineAddr(arg));
-                match &mut group {
-                    Some((_, ops)) => ops.push(op),
-                    None => {
-                        apply(mirror, &op);
-                        applied_records += 1;
-                        applied_end = pos + frame;
-                    }
+            KIND_STORE | KIND_ERASE => {
+                let op = if kind == KIND_STORE {
+                    Op::Store(LineAddr(arg), body[9..73].try_into().expect("64"))
+                } else {
+                    Op::Erase(LineAddr(arg))
+                };
+                if group.is_some() {
+                    ops.push(op);
+                } else {
+                    apply(mirror, &op);
+                    applied_records += 1;
+                    applied_end = pos + frame;
                 }
             }
             KIND_BEGIN => {
@@ -765,11 +802,12 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
                 let Some(after) = arg.checked_add(1) else {
                     break; // no sequence can follow: corrupt tail
                 };
-                group = Some((arg, Vec::new()));
+                ops.clear();
+                group = Some(arg);
                 next_seq = next_seq.max(after);
             }
             KIND_COMMIT => match group.take() {
-                Some((seq, ops)) if seq == arg => {
+                Some(seq) if seq == arg => {
                     for op in &ops {
                         apply(mirror, op);
                     }
@@ -823,13 +861,15 @@ fn load_manifest(path: &Path) -> Result<LineStore, FileBackendError> {
     if crc32(&body[8..]) != crc {
         return Err(corrupt("checksum mismatch"));
     }
-    let mut store = LineStore::new();
-    for entry in entries.chunks_exact(72) {
-        let addr = u64::from_le_bytes(entry[..8].try_into().expect("8"));
-        let content: Line = entry[8..].try_into().expect("64");
-        store.write(LineAddr(addr), content);
-    }
-    Ok(store)
+    // The length check above bounds the count, so the exact size hint
+    // of `chunks_exact` pre-sizes the mirror.
+    Ok(entries
+        .chunks_exact(72)
+        .map(|entry| {
+            let addr = u64::from_le_bytes(entry[..8].try_into().expect("8"));
+            (LineAddr(addr), entry[8..].try_into().expect("64"))
+        })
+        .collect())
 }
 
 impl DurableBackend for FileBackend {
@@ -976,11 +1016,187 @@ mod tests {
         FileBackend::open(dir, FileBackendConfig::default()).expect("open")
     }
 
+    /// The definition of the CRC, one bit at a time: the oracle the
+    /// table-driven [`crc32`] must equal.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        const POLY: u32 = 0xEDB8_8320;
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let lsb = crc & 1;
+                crc >>= 1;
+                if lsb != 0 {
+                    crc ^= POLY;
+                }
+            }
+        }
+        !crc
+    }
+
+    /// FNV-1a, 64-bit: a dependency-free digest for pinning file bytes.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Drives one fixed sequence through a store with the flight
+    /// sidecar on: standalone stores, an erase, atomic groups (one with
+    /// an erase inside), flight entries and a forced compaction, then
+    /// more of each so all three files end non-empty.
+    fn write_fixed_store(dir: &Path) {
+        let cfg = FileBackendConfig {
+            fsync: FsyncStrategy::Always,
+            compact_threshold: u64::MAX,
+            flight: true,
+        };
+        let line =
+            |i: u64| -> Line { core::array::from_fn(|j| (i as u8).wrapping_mul(31) ^ j as u8) };
+        let mut b = FileBackend::open(dir, cfg).expect("open");
+        for i in 0..6u64 {
+            b.store(LineAddr(i * 7), line(i));
+        }
+        assert_eq!(b.erase(LineAddr(7)), Some(line(1)));
+        b.begin_atomic();
+        b.store(LineAddr(100), line(100));
+        b.store(LineAddr(101), line(101));
+        b.commit_atomic();
+        b.flight_append(b"{\"flight\":\"epoch\",\"at\":1,\"index\":1}");
+        b.compact();
+        for i in 6..10u64 {
+            b.store(LineAddr(i * 7), line(i));
+        }
+        b.begin_atomic();
+        b.store(LineAddr(3), line(3));
+        b.erase(LineAddr(0));
+        b.commit_atomic();
+        b.flight_append(b"{\"flight\":\"epoch\",\"at\":2,\"index\":2}");
+        b.sync();
+    }
+
     #[test]
     fn crc32_matches_the_iso_hdlc_check_value() {
         // The canonical CRC-32/ISO-HDLC check: crc32(b"123456789").
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_equals_the_bitwise_definition() {
+        let mut rng = ccnvm_rng::Rng::seed_from_u64(0xC4C32);
+        let bytes = rng.gen_bytes(300 + 8);
+        // Every tail length and every start alignment of the 8-byte
+        // stride.
+        for start in 0..8 {
+            for len in 0..=300 {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "start {start} len {len}");
+            }
+        }
+        let big = rng.gen_bytes(1 << 20);
+        assert_eq!(crc32(&big), crc32_bitwise(&big));
+    }
+
+    #[test]
+    fn on_disk_format_is_pinned() {
+        let dir = temp_dir("format");
+        write_fixed_store(&dir);
+        let digest = |name: &str| fnv1a64(&std::fs::read(dir.join(name)).expect("read"));
+        assert_eq!(
+            [digest(LOG_FILE), digest(MANIFEST_FILE), digest(FLIGHT_FILE)],
+            [
+                0x6337_1e97_10af_b103,
+                0x7791_6b17_1958_7429,
+                0xd84a_e51e_2fe6_1298
+            ],
+            "commit.log, manifest, flight.log"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn single_bit_flips_stop_every_reader_before_the_flipped_frame() {
+        let dir = temp_dir("flips");
+        write_fixed_store(&dir);
+        let names = [LOG_FILE, MANIFEST_FILE, FLIGHT_FILE];
+        let originals = names.map(|name| std::fs::read(dir.join(name)).expect("read"));
+        // Frame start offsets of the well-formed log and sidecar.
+        let frame_starts = |bytes: &[u8], frame_len: &dyn Fn(&[u8]) -> usize| {
+            let mut starts = Vec::new();
+            let mut pos = 0;
+            while pos < bytes.len() {
+                starts.push(pos);
+                pos += frame_len(&bytes[pos..]);
+            }
+            assert_eq!(pos, bytes.len(), "the fixed store is well-formed");
+            starts
+        };
+        let log_starts = frame_starts(&originals[0], &|f| match f[0] {
+            KIND_STORE => STORE_RECORD,
+            _ => SHORT_RECORD,
+        });
+        let flight_starts = frame_starts(&originals[2], &|f| {
+            FLIGHT_OVERHEAD + u32::from_le_bytes(f[1..5].try_into().expect("4")) as usize
+        });
+        // Index of the frame holding byte `at`.
+        let frame_of = |starts: &[usize], at: usize| starts.partition_point(|&s| s <= at) - 1;
+
+        let mut rng = ccnvm_rng::Rng::seed_from_u64(0xF11B);
+        let work = temp_dir("flips-work");
+        let cfg = FileBackendConfig::default();
+        for (file, name) in names.into_iter().enumerate() {
+            for _ in 0..48 {
+                let mut bytes = originals[file].clone();
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= 1 << rng.gen_range(0..8u32);
+                std::fs::create_dir_all(&work).expect("work dir");
+                for (other, other_name) in names.into_iter().enumerate() {
+                    let content = if other == file {
+                        &bytes
+                    } else {
+                        &originals[other]
+                    };
+                    std::fs::write(work.join(other_name), content).expect("write");
+                }
+                match name {
+                    LOG_FILE => {
+                        let b = FileBackend::open(&work, cfg).expect("a torn log is no error");
+                        let before = frame_of(&log_starts, at) as u64;
+                        let replayed = b.io_counters().stats().replayed_records;
+                        assert!(
+                            replayed <= before,
+                            "flip at byte {at}: {replayed} > {before}"
+                        );
+                    }
+                    MANIFEST_FILE => {
+                        let err = FileBackend::open(&work, cfg)
+                            .expect_err("a flipped manifest must not load");
+                        assert!(
+                            matches!(err, FileBackendError::CorruptManifest { .. }),
+                            "flip at byte {at}: {err}"
+                        );
+                    }
+                    _ => {
+                        let (entries, _) = read_flight_log(&work).expect("read");
+                        let frame = frame_of(&flight_starts, at);
+                        assert!(
+                            entries.len() <= frame,
+                            "flip at byte {at}: {} entries",
+                            entries.len()
+                        );
+                        let flight = FileBackendConfig {
+                            flight: true,
+                            ..cfg
+                        };
+                        drop(FileBackend::open(&work, flight).expect("a torn sidecar is no error"));
+                    }
+                }
+                std::fs::remove_dir_all(&work).ok();
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -97,21 +97,19 @@ impl LineStore {
     }
 }
 
+// Both delegate to `HashMap`, which reserves room for the iterator's
+// size hint before inserting.
 impl FromIterator<(LineAddr, Line)> for LineStore {
     fn from_iter<T: IntoIterator<Item = (LineAddr, Line)>>(iter: T) -> Self {
-        let mut s = Self::new();
-        for (a, l) in iter {
-            s.write(a, l);
+        Self {
+            lines: iter.into_iter().map(|(a, l)| (a.0, l)).collect(),
         }
-        s
     }
 }
 
 impl Extend<(LineAddr, Line)> for LineStore {
     fn extend<T: IntoIterator<Item = (LineAddr, Line)>>(&mut self, iter: T) {
-        for (a, l) in iter {
-            self.write(a, l);
-        }
+        self.lines.extend(iter.into_iter().map(|(a, l)| (a.0, l)));
     }
 }
 
