@@ -13,25 +13,21 @@
 //! scratch after any update sequence matches the incrementally
 //! maintained root — without materializing millions of lines.
 
-use crate::engine::{CryptoEngine, MT_MSG_LEN};
+use crate::engine::CryptoEngine;
 use crate::layout::{SecureLayout, MACS_PER_LINE};
 use crate::view::{MetaSource, MetaView};
 use ccnvm_crypto::Mac128;
 use ccnvm_mem::{Line, LineAddr, LineStore};
 
 /// Reusable working storage for [`Bmt::rebuild_with`], owned by the
-/// caller so repeated rebuilds reuse the same four buffers instead of
-/// reallocating the level slices and MAC batches every pass.
+/// caller so repeated rebuilds reuse the same two buffers instead of
+/// reallocating the level slices every pass.
 #[derive(Debug, Default)]
 pub struct RebuildScratch {
     /// Sorted `(node idx, content)` slice of the level being consumed.
     current: Vec<(u64, Line)>,
     /// The level being produced (swapped with `current` per level).
     parents: Vec<(u64, Line)>,
-    /// Prebuilt node-MAC messages for one level's children.
-    msgs: Vec<[u8; MT_MSG_LEN]>,
-    /// Their lane-batched MACs.
-    macs: Vec<Mac128>,
 }
 
 /// A parent/child HMAC mismatch found while verifying the tree.
@@ -242,8 +238,7 @@ impl Bmt {
     /// writes every rebuilt node into `nodes` and returns the root
     /// plus the number of node lines written. Value-identical to
     /// `rebuild`; only the allocation profile differs (repeated calls
-    /// reuse all buffers), and child MACs within a level are dispatched
-    /// through the lane-batched HMAC path.
+    /// reuse both buffers).
     pub fn rebuild_with<I>(
         &self,
         counters: I,
@@ -266,23 +261,9 @@ impl Bmt {
         let mut top_content = self.default_node(self.layout.internal_levels());
         let mut written = 0u64;
         for level in 1..=self.layout.internal_levels() {
-            // All child MACs of one level are independent: stage their
-            // messages in `current` order and let the engine fill the
-            // SIMD lanes (same values as MAC-at-a-time).
-            scratch.msgs.clear();
-            for &(child_idx, ref content) in &scratch.current {
-                scratch.msgs.push(CryptoEngine::node_mac_msg(
-                    child_level,
-                    (child_idx % MACS_PER_LINE) as u8,
-                    content,
-                ));
-            }
-            scratch.macs.clear();
-            scratch.macs.resize(scratch.msgs.len(), [0u8; 16]);
-            self.engine
-                .mac128_batch_msgs(&scratch.msgs, &mut scratch.macs);
             scratch.parents.clear();
-            for (&(child_idx, _), mac) in scratch.current.iter().zip(&scratch.macs) {
+            for &(child_idx, ref content) in &scratch.current {
+                let mac = self.child_mac(child_level, child_idx, content);
                 let parent_idx = child_idx / MACS_PER_LINE;
                 // `current` is sorted, so parent indices arrive in
                 // non-decreasing order and grouping is a last-entry
@@ -291,7 +272,7 @@ impl Bmt {
                     scratch.parents.push((parent_idx, self.default_node(level)));
                 }
                 let parent = &mut scratch.parents.last_mut().expect("just pushed").1;
-                Self::patch_slot(parent, child_idx, mac);
+                Self::patch_slot(parent, child_idx, &mac);
             }
             for &(idx, ref content) in &scratch.parents {
                 nodes.write(self.layout.node_line(level, idx), *content);

@@ -107,10 +107,8 @@ impl CryptoEngine {
         self.hmac.mac128_with(self.tier, msg)
     }
 
-    /// Builds the data-HMAC message without computing the MAC (drain
-    /// batching collects messages first, then MACs them lane-wise).
-    /// Pure framing: no op counters move.
-    pub fn data_hmac_msg(cipher: &Line, line: LineAddr, major: u64, minor: u8) -> [u8; DH_MSG_LEN] {
+    /// Builds the data-HMAC message. Pure framing: no op counters move.
+    fn data_hmac_msg(cipher: &Line, line: LineAddr, major: u64, minor: u8) -> [u8; DH_MSG_LEN] {
         let mut msg = [0u8; DH_MSG_LEN];
         msg[..2].copy_from_slice(b"DH");
         msg[2..66].copy_from_slice(cipher);
@@ -146,10 +144,8 @@ impl CryptoEngine {
         self.mac_bytes(&Self::node_mac_msg(level, position, content))
     }
 
-    /// Builds the node-MAC message without computing the MAC (the
-    /// batched counterpart of [`Self::node_mac`], for lane scheduling).
-    /// Pure framing: no op counters move.
-    pub fn node_mac_msg(level: usize, position: u8, content: &Line) -> [u8; MT_MSG_LEN] {
+    /// Builds the node-MAC message. Pure framing: no op counters move.
+    fn node_mac_msg(level: usize, position: u8, content: &Line) -> [u8; MT_MSG_LEN] {
         debug_assert!(position < 4, "4-ary tree positions are 0..4");
         let mut msg = [0u8; MT_MSG_LEN];
         msg[..2].copy_from_slice(b"MT");
@@ -157,17 +153,6 @@ impl CryptoEngine {
         msg[6] = position;
         msg[7..71].copy_from_slice(content);
         msg
-    }
-
-    /// MACs a whole batch of prebuilt messages into `out`, spreading
-    /// independent messages across SIMD lanes where the tier allows.
-    ///
-    /// Bit-identical to calling the scalar MAC per message. Op
-    /// counters advance by the batch length.
-    pub fn mac128_batch_msgs<M: AsRef<[u8]>>(&self, msgs: &[M], out: &mut [Mac128]) {
-        assert_eq!(msgs.len(), out.len(), "mac128_batch_msgs length mismatch");
-        self.hmac_ops.set(self.hmac_ops.get() + msgs.len() as u64);
-        self.hmac.mac128_batch(self.tier, msgs, out);
     }
 }
 
@@ -260,35 +245,6 @@ mod tests {
         );
     }
 
-    /// The batched and the per-message modes of computing MACs must
-    /// agree on every tier, and a batch advances the op counter by its
-    /// length.
-    #[test]
-    fn batch_macs_are_bit_identical_across_modes_and_tiers() {
-        let keys = Keys::from_seed(11);
-        let msgs: Vec<[u8; MT_MSG_LEN]> = (0..9u8)
-            .map(|i| {
-                let content: Line = core::array::from_fn(|j| i ^ (j as u8));
-                CryptoEngine::node_mac_msg(i as usize % 12, i % 4, &content)
-            })
-            .collect();
-        for tier in [CryptoTier::Portable, CryptoTier::Simd] {
-            let e = CryptoEngine::with_tier(&keys, tier);
-            assert_eq!(e.tier(), tier);
-            let mut out = vec![[0u8; 16]; msgs.len()];
-            e.mac128_batch_msgs(&msgs, &mut out);
-            assert_eq!(e.hmac_ops(), msgs.len() as u64);
-            for (i, got) in out.iter().enumerate() {
-                let content: Line = core::array::from_fn(|j| (i as u8) ^ (j as u8));
-                assert_eq!(
-                    *got,
-                    e.node_mac(i % 12, (i % 4) as u8, &content),
-                    "tier {tier}, msg {i}"
-                );
-            }
-        }
-    }
-
     /// Both tiers produce identical ciphertexts and MACs end to end.
     #[test]
     fn tiers_are_bit_identical_for_engine_outputs() {
@@ -305,7 +261,17 @@ mod tests {
                 simd.data_hmac(&ct_s, LineAddr(i * 64), i, (i % 64) as u8),
                 "data_hmac {i}"
             );
+            let (level, position) = (i as usize % 12, (i % 4) as u8);
+            assert_eq!(
+                portable.node_mac(level, position, &plain),
+                simd.node_mac(level, position, &plain),
+                "node_mac {i}"
+            );
         }
+        assert_eq!(
+            (portable.tier(), simd.tier()),
+            (CryptoTier::Portable, CryptoTier::Simd)
+        );
     }
 
     fn truncate(full: [u8; 20]) -> Mac128 {

@@ -15,11 +15,9 @@
 //! [`SecureMemory::drain`] runs both phases back to back, which is the
 //! normal (non-crash) behaviour.
 
-use crate::engine::{CryptoEngine, MT_MSG_LEN};
 use crate::obs::{self, profile::Stage, wear::WriteCause};
 use crate::secmem::{DrainTrigger, SecureMemory};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
-use ccnvm_crypto::Mac128;
 use ccnvm_mem::{Cycle, Line, LineAddr};
 use std::collections::HashMap;
 
@@ -35,12 +33,6 @@ pub(crate) struct DrainScratch {
     contents: HashMap<u64, Line>,
     /// Queued tree nodes sorted bottom-up for deferred spreading.
     ordered: Vec<(usize, u64, LineAddr)>,
-    /// Lane-scheduler buffers: prebuilt node-MAC messages for one tree
-    /// level, their computed MACs, and each MAC's destination
-    /// `(parent line, byte offset)` patch slot.
-    mac_msgs: Vec<[u8; MT_MSG_LEN]>,
-    macs: Vec<Mac128>,
-    mac_slots: Vec<(u64, usize)>,
 }
 
 impl SecureMemory {
@@ -151,52 +143,22 @@ impl SecureMemory {
                 .ordered
                 .sort_unstable_by_key(|&(level, idx, _)| (level, idx));
             let top_level = self.layout.internal_levels();
-            // Drain-lane scheduler: within one tree level every queued
-            // node's MAC reads only level-ℓ content while the patches
-            // land one level up, so a whole level's MACs are mutually
-            // independent. Collect each contiguous same-level run (the
-            // list is sorted), dispatch it through the lane-batched
-            // engine, then patch parents in the same sorted order —
-            // MAC values, write order and cycle accounting are exactly
-            // those of the one-at-a-time loop this replaces.
-            let mut start = 0;
-            while start < scratch.ordered.len() {
-                let level = scratch.ordered[start].0;
-                let mut end = start;
-                while end < scratch.ordered.len() && scratch.ordered[end].0 == level {
-                    end += 1;
-                }
+            // Sorted by (level, idx), every node's children come before
+            // it, so each MAC reads finished content.
+            for &(level, idx, line) in &scratch.ordered {
                 if level == top_level {
-                    start = end;
                     continue;
                 }
-                scratch.mac_msgs.clear();
-                scratch.mac_slots.clear();
-                for &(lvl, idx, line) in &scratch.ordered[start..end] {
-                    let content = &scratch.contents[&line.0];
-                    scratch.mac_msgs.push(CryptoEngine::node_mac_msg(
-                        lvl,
-                        (idx % 4) as u8,
-                        content,
-                    ));
-                    let parent = self.layout.node_line(lvl + 1, idx / 4);
-                    scratch.mac_slots.push((parent.0, (idx % 4) as usize * 16));
-                }
-                scratch.macs.clear();
-                scratch.macs.resize(scratch.mac_msgs.len(), [0u8; 16]);
-                self.bmt
-                    .engine()
-                    .mac128_batch_msgs(&scratch.mac_msgs, &mut scratch.macs);
-                for (&(parent, off), mac) in scratch.mac_slots.iter().zip(&scratch.macs) {
-                    self.stats.hmacs += 1;
-                    t += HMAC_LATENCY_CYCLES;
-                    let pcontent = scratch
-                        .contents
-                        .get_mut(&parent)
-                        .expect("full path is reserved in the dirty queue");
-                    pcontent[off..off + 16].copy_from_slice(mac);
-                }
-                start = end;
+                let mac = self.bmt.child_mac(level, idx, &scratch.contents[&line.0]);
+                self.stats.hmacs += 1;
+                t += HMAC_LATENCY_CYCLES;
+                let parent = self.layout.node_line(level + 1, idx / 4);
+                let off = (idx % 4) as usize * 16;
+                let pcontent = scratch
+                    .contents
+                    .get_mut(&parent.0)
+                    .expect("full path is reserved in the dirty queue");
+                pcontent[off..off + 16].copy_from_slice(&mac);
             }
             let top_line = self.layout.node_line(top_level, 0);
             if let Some(top_content) = scratch.contents.get(&top_line.0) {

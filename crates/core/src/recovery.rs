@@ -45,7 +45,7 @@ pub struct RecoveryScratch {
     touched_counters: Vec<LineAddr>,
     /// `(counter idx, content)` input to the tree rebuild.
     counters: Vec<(u64, Line)>,
-    /// Rebuild ping-pong buffers and MAC batches.
+    /// Rebuild ping-pong buffers.
     rebuild: RebuildScratch,
 }
 
@@ -258,10 +258,8 @@ pub fn recover(image: &CrashImage) -> RecoveryReport {
 /// [`recover`] with an explicit crypto tier and caller-owned scratch.
 ///
 /// Bit-identical to `recover` on every report field; only the
-/// allocation profile (and wall-clock speed, via the lane-batched tree
-/// rebuild) differs. The retry probes of step 2 stay serial — each
-/// candidate MAC gates the next minor bump — so they ride the scalar
-/// path and keep the probe count that feeds the timeline.
+/// allocation profile and the host speed of the tier differ. The
+/// engine's MAC count over step 2's retry probes feeds the timeline.
 pub fn recover_with(
     image: &CrashImage,
     tier: CryptoTier,

@@ -9,9 +9,8 @@
 
 use crate::bmt::Bmt;
 use crate::config::DesignKind;
-use crate::engine::{CryptoEngine, MT_MSG_LEN};
+use crate::engine::CryptoEngine;
 use crate::error::IntegrityError;
-use crate::layout::MAX_TREE_LEVELS;
 use crate::obs::{self, profile::Stage};
 use crate::secmem::{DrainTrigger, SecureMemory};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
@@ -210,37 +209,12 @@ impl SecureMemory {
             cur = parent;
         }
         self.stats.meta_misses += chain.len() as u64;
-        // The chain members are distinct lines, so their verification
-        // MACs are mutually independent: prefetch every content and
-        // dispatch the whole set through the lane-batched engine in
-        // one shot. Fixed-size stack buffers (a chain is at most one
-        // tree path) keep this allocation-free.
-        let n = chain.len();
-        let mut contents = [[0u8; 64]; MAX_TREE_LEVELS + 1];
-        let mut msgs = [[0u8; MT_MSG_LEN]; MAX_TREE_LEVELS + 1];
-        let mut macs = [[0u8; 16]; MAX_TREE_LEVELS + 1];
-        if verify {
-            for (slot, &l) in chain.iter().enumerate() {
-                let content = self
-                    .functional_nvm(l)
-                    .unwrap_or_else(|| self.meta_default(l));
-                let (level, idx) = self.layout.level_of(l);
-                msgs[slot] = CryptoEngine::node_mac_msg(level, (idx % 4) as u8, &content);
-                contents[slot] = content;
-            }
-            self.bmt
-                .engine()
-                .mac128_batch_msgs(&msgs[..n], &mut macs[..n]);
-        }
         // Install top-down so each verification sees a trusted parent.
         // Eviction repair is cache-neutral (`repair_chain`), so it may
         // update the NVM copy of a not-yet-installed chain member but
         // never installs one; reading the content fresh per iteration
-        // picks any such repair up — and the freshness guard below
-        // falls back to the scalar MAC for exactly those lines, so the
-        // batched path stays bit-identical to the scalar oracle.
-        for i in (0..chain.len()).rev() {
-            let l = chain[i];
+        // picks any such repair up.
+        for &l in chain.iter().rev() {
             let content = self
                 .functional_nvm(l)
                 .unwrap_or_else(|| self.meta_default(l));
@@ -248,8 +222,7 @@ impl SecureMemory {
             t = self.mc.read(l, t);
             self.prof_engine(Stage::MetaFetch, t.saturating_sub(fetch_start));
             if verify {
-                let prefetched = (content == contents[i]).then_some(macs[i]);
-                t = self.verify_fetched(l, &content, t, prefetched)?;
+                t = self.verify_fetched(l, &content, t)?;
             }
             t = self.install_meta(l, t);
         }
@@ -260,16 +233,11 @@ impl SecureMemory {
 
     /// Verifies a freshly fetched metadata line against its (cached)
     /// parent slot, or against the persistent roots for the top node.
-    /// `prefetched` carries the line's node MAC when the caller already
-    /// computed it through the batch engine (and the content has not
-    /// changed since); `None` recomputes on the scalar path — both MACs
-    /// are bit-identical by the engine's batching contract.
     pub(crate) fn verify_fetched(
         &mut self,
         line: LineAddr,
         content: &Line,
         mut t: Cycle,
-        prefetched: Option<ccnvm_crypto::Mac128>,
     ) -> Result<Cycle, IntegrityError> {
         let (level, idx) = self.layout.level_of(line);
         self.stats.hmacs += 1;
@@ -284,7 +252,7 @@ impl SecureMemory {
         );
         match self.parent_of(line) {
             Some(parent) => {
-                let mac = prefetched.unwrap_or_else(|| self.bmt.child_mac(level, idx, content));
+                let mac = self.bmt.child_mac(level, idx, content);
                 let pcontent = self.meta_content(parent);
                 if Bmt::slot(&pcontent, idx) != mac {
                     return Err(IntegrityError::TreeMismatch {
@@ -294,8 +262,7 @@ impl SecureMemory {
                 }
             }
             None => {
-                let root =
-                    prefetched.unwrap_or_else(|| self.bmt.engine().node_mac(level, 0, content));
+                let root = self.bmt.engine().node_mac(level, 0, content);
                 if !self.tcb.matches_either_root(&root) {
                     return Err(IntegrityError::RootMismatch);
                 }

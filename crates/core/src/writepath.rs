@@ -18,7 +18,6 @@
 
 use crate::config::DesignKind;
 use crate::counter::CounterLine;
-use crate::engine::{CryptoEngine, DH_MSG_LEN};
 use crate::error::IntegrityError;
 use crate::layout::MAX_TREE_LEVELS;
 use crate::obs::{self, profile::Stage, WriteKind};
@@ -442,16 +441,6 @@ impl SecureMemory {
         // counter persist) reaches NVM as one atomic unit.
         self.nvm.begin_atomic();
         let page_first = LineAddr(written.0 / 64 * 64);
-        // Re-encrypt first (the engine borrow ends before `post_write`
-        // re-borrows all of `self` below), framing one data-HMAC
-        // message per persisted line. The page's MACs are mutually
-        // independent, so they all go through the lane-batched engine
-        // in one dispatch; fixed-size stack buffers keep page
-        // re-encryption allocation-free.
-        let mut lines = [(LineAddr(0), [0u8; 64]); 63];
-        let mut msgs = [[0u8; DH_MSG_LEN]; 63];
-        let mut macs = [[0u8; 16]; 63];
-        let mut count = 0;
         for i in 0..64usize {
             let dline = LineAddr(page_first.0 + i as u64);
             if dline == written {
@@ -465,24 +454,13 @@ impl SecureMemory {
             let plain = engine.decrypt_line(&ct_old, dline, maj_o, min_o);
             let (maj_n, min_n) = new_ctr.seed(i);
             let ct_new = engine.encrypt_line(&plain, dline, maj_n, min_n);
-            msgs[count] = CryptoEngine::data_hmac_msg(&ct_new, dline, maj_n, min_n);
-            lines[count] = (dline, ct_new);
-            count += 1;
+            let dh = engine.data_hmac(&ct_new, dline, maj_n, min_n);
             self.stats.aes_ops += 2;
-        }
-        self.bmt
-            .engine()
-            .mac128_batch_msgs(&msgs[..count], &mut macs[..count]);
-        // Persist + account per line, in the same order and with the
-        // same cycle chaining as the one-line-at-a-time loop this
-        // replaces.
-        for ((dline, ct_new), dh) in lines[..count].iter().zip(&macs[..count]) {
-            let (dline, ct_new) = (*dline, *ct_new);
             self.stats.hmacs += 1;
             self.nvm.persist_data(dline, ct_new);
             let (dh_line, dh_off) = self.layout.dh_slot_of(dline);
             let mut dh_content = self.nvm.durable.read(dh_line);
-            dh_content[dh_off..dh_off + 16].copy_from_slice(dh);
+            dh_content[dh_off..dh_off + 16].copy_from_slice(&dh);
             self.nvm.persist_data(dh_line, dh_content);
             t = self.mc.read(dline, t);
             for l in [dline, dh_line] {
@@ -580,6 +558,92 @@ mod tests {
             .expect("written line ok");
         m.read_data(LineAddr(1), 1_000_000_001)
             .expect("sibling re-encrypted ok");
+    }
+
+    /// FNV-1a, 64-bit, over every durable line of a crash image in
+    /// address order (address bytes, then content).
+    fn image_digest(m: &SecureMemory) -> u64 {
+        let nvm = m.crash_image().nvm;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for addr in nvm.sorted_addrs() {
+            for b in addr.0.to_le_bytes().into_iter().chain(nvm.read(addr)) {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins of a full-page re-encryption, in `DesignKind::ALL` order:
+    /// the overflowing and the last write-back's cycles, `hmacs`,
+    /// `aes_ops`, `reenc_writes`, `counter_overflows`, `engine_cycles`
+    /// and NVM writes.
+    const PAGE_REENCRYPTION_PINS: [[u64; 8]; 5] = [
+        [58_700, 59_684, 262, 320, 124, 1, 94_920, 317],
+        [76_900, 78_196, 1_232, 320, 121, 1, 115_096, 506],
+        [76_900, 78_196, 1_232, 320, 124, 1, 115_096, 346],
+        [89_500, 91_012, 1_232, 320, 123, 1, 129_064, 423],
+        [75_300, 76_900, 322, 320, 122, 1, 113_688, 376],
+    ];
+
+    /// The crash image's digest after the same runs.
+    const PAGE_REENCRYPTION_DIGESTS: [u64; 5] = [
+        0x2d4d_31f1_1347_2a3d,
+        0x53f8_bbc0_795d_016e,
+        0x2d4d_31f1_1347_2a3d,
+        0x6bb9_5fc8_d7c5_724b,
+        0x6bb9_5fc8_d7c5_724b,
+    ];
+
+    /// A full-page re-encryption, pinned on every design and both
+    /// crypto tiers: all 63 siblings of page 0 are persisted, then line
+    /// 0's minor counter overflows, so every sibling is decrypted,
+    /// re-encrypted and re-MACed in one atomic group. All 64 lines must
+    /// read back clean afterwards.
+    #[test]
+    fn full_page_reencryption_is_pinned_on_every_design() {
+        use ccnvm_crypto::CryptoSelect;
+        for (d, design) in DesignKind::ALL.into_iter().enumerate() {
+            for crypto in [CryptoSelect::Portable, CryptoSelect::Auto] {
+                let mut cfg = SimConfig::small(design);
+                cfg.crypto = crypto;
+                let mut m = SecureMemory::new(cfg).expect("valid config");
+                let mut t = 0;
+                for i in 1..64u64 {
+                    t = m.write_back(LineAddr(i), t).unwrap();
+                }
+                while m.stats().counter_overflows == 0 {
+                    t = m.write_back(LineAddr(0), t).unwrap();
+                }
+                let overflow_at = t;
+                // A tail after the overflow: the written line and two
+                // re-encrypted siblings.
+                for line in [0u64, 1, 63] {
+                    t = m.write_back(LineAddr(line), t).unwrap();
+                }
+                let s = m.stats();
+                let got = [
+                    overflow_at,
+                    t,
+                    s.hmacs,
+                    s.aes_ops,
+                    s.reenc_writes,
+                    s.counter_overflows,
+                    s.engine_cycles,
+                    m.mem_stats().total_writes(),
+                ];
+                assert_eq!(got, PAGE_REENCRYPTION_PINS[d], "{design}, crypto {crypto}");
+                assert_eq!(
+                    image_digest(&m),
+                    PAGE_REENCRYPTION_DIGESTS[d],
+                    "{design}, crypto {crypto}"
+                );
+                for i in 0..64u64 {
+                    t = m
+                        .read_data(LineAddr(i), t)
+                        .unwrap_or_else(|e| panic!("{design}: line {i} after re-encryption: {e}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl Aes128 {
     /// AES-NI where the host has it, otherwise the T-table cipher.
     /// Bit-identical to [`Self::encrypt_block`].
     pub fn encrypt_block_with(&self, tier: crate::tier::CryptoTier, block: [u8; 16]) -> [u8; 16] {
-        crate::lanes::aes128_encrypt(tier, &self.rk, block, |b| self.encrypt_block(b))
+        crate::hw::aes128_encrypt(tier, &self.rk, block, |b| self.encrypt_block(b))
     }
 
     /// Encrypts one 16-byte block.

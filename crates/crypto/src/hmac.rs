@@ -8,10 +8,12 @@
 //! * **counter HMACs** — the internal nodes of the tree, each a 128-bit
 //!   code over one child node.
 //!
-//! Both are truncated HMAC-SHA1; [`hmac_sha1_128`] is the convenience
-//! entry point the rest of the workspace uses.
+//! Both are truncated HMAC-SHA1. The simulator computes them with
+//! [`HmacEngine::mac128_with`]; [`HmacSha1`] and [`hmac_sha1_128`],
+//! which redo the key schedule per MAC, are the reference it is tested
+//! against.
 
-use crate::lanes;
+use crate::hw;
 use crate::sha1::Sha1;
 use crate::tier::CryptoTier;
 use crate::Mac128;
@@ -25,34 +27,6 @@ fn state_bytes(state: [u32; 5]) -> [u8; 20] {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
     }
     out
-}
-
-/// Writes block `b` (of `nblocks`) of the padded SHA-1 message stream
-/// `msg ‖ 0x80 ‖ zeros ‖ bitlen` into `block`. The stream starts one
-/// block into the hash (the ipad block the midstate already absorbed),
-/// so `bitlen` must count those 64 bytes too.
-fn fill_padded_block(msg: &[u8], b: usize, nblocks: usize, bitlen: [u8; 8], block: &mut [u8; 64]) {
-    *block = [0u8; 64];
-    let base = b * 64;
-    if base < msg.len() {
-        let n = (msg.len() - base).min(64);
-        block[..n].copy_from_slice(&msg[base..base + n]);
-    }
-    if (base..base + 64).contains(&msg.len()) {
-        block[msg.len() - base] = 0x80;
-    }
-    if b + 1 == nblocks {
-        // Never collides with message bytes or the 0x80 marker:
-        // `nblocks` was sized to leave at least 9 free trailing bytes.
-        block[56..64].copy_from_slice(&bitlen);
-    }
-}
-
-/// Whether every message in the group has the same length (lane groups
-/// must advance through the same number of blocks).
-fn equal_lens<M: AsRef<[u8]>>(msgs: &[M]) -> bool {
-    let len = msgs[0].as_ref().len();
-    msgs.iter().all(|m| m.as_ref().len() == len)
 }
 
 /// Incremental HMAC-SHA1 computation.
@@ -133,13 +107,13 @@ impl HmacSha1 {
 /// # Example
 ///
 /// ```
-/// use ccnvm_crypto::{HmacEngine, HmacSha1};
+/// use ccnvm_crypto::{CryptoTier, HmacEngine, HmacSha1};
 ///
 /// let engine = HmacEngine::new(b"secret");
-/// let mut mac = engine.begin();
-/// mac.update(b"hello ");
-/// mac.update(b"world");
-/// assert_eq!(mac.finalize(), HmacSha1::mac(b"secret", b"hello world"));
+/// let want = HmacSha1::mac(b"secret", b"hello world");
+/// for tier in [CryptoTier::Portable, CryptoTier::detect()] {
+///     assert_eq!(engine.mac_with(tier, b"hello world"), want);
+/// }
 /// ```
 #[derive(Debug, Clone)]
 pub struct HmacEngine {
@@ -178,39 +152,15 @@ impl HmacEngine {
         }
     }
 
-    /// Starts an incremental MAC from the keyed midstates.
-    pub fn begin(&self) -> HmacStream<'_> {
-        HmacStream {
-            inner: Sha1::from_midstate(self.inner_midstate, 1),
-            engine: self,
-        }
-    }
-
-    /// One-shot tag over `data` (full 20 bytes).
-    pub fn mac(&self, data: &[u8]) -> [u8; 20] {
-        let mut m = self.begin();
-        m.update(data);
-        m.finalize()
-    }
-
-    /// One-shot tag over `data`, truncated to the 128-bit codeword size
-    /// the paper uses.
-    pub fn mac128(&self, data: &[u8]) -> Mac128 {
-        let full = self.mac(data);
-        let mut out = [0u8; 16];
-        out.copy_from_slice(&full[..16]);
-        out
-    }
-
     /// One-shot tag over `data` under an explicit crypto tier
-    /// (bit-identical to [`Self::mac`]; `Simd` uses SHA-NI when the
-    /// host has it).
+    /// (bit-identical on both tiers; `Simd` uses SHA-NI when the host
+    /// has it).
     pub fn mac_with(&self, tier: CryptoTier, data: &[u8]) -> [u8; 20] {
         let mut state = self.inner_midstate;
         let mut chunks = data.chunks_exact(64);
         for chunk in &mut chunks {
             let block: &[u8; 64] = chunk.try_into().expect("exact chunk");
-            state = lanes::compress_block(tier, state, block);
+            state = hw::compress_block(tier, state, block);
         }
         let rem = chunks.remainder();
         let bitlen = (((BLOCK_LEN + data.len()) as u64) * 8).to_be_bytes();
@@ -219,17 +169,18 @@ impl HmacEngine {
         block[rem.len()] = 0x80;
         if rem.len() + 9 <= 64 {
             block[56..64].copy_from_slice(&bitlen);
-            state = lanes::compress_block(tier, state, &block);
+            state = hw::compress_block(tier, state, &block);
         } else {
-            state = lanes::compress_block(tier, state, &block);
+            state = hw::compress_block(tier, state, &block);
             let mut last = [0u8; 64];
             last[56..64].copy_from_slice(&bitlen);
-            state = lanes::compress_block(tier, state, &last);
+            state = hw::compress_block(tier, state, &last);
         }
         self.outer_finish(tier, &state_bytes(state))
     }
 
-    /// Truncated variant of [`Self::mac_with`].
+    /// [`Self::mac_with`] truncated to the 128-bit codeword size the
+    /// paper uses.
     pub fn mac128_with(&self, tier: CryptoTier, data: &[u8]) -> Mac128 {
         let full = self.mac_with(tier, data);
         let mut out = [0u8; 16];
@@ -237,113 +188,29 @@ impl HmacEngine {
         out
     }
 
-    /// Computes `out[i] = mac128(msgs[i])` for a whole batch, spreading
-    /// independent messages across SIMD lanes.
-    ///
-    /// Runs of [`lanes::wide_lanes`] (or 4) consecutive equal-length
-    /// messages go through the multi-lane compression; ragged leftovers
-    /// fall back to the scalar path. Results are bit-identical to
-    /// calling [`Self::mac128`] per message, and nothing allocates.
+    /// Computes `out[i] = mac128_with(tier, msgs[i])` for a whole
+    /// batch, one message at a time.
     ///
     /// # Panics
     ///
     /// When `out` is not exactly as long as `msgs`.
     pub fn mac128_batch<M: AsRef<[u8]>>(&self, tier: CryptoTier, msgs: &[M], out: &mut [Mac128]) {
         assert_eq!(msgs.len(), out.len(), "mac128_batch output length mismatch");
-        let wide = lanes::wide_lanes(tier);
-        let mut i = 0;
-        while i < msgs.len() {
-            if wide == 8 && i + 8 <= msgs.len() && equal_lens(&msgs[i..i + 8]) {
-                let group: [&[u8]; 8] = core::array::from_fn(|l| msgs[i + l].as_ref());
-                self.mac128_lanes(tier, &group, &mut out[i..i + 8]);
-                i += 8;
-            } else if i + 4 <= msgs.len() && equal_lens(&msgs[i..i + 4]) {
-                let group: [&[u8]; 4] = core::array::from_fn(|l| msgs[i + l].as_ref());
-                self.mac128_lanes(tier, &group, &mut out[i..i + 4]);
-                i += 4;
-            } else {
-                out[i] = self.mac128_with(tier, msgs[i].as_ref());
-                i += 1;
-            }
+        for (msg, mac) in msgs.iter().zip(out) {
+            *mac = self.mac128_with(tier, msg.as_ref());
         }
     }
 
-    /// MACs `N` equal-length messages, one per lane: all inner blocks
-    /// advance in lockstep from the ipad midstate (each built on the
-    /// stack from the virtual padded stream), then one wide outer
-    /// compression finishes every lane.
-    fn mac128_lanes<const N: usize>(
-        &self,
-        tier: CryptoTier,
-        msgs: &[&[u8]; N],
-        out: &mut [Mac128],
-    ) {
-        let len = msgs[0].len();
-        debug_assert!(msgs.iter().all(|m| m.len() == len));
-        let nblocks = (len + 9).div_ceil(64);
-        let bitlen = (((BLOCK_LEN + len) as u64) * 8).to_be_bytes();
-        let mut states = [self.inner_midstate; N];
-        let mut blocks = [[0u8; 64]; N];
-        for b in 0..nblocks {
-            for (l, msg) in msgs.iter().enumerate() {
-                fill_padded_block(msg, b, nblocks, bitlen, &mut blocks[l]);
-            }
-            lanes::compress_lanes(tier, &mut states, &blocks);
-        }
-        let mut outer_states = [self.outer_midstate; N];
-        for (l, state) in states.iter().enumerate() {
-            blocks[l] = [0u8; 64];
-            blocks[l][..20].copy_from_slice(&state_bytes(*state));
-            blocks[l][20] = 0x80;
-            blocks[l][56..64].copy_from_slice(&(84u64 * 8).to_be_bytes());
-        }
-        lanes::compress_lanes(tier, &mut outer_states, &blocks);
-        for (l, state) in outer_states.iter().enumerate() {
-            out[l].copy_from_slice(&state_bytes(*state)[..16]);
-        }
-    }
-
-    /// Runs the single outer compression over an inner digest.
+    /// Runs the single outer compression over an inner digest: the
+    /// digest, its padding and the length of the 84 absorbed bytes
+    /// (the opad block plus the digest) fill exactly one block past the
+    /// opad midstate.
     fn outer_finish(&self, tier: CryptoTier, inner_digest: &[u8; 20]) -> [u8; 20] {
         let mut block = [0u8; 64];
         block[..20].copy_from_slice(inner_digest);
         block[20] = 0x80;
         block[56..64].copy_from_slice(&(84u64 * 8).to_be_bytes());
-        state_bytes(lanes::compress_block(tier, self.outer_midstate, &block))
-    }
-}
-
-/// An in-flight MAC computation started by [`HmacEngine::begin`].
-#[derive(Debug, Clone)]
-pub struct HmacStream<'a> {
-    inner: Sha1,
-    engine: &'a HmacEngine,
-}
-
-impl HmacStream<'_> {
-    /// Absorbs message bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.inner.update(data);
-    }
-
-    /// Finishes and returns the full 20-byte tag.
-    pub fn finalize(self) -> [u8; 20] {
-        let inner_digest = self.inner.finalize();
-        // The outer transform is always exactly one block past the opad
-        // midstate: the 20-byte inner digest, padding, and the length
-        // suffix for the 84 absorbed bytes (64 opad + 20 digest). Build
-        // that block directly and run one raw compression instead of a
-        // full hasher round-trip.
-        let mut block = [0u8; 64];
-        block[..20].copy_from_slice(&inner_digest);
-        block[20] = 0x80;
-        block[56..64].copy_from_slice(&(84u64 * 8).to_be_bytes());
-        let state = Sha1::compress_block(self.engine.outer_midstate, &block);
-        let mut out = [0u8; 20];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        state_bytes(hw::compress_block(tier, self.outer_midstate, &block))
     }
 }
 
@@ -448,7 +315,10 @@ mod tests {
             ),
         ];
         for (key, msg, want) in cases {
-            assert_eq!(hex(&HmacEngine::new(key).mac(msg)), want);
+            let engine = HmacEngine::new(key);
+            for tier in [CryptoTier::Portable, CryptoTier::Simd] {
+                assert_eq!(hex(&engine.mac_with(tier, msg)), want, "tier {tier}");
+            }
         }
     }
 
@@ -461,26 +331,25 @@ mod tests {
         for key_len in [0usize, 1, 16, 20, 63, 64, 65, 80, 200] {
             let key: Vec<u8> = (0..key_len as u8).collect();
             let engine = HmacEngine::new(&key);
-            for split in [0usize, 1, 64, 150, 300] {
-                let mut m = engine.begin();
-                m.update(&msg[..split]);
-                m.update(&msg[split..]);
+            for tier in [CryptoTier::Portable, CryptoTier::Simd] {
                 assert_eq!(
-                    m.finalize(),
+                    engine.mac_with(tier, &msg),
                     HmacSha1::mac(&key, &msg),
-                    "key_len {key_len}, split {split}"
+                    "key_len {key_len}, tier {tier}"
                 );
+                assert_eq!(engine.mac128_with(tier, &msg), hmac_sha1_128(&key, &msg));
             }
-            assert_eq!(engine.mac128(&msg), hmac_sha1_128(&key, &msg));
         }
     }
 
     #[test]
     fn engine_reuse_is_stateless() {
         let engine = HmacEngine::new(b"k");
-        let first = engine.mac(b"m1");
-        let _ = engine.mac(b"m2");
-        assert_eq!(engine.mac(b"m1"), first, "begin() must not share state");
+        for tier in [CryptoTier::Portable, CryptoTier::Simd] {
+            let first = engine.mac_with(tier, b"m1");
+            let _ = engine.mac_with(tier, b"m2");
+            assert_eq!(engine.mac_with(tier, b"m1"), first, "tier {tier}");
+        }
     }
 
     #[test]
@@ -503,7 +372,7 @@ mod tests {
     #[test]
     fn batch_matches_scalar_including_ragged_tail() {
         let engine = HmacEngine::new(b"batch key");
-        // 8-lane group + 4-lane group + unequal-length ragged tail.
+        // A run of equal lengths, then unequal lengths.
         let msgs: Vec<Vec<u8>> = (0..15usize)
             .map(|i| {
                 let len = if i < 12 { 83 } else { 10 + i };
@@ -514,7 +383,7 @@ mod tests {
             let mut out = vec![[0u8; 16]; msgs.len()];
             engine.mac128_batch(tier, &msgs, &mut out);
             for (msg, got) in msgs.iter().zip(&out) {
-                assert_eq!(*got, engine.mac128(msg), "tier {tier}");
+                assert_eq!(*got, hmac_sha1_128(b"batch key", msg), "tier {tier}");
             }
         }
     }
@@ -526,7 +395,7 @@ mod tests {
         let mut out = [[0u8; 16]; 9];
         engine.mac128_batch(CryptoTier::Simd, &msgs, &mut out);
         for (msg, got) in msgs.iter().zip(&out) {
-            assert_eq!(*got, engine.mac128(msg));
+            assert_eq!(*got, hmac_sha1_128(b"arrays", msg));
         }
     }
 }

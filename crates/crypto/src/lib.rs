@@ -42,14 +42,14 @@
 pub mod aes;
 pub mod hmac;
 #[allow(unsafe_code)]
-pub mod lanes;
+mod hw;
 pub mod latency;
 pub mod otp;
 pub mod sha1;
 pub mod tier;
 
 pub use aes::Aes128;
-pub use hmac::{hmac_sha1, hmac_sha1_128, HmacEngine, HmacSha1, HmacStream};
+pub use hmac::{hmac_sha1, hmac_sha1_128, HmacEngine, HmacSha1};
 pub use sha1::Sha1;
 pub use tier::{CryptoSelect, CryptoTier};
 

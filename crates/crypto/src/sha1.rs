@@ -109,7 +109,7 @@ impl Sha1 {
     }
 
     /// Captures the compression state after an exact multiple of
-    /// 64-byte blocks — a *midstate* that [`Self::from_midstate`] can
+    /// 64-byte blocks — a *midstate* that further compressions can
     /// resume from without re-compressing the absorbed prefix. The
     /// keyed HMAC engine uses this to pay the ipad/opad block
     /// compressions once per key instead of once per MAC.
@@ -126,22 +126,11 @@ impl Sha1 {
         self.state
     }
 
-    /// Resumes hashing from a midstate taken after `blocks` 64-byte
-    /// blocks were absorbed (the length suffix keeps counting them).
-    pub fn from_midstate(state: [u32; 5], blocks: u64) -> Self {
-        Self {
-            state,
-            len: blocks * 64,
-            buf: [0u8; 64],
-            buf_len: 0,
-        }
-    }
-
     /// One compression round applied to `state`, returning the new
     /// state. This is the raw FIPS 180-4 block function; callers are
-    /// responsible for padding. The HMAC engine uses it to finish the
-    /// outer transform — always exactly one pre-padded block past the
-    /// opad midstate — without a full hasher round-trip.
+    /// responsible for padding. The keyed HMAC engine pads its own
+    /// blocks and compresses them through this function on the
+    /// portable tier (SHA-NI replaces it on the `simd` tier).
     pub(crate) fn compress_block(mut state: [u32; 5], block: &[u8; 64]) -> [u32; 5] {
         compress(&mut state, block);
         state
@@ -248,18 +237,6 @@ mod tests {
     #[test]
     fn distinct_inputs_distinct_digests() {
         assert_ne!(Sha1::digest(b"counter-0"), Sha1::digest(b"counter-1"));
-    }
-
-    #[test]
-    fn midstate_roundtrip_matches_oneshot() {
-        let data: Vec<u8> = (0..=255u8).cycle().take(320).collect();
-        for blocks in [1usize, 2, 5] {
-            let mut prefix = Sha1::new();
-            prefix.update(&data[..blocks * 64]);
-            let mut resumed = Sha1::from_midstate(prefix.midstate(), blocks as u64);
-            resumed.update(&data[blocks * 64..]);
-            assert_eq!(resumed.finalize(), Sha1::digest(&data), "{blocks} blocks");
-        }
     }
 
     #[test]

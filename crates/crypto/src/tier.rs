@@ -3,16 +3,16 @@
 //! Every primitive in this crate exists in (at least) two tiers that
 //! produce **bit-identical output** and differ only in host speed:
 //!
-//! * `portable` — pure-Rust scalar (and SWAR multi-lane) code that
-//!   compiles on every target, and
-//! * `simd` — x86-64 hardware paths (AVX2/SSE2 multi-lane SHA-1,
-//!   single-stream SHA-NI, AES-NI), compiled in behind the `simd`
-//!   cargo feature and picked per-primitive at runtime from CPUID.
+//! * `portable` — pure-Rust scalar code that compiles on every target,
+//!   and
+//! * `simd` — the x86-64 SHA-NI and AES-NI instructions, compiled in
+//!   behind the `simd` cargo feature and picked per primitive at
+//!   runtime from CPUID.
 //!
 //! [`CryptoSelect`] is the user-facing knob (`auto` / `portable` /
 //! `simd`); [`CryptoTier`] is the resolved choice threaded through
-//! the engines. Forcing `simd` on a build or target without any
-//! hardware path is a [`TierUnavailable`] error rather than a silent
+//! the engines. Forcing `simd` on a build or host without SHA-NI or
+//! AES-NI is a [`TierUnavailable`] error rather than a silent
 //! fallback, so benchmark labels never lie.
 
 use std::fmt;
@@ -25,7 +25,7 @@ use std::str::FromStr;
 /// portable code for capabilities the host lacks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CryptoTier {
-    /// Pure-Rust scalar/SWAR implementations, available everywhere.
+    /// Pure-Rust scalar implementations, available everywhere.
     Portable,
     /// Hardware-accelerated x86-64 paths where CPUID allows.
     Simd,
@@ -56,44 +56,10 @@ impl fmt::Display for CryptoTier {
 /// the `simd` feature is off or the target is not x86-64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimdCaps {
-    /// 8-lane SHA-1 message batching.
-    pub avx2: bool,
-    /// 4-lane SHA-1 message batching.
-    pub sse2: bool,
     /// Single-stream SHA-1 round instructions (`SHA1RNDS4` etc.).
     pub sha_ni: bool,
     /// Single-block AES round instructions (`AESENC`).
     pub aes_ni: bool,
-}
-
-impl SimdCaps {
-    /// Whether any hardware path is usable.
-    pub fn any(&self) -> bool {
-        self.avx2 || self.sse2 || self.sha_ni || self.aes_ni
-    }
-}
-
-impl fmt::Display for SimdCaps {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&str> = Vec::new();
-        if self.avx2 {
-            names.push("avx2");
-        }
-        if self.sse2 {
-            names.push("sse2");
-        }
-        if self.sha_ni {
-            names.push("sha-ni");
-        }
-        if self.aes_ni {
-            names.push("aes-ni");
-        }
-        if names.is_empty() {
-            f.write_str("none")
-        } else {
-            f.write_str(&names.join("+"))
-        }
-    }
 }
 
 /// Detects the hardware capabilities of this host. `std` caches the
@@ -102,8 +68,6 @@ pub fn caps() -> SimdCaps {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         SimdCaps {
-            avx2: std::arch::is_x86_feature_detected!("avx2"),
-            sse2: std::arch::is_x86_feature_detected!("sse2"),
             sha_ni: std::arch::is_x86_feature_detected!("sha")
                 && std::arch::is_x86_feature_detected!("ssse3")
                 && std::arch::is_x86_feature_detected!("sse4.1"),
@@ -118,7 +82,8 @@ pub fn caps() -> SimdCaps {
 
 /// Whether the `simd` tier can be selected at all on this build/host.
 pub fn simd_available() -> bool {
-    caps().any()
+    let caps = caps();
+    caps.sha_ni || caps.aes_ni
 }
 
 /// User-facing tier selection, as taken by `--crypto`.
@@ -240,19 +205,5 @@ mod tests {
             }
             Err(TierUnavailable) => assert!(!simd_available()),
         }
-    }
-
-    #[test]
-    fn caps_display_is_stable() {
-        let none = SimdCaps::default();
-        assert_eq!(none.to_string(), "none");
-        assert!(!none.any());
-        let some = SimdCaps {
-            avx2: true,
-            sha_ni: true,
-            ..SimdCaps::default()
-        };
-        assert_eq!(some.to_string(), "avx2+sha-ni");
-        assert!(some.any());
     }
 }

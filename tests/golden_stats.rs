@@ -183,10 +183,10 @@ fn trace_matches_pinned_snapshot() {
     assert_matches_golden("trace.jsonl", &text);
 }
 
-/// The SIMD crypto tier (multi-lane SHA-1 batches, SHA-NI, AES-NI)
-/// must be a pure speedup: forcing the portable and SIMD tiers over
-/// the same matrix has to produce byte-identical stats and traces —
-/// including every golden snapshot, which is therefore tier-independent.
+/// The SIMD crypto tier (SHA-NI, AES-NI) must be a pure speedup:
+/// forcing the portable and SIMD tiers over the same matrix has to
+/// produce byte-identical stats and traces — including every golden
+/// snapshot, which is therefore tier-independent.
 #[test]
 fn crypto_tiers_are_bit_identical() {
     if CryptoSelect::Simd.resolve().is_err() {

@@ -73,8 +73,8 @@ const WB_PAGES: u64 = 64;
 /// Recovery's allocation ceiling with a reused scratch. The working
 /// line-store clone (which becomes the recovered image), the layout's
 /// two level tables, the per-level default nodes and the three-span
-/// timeline remain; address walks, retry bookkeeping, rebuild levels
-/// and MAC batches come from the scratch. A pass makes about 5; the
+/// timeline remain; address walks, retry bookkeeping and rebuild
+/// levels come from the scratch. A pass makes about 5; the
 /// ceiling leaves headroom for map-growth jitter only.
 const RECOVERY_ALLOC_CEILING: f64 = 8.0;
 
