@@ -233,6 +233,20 @@ impl SimConfig {
         if self.issue_width == 0 {
             return Err(ConfigError::IssueWidthZero);
         }
+        let caches = [
+            ("L1", self.l1),
+            ("L2", self.l2),
+            ("meta", self.meta_org.bank(self.meta)),
+        ];
+        for (cache, geometry) in caches {
+            if !geometry.has_whole_set() {
+                return Err(ConfigError::CacheWithoutSets {
+                    cache,
+                    capacity_bytes: geometry.capacity_bytes,
+                    ways: geometry.ways,
+                });
+            }
+        }
         if self.crypto.resolve().is_err() {
             return Err(ConfigError::CryptoTierUnavailable);
         }
@@ -285,6 +299,56 @@ mod tests {
     fn labels_match_paper() {
         assert_eq!(DesignKind::CcNvm.to_string(), "cc-NVM");
         assert_eq!(DesignKind::WithoutCc.to_string(), "w/o CC");
+    }
+
+    #[test]
+    fn validate_rejects_caches_without_sets() {
+        use crate::error::ConfigError;
+        let no_sets = CacheConfig {
+            capacity_bytes: 64,
+            ways: 8,
+        };
+        let no_ways = CacheConfig {
+            capacity_bytes: 4096,
+            ways: 0,
+        };
+        for geometry in [no_sets, no_ways] {
+            let mut c = SimConfig::paper(DesignKind::CcNvm);
+            c.l1 = geometry;
+            assert!(matches!(
+                c.validate(),
+                Err(ConfigError::CacheWithoutSets { cache: "L1", .. })
+            ));
+            let mut c = SimConfig::paper(DesignKind::CcNvm);
+            c.l2 = geometry;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::CacheWithoutSets {
+                    cache: "L2",
+                    capacity_bytes: geometry.capacity_bytes,
+                    ways: geometry.ways,
+                })
+            );
+            let mut c = SimConfig::paper(DesignKind::CcNvm);
+            c.meta = geometry;
+            assert!(matches!(
+                c.validate(),
+                Err(ConfigError::CacheWithoutSets { cache: "meta", .. })
+            ));
+        }
+        // One set of 8 ways is fine shared, but its halves hold none.
+        let mut c = SimConfig::paper(DesignKind::CcNvm);
+        c.meta = CacheConfig::new(512, 8);
+        assert_eq!(c.validate(), Ok(()));
+        c.meta_org = MetaCacheOrg::Split;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::CacheWithoutSets {
+                cache: "meta",
+                capacity_bytes: 256,
+                ways: 8,
+            })
+        );
     }
 
     #[test]

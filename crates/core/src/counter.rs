@@ -116,11 +116,85 @@ impl CounterLine {
     }
 
     /// Packs into the 64-byte NVM representation: 8-byte little-endian
-    /// major followed by 64 seven-bit minors.
+    /// major followed by 64 seven-bit minors, minor `i` at bit `7·i`
+    /// of bytes 8.. (little-endian bit order).
+    ///
+    /// Eight minors fill 56 bits, so each group of eight is one 7-byte
+    /// little-endian word: group `g` occupies bytes `8 + 7·g ..
+    /// 15 + 7·g`.
     pub fn encode(&self) -> Line {
         let mut out = [0u8; 64];
         out[..8].copy_from_slice(&self.major.to_le_bytes());
-        for (i, &m) in self.minors.iter().enumerate() {
+        for (g, minors) in self.minors.chunks_exact(MINORS_PER_WORD).enumerate() {
+            let word = minors
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (j, &m)| w | u64::from(m & MINOR_MAX) << (7 * j));
+            out[8 + 7 * g..15 + 7 * g].copy_from_slice(&word.to_le_bytes()[..7]);
+        }
+        out
+    }
+
+    /// Unpacks from the 64-byte NVM representation.
+    pub fn decode(line: &Line) -> Self {
+        let mut minors = [0u8; LINES_PER_PAGE as usize];
+        for (g, group) in minors.chunks_exact_mut(MINORS_PER_WORD).enumerate() {
+            let word = minor_word(line, g);
+            for (j, m) in group.iter_mut().enumerate() {
+                *m = (word >> (7 * j)) as u8 & MINOR_MAX;
+            }
+        }
+        Self {
+            major: major_of(line),
+            minors,
+        }
+    }
+
+    /// The `(major, minor)` seed of the line at `page_offset`, read
+    /// straight from an encoded counter line: the same pair as
+    /// `CounterLine::decode(line).seed(page_offset)`, without
+    /// unpacking the other 63 minors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page_offset` is 64 or more.
+    pub fn seed_of(line: &Line, page_offset: usize) -> (u64, u8) {
+        assert!(
+            page_offset < LINES_PER_PAGE as usize,
+            "page offset {page_offset} out of range"
+        );
+        let word = minor_word(line, page_offset / MINORS_PER_WORD);
+        let minor = (word >> (7 * (page_offset % MINORS_PER_WORD))) as u8 & MINOR_MAX;
+        (major_of(line), minor)
+    }
+}
+
+/// Minors packed into one 56-bit word of the encoding.
+const MINORS_PER_WORD: usize = 8;
+
+fn major_of(line: &Line) -> u64 {
+    u64::from_le_bytes(line[..8].try_into().expect("8 bytes"))
+}
+
+/// The 56-bit word holding minors `8·g .. 8·g + 8`: bytes `8 + 7·g ..
+/// 15 + 7·g`, read as the top seven bytes of the 8-byte load that ends
+/// there (which stays inside the line for every `g` up to 7).
+fn minor_word(line: &Line, g: usize) -> u64 {
+    let at = 7 + 7 * g;
+    u64::from_le_bytes(line[at..at + 8].try_into().expect("8 bytes")) >> 8
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The bit-by-bit packing the word-wise codec must reproduce: minor
+    /// `i` at bit `7·i` of bytes 8.., split across two bytes when it
+    /// straddles one.
+    fn encode_bitwise(ctr: &CounterLine) -> Line {
+        let mut out = [0u8; 64];
+        out[..8].copy_from_slice(&ctr.major.to_le_bytes());
+        for (i, &m) in ctr.minors.iter().enumerate() {
             let bit = i * 7;
             let byte = 8 + bit / 8;
             let shift = bit % 8;
@@ -132,8 +206,7 @@ impl CounterLine {
         out
     }
 
-    /// Unpacks from the 64-byte NVM representation.
-    pub fn decode(line: &Line) -> Self {
+    fn decode_bitwise(line: &Line) -> CounterLine {
         let major = u64::from_le_bytes(line[..8].try_into().expect("8 bytes"));
         let mut minors = [0u8; LINES_PER_PAGE as usize];
         for (i, m) in minors.iter_mut().enumerate() {
@@ -146,13 +219,62 @@ impl CounterLine {
             }
             *m = (v & 0x7f) as u8;
         }
-        Self { major, minors }
+        CounterLine { major, minors }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    /// Asserts that the codec and the single-minor read agree with the
+    /// bitwise oracle on `ctr`, and on an arbitrary `line` of bytes.
+    fn assert_matches_oracle(ctr: &CounterLine, line: &Line) {
+        let encoded = ctr.encode();
+        assert_eq!(encoded, encode_bitwise(ctr), "encode of {ctr:?}");
+        assert_eq!(CounterLine::decode(&encoded), *ctr);
+        let oracle = decode_bitwise(line);
+        assert_eq!(CounterLine::decode(line), oracle, "decode of {line:?}");
+        for off in 0..LINES_PER_PAGE as usize {
+            assert_eq!(CounterLine::seed_of(&encoded, off), ctr.seed(off));
+            assert_eq!(CounterLine::seed_of(line, off), oracle.seed(off));
+        }
+    }
+
+    #[test]
+    fn word_codec_matches_bitwise_oracle() {
+        let mut rng = ccnvm_rng::Rng::seed_from_u64(0xC0DEC);
+        for round in 0..256 {
+            let mut ctr = CounterLine::new();
+            ctr.major = match round % 4 {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.next_u64(),
+            };
+            for off in 0..LINES_PER_PAGE as usize {
+                // Draw the extremes often; the loop below pins each alone.
+                let m = match rng.gen_range(0u8..4) {
+                    0 => 0,
+                    1 => MINOR_MAX,
+                    _ => rng.gen_range(0u8..=MINOR_MAX),
+                };
+                ctr.set_minor(off, m);
+            }
+            let line: Line = rng.gen_array();
+            assert_matches_oracle(&ctr, &line);
+        }
+        // Each offset alone at 127 and everything else 0, under both
+        // extreme majors: catches a field that bleeds into a neighbour.
+        for major in [0, u64::MAX] {
+            for off in 0..LINES_PER_PAGE as usize {
+                let mut ctr = CounterLine::new();
+                ctr.major = major;
+                ctr.set_minor(off, MINOR_MAX);
+                assert_matches_oracle(&ctr, &[0xff; 64]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn seed_of_rejects_offsets_past_the_page() {
+        CounterLine::seed_of(&[0u8; 64], 64);
+    }
 
     #[test]
     fn fresh_line_is_zero() {

@@ -6,8 +6,7 @@
 //! duplicate-free FIFO; running out of space is the paper's first
 //! drain trigger.
 
-use ccnvm_mem::LineAddr;
-use std::collections::HashSet;
+use ccnvm_mem::{LineAddr, LineSet};
 
 /// Bounded, duplicate-free queue of dirty metadata line addresses.
 ///
@@ -25,7 +24,7 @@ use std::collections::HashSet;
 pub struct DirtyAddressQueue {
     capacity: usize,
     order: Vec<LineAddr>,
-    members: HashSet<u64>,
+    members: LineSet,
 }
 
 impl DirtyAddressQueue {
@@ -39,7 +38,7 @@ impl DirtyAddressQueue {
         Self {
             capacity,
             order: Vec::with_capacity(capacity),
-            members: HashSet::with_capacity(capacity),
+            members: LineSet::with_capacity_and_hasher(capacity, Default::default()),
         }
     }
 

@@ -18,8 +18,7 @@
 use crate::obs::{self, profile::Stage, wear::WriteCause};
 use crate::secmem::{DrainTrigger, SecureMemory};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
-use ccnvm_mem::{Cycle, Line, LineAddr};
-use std::collections::HashMap;
+use ccnvm_mem::{Cycle, Line, LineAddr, LineMap};
 
 /// Reusable drain working storage, owned by [`SecureMemory`] so the
 /// steady-state drain allocates nothing: each buffer is cleared and
@@ -30,7 +29,7 @@ pub(crate) struct DrainScratch {
     /// cleared at commit while these addresses are still in use).
     entries: Vec<LineAddr>,
     /// Current content of every queued line, keyed by address.
-    contents: HashMap<u64, Line>,
+    contents: LineMap<Line>,
     /// Queued tree nodes sorted bottom-up for deferred spreading.
     ordered: Vec<(usize, u64, LineAddr)>,
 }

@@ -89,6 +89,17 @@ pub enum ConfigError {
     UpdateLimitZero,
     /// The core issue width is zero.
     IssueWidthZero,
+    /// A cache geometry holds no whole set: zero ways, or less capacity
+    /// than one line per way. For a split Meta Cache the geometry is
+    /// that of each half.
+    CacheWithoutSets {
+        /// Which cache: `"L1"`, `"L2"` or `"meta"`.
+        cache: &'static str,
+        /// Capacity of the cache (of each half, for a split Meta Cache).
+        capacity_bytes: u64,
+        /// Configured associativity.
+        ways: usize,
+    },
     /// The `simd` crypto tier was forced but this build or host has no
     /// hardware crypto path.
     CryptoTierUnavailable,
@@ -113,6 +124,15 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::UpdateLimitZero => write!(f, "update limit N must be positive"),
             ConfigError::IssueWidthZero => write!(f, "issue width must be positive"),
+            ConfigError::CacheWithoutSets {
+                cache,
+                capacity_bytes,
+                ways,
+            } => write!(
+                f,
+                "{cache} cache of {capacity_bytes} bytes and {ways} ways holds no whole set \
+                 (needs at least one way and 64 bytes per way)"
+            ),
             ConfigError::CryptoTierUnavailable => write!(
                 f,
                 "crypto tier 'simd' forced but this build/host has no hardware crypto path \
@@ -212,6 +232,12 @@ mod tests {
         assert!(ConfigError::UpdateLimitZero
             .to_string()
             .contains("positive"));
+        let e = ConfigError::CacheWithoutSets {
+            cache: "L2",
+            capacity_bytes: 64,
+            ways: 8,
+        };
+        assert!(e.to_string().starts_with("L2 cache of 64 bytes and 8 ways"));
     }
 
     #[test]

@@ -32,6 +32,21 @@ pub enum MetaCacheOrg {
     Split,
 }
 
+impl MetaCacheOrg {
+    /// Geometry of each bank for a total geometry of `total`: all of it
+    /// when shared, half the capacity at the same associativity when
+    /// split.
+    pub(crate) fn bank(self, total: CacheConfig) -> CacheConfig {
+        match self {
+            MetaCacheOrg::Shared => total,
+            MetaCacheOrg::Split => CacheConfig {
+                capacity_bytes: total.capacity_bytes / 2,
+                ..total
+            },
+        }
+    }
+}
+
 /// Counter + Merkle-tree node cache with a region-routing front end.
 #[derive(Debug)]
 pub struct MetaCache {
@@ -50,15 +65,17 @@ impl MetaCache {
     ///
     /// # Panics
     ///
-    /// Panics if a split organization cannot halve the capacity into
-    /// two valid caches.
+    /// Panics if a bank's geometry holds no whole set (a split
+    /// organization halves the capacity); [`SimConfig::validate`]
+    /// rejects such configurations first.
+    ///
+    /// [`SimConfig::validate`]: crate::config::SimConfig::validate
     pub fn new(config: CacheConfig, org: MetaCacheOrg, layout: &SecureLayout) -> Self {
-        let (primary, tree) = match org {
-            MetaCacheOrg::Shared => (SetAssocCache::new(config), None),
-            MetaCacheOrg::Split => {
-                let half = CacheConfig::new(config.capacity_bytes / 2, config.ways);
-                (SetAssocCache::new(half), Some(SetAssocCache::new(half)))
-            }
+        let bank = org.bank(config);
+        let primary = SetAssocCache::new(bank);
+        let tree = match org {
+            MetaCacheOrg::Shared => None,
+            MetaCacheOrg::Split => Some(SetAssocCache::new(bank)),
         };
         let counter_base = layout.counter_line_at(0).0;
         Self {

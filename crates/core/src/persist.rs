@@ -22,7 +22,7 @@ use crate::secmem::SecureMemory;
 use crate::stats::RunStats;
 use crate::tcb::{Keys, Tcb};
 use ccnvm_mem::timing::BoundedQueue;
-use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineStore, MemController};
+use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineMap, LineStore, MemController};
 use std::collections::HashMap;
 
 /// The NVM-side value state of a [`SecureMemory`]: the two off-chip
@@ -36,7 +36,7 @@ pub(crate) struct NvmState {
     pub(crate) overlay: LineStore,
     /// Write-back version per data line (drives the self-checking
     /// plaintext pattern; simulator ground truth, not hardware state).
-    pub(crate) versions: HashMap<u64, u64>,
+    pub(crate) versions: LineMap<u64>,
 }
 
 impl NvmState {
@@ -44,7 +44,7 @@ impl NvmState {
         Self {
             durable,
             overlay: LineStore::new(),
-            versions: HashMap::new(),
+            versions: LineMap::default(),
         }
     }
 
@@ -280,7 +280,7 @@ impl SecureMemory {
             .collect();
         let (_, current_root) = self.bmt.rebuild(counters);
         GroundTruth {
-            data_versions: self.nvm.versions.clone(),
+            data_versions: self.nvm.versions.iter().map(|(&l, &v)| (l, v)).collect(),
             counter_lines,
             current_root,
         }

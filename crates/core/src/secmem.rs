@@ -690,8 +690,7 @@ impl SecureMemory {
         let t_dh = self.mc.read(dh_line, now);
 
         // Functional decrypt + authenticate.
-        let ctr = CounterLine::decode(&self.meta_content(ctr_line));
-        let (major, minor) = ctr.seed(line.page_offset());
+        let (major, minor) = CounterLine::seed_of(&self.meta_content(ctr_line), line.page_offset());
         let ct = self.nvm.durable.load(line);
         match ct {
             None => {

@@ -66,16 +66,8 @@ impl Simulator {
     /// Propagates configuration validation failures from
     /// [`SecureMemory::new`].
     pub fn new(config: SimConfig) -> Result<Self, crate::error::ConfigError> {
-        Ok(Self {
-            l1: SetAssocCache::new(config.l1),
-            l2: SetAssocCache::new(config.l2),
-            mem: SecureMemory::new(config.clone())?,
-            cycles: 0,
-            instructions: 0,
-            issue_carry: 0,
-            flush_scratch: Vec::new(),
-            config,
-        })
+        let mem = SecureMemory::new(config.clone())?;
+        Ok(Self::over(config, mem))
     }
 
     /// Builds a simulator whose secure memory persists through the
@@ -90,16 +82,23 @@ impl Simulator {
         config: SimConfig,
         durable: Box<dyn ccnvm_mem::DurableBackend>,
     ) -> Result<Self, crate::error::ConfigError> {
-        Ok(Self {
+        let mem = SecureMemory::with_backend(config.clone(), durable)?;
+        Ok(Self::over(config, mem))
+    }
+
+    /// The core and its caches over `mem`, which validated `config`
+    /// (so the cache geometries hold whole sets).
+    fn over(config: SimConfig, mem: SecureMemory) -> Self {
+        Self {
             l1: SetAssocCache::new(config.l1),
             l2: SetAssocCache::new(config.l2),
-            mem: SecureMemory::with_backend(config.clone(), durable)?,
+            mem,
             cycles: 0,
             instructions: 0,
             issue_carry: 0,
             flush_scratch: Vec::new(),
             config,
-        })
+        }
     }
 
     /// The secure memory subsystem (crash images, ground truth, …).
@@ -143,8 +142,13 @@ impl Simulator {
         // Physical aliasing: working sets larger than the protected
         // capacity wrap around the data region (only relevant for
         // deliberately tiny test configurations — the paper's 16 GB
-        // dwarfs every profile's working set).
-        let line = LineAddr(op.addr.line().0 % self.mem.layout().data_lines());
+        // dwarfs every profile's working set, so the division is
+        // skipped for lines already in range).
+        let data_lines = self.mem.layout().data_lines();
+        let mut line = op.addr.line();
+        if line.0 >= data_lines {
+            line = LineAddr(line.0 % data_lines);
+        }
         let is_store = op.kind == OpKind::Write;
 
         let l1 = self.l1.access(line, is_store);
@@ -439,6 +443,28 @@ mod tests {
                 "{line} must be durable after an orderly shutdown"
             );
         }
+    }
+
+    #[test]
+    fn caches_without_sets_are_refused_not_run() {
+        use crate::error::ConfigError;
+        use ccnvm_mem::CacheConfig;
+
+        let mut cfg = SimConfig::small(DesignKind::CcNvm);
+        cfg.l2 = CacheConfig {
+            capacity_bytes: 64,
+            ways: 8,
+        };
+        assert!(matches!(
+            Simulator::new(cfg),
+            Err(ConfigError::CacheWithoutSets { cache: "L2", .. })
+        ));
+        let mut cfg = SimConfig::small(DesignKind::CcNvm);
+        cfg.l1.ways = 0;
+        assert!(matches!(
+            Simulator::with_backend(cfg, Box::new(ccnvm_mem::LineStore::new())),
+            Err(ConfigError::CacheWithoutSets { cache: "L1", .. })
+        ));
     }
 
     #[test]

@@ -27,22 +27,37 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not yield at least one whole set.
+    /// Panics if the geometry does not yield at least one whole set
+    /// ([`Self::has_whole_set`]).
     pub fn new(capacity_bytes: u64, ways: usize) -> Self {
-        assert!(ways >= 1, "cache needs at least one way");
-        assert!(
-            capacity_bytes >= LINE_SIZE * ways as u64,
-            "capacity {capacity_bytes} too small for {ways} ways"
-        );
-        Self {
+        let config = Self {
             capacity_bytes,
             ways,
-        }
+        };
+        assert!(
+            config.has_whole_set(),
+            "capacity {capacity_bytes} too small for {ways} ways"
+        );
+        config
     }
 
     /// Number of sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero (see [`Self::has_whole_set`]).
     pub fn sets(&self) -> usize {
         (self.capacity_bytes / (LINE_SIZE * self.ways as u64)) as usize
+    }
+
+    /// Whether the geometry holds at least one set of at least one way.
+    /// [`Self::new`] asserts it; a config built field by field may not
+    /// hold it.
+    pub fn has_whole_set(&self) -> bool {
+        self.ways >= 1
+            && (self.ways as u64)
+                .checked_mul(LINE_SIZE)
+                .is_some_and(|set_bytes| set_bytes <= self.capacity_bytes)
     }
 
     /// Total number of lines the cache can hold.
@@ -110,6 +125,9 @@ impl<T> AccessResult<T> {
 pub struct SetAssocCache<T = ()> {
     config: CacheConfig,
     sets: Vec<Vec<WayState<T>>>,
+    /// `sets.len() - 1` when the set count is a power of two (every
+    /// geometry the paper uses), so indexing needs no division.
+    set_mask: Option<usize>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -117,11 +135,26 @@ pub struct SetAssocCache<T = ()> {
 
 impl<T: Default> SetAssocCache<T> {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry holds no whole set
+    /// ([`CacheConfig::has_whole_set`]).
     pub fn new(config: CacheConfig) -> Self {
-        let sets = (0..config.sets()).map(|_| Vec::new()).collect();
+        assert!(
+            config.has_whole_set(),
+            "cache of {} bytes and {} ways holds no whole set",
+            config.capacity_bytes,
+            config.ways
+        );
+        let count = config.sets();
+        // Sets grow on first use, so building a cache allocates the
+        // set vector only, not every way.
+        let sets = (0..count).map(|_| Vec::new()).collect();
         Self {
             config,
             sets,
+            set_mask: count.is_power_of_two().then(|| count - 1),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -180,7 +213,10 @@ impl<T: Default> SetAssocCache<T> {
 
 impl<T> SetAssocCache<T> {
     fn set_index(&self, line: LineAddr) -> usize {
-        (line.0 as usize) % self.config.sets()
+        match self.set_mask {
+            Some(mask) => line.0 as usize & mask,
+            None => line.0 as usize % self.sets.len(),
+        }
     }
 
     /// Whether `line` is resident (does not touch LRU state).
@@ -468,5 +504,34 @@ mod tests {
     #[should_panic(expected = "too small")]
     fn rejects_impossible_geometry() {
         CacheConfig::new(64, 2);
+    }
+
+    #[test]
+    fn whole_set_check_covers_hand_built_geometries() {
+        assert!(CacheConfig::new(64, 1).has_whole_set());
+        let no_sets = CacheConfig {
+            capacity_bytes: 64,
+            ways: 8,
+        };
+        assert!(!no_sets.has_whole_set());
+        let no_ways = CacheConfig {
+            capacity_bytes: 4096,
+            ways: 0,
+        };
+        assert!(!no_ways.has_whole_set());
+        let overflowing = CacheConfig {
+            capacity_bytes: u64::MAX,
+            ways: usize::MAX,
+        };
+        assert!(!overflowing.has_whole_set());
+    }
+
+    #[test]
+    #[should_panic(expected = "no whole set")]
+    fn cache_refuses_a_geometry_without_sets() {
+        SetAssocCache::<()>::new(CacheConfig {
+            capacity_bytes: 64,
+            ways: 8,
+        });
     }
 }

@@ -15,6 +15,7 @@
 //! and traffic only.
 
 use crate::addr::LineAddr;
+use crate::store::LineMap;
 use crate::timing::{BoundedQueue, Cycle, NvmTiming, NvmTimingConfig};
 use std::collections::VecDeque;
 
@@ -215,9 +216,9 @@ pub struct MemController {
     /// Pending (not yet serviced) write-queue entries by line, for
     /// write combining: a store to a line that is still queued merges
     /// into the existing entry instead of issuing another array write.
-    pending_writes: std::collections::HashMap<u64, Cycle>,
+    pending_writes: LineMap<Cycle>,
     /// Array writes per line, for endurance accounting.
-    wear: std::collections::HashMap<u64, u64>,
+    wear: LineMap<u64>,
     /// Running copy of the hottest line's write count (so gauges can
     /// sample it without scanning the wear map).
     wear_max: u64,
@@ -236,8 +237,8 @@ impl MemController {
             read_queue: BoundedQueue::new(config.read_queue_entries),
             write_queue: BoundedQueue::new(config.write_queue_entries),
             wpq: BoundedQueue::new(config.wpq_entries),
-            pending_writes: std::collections::HashMap::new(),
-            wear: std::collections::HashMap::new(),
+            pending_writes: LineMap::default(),
+            wear: LineMap::default(),
             wear_max: 0,
             stats: MemStats::default(),
             recorder: None,

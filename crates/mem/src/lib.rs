@@ -7,7 +7,8 @@
 //! * [`addr`] — strongly-typed physical addresses and 64-byte line
 //!   addresses.
 //! * [`store`] — a sparse functional backing store holding real line
-//!   contents for a (up to) 16 GB physical address space.
+//!   contents for a (up to) 16 GB physical address space, and the
+//!   line-address hasher every per-line map uses.
 //! * [`cache`] — a generic set-associative, LRU, write-back cache model
 //!   with per-line user payloads (used for L1, L2 and the Meta Cache).
 //! * [`timing`] — a banked NVM device timing model (60 ns reads,
@@ -54,5 +55,5 @@ pub use file::{
     flight_boundary_line, read_flight_log, FileBackend, FileBackendConfig, FileBackendError,
     FileIoCounters, FileIoStats, FsyncStrategy,
 };
-pub use store::{Line, LineStore};
+pub use store::{Line, LineHasher, LineMap, LineSet, LineStore};
 pub use timing::{Cycle, NvmTiming, NvmTimingConfig};

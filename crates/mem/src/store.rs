@@ -6,9 +6,65 @@
 //! "zero-initialized memory" assumption secure-memory papers make, and
 //! the one the sparse Merkle tree in `ccnvm` relies on (untouched
 //! subtrees hash to a per-level default).
+//!
+//! It also defines [`LineHasher`], the one hasher for maps keyed by
+//! line address ([`LineMap`], [`LineSet`]): the store itself, the
+//! memory controller's write-combining and wear maps, and the
+//! simulator's per-line bookkeeping.
 
 use crate::addr::LineAddr;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for `u64` line addresses: one multiply and one rotate.
+///
+/// The key is multiplied by the 64-bit golden ratio, and the product
+/// is rotated so that its upper bits, which every key bit below them
+/// feeds, land in the low bits the table picks buckets from. A bare
+/// multiply would keep the key's trailing zeros there: page-strided
+/// data lines (`i·64`) would share 1/64 of the buckets. Rotated,
+/// 4096 page-strided keys and 4096 consecutive counter-line keys each
+/// fill at least 3/4 of the values of the low 12 bits.
+///
+/// It is deterministic and not HashDoS-resistant: whoever chooses the
+/// addresses (say, a hostile `commit.log`) can make them collide and
+/// slow a map down, but never make it fail. The simulator's own keys
+/// come from its traces and its layout.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LineHasher(u64);
+
+impl LineHasher {
+    /// 2^64 / φ, the multiplier of Fibonacci hashing.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    /// Moves product bits 19.. to the bottom.
+    const ROTATE: u32 = 45;
+}
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Keys are `u64`s, which take `write_u64`; other key types
+        // still hash correctly, eight bytes at a time.
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(Self::MUL);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(Self::ROTATE)
+    }
+}
+
+/// Map keyed by a line address (`LineAddr.0`), hashed by [`LineHasher`].
+pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// Set of line addresses (`LineAddr.0`), hashed by [`LineHasher`].
+pub type LineSet = HashSet<u64, BuildHasherDefault<LineHasher>>;
 
 /// One 64-byte line of real content.
 pub type Line = [u8; 64];
@@ -30,7 +86,7 @@ pub const ZERO_LINE: Line = [0u8; 64];
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LineStore {
-    lines: HashMap<u64, Line>,
+    lines: LineMap<Line>,
 }
 
 impl LineStore {
@@ -97,7 +153,7 @@ impl LineStore {
     }
 }
 
-// Both delegate to `HashMap`, which reserves room for the iterator's
+// Both delegate to the map, which reserves room for the iterator's
 // size hint before inserting.
 impl FromIterator<(LineAddr, Line)> for LineStore {
     fn from_iter<T: IntoIterator<Item = (LineAddr, Line)>>(iter: T) -> Self {
@@ -153,6 +209,47 @@ mod tests {
             addrs,
             vec![LineAddr(1), LineAddr(3), LineAddr(7), LineAddr(9)]
         );
+    }
+
+    /// Distinct values among the low 12 bits of `finish()` over `keys`.
+    fn low12_distinct(keys: impl Iterator<Item = u64>) -> usize {
+        let mut seen = vec![false; 4096];
+        for k in keys {
+            let mut h = LineHasher::default();
+            h.write_u64(k);
+            seen[(h.finish() & 0xfff) as usize] = true;
+        }
+        seen.iter().filter(|&&s| s).count()
+    }
+
+    #[test]
+    fn line_hasher_spreads_strided_keys() {
+        // Page-strided data lines, and consecutive counter lines at the
+        // paper layout's counter base (16 GB / 64 B).
+        let data = low12_distinct((0..4096u64).map(|i| i * 64));
+        let counters = low12_distinct((0..4096u64).map(|i| (1 << 28) + i));
+        assert!(data >= 3072, "page-strided keys fill {data}/4096");
+        assert!(counters >= 3072, "consecutive keys fill {counters}/4096");
+        // The unrotated product keeps the stride's trailing zeros.
+        let bare = (0..4096u64)
+            .map(|i| (i * 64).wrapping_mul(LineHasher::MUL) & 0xfff)
+            .collect::<HashSet<_>>()
+            .len();
+        assert_eq!(bare, 64);
+    }
+
+    #[test]
+    fn line_hasher_is_deterministic_and_byte_keys_agree() {
+        let hash = |k: u64| {
+            let mut h = LineHasher::default();
+            h.write_u64(k);
+            h.finish()
+        };
+        assert_eq!(hash(0x1234), hash(0x1234));
+        assert_ne!(hash(0x1234), hash(0x1235));
+        let mut bytes = LineHasher::default();
+        bytes.write(&0x1234u64.to_le_bytes());
+        assert_eq!(bytes.finish(), hash(0x1234));
     }
 
     #[test]

@@ -43,13 +43,15 @@ impl RefCache {
 
 /// The production cache agrees with the reference model on every
 /// hit/miss outcome, every victim choice and every dirty bit, for
-/// random access sequences over several geometries.
+/// random access sequences over several geometries: power-of-two set
+/// counts (indexed by mask) and others (indexed by remainder).
 #[test]
 fn cache_matches_reference() {
+    const SET_COUNTS: [usize; 8] = [1, 2, 4, 8, 3, 5, 6, 12];
     let mut rng = Rng::seed_from_u64(0x3e01);
-    for _ in 0..96 {
+    for round in 0..192 {
         let ways = rng.gen_range(1usize..5);
-        let sets = 1usize << rng.gen_range(0u32..4);
+        let sets = SET_COUNTS[round % SET_COUNTS.len()];
         let config = CacheConfig::new((sets * ways * 64) as u64, ways);
         assert_eq!(config.sets(), sets);
         let mut cache = SetAssocCache::<()>::new(config);
