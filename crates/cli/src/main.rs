@@ -547,12 +547,13 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
     emit_artifacts(run, &sim, Some(&report), chrome_file)?;
     if let Some(path) = &run.forensics_out {
         // File store: the recovered sidecar. In memory: the in-process
-        // ring (empty unless --flight was set — a crash would have
-        // destroyed it, but recover's in-memory crash never actually
-        // dies, so the ring is still readable).
+        // ring, which the same writer fed with the sidecar's entries
+        // (empty unless --flight was set — a crash would have destroyed
+        // it, but recover's in-memory crash never actually dies, so the
+        // ring is still readable).
         let (entries, discarded) = flight_raw.unwrap_or_else(|| {
             let ring = sim.memory().flight();
-            let entries = ring.map(|f| f.entries().map(str::to_owned).collect());
+            let entries = ring.map(|f| f.iter().cloned().collect());
             (entries.unwrap_or_default(), 0)
         });
         let analysis =

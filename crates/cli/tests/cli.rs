@@ -241,6 +241,42 @@ fn in_memory_recover_writes_a_clean_forensic_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One writer feeds the in-process flight ring and `flight.log`, so
+/// in-memory `recover --flight` and `forensics` on a file store report
+/// the same `flight` object for the same workload.
+#[test]
+fn in_memory_and_file_forensics_report_the_same_flight_log() {
+    let dir = fresh_dir("flight-agree");
+    let workload = ["--bench", "lbm", "--instructions", "200000"];
+    for args in [
+        &["recover", "--flight", "--forensics-out", "mem.json"][..],
+        &[
+            "forensics",
+            "--backend",
+            "file:store",
+            "--forensics-out",
+            "file.json",
+        ],
+    ] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(args)
+            .args(workload)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let flight = |name: &str| read_json(&dir.join(name)).get("flight").cloned();
+    let in_memory = flight("mem.json").expect("a flight object");
+    assert!(in_memory.num_field("entries").unwrap() > 0, "{in_memory:?}");
+    assert_eq!(Some(in_memory), flight("file.json"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn strict_recover_gates_an_unrecoverable_image() {
     let out = bin()

@@ -233,6 +233,24 @@ impl SimConfig {
         if self.issue_width == 0 {
             return Err(ConfigError::IssueWidthZero);
         }
+        if self.capacity_bytes == 0 || !self.capacity_bytes.is_multiple_of(ccnvm_mem::PAGE_SIZE) {
+            return Err(ConfigError::CapacityNotPaged {
+                capacity_bytes: self.capacity_bytes,
+            });
+        }
+        let queues = [
+            ("read queue", self.mem.read_queue_entries),
+            ("write queue", self.mem.write_queue_entries),
+            ("write-back buffer", self.wb_buffer_entries),
+        ];
+        for (queue, entries) in queues {
+            if entries == 0 {
+                return Err(ConfigError::QueueWithoutSlots { queue });
+            }
+        }
+        if self.mem.nvm.banks == 0 {
+            return Err(ConfigError::NvmWithoutBanks);
+        }
         let caches = [
             ("L1", self.l1),
             ("L2", self.l2),
@@ -348,6 +366,73 @@ mod tests {
                 capacity_bytes: 256,
                 ways: 8,
             })
+        );
+    }
+
+    /// `edit` applied to the small cc-NVM machine must be refused by
+    /// `validate` and by `Simulator::new` with the same error, instead
+    /// of a machine that panics when built or on its first access.
+    fn refused(edit: impl FnOnce(&mut SimConfig)) -> crate::error::ConfigError {
+        let mut c = SimConfig::small(DesignKind::CcNvm);
+        edit(&mut c);
+        let err = c.validate().expect_err("validate must refuse the machine");
+        assert_eq!(crate::sim::Simulator::new(c).err(), Some(err));
+        err
+    }
+
+    #[test]
+    fn validate_refuses_a_read_queue_without_slots() {
+        assert_eq!(
+            refused(|c| c.mem.read_queue_entries = 0),
+            crate::error::ConfigError::QueueWithoutSlots {
+                queue: "read queue"
+            }
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_write_queue_without_slots() {
+        assert_eq!(
+            refused(|c| c.mem.write_queue_entries = 0),
+            crate::error::ConfigError::QueueWithoutSlots {
+                queue: "write queue"
+            }
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_write_back_buffer_without_slots() {
+        assert_eq!(
+            refused(|c| c.wb_buffer_entries = 0),
+            crate::error::ConfigError::QueueWithoutSlots {
+                queue: "write-back buffer"
+            }
+        );
+    }
+
+    #[test]
+    fn validate_refuses_an_nvm_without_banks() {
+        assert_eq!(
+            refused(|c| c.mem.nvm.banks = 0),
+            crate::error::ConfigError::NvmWithoutBanks
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_zero_capacity() {
+        assert_eq!(
+            refused(|c| c.capacity_bytes = 0),
+            crate::error::ConfigError::CapacityNotPaged { capacity_bytes: 0 }
+        );
+    }
+
+    #[test]
+    fn validate_refuses_a_capacity_of_partial_pages() {
+        assert_eq!(
+            refused(|c| c.capacity_bytes = (1 << 20) + 64),
+            crate::error::ConfigError::CapacityNotPaged {
+                capacity_bytes: (1 << 20) + 64
+            }
         );
     }
 

@@ -43,25 +43,24 @@ impl SecureMemory {
             return now;
         }
         let queued = self.dirty_queue.len() as u64;
-        let wbs = self.wbs_this_epoch;
         self.emit(obs::Event::Drain {
             at: now,
             stage: obs::DrainStage::Stage,
             trigger: Some(trigger),
             lines: queued,
         });
-        self.flight_boundary("begin", "drain-stage");
+        self.nvm.flight_boundary("begin", "drain-stage");
         let end = self.stage_drain(now);
         // Staged-but-uncommitted: killing here models a crash before
         // the `end` signal — nothing of this epoch is durable yet.
         ccnvm_mem::crashpoint::fire("drain-stage");
-        self.flight_boundary("end", "drain-stage");
+        self.nvm.flight_boundary("end", "drain-stage");
         self.commit_staged();
-        // The committed epoch covers every write-back stamped so far
-        // (`discard_staged` — the crash model — keeps them pending).
-        self.obs.resolve_lag(end);
-        // Fold the stage's WPQ accepts in first so the trace stays
-        // chronologically ordered, then close out the epoch.
+        // Fold the stage's WPQ accepts in first, so the trace stays
+        // chronologically ordered and the epoch's WPQ high water counts
+        // its own drain. The commit event then closes the recorder's
+        // epoch and covers every lag stamp taken so far
+        // (`discard_staged` — the crash model — leaves them pending).
         self.obs_sync_queues();
         self.emit(obs::Event::Drain {
             at: end,
@@ -69,14 +68,7 @@ impl SecureMemory {
             trigger: Some(trigger),
             lines: queued,
         });
-        if let Some(rec) = self.obs.recorder.as_deref_mut() {
-            let high_water = self.mc.take_wpq_high_water() as u64;
-            rec.epoch_committed(trigger, end, queued, wbs, high_water);
-        }
         self.stats.drains += 1;
-        if self.flight_active() {
-            self.flight_note(&obs::flight::epoch_line(end, self.stats.drains - 1));
-        }
         match trigger {
             DrainTrigger::QueueFull => self.stats.drains_queue_full += 1,
             DrainTrigger::DirtyEviction => self.stats.drains_evict += 1,
@@ -220,10 +212,10 @@ impl SecureMemory {
         staged.clear();
         self.staged = staged;
         self.dirty_queue.clear();
-        self.flight_boundary("begin", "root-alternate");
+        self.nvm.flight_boundary("begin", "root-alternate");
         self.tcb.commit_drain();
         ccnvm_mem::crashpoint::fire("root-alternate");
-        self.flight_boundary("end", "root-alternate");
+        self.nvm.flight_boundary("end", "root-alternate");
         self.obs.note_root_alternation();
         self.wbs_this_epoch = 0;
     }

@@ -1,6 +1,6 @@
 //! Error types for runtime integrity checking and simulation.
 
-use ccnvm_mem::LineAddr;
+use ccnvm_mem::{LineAddr, PAGE_SIZE};
 use std::error::Error;
 use std::fmt;
 
@@ -100,6 +100,21 @@ pub enum ConfigError {
         /// Configured associativity.
         ways: usize,
     },
+    /// The protected capacity is zero or not a whole number of 4 KiB
+    /// pages, so no secure layout covers it.
+    CapacityNotPaged {
+        /// Configured capacity in bytes.
+        capacity_bytes: u64,
+    },
+    /// A controller queue or the write-back buffer has no slot, so no
+    /// request could ever be accepted.
+    QueueWithoutSlots {
+        /// Which queue: `"read queue"`, `"write queue"` or
+        /// `"write-back buffer"`.
+        queue: &'static str,
+    },
+    /// The NVM device has no bank to serve an access.
+    NvmWithoutBanks,
     /// The `simd` crypto tier was forced but this build or host has no
     /// hardware crypto path.
     CryptoTierUnavailable,
@@ -133,6 +148,15 @@ impl fmt::Display for ConfigError {
                 "{cache} cache of {capacity_bytes} bytes and {ways} ways holds no whole set \
                  (needs at least one way and 64 bytes per way)"
             ),
+            ConfigError::CapacityNotPaged { capacity_bytes } => write!(
+                f,
+                "protected capacity of {capacity_bytes} bytes is not a positive multiple \
+                 of the {PAGE_SIZE}-byte page"
+            ),
+            ConfigError::QueueWithoutSlots { queue } => {
+                write!(f, "{queue} needs at least one entry")
+            }
+            ConfigError::NvmWithoutBanks => write!(f, "NVM device needs at least one bank"),
             ConfigError::CryptoTierUnavailable => write!(
                 f,
                 "crypto tier 'simd' forced but this build/host has no hardware crypto path \
@@ -238,6 +262,15 @@ mod tests {
             ways: 8,
         };
         assert!(e.to_string().starts_with("L2 cache of 64 bytes and 8 ways"));
+        let e = ConfigError::CapacityNotPaged {
+            capacity_bytes: 5000,
+        };
+        assert!(e.to_string().contains("5000 bytes") && e.to_string().contains("4096-byte page"));
+        let e = ConfigError::QueueWithoutSlots {
+            queue: "write-back buffer",
+        };
+        assert_eq!(e.to_string(), "write-back buffer needs at least one entry");
+        assert!(ConfigError::NvmWithoutBanks.to_string().contains("bank"));
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! lives in process memory, so the one scenario the §4.4 recovery
 //! story cares about — an actual process death — destroys all evidence
 //! of what the system was doing. This module is the crash-persistent
-//! "black box": a bounded in-process ring of recent flight entries
-//! ([`FlightRecorder`]) whose every entry is simultaneously framed
-//! into the file backend's `flight.log` sidecar (see
-//! [`ccnvm_mem::read_flight_log`]) with the same CRC-32/torn-tail
-//! discipline as `commit.log`.
+//! "black box". One writer on the durable layer of
+//! [`SecureMemory`](crate::secmem::SecureMemory) sends every entry both
+//! to the file backend's `flight.log` sidecar (see
+//! [`ccnvm_mem::read_flight_log`]), framed with the same CRC-32/torn-tail
+//! discipline as `commit.log`, and to the bounded in-process
+//! [`FlightRecorder`] ring when one is attached. The ring therefore
+//! holds the sidecar's entries, minus the rotation and `manifest-swap`
+//! brackets the file backend writes itself when it compacts.
 //!
 //! A flight entry is one line of JSON in the restricted dialect
 //! [`super::json`] parses. Four shapes exist:
@@ -39,8 +42,7 @@ use crate::obs::json::Json;
 use crate::obs::metrics::Sample;
 use crate::obs::{json, Event};
 use crate::recovery::RecoveryReport;
-use ccnvm_mem::Cycle;
-use std::collections::VecDeque;
+use ccnvm_mem::{Cycle, Ring};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -65,59 +67,9 @@ impl Default for FlightConfig {
 /// accounting — the volatile half of the black box. Attach with
 /// [`SecureMemory::attach_flight`](crate::secmem::SecureMemory::attach_flight);
 /// the durable half is the file backend's `flight.log` sidecar, fed
-/// with the same entries through the
+/// by the same writer through the
 /// [`DurableBackend`](ccnvm_mem::DurableBackend) seam.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    capacity: usize,
-    ring: VecDeque<String>,
-    dropped: u64,
-}
-
-impl FlightRecorder {
-    /// Creates an empty recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacity is zero.
-    pub fn new(config: FlightConfig) -> Self {
-        assert!(config.capacity > 0, "flight capacity must be positive");
-        Self {
-            capacity: config.capacity,
-            ring: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Records one entry, dropping the oldest if the ring is full.
-    pub fn record(&mut self, entry: String) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(entry);
-    }
-
-    /// Buffered entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &str> {
-        self.ring.iter().map(String::as_str)
-    }
-
-    /// Entries currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Entries dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
+pub type FlightRecorder = Ring<String>;
 
 /// Builds the flight entry for a trace event.
 pub fn event_line(event: &Event) -> String {
@@ -546,13 +498,13 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let mut r = FlightRecorder::new(FlightConfig { capacity: 2 });
+        let mut r = FlightRecorder::new(2);
         for i in 0..3 {
-            r.record(epoch_line(i * 10, i));
+            r.push(epoch_line(i * 10, i));
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 1);
-        assert_eq!(r.entries().next().unwrap(), epoch_line(10, 1));
+        assert_eq!(r.iter().next(), Some(&epoch_line(10, 1)));
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //! ```
 
 use crate::stats::Histogram;
-use ccnvm_mem::Cycle;
-use std::collections::VecDeque;
+use ccnvm_mem::{Cycle, Ring};
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
@@ -166,9 +165,7 @@ lag_pending,lag_p99";
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     interval: Cycle,
-    capacity: usize,
-    samples: VecDeque<Sample>,
-    dropped: u64,
+    samples: Ring<Sample>,
     next_due: Cycle,
 }
 
@@ -181,12 +178,9 @@ impl MetricsRegistry {
     /// these earlier with a typed error).
     pub fn new(config: MetricsConfig) -> Self {
         assert!(config.interval > 0, "metrics interval must be positive");
-        assert!(config.capacity > 0, "metrics capacity must be positive");
         Self {
             interval: config.interval,
-            capacity: config.capacity,
-            samples: VecDeque::new(),
-            dropped: 0,
+            samples: Ring::new(config.capacity),
             next_due: config.interval,
         }
     }
@@ -216,12 +210,8 @@ impl MetricsRegistry {
     /// after it, dropping the oldest sample if the ring is full.
     pub fn record(&mut self, sample: Sample) {
         debug_assert!(sample.at >= self.next_due - self.interval);
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
         self.next_due = sample.at + self.interval;
-        self.samples.push_back(sample);
+        self.samples.push(sample);
     }
 
     /// Buffered samples, oldest first.
@@ -241,7 +231,7 @@ impl MetricsRegistry {
 
     /// Samples dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.samples.dropped()
     }
 
     /// Writes the series as CSV: a header row, one row per sample, and
@@ -249,7 +239,7 @@ impl MetricsRegistry {
     /// is visible in the artifact.
     pub fn write_csv<W: Write>(&self, out: &mut W) -> io::Result<()> {
         writeln!(out, "{}", Sample::CSV_HEADER)?;
-        for sample in &self.samples {
+        for sample in self.samples.iter() {
             writeln!(out, "{}", sample.csv_row())?;
         }
         let pad = ",".repeat(Sample::CSV_HEADER.split(',').count() - 4);
@@ -257,7 +247,7 @@ impl MetricsRegistry {
             out,
             "footer,{},{},{}{pad}",
             self.samples.len(),
-            self.dropped,
+            self.samples.dropped(),
             self.interval
         )?;
         Ok(())
@@ -266,14 +256,14 @@ impl MetricsRegistry {
     /// Writes the series as JSON-lines: one object per sample plus a
     /// footer record mirroring the CSV export's accounting.
     pub fn write_jsonl<W: Write>(&self, out: &mut W) -> io::Result<()> {
-        for sample in &self.samples {
+        for sample in self.samples.iter() {
             writeln!(out, "{}", sample.to_json())?;
         }
         writeln!(
             out,
             "{{\"metric\":\"footer\",\"samples\":{},\"dropped\":{},\"interval\":{}}}",
             self.samples.len(),
-            self.dropped,
+            self.samples.dropped(),
             self.interval
         )?;
         Ok(())

@@ -17,19 +17,26 @@
 //!   [`Histogram`]s with percentile support, and renders them as
 //!   JSON-lines, CSV, or a human-readable epoch-timeline report.
 //!
-//! The recorder is one of seven sinks — with the [`profile`],
-//! [`metrics`], [`audit`], [`flight`], [`wear`] and [`lag`] layers —
-//! that [`SecureMemory`](crate::secmem::SecureMemory) carries in one
-//! `Observers` hub. The pipeline books each issued NVM write once (a
-//! `WriteKind` picks its `RunStats` counter, profiler stage and wear
-//! cause together) and sends each event once, through `emit`.
+//! The recorder is one of the six sinks — with the [`profile`],
+//! [`metrics`], [`audit`], [`wear`] and [`lag`] layers — that
+//! [`SecureMemory`](crate::secmem::SecureMemory) carries in one
+//! `Observers` hub. The pipeline modules never name a sink: they book
+//! each issued NVM write once (a `WriteKind` picks its `RunStats`
+//! counter, profiler stage and wear cause together), charge cycles to
+//! profiler stages, and send each event once, through `emit`. The
+//! recorder derives its epoch rollups and the lag tracer its stamps
+//! from that event stream alone. Flight entries go through one writer
+//! on the durable layer, which feeds the in-process [`flight`] ring and
+//! the backend's `flight.log` alike. Every history buffer is a
+//! [`Ring`].
 //!
-//! **Detached cost.** Every sink is an `Option<Box<_>>` in the hub and
-//! none is attached by default. A detached sink costs one branch per
-//! hook and allocates nothing, so simulated results are byte-identical
-//! with and without observers. All recording is driven by simulated
-//! time, never host state, so every export is deterministic: the same
-//! run produces the same bytes at any host thread count.
+//! **Detached cost.** Every sink is an `Option<Box<_>>` in the hub (the
+//! flight ring an `Option` beside the durable backend) and none is
+//! attached by default. A detached sink costs one branch per hook and
+//! allocates nothing, so simulated results are byte-identical with and
+//! without observers. All recording is driven by simulated time, never
+//! host state, so every export is deterministic: the same run produces
+//! the same bytes at any host thread count.
 //!
 //! # Example
 //!
@@ -59,14 +66,13 @@ pub mod wear;
 
 use crate::secmem::DrainTrigger;
 use crate::stats::Histogram;
-use ccnvm_mem::{Cycle, LineAddr, QueueKind};
+use ccnvm_mem::{Cycle, LineAddr, QueueKind, Ring};
 use profile::Stage;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use wear::WriteCause;
 
-/// The observer hub: the seven optional sinks of one
+/// The observer hub: the six optional sinks of one
 /// [`SecureMemory`](crate::secmem::SecureMemory), behind its single
 /// `obs` field. See the module docs for the detached-cost contract.
 #[derive(Debug, Default)]
@@ -75,14 +81,40 @@ pub(crate) struct Observers {
     pub(crate) profiler: Option<Box<profile::SpanProfiler>>,
     pub(crate) metrics: Option<Box<metrics::MetricsRegistry>>,
     pub(crate) auditor: Option<Box<audit::Auditor>>,
-    /// The in-process flight ring. The durable `flight.log` half lives
-    /// on the backend, so flight hooks also fire without this ring.
-    pub(crate) flight: Option<Box<flight::FlightRecorder>>,
     pub(crate) wear: Option<Box<wear::WearLedger>>,
     pub(crate) lag: Option<Box<lag::LagTracer>>,
 }
 
 impl Observers {
+    /// Feeds one pipeline event to the sinks that derive their state
+    /// from events: the lag tracer and the recorder.
+    #[inline]
+    pub(crate) fn observe(&mut self, event: Event) {
+        if let Some(l) = self.lag.as_deref_mut() {
+            l.observe(event);
+        }
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.record(event);
+        }
+    }
+
+    /// Whether a profiler is attached, so callers can skip computing
+    /// an attribution nobody reads.
+    #[inline]
+    pub(crate) fn profiling(&self) -> bool {
+        self.profiler.is_some()
+    }
+
+    /// Records one write-back's end-to-end service latency. No event
+    /// carries the cycle its service started, so this is a hook of its
+    /// own.
+    #[inline]
+    pub(crate) fn note_wb_latency(&mut self, cycles: Cycle) {
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.note_wb_latency(cycles);
+        }
+    }
+
     /// Charges `cycles` of simulated time to profiler `stage`.
     #[inline]
     pub(crate) fn charge(&mut self, stage: Stage, cycles: Cycle) {
@@ -120,24 +152,6 @@ impl Observers {
     pub(crate) fn note_nwb_update(&mut self) {
         if let Some(w) = self.wear.as_deref_mut() {
             w.note_nwb_update();
-        }
-    }
-
-    /// Stamps one accepted write-back at `at` for durability-lag
-    /// tracing.
-    #[inline]
-    pub(crate) fn stamp_lag(&mut self, at: Cycle) {
-        if let Some(l) = self.lag.as_deref_mut() {
-            l.stamp(at);
-        }
-    }
-
-    /// Resolves every pending lag stamp at `at`, the completion of the
-    /// commit that made those write-backs durable.
-    #[inline]
-    pub(crate) fn resolve_lag(&mut self, at: Cycle) {
-        if let Some(l) = self.lag.as_deref_mut() {
-            l.resolve_all(at);
         }
     }
 }
@@ -477,62 +491,7 @@ stalled,trigger,lines,write_backs,duration,wpq_high_water,dropped,epochs_dropped
 /// Bounded ring buffer of [`Event`]s: when full, the oldest event is
 /// dropped and counted, so arbitrarily long runs trace in constant
 /// memory while keeping the most recent window.
-#[derive(Debug, Clone)]
-pub struct EventTrace {
-    events: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl EventTrace {
-    /// Creates an empty trace holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be positive");
-        Self {
-            events: VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, dropping the oldest if the buffer is full.
-    pub fn push(&mut self, event: Event) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(event);
-    }
-
-    /// Buffered events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter()
-    }
-
-    /// Events currently buffered.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Maximum events held.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events dropped because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
+pub type EventTrace = Ring<Event>;
 
 /// Rollup of one committed epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -583,14 +542,22 @@ impl Default for RecorderConfig {
 /// Collects the event trace, per-epoch rollups and latency histograms
 /// for one simulation. Attach with
 /// [`SecureMemory::attach_recorder`](crate::secmem::SecureMemory::attach_recorder).
+///
+/// The rollups come from the event stream alone: an epoch opens at the
+/// first write-back accepted after a commit, counts every accept, keeps
+/// the high water of the WPQ occupancy samples folded in before its
+/// commit, and closes on the drain's commit event.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     trace: EventTrace,
-    epochs: VecDeque<EpochRollup>,
-    epoch_capacity: usize,
-    epochs_dropped: u64,
+    epochs: Ring<EpochRollup>,
     epoch_count: u64,
+    /// The open epoch's first accept, if it had one.
     epoch_start: Option<Cycle>,
+    /// Write-backs accepted in the open epoch.
+    epoch_write_backs: u64,
+    /// Highest WPQ occupancy sampled in the open epoch.
+    epoch_wpq_high_water: u64,
     trigger_counts: [u64; 5],
     wb_latency: Histogram,
     epoch_len: Histogram,
@@ -606,11 +573,11 @@ impl Recorder {
     pub fn new(config: RecorderConfig) -> Self {
         Self {
             trace: EventTrace::new(config.trace_capacity),
-            epochs: VecDeque::new(),
-            epoch_capacity: config.epoch_capacity.max(1),
-            epochs_dropped: 0,
+            epochs: Ring::new(config.epoch_capacity.max(1)),
             epoch_count: 0,
             epoch_start: None,
+            epoch_write_backs: 0,
+            epoch_wpq_high_water: 0,
             trigger_counts: [0; 5],
             wb_latency: Histogram::new(&[64, 256, 1024, 4096, 16384, 65536, 262144]),
             epoch_len: Histogram::new(&[2, 4, 8, 16, 32, 64, 128, 256]),
@@ -622,26 +589,40 @@ impl Recorder {
         }
     }
 
-    /// Appends one event to the trace (and folds queue samples into
-    /// the occupancy histogram).
+    /// Appends one event to the trace and folds it into the epoch
+    /// bookkeeping: an accept opens or extends the epoch, a WPQ sample
+    /// feeds the occupancy histogram and the high-water marks, and a
+    /// drain commit closes the epoch with an [`Event::Epoch`] rollup.
     pub fn record(&mut self, event: Event) {
-        if let Event::Queue {
-            queue: QueueKind::Wpq,
-            occupancy,
-            ..
-        } = event
-        {
-            self.wpq_occupancy.record(occupancy);
-            self.wpq_high_water = self.wpq_high_water.max(occupancy);
+        match event {
+            Event::WriteBack {
+                at,
+                phase: WbPhase::Accept,
+                ..
+            } => {
+                self.epoch_start.get_or_insert(at);
+                self.epoch_write_backs += 1;
+            }
+            Event::Queue {
+                queue: QueueKind::Wpq,
+                occupancy,
+                ..
+            } => {
+                self.wpq_occupancy.record(occupancy);
+                self.wpq_high_water = self.wpq_high_water.max(occupancy);
+                self.epoch_wpq_high_water = self.epoch_wpq_high_water.max(occupancy);
+            }
+            _ => {}
         }
         self.trace.push(event);
-    }
-
-    /// Marks the start of an epoch at the first write-back after a
-    /// commit (idempotent until the next commit).
-    pub(crate) fn note_write_back(&mut self, at: Cycle) {
-        if self.epoch_start.is_none() {
-            self.epoch_start = Some(at);
+        if let Event::Drain {
+            at,
+            stage: DrainStage::Commit,
+            trigger: Some(trigger),
+            lines,
+        } = event
+        {
+            self.close_epoch(trigger, at, lines);
         }
     }
 
@@ -655,44 +636,33 @@ impl Recorder {
         self.wpq_capacity = slots;
     }
 
-    /// Finalizes the current epoch: emits the rollup record, updates
-    /// the per-epoch histograms, and re-arms for the next epoch.
-    pub(crate) fn epoch_committed(
-        &mut self,
-        trigger: DrainTrigger,
-        end: Cycle,
-        lines_drained: u64,
-        write_backs: u64,
-        wpq_high_water: u64,
-    ) {
-        let start = self.epoch_start.take().unwrap_or(end);
+    /// Finalizes the open epoch at its commit: traces the rollup,
+    /// updates the per-epoch histograms, and re-arms for the next
+    /// epoch.
+    fn close_epoch(&mut self, trigger: DrainTrigger, end: Cycle, lines_drained: u64) {
         let rollup = EpochRollup {
             index: self.epoch_count,
             trigger,
-            start,
+            start: self.epoch_start.take().unwrap_or(end),
             end,
             lines_drained,
-            write_backs,
-            wpq_high_water,
+            write_backs: std::mem::take(&mut self.epoch_write_backs),
+            wpq_high_water: std::mem::take(&mut self.epoch_wpq_high_water),
         };
         self.epoch_count += 1;
         self.trigger_counts[trigger.index()] += 1;
-        self.epoch_len.record(write_backs);
+        self.epoch_len.record(rollup.write_backs);
         self.epoch_duration.record(rollup.duration());
         self.epoch_lines.record(lines_drained);
-        if self.epochs.len() == self.epoch_capacity {
-            self.epochs.pop_front();
-            self.epochs_dropped += 1;
-        }
-        self.epochs.push_back(rollup);
-        self.record(Event::Epoch {
+        self.epochs.push(rollup);
+        self.trace.push(Event::Epoch {
             at: end,
             index: rollup.index,
             trigger,
             duration: rollup.duration(),
             lines: lines_drained,
-            write_backs,
-            wpq_high_water,
+            write_backs: rollup.write_backs,
+            wpq_high_water: rollup.wpq_high_water,
         });
     }
 
@@ -714,7 +684,7 @@ impl Recorder {
 
     /// Epoch rollups dropped because the retention window was full.
     pub fn epochs_dropped(&self) -> u64 {
-        self.epochs_dropped
+        self.epochs.dropped()
     }
 
     /// Epochs ended by `trigger` over the whole run.
@@ -755,7 +725,7 @@ impl Recorder {
     /// Cycle of the newest buffered event (0 when the trace is empty);
     /// used as the footer record's timestamp.
     fn last_at(&self) -> Cycle {
-        self.trace.iter().last().map_or(0, Event::at)
+        self.trace.iter().next_back().map_or(0, Event::at)
     }
 
     /// Writes the trace as JSON-lines: one object per event, oldest
@@ -774,7 +744,7 @@ impl Recorder {
             self.trace.len(),
             self.trace.dropped(),
             self.epoch_count,
-            self.epochs_dropped
+            self.epochs.dropped()
         )?;
         Ok(())
     }
@@ -792,7 +762,7 @@ impl Recorder {
             "footer,{},,,,,,,,,,,,,{},{},,",
             self.last_at(),
             self.trace.dropped(),
-            self.epochs_dropped
+            self.epochs.dropped()
         )?;
         Ok(())
     }
@@ -819,12 +789,13 @@ impl Recorder {
                 self.trace.capacity()
             );
         }
-        if self.epochs_dropped > 0 {
+        if self.epochs.dropped() > 0 {
             let _ = writeln!(
                 out,
                 "warning: {} epoch rollups dropped at retention capacity {}; \
                  `last epochs` covers the most recent window only",
-                self.epochs_dropped, self.epoch_capacity
+                self.epochs.dropped(),
+                self.epochs.capacity()
             );
         }
         let mut triggers = String::new();
@@ -1027,18 +998,46 @@ mod tests {
         }
     }
 
+    fn accept(rec: &mut Recorder, at: Cycle) {
+        rec.record(Event::WriteBack {
+            at,
+            phase: WbPhase::Accept,
+            line: LineAddr(at),
+        });
+    }
+
+    fn wpq_sample(rec: &mut Recorder, at: Cycle, occupancy: u64) {
+        rec.record(Event::Queue {
+            at,
+            queue: QueueKind::Wpq,
+            occupancy,
+            stalled: false,
+        });
+    }
+
+    fn commit(rec: &mut Recorder, trigger: DrainTrigger, at: Cycle, lines: u64) {
+        rec.record(Event::Drain {
+            at,
+            stage: DrainStage::Commit,
+            trigger: Some(trigger),
+            lines,
+        });
+    }
+
     #[test]
     fn rollups_and_histograms_track_epochs() {
         let mut rec = Recorder::new(RecorderConfig {
             trace_capacity: 64,
             epoch_capacity: 2,
         });
-        rec.note_write_back(100);
-        rec.note_write_back(150); // idempotent within the epoch
-        rec.epoch_committed(DrainTrigger::QueueFull, 1100, 8, 20, 30);
-        rec.epoch_committed(DrainTrigger::UpdateLimit, 2000, 4, 10, 12);
-        rec.note_write_back(2500);
-        rec.epoch_committed(DrainTrigger::QueueFull, 3000, 2, 5, 6);
+        accept(&mut rec, 100);
+        accept(&mut rec, 150); // the epoch opened at the first accept
+        wpq_sample(&mut rec, 1000, 30);
+        commit(&mut rec, DrainTrigger::QueueFull, 1100, 8);
+        commit(&mut rec, DrainTrigger::UpdateLimit, 2000, 4);
+        accept(&mut rec, 2500);
+        wpq_sample(&mut rec, 2900, 6);
+        commit(&mut rec, DrainTrigger::QueueFull, 3000, 2);
         assert_eq!(rec.epoch_count(), 3);
         assert_eq!(rec.epochs_by_trigger(DrainTrigger::QueueFull), 2);
         assert_eq!(rec.epochs_by_trigger(DrainTrigger::External), 0);
@@ -1049,17 +1048,30 @@ mod tests {
             rollups[0].start, 2000,
             "epoch without write-backs starts at its commit"
         );
+        assert_eq!((rollups[0].write_backs, rollups[0].wpq_high_water), (0, 0));
         assert_eq!(rollups[1].start, 2500);
         assert_eq!(rollups[1].duration(), 500);
+        assert_eq!(
+            (rollups[1].write_backs, rollups[1].wpq_high_water),
+            (1, 6),
+            "counts and the high-water mark restart with each epoch"
+        );
+        assert_eq!(rec.wpq_high_water(), 30);
         assert_eq!(rec.epoch_len().total(), 3);
+        assert_eq!(rec.epoch_len().max(), 2);
         assert_eq!(rec.epoch_duration().max(), 1000);
-        // The trace received one epoch event per commit.
-        let epoch_events = rec
+        // The trace received one epoch event per commit, right after
+        // the commit that closed it.
+        let kinds: Vec<&str> = rec
             .trace()
             .iter()
-            .filter(|e| matches!(e, Event::Epoch { .. }))
-            .count();
-        assert_eq!(epoch_events, 3);
+            .filter_map(|e| match e {
+                Event::Drain { .. } => Some("commit"),
+                Event::Epoch { .. } => Some("epoch"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, ["commit", "epoch"].repeat(3));
         let report = rec.epoch_report();
         assert!(report.contains("epochs 3"));
         assert!(report.contains("queue-full 2"));
@@ -1072,15 +1084,15 @@ mod tests {
             trace_capacity: 2,
             epoch_capacity: 1,
         });
-        for i in 0..5u64 {
+        for i in 0..3u64 {
             rec.record(Event::Meta {
                 at: 10 + i,
                 action: MetaAction::Install,
                 line: LineAddr(i),
             });
         }
-        rec.epoch_committed(DrainTrigger::QueueFull, 100, 1, 1, 1);
-        rec.epoch_committed(DrainTrigger::QueueFull, 200, 1, 1, 1);
+        commit(&mut rec, DrainTrigger::QueueFull, 100, 1);
+        commit(&mut rec, DrainTrigger::QueueFull, 200, 1);
 
         let mut jsonl = Vec::new();
         rec.write_jsonl(&mut jsonl).unwrap();

@@ -15,6 +15,7 @@ use crate::engine::CryptoEngine;
 use crate::error::{ConfigError, ResumeError};
 use crate::layout::SecureLayout;
 use crate::metacache::MetaCache;
+use crate::obs::flight::FlightRecorder;
 use crate::obs::profile::Stage;
 use crate::obs::wear::WriteCause;
 use crate::obs::WriteKind;
@@ -26,7 +27,8 @@ use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineMap, LineStore, MemCo
 use std::collections::HashMap;
 
 /// The NVM-side value state of a [`SecureMemory`]: the two off-chip
-/// layers plus the simulator's data-version shadow.
+/// layers plus the simulator's data-version shadow, and the flight
+/// writer that records what the durable layer is doing.
 #[derive(Debug)]
 pub(crate) struct NvmState {
     /// Physically persistent content — what a crash preserves.
@@ -37,6 +39,9 @@ pub(crate) struct NvmState {
     /// Write-back version per data line (drives the self-checking
     /// plaintext pattern; simulator ground truth, not hardware state).
     pub(crate) versions: LineMap<u64>,
+    /// The in-process flight ring, when attached: it receives every
+    /// entry the durable sidecar does.
+    pub(crate) flight: Option<FlightRecorder>,
 }
 
 impl NvmState {
@@ -45,6 +50,7 @@ impl NvmState {
             durable,
             overlay: LineStore::new(),
             versions: LineMap::default(),
+            flight: None,
         }
     }
 
@@ -75,17 +81,34 @@ impl NvmState {
         self.flight_boundary("end", "wpq-retire");
     }
 
-    /// Writes one flight boundary bracket straight to the durable
-    /// sidecar. `NvmState` cannot reach the in-process ring on
-    /// [`SecureMemory`], so WPQ-retire brackets live only in
-    /// `flight.log` — the crash-persistent half, which is the one
-    /// forensics reads.
-    fn flight_boundary(&mut self, op: &str, label: &str) {
-        if !self.durable.flight_enabled() {
-            return;
+    /// Whether any flight sink is live — the in-process ring or the
+    /// backend's durable sidecar. Gates entry construction so the
+    /// default path pays one branch.
+    #[inline]
+    pub(crate) fn flight_active(&self) -> bool {
+        self.flight.is_some() || self.durable.flight_enabled()
+    }
+
+    /// The one flight writer: appends `entry` to the durable sidecar
+    /// and records it in the in-process ring, so the two hold the same
+    /// stream.
+    pub(crate) fn flight_note(&mut self, entry: String) {
+        self.durable.flight_append(entry.as_bytes());
+        if let Some(ring) = self.flight.as_mut() {
+            ring.push(entry);
         }
-        self.durable
-            .flight_append(ccnvm_mem::flight_boundary_line(op, label).as_bytes());
+    }
+
+    /// Writes one boundary bracket (`begin`/`end` around a crash-point
+    /// label). The begin must reach the durable sidecar *before* the
+    /// bracketed action so a kill inside it leaves the begin
+    /// unmatched — that ordering is what makes the forensic cause
+    /// inference sound.
+    #[inline]
+    pub(crate) fn flight_boundary(&mut self, op: &str, label: &str) {
+        if self.flight_active() {
+            self.flight_note(ccnvm_mem::flight_boundary_line(op, label));
+        }
     }
 
     /// Opens an atomic persist group on the backend (one write-back's

@@ -53,7 +53,7 @@ use crate::drainer::DirtyAddressQueue;
 use crate::error::{ConfigError, IntegrityError};
 use crate::layout::SecureLayout;
 use crate::metacache::MetaCache;
-use crate::obs::Event;
+use crate::obs::{flight, DrainStage, Event};
 use crate::persist::NvmState;
 use crate::stats::RunStats;
 use crate::tcb::Tcb;
@@ -256,9 +256,10 @@ impl SecureMemory {
     /// Attaches an in-process
     /// [`FlightRecorder`](crate::obs::flight::FlightRecorder) ring. The
     /// file backend's durable `flight.log` sidecar is enabled on the
-    /// backend instead; either half activates the flight hooks.
+    /// backend instead; either half activates the flight writer, which
+    /// sends every entry to both.
     pub fn attach_flight(&mut self, config: crate::obs::flight::FlightConfig) {
-        self.obs.flight = Some(Box::new(crate::obs::flight::FlightRecorder::new(config)));
+        self.nvm.flight = Some(crate::obs::flight::FlightRecorder::new(config.capacity));
     }
 
     /// Attaches a [`WearLedger`](crate::obs::wear::WearLedger) sized for
@@ -273,9 +274,11 @@ impl SecureMemory {
 
     /// Attaches a [`LagTracer`](crate::obs::lag::LagTracer): from now on
     /// every accepted write-back is stamped at issue and resolved when
-    /// its covering durable commit completes.
+    /// its covering durable commit completes — a drain's commit on the
+    /// drainer designs, its own persist on the others.
     pub fn attach_lag(&mut self) {
-        self.obs.lag = Some(Box::default());
+        let drainer = self.design().has_drainer();
+        self.obs.lag = Some(Box::new(crate::obs::lag::LagTracer::new(drainer)));
     }
 
     /// The attached recorder, if any.
@@ -300,7 +303,7 @@ impl SecureMemory {
 
     /// The attached flight recorder, if any.
     pub fn flight(&self) -> Option<&crate::obs::flight::FlightRecorder> {
-        self.obs.flight.as_deref()
+        self.nvm.flight.as_ref()
     }
 
     /// The attached wear ledger, if any.
@@ -313,28 +316,35 @@ impl SecureMemory {
         self.obs.lag.as_deref()
     }
 
-    /// Sends one event to every sink that takes it: the recorder takes
-    /// all of them, the flight ring and durable sidecar only drain and
-    /// audit events.
+    /// Sends one event to every sink that takes it. The hub's recorder
+    /// and lag tracer take all of them; the flight writer takes drain
+    /// and audit events, and after a drain's commit the epoch marker.
     #[inline]
     pub(crate) fn emit(&mut self, event: Event) {
-        if let Some(rec) = self.obs.recorder.as_deref_mut() {
-            rec.record(event);
-        }
-        if matches!(event, Event::Drain { .. } | Event::Audit { .. }) && self.flight_active() {
-            self.flight_note(&crate::obs::flight::event_line(&event));
+        self.obs.observe(event);
+        if matches!(event, Event::Drain { .. } | Event::Audit { .. }) && self.nvm.flight_active() {
+            self.nvm.flight_note(flight::event_line(&event));
+            if let Event::Drain {
+                at,
+                stage: DrainStage::Commit,
+                ..
+            } = event
+            {
+                // `stats.drains` counts the commit only after it is
+                // emitted, so it is this epoch's zero-based index.
+                self.nvm
+                    .flight_note(flight::epoch_line(at, self.stats.drains));
+            }
         }
     }
 
     /// Folds queue-accept samples buffered in the memory controller
-    /// into the unified trace. Called at the end of each public entry
-    /// point so the merged ordering is deterministic.
+    /// into the event stream. Called at the end of each public entry
+    /// point, and before a drain's commit, so the merged ordering is
+    /// deterministic.
     pub(crate) fn obs_sync_queues(&mut self) {
-        let Some(rec) = self.obs.recorder.as_deref_mut() else {
-            return;
-        };
         for e in self.mc.take_queue_events() {
-            rec.record(Event::Queue {
+            self.obs.observe(Event::Queue {
                 at: e.at,
                 queue: e.queue,
                 occupancy: e.occupancy as u64,
@@ -405,36 +415,8 @@ impl SecureMemory {
             .as_deref_mut()
             .expect("checked above")
             .record(sample);
-        if self.flight_active() {
-            self.flight_note(&crate::obs::flight::metric_line(&sample));
-        }
-    }
-
-    /// Whether any flight sink is live — the in-process ring or the
-    /// backend's durable sidecar. Gates entry construction so the
-    /// default path pays one branch.
-    #[inline]
-    pub(crate) fn flight_active(&self) -> bool {
-        self.obs.flight.is_some() || self.nvm.durable.flight_enabled()
-    }
-
-    /// Records one prebuilt flight entry into every live sink.
-    pub(crate) fn flight_note(&mut self, line: &str) {
-        if let Some(f) = self.obs.flight.as_deref_mut() {
-            f.record(line.to_string());
-        }
-        self.nvm.durable.flight_append(line.as_bytes());
-    }
-
-    /// Writes one boundary bracket (`begin`/`end` around a crash-point
-    /// label). The begin must reach the durable sidecar *before* the
-    /// bracketed action so a kill inside it leaves the begin
-    /// unmatched — that ordering is what makes the forensic cause
-    /// inference sound.
-    #[inline]
-    pub(crate) fn flight_boundary(&mut self, op: &str, label: &str) {
-        if self.flight_active() {
-            self.flight_note(&ccnvm_mem::flight_boundary_line(op, label));
+        if self.nvm.flight_active() {
+            self.nvm.flight_note(flight::metric_line(&sample));
         }
     }
 

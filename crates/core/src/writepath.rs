@@ -136,9 +136,6 @@ impl SecureMemory {
         let release = self.wb_buffer.accept(now);
         let mut t = release.max(self.engine_busy_until);
         let service_start = t;
-        if let Some(rec) = self.obs.recorder.as_deref_mut() {
-            rec.note_write_back(release);
-        }
         self.emit(obs::Event::WriteBack {
             at: release,
             phase: obs::WbPhase::Accept,
@@ -196,12 +193,6 @@ impl SecureMemory {
                 line,
             });
         }
-        // The write-back is now committed to happen: stamp it for
-        // durability-lag tracing. Stamped only after phase 2 so the
-        // queue-full drain above (which covers *prior* write-backs,
-        // not this one) cannot resolve the stamp prematurely; every
-        // drain that can cover this write-back runs later.
-        self.obs.stamp_lag(release);
         // Phase 3 — bump the counter. From here to the end of the
         // write-back nothing may install into the Meta Cache (no
         // drains may fire except the ones this function issues
@@ -334,7 +325,7 @@ impl SecureMemory {
         self.nvm.persist_data(dh_line, dh_content);
         self.nvm.versions.insert(line.0, version);
         let mut done = crypto_done.max(tree_done);
-        if self.obs.profiler.is_some() {
+        if self.obs.profiling() {
             // Attribute the parallel crypto‖tree span `[t, done)`: the
             // AES pad + data HMAC pipeline is on the critical path up
             // to its own latency; whatever the tree side adds beyond
@@ -365,7 +356,7 @@ impl SecureMemory {
         // would disagree with `N_wb` after a legal power failure.
         match eager_root {
             Some(root) => {
-                self.flight_boundary("begin", "root-alternate");
+                self.nvm.flight_boundary("begin", "root-alternate");
                 self.tcb.root_new = root;
                 if !self.design().has_drainer() {
                     // SC and Osiris Plus persist the root atomically
@@ -373,14 +364,14 @@ impl SecureMemory {
                     self.tcb.root_old = root;
                 }
                 ccnvm_mem::crashpoint::fire("root-alternate");
-                self.flight_boundary("end", "root-alternate");
+                self.nvm.flight_boundary("end", "root-alternate");
                 self.obs.note_root_alternation();
             }
             None => {
-                self.flight_boundary("begin", "nwb-update");
+                self.nvm.flight_boundary("begin", "nwb-update");
                 self.tcb.nwb += 1;
                 ccnvm_mem::crashpoint::fire("nwb-update");
-                self.flight_boundary("end", "nwb-update");
+                self.nvm.flight_boundary("end", "nwb-update");
                 self.obs.note_nwb_update();
             }
         }
@@ -399,13 +390,6 @@ impl SecureMemory {
                 done = self.drain(done, DrainTrigger::UpdateLimit);
             }
         }
-        if !self.design().has_drainer() {
-            // Non-drainer designs persist everything a recovery needs
-            // within the write-back itself (SC/Osiris root updates are
-            // ADR-atomic with the persist group; w/o CC offers no later
-            // commit to wait for), so the durability lag closes here.
-            self.obs.resolve_lag(done);
-        }
 
         // Feed the simulated clock to backends with time-based flush
         // policies (no-op for the in-memory stores).
@@ -413,14 +397,16 @@ impl SecureMemory {
         self.stats.engine_cycles += done.saturating_sub(service_start);
         self.engine_busy_until = self.engine_busy_until.max(done);
         self.wb_buffer.push(done);
+        // Non-drainer designs persist everything a recovery needs within
+        // the write-back itself (SC/Osiris root updates are ADR-atomic
+        // with the persist group; w/o CC offers no later commit to wait
+        // for), so on them this event also closes the durability lag.
         self.emit(obs::Event::WriteBack {
             at: done,
             phase: obs::WbPhase::Persist,
             line,
         });
-        if let Some(rec) = self.obs.recorder.as_deref_mut() {
-            rec.note_wb_latency(done.saturating_sub(service_start));
-        }
+        self.obs.note_wb_latency(done.saturating_sub(service_start));
         self.obs_sync_queues();
         self.audit_check(obs::audit::AuditPoint::WriteBack, done);
         Ok(release)

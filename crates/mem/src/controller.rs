@@ -15,9 +15,9 @@
 //! and traffic only.
 
 use crate::addr::LineAddr;
+use crate::ring::Ring;
 use crate::store::LineMap;
 use crate::timing::{BoundedQueue, Cycle, NvmTiming, NvmTimingConfig};
-use std::collections::VecDeque;
 
 /// Which controller queue a [`QueueEvent`] refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,55 +56,9 @@ pub struct QueueEvent {
     pub stalled: bool,
 }
 
-/// Bounded buffer of [`QueueEvent`]s. When full, the oldest event is
-/// dropped (and counted) so a long run cannot grow memory without
-/// bound. The recorder also tracks the WPQ occupancy high-water mark
-/// since it was last taken, which the drain protocol reads per epoch.
-#[derive(Debug, Clone)]
-pub struct QueueRecorder {
-    events: VecDeque<QueueEvent>,
-    capacity: usize,
-    dropped: u64,
-    wpq_high_water: usize,
-}
-
-impl QueueRecorder {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "recorder capacity must be positive");
-        Self {
-            events: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-            wpq_high_water: 0,
-        }
-    }
-
-    fn record(&mut self, event: QueueEvent) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        if event.queue == QueueKind::Wpq {
-            self.wpq_high_water = self.wpq_high_water.max(event.occupancy);
-        }
-        self.events.push_back(event);
-    }
-
-    /// Buffered events not yet taken.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events dropped because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
+/// Bounded buffer of [`QueueEvent`]s: a full buffer drops its oldest
+/// event and counts it, so a long run cannot grow memory without bound.
+pub type QueueRecorder = Ring<QueueEvent>;
 
 /// Queue sizes and device parameters for the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,8 +200,8 @@ impl MemController {
     }
 
     /// Attaches a bounded queue-event recorder, replacing any existing
-    /// one. Until detached (via [`MemController::take_queue_events`]
-    /// consumers draining it), every queue accept is sampled.
+    /// one. From now on every queue accept is sampled until a consumer
+    /// takes it with [`MemController::take_queue_events`].
     pub fn attach_queue_recorder(&mut self, capacity: usize) {
         self.recorder = Some(QueueRecorder::new(capacity));
     }
@@ -257,23 +211,10 @@ impl MemController {
         self.recorder.as_ref()
     }
 
-    /// Removes and returns all buffered queue events in record order.
-    /// Returns an empty vector when no recorder is attached (the empty
-    /// `Vec` does not allocate).
-    pub fn take_queue_events(&mut self) -> Vec<QueueEvent> {
-        match &mut self.recorder {
-            Some(rec) => rec.events.drain(..).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Highest WPQ occupancy observed since this was last called;
-    /// resets the mark. Returns 0 when no recorder is attached.
-    pub fn take_wpq_high_water(&mut self) -> usize {
-        match &mut self.recorder {
-            Some(rec) => std::mem::take(&mut rec.wpq_high_water),
-            None => 0,
-        }
+    /// Removes the buffered queue events, yielding them in record
+    /// order (none when no recorder is attached).
+    pub fn take_queue_events(&mut self) -> impl Iterator<Item = QueueEvent> + '_ {
+        self.recorder.iter_mut().flat_map(Ring::drain)
     }
 
     /// WPQ entries in flight as of the last accept.
@@ -299,7 +240,7 @@ impl MemController {
         self.read_queue.push(done);
         self.stats.reads += 1;
         if let Some(rec) = &mut self.recorder {
-            rec.record(QueueEvent {
+            rec.push(QueueEvent {
                 at: slot,
                 queue: QueueKind::Read,
                 occupancy: self.read_queue.len(),
@@ -340,7 +281,7 @@ impl MemController {
         self.wear_max = self.wear_max.max(*worn);
         self.stats.writes += 1;
         if let Some(rec) = &mut self.recorder {
-            rec.record(QueueEvent {
+            rec.push(QueueEvent {
                 at: slot,
                 queue: QueueKind::Write,
                 occupancy: self.write_queue.len(),
@@ -365,7 +306,7 @@ impl MemController {
         self.wear_max = self.wear_max.max(*worn);
         self.stats.wpq_writes += 1;
         if let Some(rec) = &mut self.recorder {
-            rec.record(QueueEvent {
+            rec.push(QueueEvent {
                 at: slot,
                 queue: QueueKind::Wpq,
                 occupancy: self.wpq.len(),
@@ -641,7 +582,7 @@ mod tests {
             write_queue_entries: 4,
             wpq_entries: 2,
         });
-        assert!(m.take_queue_events().is_empty(), "no recorder attached");
+        assert_eq!(m.take_queue_events().count(), 0, "no recorder attached");
         m.attach_queue_recorder(16);
         m.read(LineAddr(0), 0);
         m.write(LineAddr(1), 0);
@@ -649,7 +590,7 @@ mod tests {
         m.wpq_write(LineAddr(2), 0);
         m.wpq_write(LineAddr(3), 0);
         m.wpq_write(LineAddr(4), 0); // WPQ full: stalls until cycle 100
-        let events = m.take_queue_events();
+        let events: Vec<QueueEvent> = m.take_queue_events().collect();
         assert_eq!(events.len(), 5, "merged write produced no event");
         assert_eq!(
             events[0],
@@ -670,9 +611,7 @@ mod tests {
         assert!(!wpq[1].stalled);
         assert!(wpq[2].stalled, "third WPQ write waited for a slot");
         assert!(m.stats().wpq_wait_cycles > 0, "stalled accept waited");
-        assert_eq!(m.take_wpq_high_water(), 2);
-        assert_eq!(m.take_wpq_high_water(), 0, "high-water mark resets");
-        assert!(m.take_queue_events().is_empty(), "events were drained");
+        assert_eq!(m.take_queue_events().count(), 0, "events were drained");
     }
 
     #[test]
@@ -685,7 +624,6 @@ mod tests {
         let rec = m.queue_recorder().expect("attached");
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 1);
-        let events = m.take_queue_events();
-        assert_eq!(events.len(), 2, "oldest event was dropped");
+        assert_eq!(m.take_queue_events().count(), 2, "oldest event was dropped");
     }
 }

@@ -16,6 +16,8 @@
 //! * [`controller`] — the memory controller: 32-entry read queue,
 //!   64-entry write queue and the 64-entry ADR-protected write pending
 //!   queue (WPQ).
+//! * [`ring`] — the bounded drop-oldest buffer every observer keeps its
+//!   recent history in.
 //!
 //! Function and timing are deliberately separated: the store holds real
 //! bytes (so encryption/authentication upstream is genuine), while the
@@ -42,6 +44,7 @@ pub mod cache;
 pub mod controller;
 pub mod crashpoint;
 pub mod file;
+pub mod ring;
 pub mod store;
 pub mod timing;
 
@@ -55,5 +58,6 @@ pub use file::{
     flight_boundary_line, read_flight_log, FileBackend, FileBackendConfig, FileBackendError,
     FileIoCounters, FileIoStats, FsyncStrategy,
 };
+pub use ring::Ring;
 pub use store::{Line, LineHasher, LineMap, LineSet, LineStore};
 pub use timing::{Cycle, NvmTiming, NvmTimingConfig};

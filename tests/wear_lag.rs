@@ -215,3 +215,85 @@ fn lag_distributions_are_sane_on_every_design() {
         assert_eq!(tracer.summary(), lag, "summary must be stable");
     }
 }
+
+/// FNV-1a, 64-bit.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Durability-lag summaries in `DesignKind::ALL` order, lbm rows then
+/// mixed rows: `resolved`, `unresolved`, `p50`, `p99`, `p999`, `mean`
+/// and `max`.
+const LAG_SUMMARIES: [[u64; 7]; 10] = [
+    [2322, 0, 511, 2047, 4095, 607, 2514],
+    [2322, 0, 2047, 8191, 8191, 1802, 7204],
+    [2322, 0, 2047, 8191, 8191, 1767, 7204],
+    [2302, 20, 8191, 32767, 65535, 8369, 45374],
+    [2307, 15, 32767, 65535, 65535, 18113, 68767],
+    [4802, 0, 511, 2047, 4095, 579, 3330],
+    [4802, 0, 2047, 8191, 8191, 1438, 6727],
+    [4802, 0, 2047, 8191, 8191, 1456, 6727],
+    [4777, 25, 8191, 32767, 32767, 5915, 29647],
+    [4721, 81, 32767, 65535, 65535, 19881, 54962],
+];
+
+/// The same runs' FNV-1a digests of `recent_spans()` and of the
+/// metrics JSONL export.
+const LAG_DIGESTS: [[u64; 2]; 10] = [
+    [0x4497_37f8_e5ae_a701, 0x70f6_e60b_7e56_7d11],
+    [0xfae3_69f7_77ca_a0e1, 0xd0c0_7e42_f234_98b2],
+    [0xaf87_ee6b_0662_088e, 0x5451_e3d3_fc4e_5ba4],
+    [0x6bc0_f9ea_afd5_1464, 0xa61c_7fd9_13a6_c35a],
+    [0x26ac_10db_4304_d43d, 0xd8e3_efa4_845b_88a5],
+    [0xd618_57f1_7343_998d, 0x5fd5_70da_ca6d_2d1d],
+    [0x1fc7_ea52_d260_6337, 0x03f8_1f53_787a_e65f],
+    [0x4499_1b68_6b75_7e80, 0x1c9a_5d04_adf7_bb4a],
+    [0xe83d_4cd5_02e2_d40a, 0xfb46_79b2_04a8_de57],
+    [0xafc5_dd79_469d_6ac8, 0xf591_1716_2353_7893],
+];
+
+/// The durability lag of every design, pinned: where each design
+/// resolves a write-back's stamp decides every number here, and the
+/// metrics export samples the tracer mid-run through its
+/// `lag_pending`/`lag_p99` gauges.
+#[test]
+fn durability_lag_is_pinned_on_every_design() {
+    let points: Vec<(&str, DesignKind)> = ["lbm", "mixed"]
+        .into_iter()
+        .flat_map(|bench| DesignKind::ALL.map(|d| (bench, d)))
+        .collect();
+    for (k, &(bench, design)) in points.iter().enumerate() {
+        let mut sim = Simulator::new(SimConfig::small(design)).expect("valid config");
+        let mem = sim.memory_mut();
+        mem.attach_wear();
+        mem.attach_lag();
+        mem.attach_metrics(ccnvm::obs::metrics::MetricsConfig::default());
+        let profile = profiles::by_name(bench).expect("known bench");
+        sim.run(TraceGenerator::new(profile, SEED), 100_000)
+            .expect("clean run");
+        let lag = sim.memory().lag().expect("attached");
+        let s = lag.summary();
+        let spans = fnv(lag.recent_spans().flat_map(|(issue, commit)| {
+            issue.to_le_bytes().into_iter().chain(commit.to_le_bytes())
+        }));
+        let mut metrics = Vec::new();
+        sim.memory()
+            .metrics()
+            .expect("attached")
+            .write_jsonl(&mut metrics)
+            .unwrap();
+        let summary = [
+            s.resolved,
+            s.unresolved,
+            s.p50,
+            s.p99,
+            s.p999,
+            s.mean,
+            s.max,
+        ];
+        assert_eq!(summary, LAG_SUMMARIES[k], "{design} on {bench}");
+        assert_eq!([spans, fnv(metrics)], LAG_DIGESTS[k], "{design} on {bench}");
+    }
+}
