@@ -16,12 +16,14 @@ mod args;
 
 use args::{BackendChoice, Command, ReportArgs, RunArgs, SweepArgs, USAGE};
 use ccnvm::metacache::MetaCacheOrg;
+use ccnvm::obs::flight::{forensic_report, ForensicReport, FORENSICS_SCHEMA};
 use ccnvm::obs::profile::{compare, parse_profile};
 use ccnvm::prelude::*;
 use ccnvm::recovery::{recover_with, RecoveryScratch};
 use ccnvm_bench::parallel::{parallel_map, thread_count};
 use ccnvm_crypto::CryptoTier;
 use ccnvm_mem::{crashpoint, DurableBackend, FileBackend, FileBackendConfig, FileIoCounters};
+use std::fmt::Display;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
@@ -241,6 +243,19 @@ fn create_chrome_file(run: &RunArgs) -> Result<Option<File>, String> {
         .transpose()
 }
 
+/// Writes one artifact file: `write` fills it through a buffer, which
+/// is then flushed, and every I/O error comes back naming `path`.
+fn write_artifact(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut out = BufWriter::new(file);
+    write(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("{path}: {e}"))
+}
+
 /// Writes every artifact the flags ask for. Status goes to stderr so
 /// stdout stays machine-parseable under `--csv`.
 fn emit_artifacts(
@@ -264,15 +279,13 @@ fn emit_trace(run: &RunArgs, mem: &SecureMemory) -> Result<(), String> {
         return Ok(());
     };
     if let Some(path) = &run.trace_out {
-        let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut out = BufWriter::new(file);
-        if path.ends_with(".csv") {
-            rec.write_csv(&mut out)
-        } else {
-            rec.write_jsonl(&mut out)
-        }
-        .and_then(|()| out.flush())
-        .map_err(|e| format!("{path}: {e}"))?;
+        write_artifact(path, |out| {
+            if path.ends_with(".csv") {
+                rec.write_csv(out)
+            } else {
+                rec.write_jsonl(out)
+            }
+        })?;
         eprintln!(
             "wrote {} events to {path} ({} dropped at capacity {})",
             rec.trace().len(),
@@ -295,15 +308,13 @@ fn emit_metrics(run: &RunArgs, mem: &SecureMemory) -> Result<(), String> {
     let m = mem
         .metrics()
         .expect("metrics are attached whenever --metrics-out is set");
-    let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut out = BufWriter::new(file);
-    if path.ends_with(".csv") {
-        m.write_csv(&mut out)
-    } else {
-        m.write_jsonl(&mut out)
-    }
-    .and_then(|()| out.flush())
-    .map_err(|e| format!("{path}: {e}"))?;
+    write_artifact(path, |out| {
+        if path.ends_with(".csv") {
+            m.write_csv(out)
+        } else {
+            m.write_jsonl(out)
+        }
+    })?;
     eprintln!(
         "wrote {} metrics samples to {path} ({} dropped, interval {} cycles)",
         m.len(),
@@ -357,7 +368,7 @@ fn emit_profile(
         prof.absorb_recovery(report);
     }
     let json = prof.to_json(run.design.slug(), &run.bench, run.instructions);
-    std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
+    write_artifact(path, |out| out.write_all(json.as_bytes()))?;
     if !run.csv {
         println!("{}", prof.render_table());
     }
@@ -375,7 +386,7 @@ fn emit_wear(run: &RunArgs, sim: &Simulator) -> Result<(), String> {
         .memory()
         .wear_report(&run.bench, sim.instructions())
         .expect("wear ledgers are attached whenever --wear-out is set");
-    std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
+    write_artifact(path, |out| out.write_all(report.to_json().as_bytes()))?;
     if !run.csv {
         print!("{}", ccnvm::obs::wear::render_report(&report));
     }
@@ -501,6 +512,25 @@ fn sweep_point(run: &RunArgs) -> Result<RunStats, String> {
     Ok(sim.stats())
 }
 
+/// `--forensics-out`: the `ccnvm-forensics/1` report.
+fn write_forensics(path: &str, forensic: &ForensicReport) -> Result<(), String> {
+    write_artifact(path, |out| out.write_all(forensic.to_json().as_bytes()))?;
+    eprintln!("wrote forensic report ({FORENSICS_SCHEMA}) to {path}");
+    Ok(())
+}
+
+/// Prints what reading a file store back after a power cut found.
+fn print_reopened(dir: impl Display, cut: &PowerCut) {
+    let Some(s) = cut.io else {
+        return;
+    };
+    println!(
+        "reopened file store {dir}: {} log records replayed, {} torn/unsynced \
+         bytes discarded",
+        s.replayed_records, s.discarded_bytes
+    );
+}
+
 /// `recover`: re-simulate the workload, crash it at the end of the
 /// run, recover and report. With `--backend file:` the store is
 /// reopened from disk and recovered from what it preserved.
@@ -515,108 +545,28 @@ fn cmd_recover(run: &RunArgs) -> Result<(), String> {
     let (mut sim, _) = build(&mem_run)?;
     drive(&mut sim, &mem_run)?;
     let mem = sim.memory();
-    // The flight sidecar is read before the reopen below so the
-    // forensic analysis sees the log exactly as the power cut left it
-    // (reopening truncates a torn tail in place).
-    let mut flight_raw: Option<(Vec<String>, u64)> = None;
-    let image = match &run.backend {
-        BackendChoice::Mem => mem.crash_image(),
+    let cut = match &run.backend {
+        // recover's in-memory crash never actually dies, so the flight
+        // ring (empty unless --flight was set) is still readable.
+        BackendChoice::Mem => PowerCut::in_memory(mem),
         BackendChoice::File(dir) => {
-            if run.forensics_out.is_some() {
-                flight_raw = Some(ccnvm_mem::read_flight_log(dir).map_err(|e| e.to_string())?);
-            }
             // A real crash recovery: reopen the directory from disk
             // and recover from what the filesystem actually preserved
             // — records the fsync strategy had not flushed are gone,
             // exactly as after a power cut.
-            let (image, s) =
-                CrashImage::reopen(dir, backend_cfg(run), mem.config(), mem.tcb().clone())
-                    .map_err(|e| e.to_string())?;
-            println!(
-                "reopened file store {dir}: {} log records replayed, {} torn/unsynced \
-                 bytes discarded",
-                s.replayed_records, s.discarded_bytes
-            );
-            image
+            let cut = PowerCut::reopen(dir, backend_cfg(run), mem.config(), mem.tcb().clone())
+                .map_err(|e| e.to_string())?;
+            print_reopened(dir, &cut);
+            cut
         }
     };
-    let report = recover_with(&image, tier_of(run), &mut RecoveryScratch::default());
-    print_recovery(run, sim.instructions(), &image, &report);
-    // Artifacts go out in every branch so a failed recovery still
-    // leaves a trace and profile to debug with.
-    emit_artifacts(run, &sim, Some(&report), chrome_file)?;
-    if let Some(path) = &run.forensics_out {
-        // File store: the recovered sidecar. In memory: the in-process
-        // ring, which the same writer fed with the sidecar's entries
-        // (empty unless --flight was set — a crash would have destroyed
-        // it, but recover's in-memory crash never actually dies, so the
-        // ring is still readable).
-        let (entries, discarded) = flight_raw.unwrap_or_else(|| {
-            let ring = sim.memory().flight();
-            let entries = ring.map(|f| f.iter().cloned().collect());
-            (entries.unwrap_or_default(), 0)
-        });
-        let analysis =
-            ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
-        let fsync_name = match &run.backend {
-            BackendChoice::File(_) => run.fsync.to_string(),
-            // The in-memory image has no fsync-loss window.
-            BackendChoice::Mem => "always".to_owned(),
-        };
-        let forensic =
-            ccnvm::obs::flight::forensic_report(&image, &report, analysis, discarded, &fsync_name);
-        std::fs::write(path, forensic.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!(
-            "wrote forensic report ({}) to {path}",
-            ccnvm::obs::flight::FORENSICS_SCHEMA
-        );
-    }
-    audit_verdict(sim.memory())?;
-    let on_file = matches!(&run.backend, BackendChoice::File(_));
-    if report.is_clean() {
-        println!("verdict: CLEAN — memory fully recovered");
-        Ok(())
-    } else if on_file && run.fsync != ccnvm_mem::FsyncStrategy::Always {
-        println!(
-            "verdict: DURABILITY LOSS — records buffered under fsync={} never \
-             reached disk before the crash; recovery detected the loss instead \
-             of silently serving stale state (use --fsync always for the \
-             ADR-faithful zero-loss mode)",
-            run.fsync
-        );
-        if run.strict {
-            return Err(format!(
-                "--strict: durability loss under fsync={} is a gated verdict",
-                run.fsync
-            ));
-        }
-        Ok(())
-    } else if !run.design.is_crash_consistent() {
-        println!("verdict: UNRECOVERABLE — expected for w/o CC, the motivating deficiency");
-        if run.strict {
-            return Err("--strict: unrecoverable image is a gated verdict".into());
-        }
-        Ok(())
-    } else if on_file {
-        // The disk is outside the TCB: a fully synced store that fails
-        // verification after the reopen was modified behind the
-        // controller's back — the paper's attacker, not a crash.
-        for attack in &report.located {
-            println!("located: {attack:?}");
-        }
-        println!("verdict: ATTACKED — the reopened store was modified outside the TCB");
-        Err("the reopened file store fails verification against the TCB roots".into())
-    } else {
-        Err("recovery reported attacks on an attack-free run (bug!)".into())
-    }
-}
-
-/// The recovery walk-through: crash surface, patched counters, root
-/// checks and the recovery timeline.
-fn print_recovery(run: &RunArgs, instructions: u64, image: &CrashImage, report: &RecoveryReport) {
+    let image = &cut.image;
+    let report = recover_with(image, tier_of(run), &mut RecoveryScratch::default());
     println!(
-        "{} on {}: crashed after {instructions} instructions",
-        run.design, run.bench
+        "{} on {}: crashed after {} instructions",
+        run.design,
+        run.bench,
+        sim.instructions()
     );
     let surface = image.surface();
     println!(
@@ -635,31 +585,54 @@ fn print_recovery(run: &RunArgs, instructions: u64, image: &CrashImage, report: 
             image.staged_lines_lost
         );
     }
-    println!(
-        "recovery: {} counter lines patched ({} data lines), {} retries \
-         (max {} per line, N_wb {})",
-        report.recovered_counter_lines,
-        report.recovered_data_lines,
-        report.total_retries,
-        report.max_line_retries,
-        report.nwb
-    );
-    println!(
-        "stored tree vs TCB roots: {:?}; rebuilt tree: {:?}; located attacks: {}",
-        report.stored_root_match,
-        report.rebuilt_root_match,
-        report.located.len()
-    );
-    println!("recovery timeline ({} cycles):", report.recovery_cycles);
-    for span in &report.timeline {
-        println!(
-            "  {:<22} {:>10}..{:<10} ops {:>8}  writes {:>6}",
-            span.stage.name(),
-            span.start,
-            span.end,
-            span.ops,
-            span.nvm_writes
-        );
+    println!("{report}");
+    // Artifacts go out in every branch so a failed recovery still
+    // leaves a trace and profile to debug with.
+    emit_artifacts(run, &sim, Some(&report), chrome_file)?;
+    if let Some(path) = &run.forensics_out {
+        write_forensics(path, &forensic_report(&cut, &report)?)?;
+    }
+    audit_verdict(sim.memory())?;
+    let verdict = cut.verdict(&report);
+    match verdict {
+        Verdict::Clean => {
+            println!("verdict: {verdict} — memory fully recovered");
+            Ok(())
+        }
+        Verdict::DurabilityLoss => {
+            println!(
+                "verdict: {verdict} — records buffered under fsync={} never \
+                 reached disk before the crash; recovery detected the loss instead \
+                 of silently serving stale state (use --fsync always for the \
+                 ADR-faithful zero-loss mode)",
+                run.fsync
+            );
+            if run.strict {
+                return Err(format!(
+                    "--strict: durability loss under fsync={} is a gated verdict",
+                    run.fsync
+                ));
+            }
+            Ok(())
+        }
+        Verdict::Unrecoverable => {
+            println!("verdict: {verdict} — expected for w/o CC, the motivating deficiency");
+            if run.strict {
+                return Err("--strict: unrecoverable image is a gated verdict".into());
+            }
+            Ok(())
+        }
+        // The disk is outside the TCB: a fully synced store that fails
+        // verification after the reopen was modified behind the
+        // controller's back — the paper's attacker, not a crash.
+        Verdict::Attacked if cut.io.is_some() => {
+            for attack in &report.located {
+                println!("located: {attack:?}");
+            }
+            println!("verdict: {verdict} — the reopened store was modified outside the TCB");
+            Err("the reopened file store fails verification against the TCB roots".into())
+        }
+        Verdict::Attacked => Err("recovery reported attacks on an attack-free run (bug!)".into()),
     }
 }
 
@@ -704,12 +677,7 @@ fn resolve_kill_boundary(spec: &str, run: &RunArgs, dir: &Path) -> Result<u64, S
             Ok(p as u64 + 1)
         }
         None => {
-            let mut seen: Vec<&str> = Vec::new();
-            for l in &labels {
-                if !seen.contains(&l.as_str()) {
-                    seen.push(l);
-                }
-            }
+            let seen = crashpoint::distinct_labels(&labels);
             Err(format!(
                 "--kill {spec:?}: the workload never crossed that boundary (crossed: {})",
                 if seen.is_empty() {
@@ -782,32 +750,13 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
     // synced run).
     drop(sim);
 
-    // Forensics reads the sidecar before the reopen truncates a torn
-    // tail in place.
-    let (entries, discarded) = ccnvm_mem::read_flight_log(&run_dir).map_err(|e| e.to_string())?;
-    let (image, s) = CrashImage::reopen(&run_dir, backend_cfg(&store_run), &config, tcb)
+    let cut = PowerCut::reopen(&run_dir, backend_cfg(&store_run), &config, tcb)
         .map_err(|e| e.to_string())?;
-    println!(
-        "reopened file store {}: {} log records replayed, {} torn/unsynced \
-         bytes discarded",
-        run_dir.display(),
-        s.replayed_records,
-        s.discarded_bytes
-    );
-    let recovery = recover_with(&image, tier_of(run), &mut RecoveryScratch::default());
-    let analysis = ccnvm::obs::flight::analyze(&entries).map_err(|e| format!("flight log: {e}"))?;
-    let forensic = ccnvm::obs::flight::forensic_report(
-        &image,
-        &recovery,
-        analysis,
-        discarded,
-        &run.fsync.to_string(),
-    );
+    print_reopened(run_dir.display(), &cut);
+    let recovery = recover_with(&cut.image, tier_of(run), &mut RecoveryScratch::default());
+    let forensic = forensic_report(&cut, &recovery)?;
     println!("{forensic}");
-    let cause_ok = match &armed_label {
-        Some(label) => forensic.flight.inferred_cause.as_deref() == Some(label.as_str()),
-        None => forensic.flight.inferred_cause.is_none(),
-    };
+    let cause_ok = forensic.flight.explains(armed_label.as_deref());
     match (&armed_label, &forensic.flight.inferred_cause) {
         (Some(label), _) if cause_ok => {
             println!("cause attribution: inferred cause matches the armed kill ({label})");
@@ -824,11 +773,7 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
         }
     }
     if let Some(path) = &run.forensics_out {
-        std::fs::write(path, forensic.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!(
-            "wrote forensic report ({}) to {path}",
-            ccnvm::obs::flight::FORENSICS_SCHEMA
-        );
+        write_forensics(path, &forensic)?;
     }
     audit?;
     if run.strict {
@@ -839,8 +784,9 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
         if !forensic.staged_attribution_consistent() {
             problems.push("staged-line attribution inconsistent".to_owned());
         }
-        if !forensic.clean && run.design.is_crash_consistent() {
-            problems.push(format!("gated verdict {}", forensic.verdict()));
+        // w/o CC guarantees nothing, so no verdict of its is gated.
+        if forensic.verdict != Verdict::Clean && run.design.is_crash_consistent() {
+            problems.push(format!("gated verdict {}", forensic.verdict));
         }
         if !problems.is_empty() {
             return Err(format!("--strict: {}", problems.join("; ")));

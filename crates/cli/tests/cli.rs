@@ -277,6 +277,53 @@ fn in_memory_and_file_forensics_report_the_same_flight_log() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// On SC the WPQ-retire brackets overflow the in-memory ring's 4096
+/// entries; the report must say how many it dropped, and the count
+/// must close the gap to the `flight.log` of the same workload.
+#[test]
+fn in_memory_forensics_counts_what_the_ring_dropped() {
+    let dir = fresh_dir("flight-dropped");
+    let workload = "--design sc --bench lbm --instructions 200000";
+    for args in [
+        &["recover", "--flight", "--forensics-out", "mem.json"][..],
+        &[
+            "forensics",
+            "--backend",
+            "file:store",
+            "--forensics-out",
+            "file.json",
+        ],
+    ] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(args)
+            .args(workload.split(' '))
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let flight = |name: &str| {
+        read_json(&dir.join(name))
+            .get("flight")
+            .cloned()
+            .expect("a flight object")
+    };
+    let (in_memory, file) = (flight("mem.json"), flight("file.json"));
+    let dropped = in_memory.num_field("dropped_entries").unwrap_or(0);
+    assert!(dropped > 0, "{in_memory:?}");
+    assert_eq!(
+        in_memory.num_field("entries").unwrap() + dropped,
+        file.num_field("entries").unwrap(),
+        "{in_memory:?} vs {file:?}"
+    );
+    assert_eq!(file.get("dropped_entries"), None, "{file:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn strict_recover_gates_an_unrecoverable_image() {
     let out = bin()

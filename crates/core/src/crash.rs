@@ -9,14 +9,15 @@
 use crate::config::{DesignKind, SimConfig};
 use crate::error::ConfigError;
 use crate::layout::SecureLayout;
-use crate::recovery::recover;
+use crate::obs::flight::analyze;
+use crate::recovery::{recover, RecoveryReport, Verdict};
 use crate::secmem::SecureMemory;
 use crate::tcb::Tcb;
 use ccnvm_mem::crashpoint;
 use ccnvm_mem::file::LOG_FILE;
 use ccnvm_mem::{
-    DurableBackend, FileBackend, FileBackendConfig, FileBackendError, FileIoStats, FsyncStrategy,
-    LineAddr, LineStore,
+    read_flight_log, DurableBackend, FileBackend, FileBackendConfig, FileBackendError, FileIoStats,
+    FsyncStrategy, LineAddr, LineStore, Ring,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -84,37 +85,6 @@ impl CrashImage {
         )
     }
 
-    /// Reopens the file store at `dir` after a power cut and pairs what
-    /// the filesystem preserved with the battery-backed TCB registers
-    /// `tcb`, in `config`'s geometry: the image recovery starts from.
-    /// Reopening truncates a torn log tail in place, so read the flight
-    /// sidecar first. Staged-but-uncommitted lines never reached the
-    /// durable log; recovery re-derives them, and the flight log's open
-    /// `drain-stage` bracket (not `staged_lines_lost`, here 0)
-    /// attributes them. Also returns the reopen's I/O tallies (records
-    /// replayed, torn or unsynced bytes discarded).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FileBackendError`] when the store cannot be reopened.
-    pub fn reopen(
-        dir: impl AsRef<Path>,
-        backend: FileBackendConfig,
-        config: &SimConfig,
-        tcb: Tcb,
-    ) -> Result<(CrashImage, FileIoStats), FileBackendError> {
-        let store = FileBackend::open(dir, backend)?;
-        let image = CrashImage {
-            design: config.design,
-            capacity_bytes: config.capacity_bytes,
-            update_limit: config.update_limit,
-            tcb,
-            nvm: store.snapshot(),
-            staged_lines_lost: 0,
-        };
-        Ok((image, store.io_counters().stats()))
-    }
-
     /// [`CrashImage::surface`] over a precomputed layout and address
     /// walk (recovery holds both), avoiding their reconstruction.
     pub fn surface_with(&self, layout: &SecureLayout, addrs: &[LineAddr]) -> CrashSurface {
@@ -133,6 +103,96 @@ impl CrashImage {
             }
         }
         s
+    }
+}
+
+/// What a power cut leaves behind, read back one way: the durable image
+/// recovery starts from, and the flight log exactly as the cut left
+/// it. Build one with [`PowerCut::reopen`] from a file store or with
+/// [`PowerCut::in_memory`] from a live machine; judge its recovery
+/// with [`PowerCut::verdict`].
+#[derive(Debug, Clone)]
+pub struct PowerCut {
+    /// The durable state recovery starts from.
+    pub image: CrashImage,
+    /// The fsync strategy the store ran under, which bounds what the
+    /// cut may have lost. `Always` in memory: nothing is buffered.
+    pub fsync: FsyncStrategy,
+    /// The reopen's I/O tallies (records replayed, torn or unsynced
+    /// bytes discarded); `None` for an in-memory image.
+    pub io: Option<FileIoStats>,
+    /// The flight-log entries that survived, oldest first.
+    pub flight: Vec<String>,
+    /// Torn `flight.log` tail bytes the read-back cut off.
+    pub flight_discarded: u64,
+    /// Entries the in-process flight ring dropped at its capacity (the
+    /// durable sidecar drops none).
+    pub flight_dropped: u64,
+}
+
+impl PowerCut {
+    /// Reads back the file store at `dir` after a power cut and pairs
+    /// what the filesystem preserved with the battery-backed TCB
+    /// registers `tcb`, in `config`'s geometry. The flight sidecar is
+    /// read first, because reopening the store truncates its torn tail
+    /// in place. Staged-but-uncommitted lines never reached the durable
+    /// log; recovery re-derives them, and the flight log's open
+    /// `drain-stage` bracket (not `staged_lines_lost`, here 0)
+    /// attributes them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FileBackendError`] when the sidecar cannot be read or
+    /// the store cannot be reopened.
+    pub fn reopen(
+        dir: impl AsRef<Path>,
+        backend: FileBackendConfig,
+        config: &SimConfig,
+        tcb: Tcb,
+    ) -> Result<PowerCut, FileBackendError> {
+        let dir = dir.as_ref();
+        let (flight, flight_discarded) = read_flight_log(dir)?;
+        let store = FileBackend::open(dir, backend)?;
+        let image = CrashImage {
+            design: config.design,
+            capacity_bytes: config.capacity_bytes,
+            update_limit: config.update_limit,
+            tcb,
+            nvm: store.snapshot(),
+            staged_lines_lost: 0,
+        };
+        Ok(PowerCut {
+            image,
+            fsync: backend.fsync,
+            io: Some(store.io_counters().stats()),
+            flight,
+            flight_discarded,
+            flight_dropped: 0,
+        })
+    }
+
+    /// Cuts the power of `mem` in place: its crash image, and whatever
+    /// its flight ring holds with the count of what the ring dropped.
+    /// The machine is left running, so the ring is still readable.
+    pub fn in_memory(mem: &SecureMemory) -> PowerCut {
+        let ring = mem.flight();
+        PowerCut {
+            image: mem.crash_image(),
+            fsync: FsyncStrategy::Always,
+            io: None,
+            flight: ring
+                .map(|r| r.iter().map(|e| e.to_string()).collect())
+                .unwrap_or_default(),
+            flight_discarded: 0,
+            flight_dropped: ring.map_or(0, Ring::dropped),
+        }
+    }
+
+    /// Judges `recovery` of this cut's image: relaxed fsync strategies
+    /// may lose buffered writes, so there an unclean image is a
+    /// durability loss (see [`RecoveryReport::verdict`]).
+    pub fn verdict(&self, recovery: &RecoveryReport) -> Verdict {
+        recovery.verdict(self.fsync != FsyncStrategy::Always)
     }
 }
 
@@ -376,17 +436,12 @@ pub fn sweep_crash_points(
     let truth = mem.ground_truth();
     let tcb = mem.tcb().clone();
     drop(mem);
-    let (image, _) = CrashImage::reopen(&record_dir, backend_cfg, config, tcb)?;
-    let report = recover(&image);
-    let ground_truth_match = report.is_clean() && report.rebuilt_root == truth.current_root;
+    let cut = PowerCut::reopen(&record_dir, backend_cfg, config, tcb)?;
+    let report = recover(&cut.image);
+    let ground_truth_match =
+        cut.verdict(&report) == Verdict::Clean && report.rebuilt_root == truth.current_root;
     std::fs::remove_dir_all(&record_dir).ok();
-
-    let mut labels_seen: Vec<String> = Vec::new();
-    for l in &labels {
-        if !labels_seen.iter().any(|s| s == l) {
-            labels_seen.push(l.clone());
-        }
-    }
+    let recovers_clean = |cut: &PowerCut| cut.verdict(&recover(&cut.image)) == Verdict::Clean;
 
     // Kill pass: one fresh directory per boundary.
     let mut outcomes = Vec::with_capacity(labels.len());
@@ -398,12 +453,9 @@ pub fn sweep_crash_points(
             workload(&mut mem);
             mem.sync_durable();
         });
-        let label = match killed {
-            Err(sig) => sig.label,
-            // The workload finished before boundary `k` — it was not
-            // deterministic. all_clean() flags this.
-            Ok(()) => "run-completed".to_owned(),
-        };
+        // `None`: the workload finished before boundary `k` — it was
+        // not deterministic. all_clean() flags this.
+        let armed = killed.err().map(|sig| sig.label);
         // The TCB registers are battery-backed hardware state: they
         // survive the crash exactly as they were at the kill instant.
         let tcb = mem.tcb().clone();
@@ -411,26 +463,13 @@ pub fn sweep_crash_points(
         // lost, open file handles close — the power cut.
         drop(mem);
 
-        // Forensics first: read the flight sidecar exactly as the
-        // power cut left it (reopening below truncates torn tails).
         // Under `fsync=always` the attribution is exact, so the sweep
         // demands the inferred cause *equal* the armed boundary — and
         // a completed run must leave a quiescent log.
-        let (flight_entries, _) = ccnvm_mem::read_flight_log(&kill_dir)?;
-        let inferred_cause = crate::obs::flight::analyze(&flight_entries)
-            .map(|a| a.inferred_cause)
-            .unwrap_or(None);
-        let cause_matches = if label == "run-completed" {
-            inferred_cause.is_none()
-        } else {
-            inferred_cause.as_deref() == Some(label.as_str())
-        };
-
-        let recovers_clean = || -> Result<bool, CrashSweepError> {
-            let (image, _) = CrashImage::reopen(&kill_dir, backend_cfg, config, tcb.clone())?;
-            Ok(recover(&image).is_clean())
-        };
-        let clean = recovers_clean()?;
+        let cut = PowerCut::reopen(&kill_dir, backend_cfg, config, tcb.clone())?;
+        let flight = analyze(&cut.flight).unwrap_or_default();
+        let cause_matches = flight.explains(armed.as_deref());
+        let clean = recovers_clean(&cut);
         // Power failures tear records mid-write: append a partial
         // frame to the log and make sure reopen discards it.
         let log = kill_dir.join(LOG_FILE);
@@ -441,15 +480,16 @@ pub fn sweep_crash_points(
             .and_then(|mut f| f.write_all(&TORN_TAIL))
             .map_err(|source| FileBackendError::Io { path: log, source });
         torn?;
-        let clean_after_tear = recovers_clean()?;
+        let clean_after_tear =
+            recovers_clean(&PowerCut::reopen(&kill_dir, backend_cfg, config, tcb)?);
         std::fs::remove_dir_all(&kill_dir).ok();
 
         outcomes.push(BoundaryOutcome {
             boundary: k,
-            label,
+            label: armed.unwrap_or_else(|| "run-completed".to_owned()),
             clean,
             clean_after_tear,
-            inferred_cause,
+            inferred_cause: flight.inferred_cause,
             cause_matches,
         });
     }
@@ -457,7 +497,7 @@ pub fn sweep_crash_points(
     Ok(CrashSweepReport {
         design: config.design,
         boundaries: labels.len() as u64,
-        labels_seen,
+        labels_seen: crashpoint::distinct_labels(&labels),
         outcomes,
         ground_truth_match,
     })

@@ -18,6 +18,7 @@
 use crate::obs::{self, profile::Stage, wear::WriteCause};
 use crate::secmem::{DrainTrigger, SecureMemory};
 use ccnvm_crypto::latency::HMAC_LATENCY_CYCLES;
+use ccnvm_mem::crashpoint::{self, Boundary};
 use ccnvm_mem::{Cycle, Line, LineAddr, LineMap};
 
 /// Reusable drain working storage, owned by [`SecureMemory`] so the
@@ -49,12 +50,12 @@ impl SecureMemory {
             trigger: Some(trigger),
             lines: queued,
         });
-        self.nvm.flight_boundary("begin", "drain-stage");
+        self.nvm.flight_boundary(Boundary::DrainStage.begin());
         let end = self.stage_drain(now);
         // Staged-but-uncommitted: killing here models a crash before
         // the `end` signal — nothing of this epoch is durable yet.
-        ccnvm_mem::crashpoint::fire("drain-stage");
-        self.nvm.flight_boundary("end", "drain-stage");
+        crashpoint::fire(Boundary::DrainStage.label());
+        self.nvm.flight_boundary(Boundary::DrainStage.end());
         self.commit_staged();
         // Fold the stage's WPQ accepts in first, so the trace stays
         // chronologically ordered and the epoch's WPQ high water counts
@@ -212,10 +213,10 @@ impl SecureMemory {
         staged.clear();
         self.staged = staged;
         self.dirty_queue.clear();
-        self.nvm.flight_boundary("begin", "root-alternate");
+        self.nvm.flight_boundary(Boundary::RootAlternate.begin());
         self.tcb.commit_drain();
-        ccnvm_mem::crashpoint::fire("root-alternate");
-        self.nvm.flight_boundary("end", "root-alternate");
+        crashpoint::fire(Boundary::RootAlternate.label());
+        self.nvm.flight_boundary(Boundary::RootAlternate.end());
         self.obs.note_root_alternation();
         self.wbs_this_epoch = 0;
     }

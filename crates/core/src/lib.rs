@@ -78,6 +78,7 @@ pub mod prelude {
     pub use crate::config::{DesignKind, SimConfig};
     pub use crate::crash::{
         sweep_crash_points, BoundaryOutcome, CrashImage, CrashSweepError, CrashSweepReport,
+        PowerCut,
     };
     pub use crate::error::{ConfigError, IntegrityError, ResumeError};
     pub use crate::obs::audit::{AuditMode, Auditor};
@@ -85,7 +86,9 @@ pub mod prelude {
     pub use crate::obs::metrics::{MetricsConfig, MetricsRegistry};
     pub use crate::obs::profile::SpanProfiler;
     pub use crate::obs::{Recorder, RecorderConfig};
-    pub use crate::recovery::{recover, LocatedAttack, RecoveryReport, RecoverySpan, RootMatch};
+    pub use crate::recovery::{
+        recover, LocatedAttack, RecoveryReport, RecoverySpan, RootMatch, Verdict,
+    };
     pub use crate::secmem::{DrainTrigger, SecureMemory};
     pub use crate::sim::{run_profile, Simulator};
     pub use crate::stats::RunStats;

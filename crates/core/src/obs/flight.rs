@@ -33,16 +33,17 @@
 //!
 //! [`analyze`] folds a recovered entry stream into a
 //! [`FlightAnalysis`], and [`forensic_report`] joins that with the
-//! [`CrashImage`] and [`RecoveryReport`] into a [`ForensicReport`]
+//! [`PowerCut`] and its [`RecoveryReport`] into a [`ForensicReport`]
 //! (`ccnvm-forensics/1` JSON plus human-readable text).
 
 use crate::config::DesignKind;
-use crate::crash::{CrashImage, CrashSurface};
+use crate::crash::{CrashSurface, PowerCut};
 use crate::obs::json::Json;
 use crate::obs::metrics::Sample;
 use crate::obs::{json, Event};
-use crate::recovery::RecoveryReport;
-use ccnvm_mem::{Cycle, Ring};
+use crate::recovery::{RecoveryReport, Verdict};
+use ccnvm_mem::{Cycle, FsyncStrategy, Ring};
+use std::borrow::Cow;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -68,8 +69,9 @@ impl Default for FlightConfig {
 /// [`SecureMemory::attach_flight`](crate::secmem::SecureMemory::attach_flight);
 /// the durable half is the file backend's `flight.log` sidecar, fed
 /// by the same writer through the
-/// [`DurableBackend`](ccnvm_mem::DurableBackend) seam.
-pub type FlightRecorder = Ring<String>;
+/// [`DurableBackend`](ccnvm_mem::DurableBackend) seam. Boundary
+/// brackets are fixed texts and enter the ring borrowed.
+pub type FlightRecorder = Ring<Cow<'static, str>>;
 
 /// Builds the flight entry for a trace event.
 pub fn event_line(event: &Event) -> String {
@@ -129,6 +131,13 @@ impl FlightAnalysis {
     /// Whether no boundary was open at death.
     pub fn quiescent(&self) -> bool {
         self.open_boundaries.is_empty()
+    }
+
+    /// Whether the log explains the kill armed at the boundary labelled
+    /// `armed`: the inferred cause names it — or, for a run that
+    /// completed (`None`), the log is quiescent.
+    pub fn explains(&self, armed: Option<&str>) -> bool {
+        self.inferred_cause.as_deref() == armed
     }
 }
 
@@ -221,15 +230,12 @@ pub fn analyze(entries: &[String]) -> Result<FlightAnalysis, String> {
 pub struct ForensicReport {
     /// Design the crashed image came from.
     pub design: DesignKind,
-    /// Fsync strategy name the backend ran under (`always`, `batch`,
-    /// `interval`) — determines the loss window the report must admit.
-    pub fsync: String,
-    /// Whether recovery's design-specific checks all passed.
-    pub clean: bool,
-    /// Machine-readable form of the `DURABILITY LOSS` verdict: the
-    /// image failed recovery *and* the backend ran a relaxed fsync
-    /// strategy, so lost buffered writes — not an attack — explain it.
-    pub durability_loss: bool,
+    /// Fsync strategy the backend ran under (`always` in memory) —
+    /// determines the loss window the report must admit.
+    pub fsync: FsyncStrategy,
+    /// The headline verdict, the one the `recover` command prints; the
+    /// JSON's `clean` and `durability_loss` flags derive from it.
+    pub verdict: Verdict,
     /// Which TCB root the stored tree matched (`new`/`old`/`neither`).
     pub stored_root: &'static str,
     /// Which TCB root the rebuilt tree matched.
@@ -243,39 +249,26 @@ pub struct ForensicReport {
     /// Step-3 potential-replay flag (`N_wb != N_retry`).
     pub potential_replay: bool,
     /// Lines staged in an uncommitted drain, lost per the ADR
-    /// protocol (from the [`CrashImage`]).
+    /// protocol (from the [`CrashImage`](crate::crash::CrashImage)).
     pub staged_lines_lost: u64,
     /// Composition of the durable image's lines by region.
     pub surface: CrashSurface,
     /// Bytes of torn flight-log tail discarded on reopen.
     pub discarded_tail_bytes: u64,
+    /// Entries the in-process flight ring dropped at its capacity, so
+    /// `flight.entries` misses that many from the front of the stream.
+    pub dropped_entries: u64,
     /// Everything the recovered flight log said.
     pub flight: FlightAnalysis,
 }
 
 impl ForensicReport {
-    /// The headline verdict, matching the `recover` command's text
-    /// output: `CLEAN`, `DURABILITY LOSS` (unclean but explained by a
-    /// relaxed fsync strategy), `UNRECOVERABLE` (unclean on a design
-    /// with no crash-consistency story — the motivating deficiency,
-    /// not an attack) or `ATTACKED`.
-    pub fn verdict(&self) -> &'static str {
-        if self.clean {
-            "CLEAN"
-        } else if self.durability_loss {
-            "DURABILITY LOSS"
-        } else if !self.design.is_crash_consistent() {
-            "UNRECOVERABLE"
-        } else {
-            "ATTACKED"
-        }
-    }
-
     /// Cross-checks the flight log's cause attribution against the
     /// image's staged-line accounting: lines lost in an aborted drain
-    /// ([`CrashImage::staged_lines_lost`]) exist precisely when the
-    /// process died between a drain's stage and its `end` signal, so
-    /// the log must then show an open `drain-stage` bracket. Only
+    /// ([`CrashImage::staged_lines_lost`](crate::crash::CrashImage::staged_lines_lost))
+    /// exist precisely when the process died between a drain's stage
+    /// and its `end` signal, so the log must then show an open
+    /// `drain-stage` bracket. Only
     /// decisive under the `always` fsync strategy — a relaxed
     /// strategy can lose the bracket with the rest of the tail.
     pub fn staged_attribution_consistent(&self) -> bool {
@@ -289,17 +282,19 @@ impl ForensicReport {
 
     /// Serializes the report as one `ccnvm-forensics/1` JSON object.
     /// Optional facts (`inferred_cause`, `last_committed_epoch`,
-    /// `last_drain_stage`, `flight.last_at`) are omitted when the log
-    /// did not establish them; everything else is always present.
+    /// `last_drain_stage`, `flight.dropped_entries`, `flight.last_at`)
+    /// are omitted when the log did not establish them or, for the drop
+    /// count, when nothing was dropped; everything else is always
+    /// present.
     pub fn to_json(&self) -> String {
         let mut out = format!(
             "{{\"schema\":\"{FORENSICS_SCHEMA}\",\"design\":\"{}\",\"fsync\":\"{}\",\
 \"verdict\":\"{}\",\"clean\":{},\"durability_loss\":{},\"quiescent\":{}",
             self.design.slug(),
             self.fsync,
-            self.verdict(),
-            self.clean,
-            self.durability_loss,
+            self.verdict,
+            self.verdict == Verdict::Clean,
+            self.verdict == Verdict::DurabilityLoss,
             self.flight.quiescent()
         );
         if let Some(cause) = &self.flight.inferred_cause {
@@ -355,6 +350,9 @@ impl ForensicReport {
             fa.rotated,
             self.discarded_tail_bytes
         );
+        if self.dropped_entries > 0 {
+            let _ = write!(out, ",\"dropped_entries\":{}", self.dropped_entries);
+        }
         if let Some(at) = fa.last_at {
             let _ = write!(out, ",\"last_at\":{at}");
         }
@@ -420,10 +418,10 @@ impl fmt::Display for ForensicReport {
             }
         )?;
         let fa = &self.flight;
-        writeln!(
+        write!(
             f,
             "flight log: {} entries ({} events, {} metrics, {} audit violations), \
-{}/{} boundaries completed, {} torn tail bytes discarded{}",
+{}/{} boundaries completed, {} torn tail bytes discarded",
             fa.entries,
             fa.event_entries,
             fa.metric_samples,
@@ -431,9 +429,12 @@ impl fmt::Display for ForensicReport {
             fa.boundaries_completed,
             fa.boundaries_begun,
             self.discarded_tail_bytes,
-            if fa.rotated { ", rotated" } else { "" }
         )?;
-        if self.fsync == "always" {
+        if self.dropped_entries > 0 {
+            write!(f, ", {} dropped at ring capacity", self.dropped_entries)?;
+        }
+        writeln!(f, "{}", if fa.rotated { ", rotated" } else { "" })?;
+        if self.fsync == FsyncStrategy::Always {
             writeln!(f, "fsync-loss window: none (every entry was synced)")?;
         } else {
             match fa.last_at {
@@ -449,28 +450,27 @@ impl fmt::Display for ForensicReport {
                 )?,
             }
         }
-        write!(f, "verdict: {}", self.verdict())
+        write!(f, "verdict: {}", self.verdict)
     }
 }
 
-/// Joins a crashed image, its recovery report and the recovered
-/// flight log into a [`ForensicReport`]. `discarded_tail_bytes` is
-/// the torn tail [`ccnvm_mem::read_flight_log`] cut; `fsync` is the
-/// backend's strategy name (`always` when the image never lived in a
-/// file).
+/// Joins a power cut, the recovery of its image and the analysis of
+/// its flight log into a [`ForensicReport`].
+///
+/// # Errors
+///
+/// Returns a description of the first flight entry [`analyze`] cannot
+/// read.
 pub fn forensic_report(
-    image: &CrashImage,
+    cut: &PowerCut,
     recovery: &RecoveryReport,
-    flight: FlightAnalysis,
-    discarded_tail_bytes: u64,
-    fsync: &str,
-) -> ForensicReport {
-    let clean = recovery.is_clean();
-    ForensicReport {
+) -> Result<ForensicReport, String> {
+    let flight = analyze(&cut.flight).map_err(|e| format!("flight log: {e}"))?;
+    let image = &cut.image;
+    Ok(ForensicReport {
         design: image.design,
-        fsync: fsync.to_string(),
-        clean,
-        durability_loss: !clean && fsync != "always",
+        fsync: cut.fsync,
+        verdict: cut.verdict(recovery),
         stored_root: recovery.stored_root_match.name(),
         rebuilt_root: recovery.rebuilt_root_match.name(),
         nwb: recovery.nwb,
@@ -479,9 +479,10 @@ pub fn forensic_report(
         potential_replay: recovery.potential_replay,
         staged_lines_lost: image.staged_lines_lost,
         surface: image.surface(),
-        discarded_tail_bytes,
+        discarded_tail_bytes: cut.flight_discarded,
+        dropped_entries: cut.flight_dropped,
         flight,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -490,7 +491,8 @@ mod tests {
     use crate::config::SimConfig;
     use crate::recovery::recover;
     use crate::secmem::{DrainTrigger, SecureMemory};
-    use ccnvm_mem::{flight_boundary_line, LineAddr};
+    use ccnvm_mem::crashpoint::{Boundary, ROTATE_ENTRY};
+    use ccnvm_mem::LineAddr;
 
     fn lines(raw: &[&str]) -> Vec<String> {
         raw.iter().map(|s| s.to_string()).collect()
@@ -500,20 +502,23 @@ mod tests {
     fn ring_drops_oldest_and_counts() {
         let mut r = FlightRecorder::new(2);
         for i in 0..3 {
-            r.push(epoch_line(i * 10, i));
+            r.push(epoch_line(i * 10, i).into());
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 1);
-        assert_eq!(r.iter().next(), Some(&epoch_line(10, 1)));
+        assert_eq!(
+            r.iter().next().map(|e| e.as_ref()),
+            Some(epoch_line(10, 1).as_str())
+        );
     }
 
     #[test]
     fn analyze_infers_the_innermost_open_boundary() {
         let entries = lines(&[
-            &flight_boundary_line("begin", "drain-stage"),
-            &flight_boundary_line("begin", "wpq-retire"),
-            &flight_boundary_line("end", "wpq-retire"),
-            &flight_boundary_line("begin", "wpq-retire"),
+            Boundary::DrainStage.begin(),
+            Boundary::WpqRetire.begin(),
+            Boundary::WpqRetire.end(),
+            Boundary::WpqRetire.begin(),
         ]);
         let a = analyze(&entries).unwrap();
         assert_eq!(a.inferred_cause.as_deref(), Some("wpq-retire"));
@@ -521,19 +526,24 @@ mod tests {
         assert_eq!(a.boundaries_begun, 3);
         assert_eq!(a.boundaries_completed, 1);
         assert!(!a.quiescent());
+        assert!(a.explains(Some("wpq-retire")));
+        assert!(!a.explains(Some("drain-stage")));
+        assert!(!a.explains(None));
     }
 
     #[test]
     fn analyze_balanced_log_is_quiescent() {
         let entries = lines(&[
-            &flight_boundary_line("begin", "nwb-update"),
-            &flight_boundary_line("end", "nwb-update"),
+            Boundary::NwbUpdate.begin(),
+            Boundary::NwbUpdate.end(),
             &epoch_line(5000, 0),
             &epoch_line(9000, 1),
         ]);
         let a = analyze(&entries).unwrap();
         assert!(a.quiescent());
         assert_eq!(a.inferred_cause, None);
+        assert!(a.explains(None));
+        assert!(!a.explains(Some("nwb-update")));
         assert_eq!(a.last_committed_epoch, Some(1));
         assert_eq!(a.last_at, Some(9000));
     }
@@ -556,7 +566,7 @@ mod tests {
             ..Sample::default()
         };
         let entries = lines(&[
-            &flight_boundary_line("rotate", "compact"),
+            ROTATE_ENTRY,
             &event_line(&drain),
             &event_line(&audit),
             &metric_line(&sample),
@@ -572,7 +582,7 @@ mod tests {
 
     #[test]
     fn analyze_tolerates_orphan_ends_and_rejects_junk() {
-        let orphan = lines(&[&flight_boundary_line("end", "manifest-swap")]);
+        let orphan = lines(&[Boundary::ManifestSwap.end()]);
         let a = analyze(&orphan).unwrap();
         assert!(a.quiescent());
         assert_eq!(a.boundaries_completed, 1);
@@ -592,48 +602,90 @@ mod tests {
             m.write_back(LineAddr(i * 64), i * 100_000).unwrap();
         }
         m.drain(1_000_000, DrainTrigger::External);
-        let image = m.crash_image();
-        let recovery = recover(&image);
-        let analysis = analyze(&lines(&[&epoch_line(1_000_000, 0)])).unwrap();
-        let report = forensic_report(&image, &recovery, analysis, 0, "always");
-        assert_eq!(report.verdict(), "CLEAN");
+        let cut = PowerCut {
+            flight: lines(&[&epoch_line(1_000_000, 0)]),
+            ..PowerCut::in_memory(&m)
+        };
+        let recovery = recover(&cut.image);
+        let report = forensic_report(&cut, &recovery).unwrap();
+        assert_eq!(report.verdict, Verdict::Clean);
         assert!(report.staged_attribution_consistent());
 
         let v = json::parse(&report.to_json()).unwrap();
         assert_eq!(v.str_field("schema").unwrap(), FORENSICS_SCHEMA);
         assert_eq!(v.str_field("design").unwrap(), "ccnvm");
         assert_eq!(v.str_field("verdict").unwrap(), "CLEAN");
+        assert_eq!(v.get("clean"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("durability_loss"), Some(&Json::Bool(false)));
         assert_eq!(v.num_field("last_committed_epoch").unwrap(), 0);
         assert_eq!(v.get("root").unwrap().str_field("stored").unwrap(), "new");
         let surface = v.get("surface").unwrap();
         assert_eq!(
             surface.num_field("total").unwrap(),
-            image.surface().total_lines()
+            cut.image.surface().total_lines()
         );
+        assert_eq!(v.get("flight").unwrap().get("dropped_entries"), None);
 
         let text = report.to_string();
         assert!(text.contains("verdict: CLEAN"), "{text}");
         assert!(text.contains("fsync-loss window: none"), "{text}");
+        assert!(!text.contains("dropped"), "{text}");
+    }
+
+    #[test]
+    fn ring_drops_reach_the_report() {
+        let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
+        m.attach_flight(FlightConfig { capacity: 4 });
+        for i in 0..4u64 {
+            m.write_back(LineAddr(i * 64), i * 100_000).unwrap();
+        }
+        m.drain(1_000_000, DrainTrigger::External);
+        let cut = PowerCut::in_memory(&m);
+        let ring = m.flight().expect("attached");
+        assert_eq!(cut.flight.len(), 4);
+        assert!(cut.flight.iter().eq(ring.iter()));
+        assert_eq!(cut.flight_dropped, ring.dropped());
+        assert!(cut.flight_dropped > 0);
+
+        let report = forensic_report(&cut, &recover(&cut.image)).unwrap();
+        assert_eq!(report.dropped_entries, cut.flight_dropped);
+        let v = json::parse(&report.to_json()).unwrap();
+        let flight = v.get("flight").unwrap();
+        assert_eq!(flight.num_field("entries").unwrap(), 4);
+        assert_eq!(
+            flight.num_field("dropped_entries").unwrap(),
+            cut.flight_dropped
+        );
+        let text = report.to_string();
+        let dropped = format!("{} dropped at ring capacity", cut.flight_dropped);
+        assert!(text.contains(&dropped), "{text}");
     }
 
     #[test]
     fn durability_loss_needs_a_relaxed_strategy() {
         let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
         m.write_back(LineAddr(0), 0).unwrap();
-        let mut image = m.crash_image();
-        crate::attack::spoof_data(&mut image, LineAddr(0));
-        let recovery = recover(&image);
+        let mut cut = PowerCut::in_memory(&m);
+        crate::attack::spoof_data(&mut cut.image, LineAddr(0));
+        let recovery = recover(&cut.image);
         assert!(!recovery.is_clean());
 
-        let strict = forensic_report(&image, &recovery, FlightAnalysis::default(), 0, "always");
-        assert_eq!(strict.verdict(), "ATTACKED");
-        assert!(!strict.durability_loss);
+        let strict = forensic_report(&cut, &recovery).unwrap();
+        assert_eq!(strict.verdict, Verdict::Attacked);
+        let v = json::parse(&strict.to_json()).unwrap();
+        assert_eq!(v.get("durability_loss"), Some(&Json::Bool(false)));
 
-        let relaxed = forensic_report(&image, &recovery, FlightAnalysis::default(), 7, "batch");
-        assert_eq!(relaxed.verdict(), "DURABILITY LOSS");
-        assert!(relaxed.durability_loss);
+        let relaxed = PowerCut {
+            fsync: FsyncStrategy::Batch(8),
+            flight_discarded: 7,
+            ..cut
+        };
+        let relaxed = forensic_report(&relaxed, &recovery).unwrap();
+        assert_eq!(relaxed.verdict, Verdict::DurabilityLoss);
         let v = json::parse(&relaxed.to_json()).unwrap();
         assert_eq!(v.str_field("verdict").unwrap(), "DURABILITY LOSS");
+        assert_eq!(v.str_field("fsync").unwrap(), "batch:8");
+        assert_eq!(v.get("durability_loss"), Some(&Json::Bool(true)));
         let flight = v.get("flight").unwrap();
         assert_eq!(flight.num_field("discarded_tail_bytes").unwrap(), 7);
         assert!(relaxed.to_string().contains("whole log may be lost"));
@@ -644,17 +696,20 @@ mod tests {
         let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
         m.write_back(LineAddr(0), 0).unwrap();
         m.stage_drain(100_000);
-        let image = m.crash_image();
-        assert!(image.staged_lines_lost > 0);
-        let recovery = recover(&image);
+        let cut = PowerCut::in_memory(&m);
+        assert!(cut.image.staged_lines_lost > 0);
+        let recovery = recover(&cut.image);
 
         // A quiescent log cannot explain lost staged lines.
-        let bad = forensic_report(&image, &recovery, FlightAnalysis::default(), 0, "always");
+        let bad = forensic_report(&cut, &recovery).unwrap();
         assert!(!bad.staged_attribution_consistent());
 
         // An open drain-stage bracket does.
-        let a = analyze(&lines(&[&flight_boundary_line("begin", "drain-stage")])).unwrap();
-        let good = forensic_report(&image, &recovery, a, 0, "always");
+        let open = PowerCut {
+            flight: lines(&[Boundary::DrainStage.begin()]),
+            ..cut
+        };
+        let good = forensic_report(&open, &recovery).unwrap();
         assert!(good.staged_attribution_consistent());
     }
 }

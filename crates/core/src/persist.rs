@@ -22,8 +22,10 @@ use crate::obs::WriteKind;
 use crate::secmem::SecureMemory;
 use crate::stats::RunStats;
 use crate::tcb::{Keys, Tcb};
+use ccnvm_mem::crashpoint::{self, Boundary};
 use ccnvm_mem::timing::BoundedQueue;
 use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineMap, LineStore, MemController};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The NVM-side value state of a [`SecureMemory`]: the two off-chip
@@ -65,20 +67,20 @@ impl NvmState {
     /// Persists a metadata line into durable NVM (and removes any
     /// stale overlay copy so runtime reads stay coherent).
     pub(crate) fn persist_meta(&mut self, line: LineAddr, content: Line) {
-        self.flight_boundary("begin", "wpq-retire");
+        self.flight_boundary(Boundary::WpqRetire.begin());
         self.durable.store(line, content);
         self.overlay.erase(line);
-        ccnvm_mem::crashpoint::fire("wpq-retire");
-        self.flight_boundary("end", "wpq-retire");
+        crashpoint::fire(Boundary::WpqRetire.label());
+        self.flight_boundary(Boundary::WpqRetire.end());
     }
 
     /// Persists a data or data-HMAC line (no overlay interaction —
     /// those regions never shadow).
     pub(crate) fn persist_data(&mut self, line: LineAddr, content: Line) {
-        self.flight_boundary("begin", "wpq-retire");
+        self.flight_boundary(Boundary::WpqRetire.begin());
         self.durable.store(line, content);
-        ccnvm_mem::crashpoint::fire("wpq-retire");
-        self.flight_boundary("end", "wpq-retire");
+        crashpoint::fire(Boundary::WpqRetire.label());
+        self.flight_boundary(Boundary::WpqRetire.end());
     }
 
     /// Whether any flight sink is live — the in-process ring or the
@@ -91,23 +93,24 @@ impl NvmState {
 
     /// The one flight writer: appends `entry` to the durable sidecar
     /// and records it in the in-process ring, so the two hold the same
-    /// stream.
-    pub(crate) fn flight_note(&mut self, entry: String) {
+    /// stream. A fixed entry (a boundary bracket) is borrowed, so it
+    /// allocates nothing on either path.
+    pub(crate) fn flight_note(&mut self, entry: Cow<'static, str>) {
         self.durable.flight_append(entry.as_bytes());
         if let Some(ring) = self.flight.as_mut() {
             ring.push(entry);
         }
     }
 
-    /// Writes one boundary bracket (`begin`/`end` around a crash-point
-    /// label). The begin must reach the durable sidecar *before* the
-    /// bracketed action so a kill inside it leaves the begin
-    /// unmatched — that ordering is what makes the forensic cause
+    /// Writes one boundary bracket ([`Boundary::begin`] or
+    /// [`Boundary::end`]). The begin must reach the durable sidecar
+    /// *before* the bracketed action so a kill inside it leaves the
+    /// begin unmatched — that ordering is what makes the forensic cause
     /// inference sound.
     #[inline]
-    pub(crate) fn flight_boundary(&mut self, op: &str, label: &str) {
+    pub(crate) fn flight_boundary(&mut self, bracket: &'static str) {
         if self.flight_active() {
-            self.flight_note(ccnvm_mem::flight_boundary_line(op, label));
+            self.flight_note(Cow::Borrowed(bracket));
         }
     }
 

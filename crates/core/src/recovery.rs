@@ -116,6 +116,35 @@ impl RecoverySpan {
     }
 }
 
+/// The judgement on a recovered image — the one rule the crash sweep,
+/// `ccnvm-sim recover` and `ccnvm-sim forensics` all apply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Every check the design supports passed.
+    Clean,
+    /// Unclean, but the store ran a relaxed fsync strategy: buffered
+    /// writes lost to the crash, not an attacker, explain it.
+    DurabilityLoss,
+    /// Unclean on a design with no crash-consistency story — the
+    /// motivating deficiency, not an attack.
+    Unrecoverable,
+    /// Unclean although nothing durable could have been lost: the
+    /// image was modified outside the TCB.
+    Attacked,
+}
+
+impl fmt::Display for Verdict {
+    /// The verdict as reports print it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Verdict::Clean => "CLEAN",
+            Verdict::DurabilityLoss => "DURABILITY LOSS",
+            Verdict::Unrecoverable => "UNRECOVERABLE",
+            Verdict::Attacked => "ATTACKED",
+        })
+    }
+}
+
 /// Everything recovery produced.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
@@ -173,6 +202,22 @@ impl RecoveryReport {
             DesignKind::WithoutCc => true,
         }
     }
+
+    /// Judges the recovered image. `relaxed_fsync` says the image was
+    /// read back from a store that ran a relaxed fsync strategy, so a
+    /// crash may have lost writes it had buffered; an in-memory image
+    /// or an `always` store has no such loss window.
+    pub fn verdict(&self, relaxed_fsync: bool) -> Verdict {
+        if self.is_clean() {
+            Verdict::Clean
+        } else if relaxed_fsync {
+            Verdict::DurabilityLoss
+        } else if !self.design.is_crash_consistent() {
+            Verdict::Unrecoverable
+        } else {
+            Verdict::Attacked
+        }
+    }
 }
 
 impl SpanProfiler {
@@ -186,12 +231,14 @@ impl SpanProfiler {
 }
 
 impl fmt::Display for RecoveryReport {
+    /// The recovery walk-through: patched counters, root checks and
+    /// the timeline. The verdict depends on the store's fsync strategy
+    /// ([`RecoveryReport::verdict`]), so it is not part of it.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "recovery of a {} image: {} counter lines patched ({} data lines), \
-             {} retries (max {}/line), N_wb {}",
-            self.design,
+            "recovery: {} counter lines patched ({} data lines), {} retries \
+             (max {} per line, N_wb {})",
             self.recovered_counter_lines,
             self.recovered_data_lines,
             self.total_retries,
@@ -200,36 +247,16 @@ impl fmt::Display for RecoveryReport {
         )?;
         writeln!(
             f,
-            "stored tree vs TCB roots: {:?}; rebuilt tree: {:?}",
-            self.stored_root_match, self.rebuilt_root_match
+            "stored tree vs TCB roots: {:?}; rebuilt tree: {:?}; located attacks: {}",
+            self.stored_root_match,
+            self.rebuilt_root_match,
+            self.located.len()
         )?;
-        if self.located.is_empty() {
-            writeln!(f, "no attacks located")?;
-        } else {
-            writeln!(f, "located attacks:")?;
-            for a in &self.located {
-                match a {
-                    LocatedAttack::DataTampered { line } => {
-                        writeln!(f, "  data tampered at {line}")?
-                    }
-                    LocatedAttack::MetadataTampered {
-                        child_level,
-                        child_index,
-                    } => writeln!(
-                        f,
-                        "  metadata tampered at level {child_level} index {child_index}"
-                    )?,
-                }
-            }
-        }
-        if self.potential_replay {
-            writeln!(f, "POTENTIAL REPLAY: N_wb != N_retry")?;
-        }
-        writeln!(f, "recovery timeline ({} cycles):", self.recovery_cycles)?;
+        write!(f, "recovery timeline ({} cycles):", self.recovery_cycles)?;
         for span in &self.timeline {
-            writeln!(
+            write!(
                 f,
-                "  {:<20} {:>10}..{:<10} ops {:>8}  writes {:>6}",
+                "\n  {:<22} {:>10}..{:<10} ops {:>8}  writes {:>6}",
                 span.stage.name(),
                 span.start,
                 span.end,
@@ -237,11 +264,7 @@ impl fmt::Display for RecoveryReport {
                 span.nvm_writes
             )?;
         }
-        write!(
-            f,
-            "verdict: {}",
-            if self.is_clean() { "CLEAN" } else { "ATTACKED" }
-        )
+        Ok(())
     }
 }
 
@@ -537,13 +560,43 @@ mod tests {
         let report = recover(&m.crash_image());
         let text = report.to_string();
         assert!(text.contains("retries"));
-        assert!(text.contains("CLEAN"));
+        assert_eq!(report.verdict(false), Verdict::Clean);
 
         let mut img = m.crash_image();
         crate::attack::spoof_data(&mut img, LineAddr(0));
-        let text = recover(&img).to_string();
-        assert!(text.contains("data tampered at L0x0"));
-        assert!(text.contains("ATTACKED"));
+        let report = recover(&img);
+        assert_eq!(
+            report.located,
+            vec![LocatedAttack::DataTampered { line: LineAddr(0) }]
+        );
+        assert!(report.to_string().contains("located attacks: 1"));
+        assert_eq!(report.verdict(false), Verdict::Attacked);
+    }
+
+    #[test]
+    fn verdict_weighs_the_loss_window_before_the_design() {
+        let mut m = mem(DesignKind::CcNvm);
+        m.write_back(LineAddr(0), 0).unwrap();
+        let clean = recover(&m.crash_image());
+        assert_eq!(clean.verdict(true), Verdict::Clean);
+
+        let mut img = m.crash_image();
+        crate::attack::spoof_data(&mut img, LineAddr(0));
+        let mut unclean = recover(&img);
+        assert_eq!(unclean.verdict(true), Verdict::DurabilityLoss);
+        unclean.design = DesignKind::WithoutCc;
+        assert_eq!(unclean.verdict(false), Verdict::Unrecoverable);
+        assert_eq!(unclean.verdict(true), Verdict::DurabilityLoss);
+        assert_eq!(
+            [
+                Verdict::Clean,
+                Verdict::DurabilityLoss,
+                Verdict::Unrecoverable,
+                Verdict::Attacked
+            ]
+            .map(|v| v.to_string()),
+            ["CLEAN", "DURABILITY LOSS", "UNRECOVERABLE", "ATTACKED"]
+        );
     }
 
     #[test]

@@ -323,7 +323,7 @@ impl SecureMemory {
     pub(crate) fn emit(&mut self, event: Event) {
         self.obs.observe(event);
         if matches!(event, Event::Drain { .. } | Event::Audit { .. }) && self.nvm.flight_active() {
-            self.nvm.flight_note(flight::event_line(&event));
+            self.nvm.flight_note(flight::event_line(&event).into());
             if let Event::Drain {
                 at,
                 stage: DrainStage::Commit,
@@ -333,7 +333,7 @@ impl SecureMemory {
                 // `stats.drains` counts the commit only after it is
                 // emitted, so it is this epoch's zero-based index.
                 self.nvm
-                    .flight_note(flight::epoch_line(at, self.stats.drains));
+                    .flight_note(flight::epoch_line(at, self.stats.drains).into());
             }
         }
     }
@@ -416,7 +416,7 @@ impl SecureMemory {
             .expect("checked above")
             .record(sample);
         if self.nvm.flight_active() {
-            self.nvm.flight_note(flight::metric_line(&sample));
+            self.nvm.flight_note(flight::metric_line(&sample).into());
         }
     }
 

@@ -24,6 +24,7 @@ use crate::obs::{self, profile::Stage, WriteKind};
 use crate::secmem::{pattern, DrainTrigger, SecureMemory};
 use crate::view::{MetaSource, MetaView};
 use ccnvm_crypto::latency::{AES_LATENCY_CYCLES, DIRTY_QUEUE_LOOKUP_CYCLES, HMAC_LATENCY_CYCLES};
+use ccnvm_mem::crashpoint::{self, Boundary};
 use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineStore};
 
 /// Chip-over-NVM metadata view used by full-path tree updates.
@@ -356,22 +357,22 @@ impl SecureMemory {
         // would disagree with `N_wb` after a legal power failure.
         match eager_root {
             Some(root) => {
-                self.nvm.flight_boundary("begin", "root-alternate");
+                self.nvm.flight_boundary(Boundary::RootAlternate.begin());
                 self.tcb.root_new = root;
                 if !self.design().has_drainer() {
                     // SC and Osiris Plus persist the root atomically
                     // with the write-back.
                     self.tcb.root_old = root;
                 }
-                ccnvm_mem::crashpoint::fire("root-alternate");
-                self.nvm.flight_boundary("end", "root-alternate");
+                crashpoint::fire(Boundary::RootAlternate.label());
+                self.nvm.flight_boundary(Boundary::RootAlternate.end());
                 self.obs.note_root_alternation();
             }
             None => {
-                self.nvm.flight_boundary("begin", "nwb-update");
+                self.nvm.flight_boundary(Boundary::NwbUpdate.begin());
                 self.tcb.nwb += 1;
-                ccnvm_mem::crashpoint::fire("nwb-update");
-                self.nvm.flight_boundary("end", "nwb-update");
+                crashpoint::fire(Boundary::NwbUpdate.label());
+                self.nvm.flight_boundary(Boundary::NwbUpdate.end());
                 self.obs.note_nwb_update();
             }
         }

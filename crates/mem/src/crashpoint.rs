@@ -3,8 +3,9 @@
 //! Every persist boundary in the stack — a WPQ line retiring into
 //! durable NVM, a drain stage completing, the `ROOT_old/ROOT_new`
 //! alternation, the `N_wb` register update, each step of a manifest
-//! swap — calls [`fire`] with a stable label. By default the hook is
-//! disarmed and costs one thread-local read. A harness can then:
+//! swap — calls [`fire`] with its [`Boundary`]'s stable label. By
+//! default the hook is disarmed and costs one thread-local read. A
+//! harness can then:
 //!
 //! 1. run a workload under [`record`] to *enumerate* the boundaries it
 //!    crosses, and
@@ -19,6 +20,74 @@
 //! genuine panics untouched.
 
 use std::cell::{Cell, RefCell};
+
+/// One flight-log boundary bracket, spelled out at compile time.
+macro_rules! bracket {
+    ($op:literal, $label:literal) => {
+        concat!(
+            "{\"flight\":\"boundary\",\"op\":\"",
+            $op,
+            "\",\"label\":\"",
+            $label,
+            "\"}"
+        )
+    };
+}
+
+macro_rules! boundaries {
+    ($($(#[$doc:meta])* $variant:ident => $label:literal,)*) => {
+        /// A persist boundary of the stack: the label [`fire`] takes
+        /// there, and the fixed `begin`/`end` flight-log entries
+        /// bracketing it. Every bracket is a `&'static str`, so writing
+        /// one allocates nothing.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Boundary {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Boundary {
+            /// The stable label [`fire`] records and kills at.
+            pub const fn label(self) -> &'static str {
+                match self {
+                    $(Self::$variant => $label,)*
+                }
+            }
+
+            /// The flight entry written before the boundary's action:
+            /// `{"flight":"boundary","op":"begin","label":L}`.
+            pub const fn begin(self) -> &'static str {
+                match self {
+                    $(Self::$variant => bracket!("begin", $label),)*
+                }
+            }
+
+            /// The flight entry written once the boundary's kill point
+            /// passed: `{"flight":"boundary","op":"end","label":L}`.
+            pub const fn end(self) -> &'static str {
+                match self {
+                    $(Self::$variant => bracket!("end", $label),)*
+                }
+            }
+        }
+    };
+}
+
+boundaries! {
+    /// A WPQ line retiring into durable NVM.
+    WpqRetire => "wpq-retire",
+    /// An epoch drain staged, before its `end` signal.
+    DrainStage => "drain-stage",
+    /// The `ROOT_old`/`ROOT_new` alternation.
+    RootAlternate => "root-alternate",
+    /// The `N_wb` register update.
+    NwbUpdate => "nwb-update",
+    /// A step of the file store's manifest swap.
+    ManifestSwap => "manifest-swap",
+}
+
+/// The flight entry a file store writes when a compaction rotates its
+/// sidecar (a marker, not a crash point).
+pub const ROTATE_ENTRY: &str = bracket!("rotate", "compact");
 
 /// Injection mode of the current thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +143,17 @@ pub fn fire(label: &str) {
             }
         }
     }
+}
+
+/// The distinct labels of a [`record`]ed run, in first-crossing order.
+pub fn distinct_labels(labels: &[String]) -> Vec<String> {
+    let mut seen: Vec<String> = Vec::new();
+    for l in labels {
+        if !seen.contains(l) {
+            seen.push(l.clone());
+        }
+    }
+    seen
 }
 
 /// Disarms on drop so a panicking workload cannot leave the thread
@@ -172,6 +252,37 @@ mod tests {
         }
         // Beyond the last boundary the workload survives.
         assert_eq!(kill_at(4, workload).expect("no kill"), 7);
+    }
+
+    #[test]
+    fn distinct_labels_keep_first_crossing_order() {
+        let (_, labels) = record(|| {
+            workload();
+            workload();
+            fire("delta");
+        });
+        assert_eq!(labels.len(), 7);
+        assert_eq!(
+            distinct_labels(&labels),
+            ["alpha", "beta", "gamma", "delta"]
+        );
+    }
+
+    #[test]
+    fn brackets_spell_the_flight_grammar() {
+        assert_eq!(Boundary::NwbUpdate.label(), "nwb-update");
+        assert_eq!(
+            Boundary::WpqRetire.begin(),
+            r#"{"flight":"boundary","op":"begin","label":"wpq-retire"}"#
+        );
+        assert_eq!(
+            Boundary::ManifestSwap.end(),
+            r#"{"flight":"boundary","op":"end","label":"manifest-swap"}"#
+        );
+        assert_eq!(
+            ROTATE_ENTRY,
+            r#"{"flight":"boundary","op":"rotate","label":"compact"}"#
+        );
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! store is not allowed to limp along.
 
 use crate::backend::DurableBackend;
-use crate::crashpoint;
+use crate::crashpoint::{self, Boundary};
 use crate::store::{Line, LineStore};
 use crate::timing::Cycle;
 use crate::LineAddr;
@@ -529,7 +529,7 @@ impl FileBackend {
             self.io_panic("rotate the flight log", e);
         }
         self.flight_pending.clear();
-        self.encode_flight(flight_boundary_line("rotate", "compact").as_bytes());
+        self.encode_flight(crashpoint::ROTATE_ENTRY.as_bytes());
         self.flush_flight();
     }
 
@@ -537,13 +537,13 @@ impl FileBackend {
     /// `always` the entry is fsynced before this returns, so a kill at
     /// the bracketed crash point leaves an unmatched `begin` — the
     /// forensic analyzer's cause signal.
-    fn flight_begin(&mut self, label: &str) {
-        self.flight_append(flight_boundary_line("begin", label).as_bytes());
+    fn flight_begin(&mut self, boundary: Boundary) {
+        self.flight_append(boundary.begin().as_bytes());
     }
 
     /// Emits the completion half of a boundary bracket.
-    fn flight_end(&mut self, label: &str) {
-        self.flight_append(flight_boundary_line("end", label).as_bytes());
+    fn flight_end(&mut self, boundary: Boundary) {
+        self.flight_append(boundary.end().as_bytes());
     }
 
     /// Applies the fsync strategy at a safe point (never inside an
@@ -586,12 +586,12 @@ impl FileBackend {
         if let Err(e) = self.write_manifest() {
             self.io_panic("swap the manifest", e);
         }
-        self.flight_begin("manifest-swap");
+        self.flight_begin(Boundary::ManifestSwap);
         if let Err(e) = self.log.set_len(0).and_then(|()| self.log.sync_data()) {
             self.io_panic("truncate the compacted log", e);
         }
-        crashpoint::fire("manifest-swap");
-        self.flight_end("manifest-swap");
+        crashpoint::fire(Boundary::ManifestSwap.label());
+        self.flight_end(Boundary::ManifestSwap);
         self.records_since_compact = 0;
         self.counters.add(&self.counters.compactions, 1);
         self.rotate_flight();
@@ -600,7 +600,7 @@ impl FileBackend {
     /// Writes `manifest.tmp`, fsyncs it, renames it over `manifest`
     /// and fsyncs the directory — the atomic-replace idiom.
     fn write_manifest(&mut self) -> std::io::Result<()> {
-        self.flight_begin("manifest-swap");
+        self.flight_begin(Boundary::ManifestSwap);
         let mut entries: Vec<(LineAddr, &Line)> = self.mirror.iter().collect();
         entries.sort_unstable_by_key(|&(addr, _)| addr);
         let mut bytes = Vec::with_capacity(8 + 8 + entries.len() * 72 + 4);
@@ -618,15 +618,15 @@ impl FileBackend {
         f.write_all(&bytes)?;
         f.sync_all()?;
         drop(f);
-        crashpoint::fire("manifest-swap");
+        crashpoint::fire(Boundary::ManifestSwap.label());
         std::fs::rename(&tmp, self.dir.join(MANIFEST_FILE))?;
         // Make the rename itself durable; best effort where directory
         // fds cannot be fsynced.
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        crashpoint::fire("manifest-swap");
-        self.flight_end("manifest-swap");
+        crashpoint::fire(Boundary::ManifestSwap.label());
+        self.flight_end(Boundary::ManifestSwap);
         Ok(())
     }
 }
@@ -720,14 +720,6 @@ pub fn read_flight_log(dir: impl AsRef<Path>) -> Result<(Vec<String>, u64), File
         pos += FLIGHT_OVERHEAD + len;
     }
     Ok((entries, (bytes.len() - valid) as u64))
-}
-
-/// The boundary-bracket flight entry: `op` is `begin`, `end` or
-/// `rotate`; `label` names the crash point the bracket straddles.
-/// Shared by the backend's own manifest-swap brackets and the engine's
-/// persist-boundary hooks so the forensic analyzer sees one grammar.
-pub fn flight_boundary_line(op: &str, label: &str) -> String {
-    format!("{{\"flight\":\"boundary\",\"op\":\"{op}\",\"label\":\"{label}\"}}")
 }
 
 struct Replay {

@@ -55,8 +55,8 @@ pub use controller::{
     MemController, MemControllerConfig, MemStats, QueueEvent, QueueKind, QueueRecorder, WearStats,
 };
 pub use file::{
-    flight_boundary_line, read_flight_log, FileBackend, FileBackendConfig, FileBackendError,
-    FileIoCounters, FileIoStats, FsyncStrategy,
+    read_flight_log, FileBackend, FileBackendConfig, FileBackendError, FileIoCounters, FileIoStats,
+    FsyncStrategy,
 };
 pub use ring::Ring;
 pub use store::{Line, LineHasher, LineMap, LineSet, LineStore};

@@ -3,8 +3,10 @@
 //! Once warmed, the steady-state write-back (cc-NVM and SC), read and
 //! epoch-drain paths make no heap allocation at all: counter-to-root
 //! path walks use bounded inline arrays, and drains and cache flushes
-//! reuse scratch buffers. Each of them is checked on the portable
-//! tier and on whatever tier `auto` detects on this host: 8 cases.
+//! reuse scratch buffers. The SC write-back stays allocation-free with
+//! a full flight ring attached, whose boundary brackets are fixed
+//! texts. Each of them is checked on the portable tier and on whatever
+//! tier `auto` detects on this host: 10 cases.
 //!
 //! Crash recovery on a reused [`RecoveryScratch`] keeps only the
 //! allocations it cannot avoid and stays under
@@ -15,6 +17,7 @@
 //! in parallel never see each other's allocations. No simulator code
 //! spawns threads, so the count sees every allocation a gate makes.
 
+use ccnvm::obs::flight::FlightConfig;
 use ccnvm::prelude::*;
 use ccnvm::recovery::{recover_with, RecoveryScratch};
 use ccnvm_crypto::CryptoSelect;
@@ -107,13 +110,22 @@ fn assert_allocation_free(name: &str, hot_path: impl Fn(CryptoSelect) -> u64) {
 }
 
 fn write_back_allocs(design: DesignKind, crypto: CryptoSelect) -> u64 {
+    write_back_allocs_on(memory(design, crypto))
+}
+
+fn write_back_allocs_on(mut m: SecureMemory) -> u64 {
     // Warm-up: first-touch growth of the backing maps and caches
     // happens here, outside the measured region.
-    let mut m = memory(design, crypto);
     for i in 0..WRITE_BACKS {
         m.write_back(addr(i, WB_PAGES), i * 400)
             .expect("attack-free run");
     }
+    // An attached flight ring is full by now, so every measured entry
+    // also evicts one.
+    assert!(
+        m.flight().is_none_or(|ring| ring.dropped() > 0),
+        "the warm-up must overflow the flight ring"
+    );
     allocs_in(|| {
         for i in WRITE_BACKS..2 * WRITE_BACKS {
             m.write_back(addr(i, WB_PAGES), i * 400)
@@ -133,6 +145,16 @@ fn ccnvm_write_back_is_allocation_free() {
 fn sc_write_back_is_allocation_free() {
     assert_allocation_free("write_back_sc", |crypto| {
         write_back_allocs(DesignKind::StrictConsistency, crypto)
+    });
+}
+
+/// Every persisted line writes two boundary brackets into the ring.
+#[test]
+fn sc_write_back_with_a_full_flight_ring_is_allocation_free() {
+    assert_allocation_free("write_back_sc_flight", |crypto| {
+        let mut m = memory(DesignKind::StrictConsistency, crypto);
+        m.attach_flight(FlightConfig::default());
+        write_back_allocs_on(m)
     });
 }
 
