@@ -402,6 +402,37 @@ fn recover_locates_a_line_spoofed_on_the_reopened_file_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `recover` reads a store back and never creates one: a directory
+/// that does not exist is a one-line error, not an empty image judged
+/// ATTACKED.
+#[test]
+fn recover_refuses_a_missing_store_and_creates_nothing() {
+    let dir = fresh_dir("missing-store");
+    let out = bin()
+        .current_dir(&dir)
+        .args([
+            "recover",
+            "--backend",
+            "file:missing",
+            "--bench",
+            "lbm",
+            "--instructions",
+            "20000",
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "stderr was: {err}");
+    assert!(err.contains("no such store"), "stderr was: {err}");
+    assert!(
+        file_names(&dir).is_empty(),
+        "recover created {:?}",
+        file_names(&dir)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn forensics_writes_observer_artifacts_before_the_power_cut() {
     let dir = fresh_dir("forensics-artifacts");

@@ -142,8 +142,10 @@ impl PowerCut {
     ///
     /// # Errors
     ///
-    /// Returns [`FileBackendError`] when the sidecar cannot be read or
-    /// the store cannot be reopened.
+    /// Returns [`FileBackendError::NoStore`] when `dir` holds no
+    /// `commit.log` (reading back never creates a store), and another
+    /// [`FileBackendError`] when the sidecar cannot be read or the
+    /// store cannot be reopened.
     pub fn reopen(
         dir: impl AsRef<Path>,
         backend: FileBackendConfig,
@@ -151,6 +153,11 @@ impl PowerCut {
         tcb: Tcb,
     ) -> Result<PowerCut, FileBackendError> {
         let dir = dir.as_ref();
+        if !dir.join(LOG_FILE).is_file() {
+            return Err(FileBackendError::NoStore {
+                path: dir.to_path_buf(),
+            });
+        }
         let (flight, flight_discarded) = read_flight_log(dir)?;
         let store = FileBackend::open(dir, backend)?;
         let image = CrashImage {

@@ -26,8 +26,7 @@
 //!   the process died inside.
 //! * `{"flight":"event","data":E}` — a [`super::Event`] in its
 //!   `to_json` form (drain stages, audit violations).
-//! * `{"flight":"metric","data":S}` — a sampled
-//!   [`Sample`](super::metrics::Sample).
+//! * `{"flight":"metric","data":S}` — a sampled [`Sample`].
 //! * `{"flight":"epoch","at":N,"index":K}` — an epoch commit marker;
 //!   the highest `index` recovered is the last committed epoch.
 //!

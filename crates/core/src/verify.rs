@@ -5,7 +5,7 @@
 //!
 //! The HMAC checks here are shared by the runtime read path
 //! ([`SecureMemory::read_data`]) and by recovery, which uses the same
-//! [`data_hmac_matches`] primitive while probing counter candidates.
+//! `data_hmac_matches` primitive while probing counter candidates.
 
 use crate::bmt::Bmt;
 use crate::config::DesignKind;

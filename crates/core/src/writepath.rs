@@ -13,7 +13,7 @@
 //!    cc-NVM), ending with the epoch designs' trigger-3/overflow
 //!    drains.
 //!
-//! The counter-to-root path is walked once up front ([`PathLines`])
+//! The counter-to-root path is walked once up front (`PathLines`)
 //! and shared by every phase.
 
 use crate::config::DesignKind;

@@ -123,7 +123,18 @@ pub struct KillSignal {
 /// a [`KillSignal`] when the armed boundary index is reached.
 #[inline]
 pub fn fire(label: &str) {
-    match MODE.with(Cell::get) {
+    let mode = MODE.with(Cell::get);
+    if mode != Mode::Off {
+        fire_armed(mode, label);
+    }
+}
+
+/// [`fire`]'s armed modes, kept out of line so that the disarmed check
+/// stays small enough to inline at every persist boundary.
+#[cold]
+#[inline(never)]
+fn fire_armed(mode: Mode, label: &str) {
+    match mode {
         Mode::Off => {}
         Mode::Record => {
             FIRED.with(|c| c.set(c.get() + 1));

@@ -171,6 +171,12 @@ pub enum FileBackendError {
         /// What was wrong with it.
         detail: String,
     },
+    /// A store was to be read back, but the directory holds none: it
+    /// has no commit log (every opened store creates one).
+    NoStore {
+        /// The directory.
+        path: PathBuf,
+    },
 }
 
 impl fmt::Display for FileBackendError {
@@ -182,6 +188,9 @@ impl fmt::Display for FileBackendError {
             Self::CorruptManifest { path, detail } => {
                 write!(f, "corrupt manifest {}: {detail}", path.display())
             }
+            Self::NoStore { path } => {
+                write!(f, "no such store: {} has no {LOG_FILE}", path.display())
+            }
         }
     }
 }
@@ -190,7 +199,7 @@ impl std::error::Error for FileBackendError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Io { source, .. } => Some(source),
-            Self::CorruptManifest { .. } => None,
+            Self::CorruptManifest { .. } | Self::NoStore { .. } => None,
         }
     }
 }

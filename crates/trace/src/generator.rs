@@ -13,17 +13,37 @@ use ccnvm_rng::Rng;
 /// Word granularity of generated accesses.
 const WORD: u64 = 8;
 
-/// The region the sequential streams wrap within.
-fn stream_region(profile: &WorkloadProfile) -> u64 {
-    let sb = profile.locality.stream_bytes;
-    if sb == 0 {
-        profile.working_set_bytes
+/// `next % region` for a stream pointer that advanced to `next`. A
+/// stream inside its region wraps by one compare and subtract; the
+/// modulo is left for a pointer that started past its region (or a
+/// region smaller than a word).
+#[inline]
+fn wrap(next: u64, region: u64) -> u64 {
+    if next < region {
+        next
+    } else if next - region < region {
+        next - region
     } else {
-        sb.min(profile.working_set_bytes)
+        next % region
     }
 }
 
+/// `x.round() as u32` for every `x ≥ 0`, without the libm call: the
+/// truncation `t`, plus one when the dropped fraction `x − t` is at
+/// least a half. Below 2³² that subtraction is exact; from there up,
+/// ∞ included, both sides saturate to `u32::MAX`, and NaN gives 0 on
+/// both.
+#[inline]
+fn round_gap(x: f64) -> u32 {
+    let t = x as u32;
+    t.saturating_add(u32::from(x - f64::from(t) >= 0.5))
+}
+
 /// Infinite, deterministic stream of trace operations.
+///
+/// The per-op path ([`Iterator::next`]) divides nothing, calls no libm
+/// routine and inlines into its caller: every quotient it needs is
+/// derived once, in [`TraceGenerator::new`].
 ///
 /// # Example
 ///
@@ -43,6 +63,17 @@ pub struct TraceGenerator {
     next_stream: usize,
     cold_window_base: u64,
     cold_accesses: u32,
+    /// Upper end of the uniform gap draw, `2·max(mean_gap, 0)`.
+    gap_bound: f64,
+    /// The region the sequential streams wrap within.
+    stream_region: u64,
+    /// Words in the hot set, the warm set and the cold window.
+    hot_words: u64,
+    warm_words: u64,
+    cold_window_words: u64,
+    /// `hot_prob + warm_prob`: a tier draw below it and not below
+    /// `hot_prob` lands in the warm set.
+    warm_limit: f64,
 }
 
 /// Cold accesses cluster inside a window this large …
@@ -58,8 +89,13 @@ impl TraceGenerator {
     /// Creates a generator for `profile` seeded with `seed`.
     pub fn new(profile: WorkloadProfile, seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
-        let region = stream_region(&profile);
-        let streams = profile.locality.streams.max(1);
+        let ws = profile.working_set_bytes;
+        let loc = &profile.locality;
+        let region = match loc.stream_bytes {
+            0 => ws,
+            sb => sb.min(ws),
+        };
+        let streams = loc.streams.max(1);
         // Concurrent streams start on distinct pages but close together
         // (≤ 2 MB apart), the way stencil/grid codes walk adjacent
         // arrays — this is what lets their Merkle-tree paths share
@@ -72,6 +108,12 @@ impl TraceGenerator {
             })
             .collect();
         Self {
+            gap_bound: 2.0 * profile.mean_gap().max(0.0),
+            stream_region: region,
+            hot_words: loc.hot_bytes.clamp(WORD, ws) / WORD,
+            warm_words: loc.warm_bytes.clamp(WORD, ws) / WORD,
+            cold_window_words: COLD_WINDOW_BYTES.min(ws) / WORD,
+            warm_limit: loc.hot_prob + loc.warm_prob,
             profile,
             rng,
             stream_ptrs,
@@ -88,17 +130,21 @@ impl TraceGenerator {
 
     /// Generates an address; `(addr, force_read)` where `force_read`
     /// marks an access on a read-only stream.
+    #[inline]
     fn gen_addr(&mut self) -> (u64, bool) {
         let ws = self.profile.working_set_bytes;
         let loc = &self.profile.locality;
         if self.rng.gen_bool(loc.stream_fraction) {
             // Continue one of the sequential streams, word by word,
             // wrapping within the stream region.
-            let region = stream_region(&self.profile);
             let idx = self.next_stream;
-            self.next_stream = (self.next_stream + 1) % self.stream_ptrs.len();
+            self.next_stream = if idx + 1 == self.stream_ptrs.len() {
+                0
+            } else {
+                idx + 1
+            };
             let addr = self.stream_ptrs[idx];
-            self.stream_ptrs[idx] = (addr + WORD) % region;
+            self.stream_ptrs[idx] = wrap(addr + WORD, self.stream_region);
             let read_only = loc.write_streams != 0 && idx >= loc.write_streams;
             return (addr, read_only);
         }
@@ -106,33 +152,31 @@ impl TraceGenerator {
         // sets at the base of the working set, cold uniform otherwise.
         let tier = self.rng.gen_range(0.0..1.0);
         if tier < loc.hot_prob {
-            let region = loc.hot_bytes.clamp(WORD, ws);
-            return (self.rng.gen_range(0..region / WORD) * WORD, false);
+            return (self.rng.gen_range(0..self.hot_words) * WORD, false);
         }
-        if tier < loc.hot_prob + loc.warm_prob {
-            let region = loc.warm_bytes.clamp(WORD, ws);
-            return (self.rng.gen_range(0..region / WORD) * WORD, false);
+        if tier < self.warm_limit {
+            return (self.rng.gen_range(0..self.warm_words) * WORD, false);
         }
-        // Cold tier: a sliding window over the full working set.
-        let window = COLD_WINDOW_BYTES.min(ws);
+        // Cold tier: a sliding window over the full working set. The
+        // window starts on a page below `ws` and its offset is below
+        // `ws`, so one subtract wraps their sum.
         if self.cold_accesses.is_multiple_of(COLD_WINDOW_PERIOD) {
-            let pages = ws / 4096;
-            self.cold_window_base = self.rng.gen_range(0..pages) * 4096 % ws;
+            self.cold_window_base = self.rng.gen_range(0..ws / 4096) * 4096;
         }
         self.cold_accesses = self.cold_accesses.wrapping_add(1);
-        let off = self.rng.gen_range(0..window / WORD) * WORD;
-        ((self.cold_window_base + off) % ws, false)
+        let addr = self.cold_window_base + self.rng.gen_range(0..self.cold_window_words) * WORD;
+        (if addr < ws { addr } else { addr - ws }, false)
     }
 }
 
 impl Iterator for TraceGenerator {
     type Item = TraceOp;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceOp> {
-        let mean_gap = self.profile.mean_gap();
         // Uniform on [0, 2·mean]: keeps the configured memory intensity
         // in expectation with bounded burstiness.
-        let gap_instrs = self.rng.gen_range(0.0..=2.0 * mean_gap.max(0.0)).round() as u32;
+        let gap_instrs = round_gap(self.rng.gen_range(0.0..=self.gap_bound));
         let mut kind = if self.rng.gen_bool(self.profile.write_fraction) {
             OpKind::Write
         } else {
@@ -269,6 +313,116 @@ mod tests {
             in_hot as f64 / n as f64 > 0.4,
             "only {in_hot}/{n} accesses in the hot set"
         );
+    }
+
+    /// FNV-1a over the first `n` ops' gap, kind and address bytes.
+    fn digest(gen: TraceGenerator, n: usize) -> u64 {
+        gen.take(n)
+            .flat_map(|op| {
+                let mut b = [0u8; 13];
+                b[..4].copy_from_slice(&op.gap_instrs.to_le_bytes());
+                b[4] = u8::from(op.kind == OpKind::Write);
+                b[5..].copy_from_slice(&op.addr.0.to_le_bytes());
+                b
+            })
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The nine named profiles, the benchmark's 1 GiB read-only
+    /// `irregular(0.3)` cold-read shape, and a 64-byte stream region
+    /// whose second stream starts past it.
+    fn pinned_profiles() -> Vec<WorkloadProfile> {
+        use crate::profiles::LocalityModel;
+        let mut all = profiles::spec2006();
+        all.push(profiles::mixed());
+        all.push(WorkloadProfile::new(
+            "cold-read",
+            400,
+            0.0,
+            1 << 30,
+            LocalityModel::irregular(0.3),
+        ));
+        all.push(WorkloadProfile::new(
+            "tiny-stream",
+            300,
+            0.3,
+            1 << 20,
+            LocalityModel {
+                stream_bytes: 64,
+                ..LocalityModel::streaming(2)
+            },
+        ));
+        all
+    }
+
+    /// Digests of the first 200k ops at seeds 0, 42 and `u64::MAX`,
+    /// captured before the per-op path lost its divisions and its libm
+    /// call: a host-speed change to the generator must keep every draw.
+    #[test]
+    fn output_is_pinned() {
+        // One row per `pinned_profiles()` entry: seeds 0, 42, u64::MAX.
+        #[rustfmt::skip]
+        const PINNED: [[u64; 3]; 11] = [
+            [0xfcf4_fcb4_f3b3_b28a, 0xf3a0_83d0_cf7c_ad72, 0x4ff5_72ab_0c21_0b76], // leslie3d
+            [0xa58e_5d4f_4b85_f77f, 0xbfc2_9508_9253_6e7f, 0x03cf_bb29_d7e7_2972], // libquantum
+            [0x4c93_449c_8293_06c7, 0x6f23_691f_0db1_69b8, 0x28d0_74f2_653f_76c7], // gcc
+            [0x9350_8c23_51b3_93ec, 0x57c4_4fae_155f_211f, 0x326f_22a2_c0b3_d2d9], // lbm
+            [0x258e_b402_501a_7ca6, 0xdfbb_f773_993f_82bd, 0x5aa8_bd51_05c2_6ac2], // soplex
+            [0x61f0_6a13_b803_a837, 0x13cc_5d29_7807_9e3f, 0x1c08_f7e1_88e9_700a], // hmmer
+            [0xd0c8_40e1_c66c_ec63, 0xb135_9704_5ec3_0a7b, 0xe8a7_44e1_207d_4575], // milc
+            [0x919d_8501_02d9_6ce0, 0xab9b_4a46_2a1a_6a6c, 0x6837_5c55_f040_586d], // namd
+            [0xf3c4_ab04_8a22_6d01, 0xeaee_4732_f097_e602, 0x23ff_21df_46fe_99aa], // mixed
+            [0x834c_6c48_98f0_a95a, 0x9eb5_8deb_f9ac_24c5, 0x4edc_6328_15b5_4283], // cold-read
+            [0x75b2_3241_ba7b_5dbb, 0x2c85_f9d2_b380_2926, 0x0066_682b_a3cc_01b6], // tiny-stream
+        ];
+        let profiles = pinned_profiles();
+        assert_eq!(profiles.len(), PINNED.len());
+        for (p, want) in profiles.into_iter().zip(PINNED) {
+            let name = &p.name;
+            for (seed, want) in [0, 42, u64::MAX].into_iter().zip(want) {
+                let gen = TraceGenerator::new(p.clone(), seed);
+                if name == "tiny-stream" {
+                    // The wrap keeps its modulo for exactly this case.
+                    assert!(gen.stream_ptrs[1] >= 64, "seed {seed}: starts inside");
+                }
+                assert_eq!(digest(gen, 200_000), want, "{name} at seed {seed}");
+            }
+        }
+    }
+
+    /// `round_gap` against `f64::round` where the two could part:
+    /// half-way points and their one-ulp neighbours, 0, the widest gap a
+    /// profile draws (1998), the `u32` edge and beyond, ∞, NaN, and a
+    /// seeded sweep over gaps and over every non-negative bit pattern.
+    #[test]
+    fn round_gap_matches_f64_round() {
+        let step = |x: f64, ulps: i64| f64::from_bits(x.to_bits().wrapping_add_signed(ulps));
+        let mut xs = vec![0.0, -0.0, 1998.0, 1e300, f64::MAX, f64::INFINITY, f64::NAN];
+        let ks: [u64; 11] = [
+            0,
+            1,
+            2,
+            999,
+            1997,
+            1998,
+            (1 << 31) - 1,
+            (1 << 32) - 2,
+            (1 << 32) - 1,
+            1 << 32,
+            1 << 52,
+        ];
+        for k in ks {
+            let half = k as f64 + 0.5;
+            xs.extend([k as f64, half, step(half, -1), step(half, 1)]);
+        }
+        let mut rng = Rng::seed_from_u64(11);
+        xs.extend((0..100_000).map(|_| rng.gen_range(0.0..=1998.0)));
+        xs.extend((0..100_000).map(|_| f64::from_bits(rng.next_u64() >> 1)));
+        for x in xs {
+            assert_eq!(round_gap(x), x.round() as u32, "x = {x:e}");
+        }
     }
 
     #[test]
