@@ -5,22 +5,21 @@
 //! the cost of strict consistency (SC vs w/o CC).
 //!
 //! ```text
-//! cargo run -p ccnvm-bench --release --bin fig5 [instructions] [threads]
+//! cargo run -p ccnvm-bench --release --bin fig5 -- [instructions] [threads]
 //! ```
 //!
 //! The benchmark × design matrix points are independent simulations;
-//! they run on `threads` workers (default: all cores, or
-//! `CCNVM_BENCH_THREADS`). Results are identical at any thread count.
+//! they run on `threads` workers (default: all cores). Results are
+//! identical at any thread count.
 
 use ccnvm::prelude::*;
-use ccnvm_bench::{
-    geomean, instructions_from_args, mean, parallel::parallel_map, row, run_design,
-    threads_from_args,
-};
+use ccnvm_bench::{geomean, mean, parallel::parallel_map, row, run_design, Args};
 
 fn main() {
-    let instructions = instructions_from_args();
-    let threads = threads_from_args();
+    let Args {
+        instructions,
+        threads,
+    } = Args::from_command_line();
     let suite = profiles::spec2006();
     let designs = DesignKind::ALL;
 
@@ -44,67 +43,16 @@ fn main() {
         run_design(*design, profile, instructions)
     });
     // bench -> design -> stats
-    let results: Vec<Vec<RunStats>> = flat
-        .chunks(designs.len())
-        .map(<[RunStats]>::to_vec)
-        .collect();
-
-    let header: Vec<String> = designs.iter().map(|d| d.label().to_string()).collect();
-
-    println!("\n(a) IPC, normalized to w/o CC");
-    println!("{}", row("benchmark", &header));
-    let mut norm_ipc: Vec<Vec<f64>> = vec![Vec::new(); designs.len()];
-    for (profile, per_design) in suite.iter().zip(&results) {
-        let base = per_design[0].ipc();
-        let cells: Vec<String> = per_design
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let v = s.ipc() / base;
-                norm_ipc[i].push(v);
-                format!("{v:.3}")
-            })
-            .collect();
-        println!("{}", row(&profile.name, &cells));
-    }
-    let avg_ipc: Vec<f64> = norm_ipc.iter().map(|v| geomean(v)).collect();
-    println!(
-        "{}",
-        row(
-            "average",
-            &avg_ipc
-                .iter()
-                .map(|v| format!("{v:.3}"))
-                .collect::<Vec<_>>()
-        )
-    );
-
-    println!("\n(b) # of NVM writes, normalized to w/o CC");
-    println!("{}", row("benchmark", &header));
-    let mut norm_writes: Vec<Vec<f64>> = vec![Vec::new(); designs.len()];
-    for (profile, per_design) in suite.iter().zip(&results) {
-        let base = per_design[0].total_writes() as f64;
-        let cells: Vec<String> = per_design
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let v = s.total_writes() as f64 / base;
-                norm_writes[i].push(v);
-                format!("{v:.3}")
-            })
-            .collect();
-        println!("{}", row(&profile.name, &cells));
-    }
-    let avg_writes: Vec<f64> = norm_writes.iter().map(|v| mean(v)).collect();
-    println!(
-        "{}",
-        row(
-            "average",
-            &avg_writes
-                .iter()
-                .map(|v| format!("{v:.3}"))
-                .collect::<Vec<_>>()
-        )
+    let results: Vec<&[RunStats]> = flat.chunks(designs.len()).collect();
+    let header: Vec<&str> = designs.iter().map(|d| d.label()).collect();
+    let avg_ipc = normalized_table("(a) IPC", &header, &suite, &results, RunStats::ipc, geomean);
+    let avg_writes = normalized_table(
+        "(b) # of NVM writes",
+        &header,
+        &suite,
+        &results,
+        |s| s.total_writes() as f64,
+        mean,
     );
 
     // Headline numbers (abstract / §5): cc-NVM vs Osiris Plus.
@@ -129,13 +77,7 @@ fn main() {
         "{}",
         row(
             "benchmark",
-            &[
-                "IPC".into(),
-                "L2 MPKI".into(),
-                "WB/ki".into(),
-                "meta hit%".into(),
-                "wb/epoch*".into(),
-            ]
+            &["IPC", "L2 MPKI", "WB/ki", "meta hit%", "wb/epoch*"]
         )
     );
     for (profile, per_design) in suite.iter().zip(&results) {
@@ -154,4 +96,37 @@ fn main() {
         println!("{}", row(&profile.name, &cells));
     }
     println!("* wb/epoch measured on the cc-NVM run");
+}
+
+/// Prints one panel of the figure: `metric` per benchmark and design,
+/// normalized to the w/o CC column, then each design's `average` over
+/// the benchmarks. Returns those averages.
+fn normalized_table(
+    title: &str,
+    header: &[&str],
+    suite: &[WorkloadProfile],
+    results: &[&[RunStats]],
+    metric: fn(&RunStats) -> f64,
+    average: fn(&[f64]) -> f64,
+) -> Vec<f64> {
+    println!("\n{title}, normalized to w/o CC");
+    println!("{}", row("benchmark", header));
+    let mut columns: Vec<Vec<f64>> = vec![Vec::new(); header.len()];
+    for (profile, per_design) in suite.iter().zip(results) {
+        let base = metric(&per_design[0]);
+        let cells: Vec<String> = per_design
+            .iter()
+            .zip(&mut columns)
+            .map(|(s, column)| {
+                let v = metric(s) / base;
+                column.push(v);
+                format!("{v:.3}")
+            })
+            .collect();
+        println!("{}", row(&profile.name, &cells));
+    }
+    let averages: Vec<f64> = columns.iter().map(|c| average(c)).collect();
+    let cells: Vec<String> = averages.iter().map(|v| format!("{v:.3}")).collect();
+    println!("{}", row("average", &cells));
+    averages
 }

@@ -10,57 +10,81 @@
 //! trends).
 //!
 //! ```text
-//! cargo run -p ccnvm-bench --release --bin fig6 [instructions] [threads]
+//! cargo run -p ccnvm-bench --release --bin fig6 -- [instructions] [threads]
 //! ```
 //!
 //! Every (N, M, design) sweep point is an independent simulation; the
-//! whole matrix runs on `threads` workers (default: all cores, or
-//! `CCNVM_BENCH_THREADS`) with results identical at any thread count.
+//! whole matrix runs on `threads` workers (default: all cores) with
+//! results identical at any thread count.
 
 use ccnvm::prelude::*;
-use ccnvm_bench::{
-    instructions_from_args, parallel::parallel_map, row, run_design_with, threads_from_args,
-};
+use ccnvm_bench::{parallel::parallel_map, row, run_design_with, Args};
 
 const DESIGNS: [DesignKind; 3] = [
     DesignKind::OsirisPlus,
     DesignKind::CcNvmNoDs,
     DesignKind::CcNvm,
 ];
+/// cc-NVM's column in [`DESIGNS`].
+const CC_NVM: usize = 2;
 
-fn config(design: DesignKind, n: u32, m: usize) -> SimConfig {
-    let mut c = SimConfig::paper(design);
-    c.update_limit = n;
-    c.dirty_queue_entries = m;
-    c
+/// One panel of the figure: a trigger swept over `values`, the other
+/// one left at its paper setting (N = 16, M = 64).
+struct Panel {
+    title: &'static str,
+    knob: &'static str,
+    values: [u32; 5],
+    set: fn(&mut SimConfig, u32),
 }
 
-const NS: [u32; 5] = [4, 8, 16, 32, 64];
-const MS: [usize; 5] = [32, 40, 48, 56, 64];
+const PANELS: [Panel; 2] = [
+    Panel {
+        title: "(a) varying update-times limit N (M = 64)",
+        knob: "N",
+        values: [4, 8, 16, 32, 64],
+        set: |c, n| c.update_limit = n,
+    },
+    // Osiris Plus has no dirty address queue; M only matters for the
+    // epoch designs (the paper plots it flat).
+    Panel {
+        title: "(b) varying dirty address queue entries M (N = 16)",
+        knob: "M",
+        values: [32, 40, 48, 56, 64],
+        set: |c, m| c.dirty_queue_entries = m as usize,
+    },
+];
+
+/// A per-point quantity the figure plots.
+type Metric = fn(&RunStats) -> f64;
+
+/// What each panel plots, normalized to the w/o CC baseline.
+const METRICS: [(&str, Metric); 2] = [
+    ("IPC", RunStats::ipc),
+    ("# of writes", |s| s.total_writes() as f64),
+];
 
 fn main() {
-    let instructions = instructions_from_args();
-    let threads = threads_from_args();
+    let Args {
+        instructions,
+        threads,
+    } = Args::from_command_line();
     let profile = profiles::mixed();
     println!(
         "Figure 6 — {} instructions per point, mixed workload, paper configuration\n",
         instructions
     );
 
-    // One flat matrix: the baseline, then the N-sweep, then the
-    // M-sweep — every point an independent simulation, fanned out
+    // One flat matrix: the baseline, then each panel's points, value
+    // by value — every point an independent simulation, fanned out
     // across workers with results in input order.
-    let mut configs = vec![config(DesignKind::WithoutCc, 16, 64)];
-    for n in NS {
-        for design in DESIGNS {
-            configs.push(config(design, n, 64));
-        }
-    }
-    for m in MS {
-        for design in DESIGNS {
-            // Osiris Plus has no dirty address queue; M only matters
-            // for the epoch designs (the paper plots it flat).
-            configs.push(config(design, 16, m));
+    let mut configs = vec![SimConfig::paper(DesignKind::WithoutCc)];
+    for panel in &PANELS {
+        for value in panel.values {
+            for design in DESIGNS {
+                let mut c = SimConfig::paper(design);
+                (panel.set)(&mut c, value);
+                configs.push(c);
+            }
         }
     }
     eprintln!(
@@ -71,76 +95,47 @@ fn main() {
         run_design_with(c.clone(), &profile, instructions)
     });
 
-    let baseline = &stats[0];
-    let base_ipc = baseline.ipc();
-    let base_writes = baseline.total_writes() as f64;
+    let (baseline, points) = stats.split_first().expect("the baseline point");
+    let normalized = |metric: Metric, s| metric(s) / metric(baseline);
 
-    let header: Vec<String> = DESIGNS.iter().map(|d| d.label().to_string()).collect();
-
-    println!("(a) varying update-times limit N (M = 64), normalized to w/o CC");
-    println!("{}", row("N", &header));
-    let mut table_a = Vec::new();
-    for (i, n) in NS.into_iter().enumerate() {
-        let mut ipc_cells = Vec::new();
-        let mut write_cells = Vec::new();
-        for (j, _) in DESIGNS.iter().enumerate() {
-            let s = &stats[1 + i * DESIGNS.len() + j];
-            ipc_cells.push(s.ipc() / base_ipc);
-            write_cells.push(s.total_writes() as f64 / base_writes);
+    let header: Vec<&str> = DESIGNS.iter().map(|d| d.label()).collect();
+    // value -> design -> stats, panel after panel
+    let mut rows = points.chunks(DESIGNS.len());
+    let mut trends = Vec::new();
+    for (i, panel) in PANELS.iter().enumerate() {
+        if i > 0 {
+            println!();
         }
-        table_a.push((n, ipc_cells, write_cells));
-    }
-    println!("  IPC:");
-    for (n, ipc, _) in &table_a {
-        let cells: Vec<String> = ipc.iter().map(|v| format!("{v:.3}")).collect();
-        println!("{}", row(&format!("  N={n}"), &cells));
-    }
-    println!("  # of writes:");
-    for (n, _, w) in &table_a {
-        let cells: Vec<String> = w.iter().map(|v| format!("{v:.3}")).collect();
-        println!("{}", row(&format!("  N={n}"), &cells));
-    }
-
-    println!("\n(b) varying dirty address queue entries M (N = 16), normalized to w/o CC");
-    println!("{}", row("M", &header));
-    let mut table_b = Vec::new();
-    let b_offset = 1 + NS.len() * DESIGNS.len();
-    for (i, m) in MS.into_iter().enumerate() {
-        let mut ipc_cells = Vec::new();
-        let mut write_cells = Vec::new();
-        for (j, _) in DESIGNS.iter().enumerate() {
-            let s = &stats[b_offset + i * DESIGNS.len() + j];
-            ipc_cells.push(s.ipc() / base_ipc);
-            write_cells.push(s.total_writes() as f64 / base_writes);
+        println!("{}, normalized to w/o CC", panel.title);
+        println!("{}", row(panel.knob, &header));
+        let rows: Vec<&[RunStats]> = rows.by_ref().take(panel.values.len()).collect();
+        for (name, metric) in METRICS {
+            println!("  {name}:");
+            for (value, per_design) in panel.values.iter().zip(&rows) {
+                let cells: Vec<String> = per_design
+                    .iter()
+                    .map(|s| format!("{:.3}", normalized(metric, s)))
+                    .collect();
+                println!("{}", row(&format!("  {}={value}", panel.knob), &cells));
+            }
         }
-        table_b.push((m, ipc_cells, write_cells));
-    }
-    println!("  IPC:");
-    for (m, ipc, _) in &table_b {
-        let cells: Vec<String> = ipc.iter().map(|v| format!("{v:.3}")).collect();
-        println!("{}", row(&format!("  M={m}"), &cells));
-    }
-    println!("  # of writes:");
-    for (m, _, w) in &table_b {
-        let cells: Vec<String> = w.iter().map(|v| format!("{v:.3}")).collect();
-        println!("{}", row(&format!("  M={m}"), &cells));
+        // cc-NVM from the panel's first value to its last.
+        let [(_, ipc), (_, writes)] = METRICS;
+        let (first, last) = (&rows[0][CC_NVM], &rows[rows.len() - 1][CC_NVM]);
+        let ipc_gain = normalized(ipc, last) / normalized(ipc, first);
+        let write_cut = normalized(writes, first) / normalized(writes, last);
+        trends.push(format!(
+            "{} {}→{} gives {:.1}% IPC, {:.1}% fewer writes",
+            panel.knob,
+            panel.values[0],
+            panel.values[panel.values.len() - 1],
+            (ipc_gain - 1.0) * 100.0,
+            (1.0 - 1.0 / write_cut) * 100.0
+        ));
     }
 
     // Trend summary (paper: larger N/M -> longer epochs -> better IPC,
     // fewer writes; effect of N saturates past ~32, of M past ~48).
-    let cc = 2; // cc-NVM column
-    let n_ipc_gain = table_a.last().unwrap().1[cc] / table_a.first().unwrap().1[cc];
-    let n_write_cut = table_a.first().unwrap().2[cc] / table_a.last().unwrap().2[cc];
-    let m_ipc_gain = table_b.last().unwrap().1[cc] / table_b.first().unwrap().1[cc];
-    let m_write_cut = table_b.first().unwrap().2[cc] / table_b.last().unwrap().2[cc];
-    println!(
-        "\ncc-NVM trend: N 4→64 gives {:.1}% IPC, {:.1}% fewer writes;",
-        (n_ipc_gain - 1.0) * 100.0,
-        (1.0 - 1.0 / n_write_cut) * 100.0
-    );
-    println!(
-        "              M 32→64 gives {:.1}% IPC, {:.1}% fewer writes.",
-        (m_ipc_gain - 1.0) * 100.0,
-        (1.0 - 1.0 / m_write_cut) * 100.0
-    );
+    println!("\ncc-NVM trend: {};", trends[0]);
+    println!("              {}.", trends[1]);
 }

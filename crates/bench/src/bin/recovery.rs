@@ -13,19 +13,103 @@
 //!    whether it was detected and whether it was *located*.
 //!
 //! ```text
-//! cargo run -p ccnvm-bench --release --bin recovery [instructions]
+//! cargo run -p ccnvm-bench --release --bin recovery -- [instructions] [threads]
 //! ```
+//!
+//! Part 1's crash points are independent simulations run on `threads`
+//! workers (default: all cores); results are identical at any thread
+//! count. Part 1 re-simulates the workload to each of its crash points,
+//! so the instruction budget is capped at 400 000.
 
 use ccnvm::attack;
+use ccnvm::layout::SecureLayout;
 use ccnvm::prelude::*;
-use ccnvm::recovery::RootMatch;
-use ccnvm_bench::row;
+use ccnvm_bench::{parallel::parallel_map, row, Args, SEED};
 use ccnvm_mem::LineAddr;
 
-const CRASH_POINTS: usize = 8;
+const CRASH_POINTS: u64 = 8;
+
+/// The crash-consistent designs.
+const DESIGNS: [DesignKind; 4] = [
+    DesignKind::StrictConsistency,
+    DesignKind::OsirisPlus,
+    DesignKind::CcNvmNoDs,
+    DesignKind::CcNvm,
+];
+
+/// One attack column of part 2: the two crash images it starts from
+/// (the older one supplies the replayed state), how it tampers with the
+/// newer one, and which located attack counts as locating it.
+struct Attack {
+    name: &'static str,
+    images: fn(DesignKind) -> (CrashImage, CrashImage),
+    tamper: fn(&mut CrashImage, &CrashImage),
+    located: fn(&LocatedAttack) -> bool,
+}
+
+const ATTACKS: [Attack; 5] = [
+    Attack {
+        name: "spoof",
+        images: two_epoch_images,
+        tamper: |img, _| attack::spoof_data(img, LineAddr(0)),
+        located: names_line_0,
+    },
+    Attack {
+        name: "splice",
+        images: two_epoch_images,
+        tamper: |img, _| attack::splice_data(img, LineAddr(0), LineAddr(64)),
+        located: names_line_0,
+    },
+    Attack {
+        name: "ctr replay",
+        images: two_epoch_images,
+        tamper: |img, old| {
+            let ctr = SecureLayout::new(img.capacity_bytes).counter_line_of(LineAddr(0));
+            attack::replay_counter(img, old, ctr);
+        },
+        located: |a| matches!(a, LocatedAttack::MetadataTampered { .. }),
+    },
+    Attack {
+        name: "data replay",
+        images: two_epoch_images,
+        tamper: |img, old| attack::replay_data(img, old, LineAddr(0)),
+        located: names_line_0,
+    },
+    // The Figure-4 window: crash *mid-epoch*, then replay a freshly
+    // written line to its previous version — locally consistent,
+    // caught only by N_wb / the eager root.
+    Attack {
+        name: "fig4 replay",
+        images: mid_epoch_images,
+        tamper: |img, old| attack::replay_data(img, old, LineAddr(0)),
+        located: |a| matches!(a, LocatedAttack::DataTampered { .. }),
+    },
+];
+
+fn names_line_0(attack: &LocatedAttack) -> bool {
+    matches!(attack, LocatedAttack::DataTampered { line } if *line == LineAddr(0))
+}
+
+/// LOCATED when recovery names what `located` accepts, detected when it
+/// only finds the image unclean (Osiris Plus ignores stored tree nodes,
+/// so a counter replay shows only in its rebuilt root), MISSED when it
+/// finds the image clean.
+fn classify(report: &RecoveryReport, located: fn(&LocatedAttack) -> bool) -> &'static str {
+    if report.located.iter().any(located) {
+        "LOCATED"
+    } else if !report.is_clean() {
+        "detected"
+    } else {
+        "MISSED"
+    }
+}
 
 fn main() {
-    let instructions = ccnvm_bench::instructions_from_args().min(400_000);
+    let Args {
+        instructions,
+        threads,
+    } = Args::from_command_line();
+    let instructions = instructions.min(400_000);
     let profile = profiles::mixed();
 
     println!("§4.4 — crash recovery and attack locating\n");
@@ -34,40 +118,29 @@ fn main() {
         "{}",
         row(
             "design",
-            &[
-                "crashes".into(),
-                "clean".into(),
-                "max retries/line".into(),
-                "ctr lines".into(),
-            ]
+            &["crashes", "clean", "max retries/line", "ctr lines"]
         )
     );
-    for design in [
-        DesignKind::StrictConsistency,
-        DesignKind::OsirisPlus,
-        DesignKind::CcNvmNoDs,
-        DesignKind::CcNvm,
-    ] {
-        let mut clean = 0usize;
-        let mut max_retries = 0u64;
-        let mut recovered = 0u64;
-        for point in 1..=CRASH_POINTS {
-            let mut sim = Simulator::new(SimConfig::paper(design)).expect("valid config");
-            let trace = TraceGenerator::new(profile.clone(), ccnvm_bench::SEED);
-            let budget = instructions * point as u64 / CRASH_POINTS as u64;
-            sim.run(trace, budget).expect("attack-free run");
-            let report = recover(&sim.memory().crash_image());
-            if report.is_clean() {
-                clean += 1;
-            }
-            let truth = sim.memory().ground_truth();
-            assert_eq!(
-                report.rebuilt_root, truth.current_root,
-                "{design}: recovery must reconstruct the exact pre-crash state"
-            );
-            max_retries = max_retries.max(report.max_line_retries);
-            recovered += report.recovered_counter_lines;
-        }
+    let points: Vec<(DesignKind, u64)> = DESIGNS
+        .iter()
+        .flat_map(|&d| (1..=CRASH_POINTS).map(move |p| (d, instructions * p / CRASH_POINTS)))
+        .collect();
+    let reports = parallel_map(&points, threads, |_, &(design, budget)| {
+        let mut sim = Simulator::new(SimConfig::paper(design)).expect("valid config");
+        sim.run(TraceGenerator::new(profile.clone(), SEED), budget)
+            .expect("attack-free run");
+        let report = recover(&sim.memory().crash_image());
+        assert_eq!(
+            report.rebuilt_root,
+            sim.memory().ground_truth().current_root,
+            "{design}: recovery must reconstruct the exact pre-crash state"
+        );
+        report
+    });
+    for (design, reports) in DESIGNS.iter().zip(reports.chunks(CRASH_POINTS as usize)) {
+        let clean = reports.iter().filter(|r| r.is_clean()).count();
+        let max_retries = reports.iter().map(|r| r.max_line_retries).fold(0, u64::max);
+        let recovered: u64 = reports.iter().map(|r| r.recovered_counter_lines).sum();
         println!(
             "{}",
             row(
@@ -83,120 +156,22 @@ fn main() {
     }
 
     println!("\n== part 2: attack detection & locating (crash images) ==");
-    println!(
-        "{}",
-        row(
-            "design",
-            &[
-                "spoof".into(),
-                "splice".into(),
-                "ctr replay".into(),
-                "data replay".into(),
-                "fig4 replay".into(),
-            ]
-        )
-    );
-    for design in [
-        DesignKind::StrictConsistency,
-        DesignKind::OsirisPlus,
-        DesignKind::CcNvmNoDs,
-        DesignKind::CcNvm,
-    ] {
-        let (old, img) = two_epoch_images(design);
-        let spoof = {
-            let mut img = img.clone();
-            attack::spoof_data(&mut img, LineAddr(0));
-            verdict(&recover(&img), LineAddr(0))
-        };
-        let splice = {
-            let mut img = img.clone();
-            attack::splice_data(&mut img, LineAddr(0), LineAddr(64));
-            verdict(&recover(&img), LineAddr(0))
-        };
-        let ctr_replay = {
-            let mut img = img.clone();
-            let ctr =
-                ccnvm::layout::SecureLayout::new(img.capacity_bytes).counter_line_of(LineAddr(0));
-            attack::replay_counter(&mut img, &old, ctr);
-            let r = recover(&img);
-            if design == DesignKind::OsirisPlus {
-                // Osiris ignores stored tree nodes; detection is via
-                // the rebuilt root only.
-                detect_only(&r)
-            } else if r
-                .located
-                .iter()
-                .any(|a| matches!(a, LocatedAttack::MetadataTampered { .. }))
-            {
-                "LOCATED"
-            } else {
-                detect_only(&r)
-            }
-        };
-        let data_replay = {
-            let mut img = img.clone();
-            attack::replay_data(&mut img, &old, LineAddr(0));
-            let r = recover(&img);
-            if r.located
-                .iter()
-                .any(|a| matches!(a, LocatedAttack::DataTampered { line } if *line == LineAddr(0)))
-            {
-                "LOCATED"
-            } else if r.potential_replay || !r.is_clean() {
-                "detected"
-            } else {
-                "MISSED"
-            }
-        };
-        let fig4 = {
-            // The Figure-4 window: crash *mid-epoch*, then replay a
-            // freshly written line to its previous version — locally
-            // consistent, caught only by N_wb / the eager root.
-            let (old, mut img) = mid_epoch_images(design);
-            attack::replay_data(&mut img, &old, LineAddr(0));
-            let r = recover(&img);
-            if r.located
-                .iter()
-                .any(|a| matches!(a, LocatedAttack::DataTampered { .. }))
-            {
-                "LOCATED"
-            } else if r.potential_replay || !r.is_clean() {
-                "detected"
-            } else {
-                "MISSED"
-            }
-        };
-        println!(
-            "{}",
-            row(
-                design.label(),
-                &[
-                    spoof.into(),
-                    splice.into(),
-                    ctr_replay.into(),
-                    data_replay.into(),
-                    fig4.into(),
-                ]
-            )
-        );
+    println!("{}", row("design", &ATTACKS.map(|a| a.name)));
+    for design in DESIGNS {
+        let cells = ATTACKS.map(|a| {
+            let (old, mut img) = (a.images)(design);
+            (a.tamper)(&mut img, &old);
+            classify(&recover(&img), a.located)
+        });
+        println!("{}", row(design.label(), &cells));
     }
+
     println!("\n== part 3: recovery-phase timeline (cc-NVM, deepest crash point) ==");
-    let mut sim = Simulator::new(SimConfig::paper(DesignKind::CcNvm)).expect("valid config");
-    let trace = TraceGenerator::new(profile.clone(), ccnvm_bench::SEED);
-    sim.run(trace, instructions).expect("attack-free run");
-    let report = recover(&sim.memory().crash_image());
+    // Part 1's last point: cc-NVM crashed at the end of the budget.
+    let report = reports.last().expect("cc-NVM's deepest crash");
     println!(
         "{}",
-        row(
-            "phase",
-            &[
-                "start".into(),
-                "end".into(),
-                "cycles".into(),
-                "ops".into(),
-                "writes".into(),
-            ]
-        )
+        row("phase", &["start", "end", "cycles", "ops", "writes"])
     );
     for span in &report.timeline {
         println!(
@@ -228,27 +203,6 @@ fn main() {
     println!(
         "(SC locates too but at 5-7x write traffic; Osiris Plus can only detect, not locate)."
     );
-}
-
-fn detect_only(r: &RecoveryReport) -> &'static str {
-    if r.rebuilt_root_match == RootMatch::Neither || r.potential_replay || !r.is_clean() {
-        "detected"
-    } else {
-        "MISSED"
-    }
-}
-
-fn verdict(r: &RecoveryReport, line: LineAddr) -> &'static str {
-    if r.located
-        .iter()
-        .any(|a| matches!(a, LocatedAttack::DataTampered { line: l } if *l == line))
-    {
-        "LOCATED"
-    } else if !r.is_clean() {
-        "detected"
-    } else {
-        "MISSED"
-    }
 }
 
 /// Like [`two_epoch_images`] but the second image is taken *mid-epoch*

@@ -13,7 +13,7 @@
 //! commit.
 //!
 //! ```text
-//! cargo run -p ccnvm-bench --release --bin wear [instructions] [threads]
+//! cargo run -p ccnvm-bench --release --bin wear -- [instructions] [threads]
 //! ```
 //!
 //! Every design runs the same mixed workload and seed; each report is
@@ -22,7 +22,7 @@
 
 use ccnvm::obs::wear::WearReport;
 use ccnvm::prelude::*;
-use ccnvm_bench::{instructions_from_args, parallel::parallel_map, row, threads_from_args, SEED};
+use ccnvm_bench::{parallel::parallel_map, row, Args, SEED};
 
 fn run(design: DesignKind, instructions: u64) -> WearReport {
     let profile = profiles::mixed();
@@ -45,8 +45,10 @@ fn run(design: DesignKind, instructions: u64) -> WearReport {
 }
 
 fn main() {
-    let instructions = instructions_from_args();
-    let threads = threads_from_args();
+    let Args {
+        instructions,
+        threads,
+    } = Args::from_command_line();
     println!(
         "Write provenance — mixed workload, {} instructions per design\n",
         instructions
@@ -54,7 +56,7 @@ fn main() {
     let designs: Vec<DesignKind> = DesignKind::ALL.to_vec();
     let reports = parallel_map(&designs, threads, |_, &d| run(d, instructions));
 
-    let slugs: Vec<String> = designs.iter().map(|d| d.slug().to_owned()).collect();
+    let slugs: Vec<&str> = designs.iter().map(|d| d.slug()).collect();
 
     // Per-cause contribution to write amplification: line-writes of
     // that cause per data line-write. The "data" row is 1.000 by
@@ -93,14 +95,7 @@ fn main() {
         "{}",
         row(
             "design",
-            &[
-                "resolved".into(),
-                "pending".into(),
-                "p50".into(),
-                "p99".into(),
-                "p999".into(),
-                "max".into()
-            ]
+            &["resolved", "pending", "p50", "p99", "p999", "max"]
         )
     );
     for (d, r) in designs.iter().zip(&reports) {
@@ -125,12 +120,7 @@ fn main() {
         "{}",
         row(
             "design",
-            &[
-                "root alts".into(),
-                "nwb updates".into(),
-                "hottest line".into(),
-                "max writes".into()
-            ]
+            &["root alts", "nwb updates", "hottest line", "max writes"]
         )
     );
     for (d, r) in designs.iter().zip(&reports) {

@@ -7,12 +7,15 @@
 //! | `fig5`       | Figure 5(a) IPC and 5(b) NVM write traffic, plus the abstract's headline deltas and §2.3's SC vs w/o CC cost |
 //! | `fig6`       | Figure 6(a) N-sweep and 6(b) M-sweep |
 //! | `recovery`   | §4.4: crash recovery and attack locating |
+//! | `ablation`   | sensitivity to the model's fixed parameters, and wear per design |
+//! | `wear`       | Figure 5(b)'s write traffic decomposed by cause, and the durability lag |
 //!
-//! All binaries accept an optional instruction budget argument
-//! (default [`DEFAULT_INSTRUCTIONS`]) and honour a fixed seed so runs
-//! are reproducible.
+//! Every binary takes the same command line, `[instructions]
+//! [threads]`, parsed by [`Args`], and runs at the fixed [`SEED`], so
+//! its output is reproducible and byte-identical at any thread count.
 
 use ccnvm::prelude::*;
+use std::path::Path;
 
 pub mod parallel;
 
@@ -46,19 +49,65 @@ pub fn run_design_with(
         .unwrap_or_else(|e| panic!("{}/{}: {e}", profile.name, instructions))
 }
 
-/// Parses the optional instruction-budget CLI argument.
-pub fn instructions_from_args() -> u64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.replace('_', "").parse().ok())
-        .unwrap_or(DEFAULT_INSTRUCTIONS)
+/// The figure binaries' command line: `[instructions] [threads]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Args {
+    /// Instructions per simulation point ([`DEFAULT_INSTRUCTIONS`]
+    /// when omitted).
+    pub instructions: u64,
+    /// Workers for the independent simulation points (the host's
+    /// available parallelism when omitted).
+    pub threads: usize,
 }
 
-/// Parses the optional worker-thread-count CLI argument (second
-/// positional), falling back to `CCNVM_BENCH_THREADS` and then to the
-/// machine's available parallelism.
-pub fn threads_from_args() -> usize {
-    parallel::thread_count(std::env::args().nth(2).and_then(|s| s.parse().ok()))
+impl Args {
+    /// Parses the arguments after the program name. Both are positive
+    /// integers and may contain `_` separators.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the first argument that is not a
+    /// positive integer, or the first one past the second.
+    pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Args, String> {
+        let arg = |i: usize| argv.get(i).map(AsRef::as_ref);
+        let args = Args {
+            instructions: positive("instructions", arg(0))?.unwrap_or(DEFAULT_INSTRUCTIONS),
+            threads: parallel::thread_count(positive("threads", arg(1))?),
+        };
+        match arg(2) {
+            Some(extra) => Err(format!("unexpected argument {extra:?}")),
+            None => Ok(args),
+        }
+    }
+
+    /// [`Args::parse`] over this process's arguments. An invalid
+    /// command line is reported on one stderr line, with the usage,
+    /// and exits with status 2 before anything runs.
+    pub fn from_command_line() -> Args {
+        let argv: Vec<String> = std::env::args().collect();
+        let program = argv
+            .first()
+            .and_then(|p| Path::new(p).file_name()?.to_str())
+            .unwrap_or("figure");
+        Args::parse(argv.get(1..).unwrap_or_default()).unwrap_or_else(|e| {
+            eprintln!("error: {e} (usage: {program} [instructions] [threads])");
+            std::process::exit(2)
+        })
+    }
+}
+
+/// `arg` as a positive integer, `None` when absent.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    name: &str,
+    arg: Option<&str>,
+) -> Result<Option<T>, String> {
+    let Some(s) = arg else {
+        return Ok(None);
+    };
+    match s.replace('_', "").parse() {
+        Ok(n) if n != T::default() => Ok(Some(n)),
+        _ => Err(format!("{name} must be a positive integer, got {s:?}")),
+    }
 }
 
 /// Geometric mean of `values` (the conventional aggregate for
@@ -90,10 +139,10 @@ pub fn mean(values: &[f64]) -> f64 {
 }
 
 /// Renders one row of a fixed-width table.
-pub fn row(label: &str, cells: &[String]) -> String {
+pub fn row<S: AsRef<str>>(label: &str, cells: &[S]) -> String {
     let mut out = format!("{label:<14}");
     for c in cells {
-        out.push_str(&format!("{c:>14}"));
+        out.push_str(&format!("{:>14}", c.as_ref()));
     }
     out
 }
@@ -115,9 +164,45 @@ mod tests {
 
     #[test]
     fn row_is_aligned() {
-        let r = row("x", &["1".into(), "2".into()]);
+        let r = row("x", &["1", "2"]);
         assert!(r.starts_with("x"));
         assert!(r.len() >= 14 + 28);
+    }
+
+    #[test]
+    fn args_default_and_accept_separators() {
+        let none: [&str; 0] = [];
+        let args = Args::parse(&none).unwrap();
+        assert_eq!(args.instructions, DEFAULT_INSTRUCTIONS);
+        assert!(args.threads >= 1);
+        let args = Args::parse(&["2_000_000", "3"]).unwrap();
+        assert_eq!((args.instructions, args.threads), (2_000_000, 3));
+    }
+
+    #[test]
+    fn args_reject_garbage_zero_and_a_third_argument() {
+        for (argv, message) in [
+            (
+                &["abc"][..],
+                "instructions must be a positive integer, got \"abc\"",
+            ),
+            (&["0"], "instructions must be a positive integer, got \"0\""),
+            (
+                &["-5"],
+                "instructions must be a positive integer, got \"-5\"",
+            ),
+            (
+                &["100000", "0"],
+                "threads must be a positive integer, got \"0\"",
+            ),
+            (
+                &["100000", "two"],
+                "threads must be a positive integer, got \"two\"",
+            ),
+            (&["1", "2", "3"], "unexpected argument \"3\""),
+        ] {
+            assert_eq!(Args::parse(argv), Err(message.to_owned()), "{argv:?}");
+        }
     }
 
     #[test]

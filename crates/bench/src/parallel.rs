@@ -11,20 +11,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the default worker count.
-pub const THREADS_ENV: &str = "CCNVM_BENCH_THREADS";
-
 /// Resolves the worker-thread count: an explicit request wins, then
-/// [`THREADS_ENV`], then the machine's available parallelism.
+/// the machine's available parallelism.
 pub fn thread_count(explicit: Option<usize>) -> usize {
-    explicit
-        .or_else(|| std::env::var(THREADS_ENV).ok().and_then(|s| s.parse().ok()))
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    explicit.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Applies `f` to every item on up to `threads` worker threads and

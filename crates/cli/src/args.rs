@@ -3,14 +3,16 @@
 //! Grammar:
 //!
 //! ```text
-//! ccnvm-sim run     [--design D] [--bench B | --trace FILE] [--instructions N]
-//!                   [--seed S] [--limit-n N] [--queue-m M] [--split-meta] [--csv]
-//! ccnvm-sim sweep   --param {n|m} --values a,b,c [--threads T] [run options]
-//! ccnvm-sim recover [run options]                 # run, crash, recover, report
-//! ccnvm-sim forensics --backend file:DIR [--kill LABEL] [run options]
-//! ccnvm-sim report  --compare A.json B.json [--tolerance PCT]
-//! ccnvm-sim list    # available designs and benchmarks
+//! ccnvm-sim run       [OPTIONS] [OBSERVER OPTIONS]
+//! ccnvm-sim sweep     --param {n|m} --values a,b,c [OPTIONS]
+//! ccnvm-sim recover   [OPTIONS] [OBSERVER OPTIONS] [--forensics-out FILE] [--strict]
+//! ccnvm-sim forensics --backend file:DIR [--kill LABEL] [recover options]
+//! ccnvm-sim report    --compare A.json B.json [--tolerance PCT]
+//! ccnvm-sim list      # available designs and benchmarks
 //! ```
+//!
+//! OPTIONS choose the workload and the store; OBSERVER OPTIONS attach
+//! observers and write what they saw. [`USAGE`] lists each option.
 
 use ccnvm::config::DesignKind;
 use ccnvm::obs::audit::AuditMode;
@@ -81,8 +83,7 @@ pub struct RunArgs {
     /// going, `strict` fails fast with a nonzero exit).
     pub audit: Option<AuditMode>,
     /// Worker threads for the sweep points (`sweep` only). `None`
-    /// falls back to `CCNVM_BENCH_THREADS`, then to the machine's
-    /// available parallelism.
+    /// means the machine's available parallelism.
     pub threads: Option<usize>,
     /// Where durable lines live (`--backend mem | file:<dir>`).
     pub backend: BackendChoice,
@@ -251,15 +252,6 @@ OPTIONS:
   --queue-m M         dirty address queue entries                      [64]
   --split-meta        split counter/tree meta cache (default shared)
   --csv               machine-readable CSV output
-  --trace-out FILE    write the event trace (.csv => CSV, else JSON lines)
-  --epoch-report      print the per-epoch rollup report after the run
-  --profile-out FILE  write the per-stage attribution profile (JSON)
-  --metrics-out FILE  write time-series metrics (.csv => CSV, else JSON lines)
-  --metrics-interval C  simulated cycles between metrics samples     [1000]
-  --chrome-trace FILE write a Chrome trace-event JSON (load in Perfetto)
-  --wear-out FILE     write the ccnvm-wear/1 write-provenance, per-line
-                      wear and durability-lag report
-  --audit MODE        attach the invariant auditor: record | strict
   --threads T         worker threads for sweep points (sweep only) [all cores]
   --backend B         durable store: mem | file:<dir>                 [mem]
                       (file: persists through a commit log + manifest in
@@ -271,6 +263,17 @@ OPTIONS:
                       build/host has no hardware path)
   --flight            attach the flight recorder (with --backend file: the
                       entries also persist to the flight.log sidecar)
+
+OBSERVER OPTIONS (run, recover, forensics):
+  --trace-out FILE    write the event trace (.csv => CSV, else JSON lines)
+  --epoch-report      print the per-epoch rollup report after the run
+  --profile-out FILE  write the per-stage attribution profile (JSON)
+  --metrics-out FILE  write time-series metrics (.csv => CSV, else JSON lines)
+  --metrics-interval C  simulated cycles between metrics samples     [1000]
+  --chrome-trace FILE write a Chrome trace-event JSON (load in Perfetto)
+  --wear-out FILE     write the ccnvm-wear/1 write-provenance, per-line
+                      wear and durability-lag report
+  --audit MODE        attach the invariant auditor: record | strict
 
 RECOVER / FORENSICS OPTIONS:
   --forensics-out FILE  write the ccnvm-forensics/1 JSON report
@@ -406,6 +409,22 @@ fn parse_narrow<T: TryFrom<u64>>(flag: &str, v: &str) -> Result<T, ParseArgsErro
     narrow(flag, parse_number(flag, v)?)
 }
 
+/// The run options `sweep` never acts on: it prints one stats row per
+/// point and writes no artifact, audit verdict or recovery.
+const SWEEP_REJECTS: [&str; 11] = [
+    "--trace-out",
+    "--epoch-report",
+    "--profile-out",
+    "--metrics-out",
+    "--metrics-interval",
+    "--chrome-trace",
+    "--wear-out",
+    "--audit",
+    "--forensics-out",
+    "--strict",
+    "--kill",
+];
+
 /// Parses the full command line (without the program name).
 ///
 /// # Errors
@@ -523,6 +542,11 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                         for v in take_value(flag, &mut iter)?.split(',') {
                             values.push(parse_number("--values", v)?);
                         }
+                    }
+                    _ if SWEEP_REJECTS.contains(&flag) => {
+                        return Err(ParseArgsError(format!(
+                            "{flag} does not apply to the sweep subcommand"
+                        )));
                     }
                     _ => {
                         if !parse_common(&mut args, flag, &mut iter)? {
@@ -714,6 +738,19 @@ mod tests {
         };
         assert_eq!(sw.param, SweepParam::N);
         assert_eq!(sw.values, vec![4, 8, 16]);
+    }
+
+    #[test]
+    fn sweep_rejects_the_run_options_it_ignores() {
+        for flag in SWEEP_REJECTS {
+            // Value or not, the flag itself is the error.
+            let argv = ["sweep", "--param", "n", "--values", "4", flag, "x"];
+            let err = parse(&argv).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("{flag} does not apply to the sweep subcommand")
+            );
+        }
     }
 
     #[test]

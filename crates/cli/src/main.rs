@@ -17,7 +17,9 @@ mod args;
 use args::{BackendChoice, Command, ReportArgs, RunArgs, SweepArgs, USAGE};
 use ccnvm::metacache::MetaCacheOrg;
 use ccnvm::obs::flight::{forensic_report, ForensicReport, FORENSICS_SCHEMA};
+use ccnvm::obs::metrics::parse_metrics_with_footer;
 use ccnvm::obs::profile::{compare, parse_profile};
+use ccnvm::obs::wear::parse_wear;
 use ccnvm::prelude::*;
 use ccnvm::recovery::{recover_with, RecoveryScratch};
 use ccnvm_bench::parallel::{parallel_map, thread_count};
@@ -147,7 +149,7 @@ fn build(run: &RunArgs) -> Result<(Simulator, Option<Arc<FileIoCounters>>), Stri
         }
     };
     let mut sim = sim.map_err(|e| e.to_string())?;
-    attach_observers(run, sim.memory_mut())?;
+    attach_observers(run, sim.memory_mut());
     Ok((sim, io))
 }
 
@@ -178,8 +180,23 @@ fn drive(sim: &mut Simulator, run: &RunArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// [`drive`]s the workload to its end and syncs the durable store, as
+/// an orderly shutdown does.
+fn complete(sim: &mut Simulator, run: &RunArgs) -> Result<(), String> {
+    drive(sim, run)?;
+    sim.memory_mut().sync_durable();
+    Ok(())
+}
+
+/// [`build`]s the run's simulator and [`complete`]s its workload.
+fn simulate(run: &RunArgs) -> Result<(Simulator, Option<Arc<FileIoCounters>>), String> {
+    let (mut sim, io) = build(run)?;
+    complete(&mut sim, run)?;
+    Ok((sim, io))
+}
+
 /// Attaches every observer the flags ask for.
-fn attach_observers(run: &RunArgs, mem: &mut SecureMemory) -> Result<(), String> {
+fn attach_observers(run: &RunArgs, mem: &mut SecureMemory) {
     if run.trace_out.is_some() || run.epoch_report || run.chrome_trace.is_some() {
         mem.attach_recorder(RecorderConfig::default());
     }
@@ -198,26 +215,10 @@ fn attach_observers(run: &RunArgs, mem: &mut SecureMemory) -> Result<(), String>
     if run.wear_out.is_some() || run.chrome_trace.is_some() {
         mem.attach_wear();
         mem.attach_lag();
-        if std::env::var_os("CCNVM_WEAR_SELFTEST").is_some() {
-            // Deliberately skew the ledger's attribution before the
-            // workload so the conservation check's negative path
-            // (violation -> report -> nonzero exit under strict) is
-            // exercised end-to-end.
-            mem.inject_wear_attribution_desync();
-        }
     }
     if let Some(mode) = run.audit {
         mem.attach_auditor(mode);
-        if std::env::var_os("CCNVM_AUDIT_SELFTEST").is_some() {
-            // Same negative path, driven by a dirty address queue
-            // desynchronized before the workload.
-            let t = mem
-                .inject_dirty_queue_desync(0)
-                .map_err(|e| e.to_string())?;
-            mem.audit_now(t);
-        }
     }
-    Ok(())
 }
 
 /// Prints the file backend's I/O tallies (status stream, so stdout
@@ -419,9 +420,7 @@ fn audit_verdict(mem: &SecureMemory) -> Result<(), String> {
 
 fn cmd_run(run: &RunArgs) -> Result<(), String> {
     let chrome_file = create_chrome_file(run)?;
-    let (mut sim, io) = build(run)?;
-    drive(&mut sim, run)?;
-    sim.memory_mut().sync_durable();
+    let (sim, io) = simulate(run)?;
     report_file_io(run, io.as_ref());
     let stats = sim.stats();
     if run.csv {
@@ -504,12 +503,9 @@ fn cmd_sweep(sweep: &SweepArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// One sweep point: build, drive, shut down cleanly.
+/// One sweep point's stats.
 fn sweep_point(run: &RunArgs) -> Result<RunStats, String> {
-    let (mut sim, _) = build(run)?;
-    drive(&mut sim, run)?;
-    sim.memory_mut().sync_durable();
-    Ok(sim.stats())
+    simulate(run).map(|(sim, _)| sim.stats())
 }
 
 /// `--forensics-out`: the `ccnvm-forensics/1` report.
@@ -535,15 +531,21 @@ fn print_reopened(dir: impl Display, cut: &PowerCut) {
 /// run, recover and report. With `--backend file:` the store is
 /// reopened from disk and recovered from what it preserved.
 fn cmd_recover(run: &RunArgs) -> Result<(), String> {
+    // A store that is not there is refused before anything runs or is
+    // written.
+    if let BackendChoice::File(dir) = &run.backend {
+        FileBackend::require_existing(dir).map_err(|e| e.to_string())?;
+    }
     let chrome_file = create_chrome_file(run)?;
     // The re-simulation only reconstructs the pre-crash machine state
     // (TCB registers are battery-backed hardware and survive a crash);
     // it always runs in memory. The durable image under recovery is
     // the file store reopened below, never the re-simulation's writes.
-    let mut mem_run = run.clone();
-    mem_run.backend = BackendChoice::Mem;
-    let (mut sim, _) = build(&mem_run)?;
-    drive(&mut sim, &mem_run)?;
+    let mem_run = RunArgs {
+        backend: BackendChoice::Mem,
+        ..run.clone()
+    };
+    let (sim, _) = simulate(&mem_run)?;
     let mem = sim.memory();
     let cut = match &run.backend {
         // recover's in-memory crash never actually dies, so the flight
@@ -662,8 +664,7 @@ fn resolve_kill_boundary(spec: &str, run: &RunArgs, dir: &Path) -> Result<u64, S
     }
     let record_dir = dir.join("record");
     let (mut sim, _) = build(&on_flight_store(run, &record_dir))?;
-    let (res, labels) =
-        crashpoint::record(|| drive(&mut sim, run).map(|()| sim.memory_mut().sync_durable()));
+    let (res, labels) = crashpoint::record(|| complete(&mut sim, run));
     drop(sim);
     std::fs::remove_dir_all(&record_dir).ok();
     res?;
@@ -714,13 +715,12 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
     };
     let store_run = on_flight_store(run, &run_dir);
     let (mut sim, _) = build(&store_run)?;
-    let mut complete = || drive(&mut sim, run).map(|()| sim.memory_mut().sync_durable());
     let armed_label = match kill_target {
         None => {
-            complete()?;
+            complete(&mut sim, run)?;
             None
         }
-        Some(k) => match crashpoint::kill_at(k, complete) {
+        Some(k) => match crashpoint::kill_at(k, || complete(&mut sim, run)) {
             Err(sig) => {
                 println!(
                     "killed at persist boundary #{} ({})",
@@ -795,29 +795,33 @@ fn cmd_forensics(run: &RunArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// Reads the artifact at `path` back through `parse`; every error
+/// names `path`.
+fn read_artifact<T>(path: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
+    std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| parse(&text))
+        .map_err(|e| format!("{path}: {e}"))
+}
+
 fn cmd_report(args: &ReportArgs) -> Result<(), String> {
     let mut dropped_samples = 0u64;
     if let Some(path) = &args.metrics {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let (samples, footer) = ccnvm::obs::metrics::parse_metrics_with_footer(&text)
-            .map_err(|e| format!("{path}: {e}"))?;
+        let (samples, footer) = read_artifact(path, parse_metrics_with_footer)?;
         println!("{path}:");
         print!("{}", ccnvm::obs::metrics::render_summary(&samples));
-        if let Some(f) = footer {
-            if f.dropped > 0 {
-                dropped_samples = f.dropped;
-                eprintln!(
-                    "warning: {path}: the export's footer records {} dropped sample(s) \
-                     at capacity — the summary above understates the run (re-export \
-                     with a coarser --metrics-interval or a larger registry capacity)",
-                    f.dropped
-                );
-            }
+        if let Some(f) = footer.filter(|f| f.dropped > 0) {
+            dropped_samples = f.dropped;
+            eprintln!(
+                "warning: {path}: the export's footer records {} dropped sample(s) \
+                 at capacity — the summary above understates the run (re-export \
+                 with a coarser --metrics-interval or a larger registry capacity)",
+                f.dropped
+            );
         }
     }
     if let Some(path) = &args.wear {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let report = ccnvm::obs::wear::parse_wear(&text).map_err(|e| format!("{path}: {e}"))?;
+        let report = read_artifact(path, parse_wear)?;
         println!("{path}:");
         print!("{}", ccnvm::obs::wear::render_report(&report));
         if !report.conserved() {
@@ -828,39 +832,29 @@ fn cmd_report(args: &ReportArgs) -> Result<(), String> {
             ));
         }
     }
-    let strict_drops_gate = |dropped: u64| -> Result<(), String> {
-        if args.strict_drops && dropped > 0 {
-            Err(format!(
-                "--strict-drops: the metrics export dropped {dropped} sample(s)"
-            ))
-        } else {
-            Ok(())
+    if let Some((path_a, path_b)) = &args.compare {
+        let a = read_artifact(path_a, parse_profile)?;
+        let b = read_artifact(path_b, parse_profile)?;
+        let diff = compare(&a, &b, args.tolerance);
+        println!(
+            "comparing {} (baseline, {} on {}) vs {} (candidate, {} on {}):",
+            path_a, a.design, a.bench, path_b, b.design, b.bench
+        );
+        print!("{}", diff.render());
+        if diff.has_regressions() {
+            return Err(format!(
+                "{} stage(s) regressed beyond {}% tolerance",
+                diff.regressions(),
+                args.tolerance
+            ));
         }
-    };
-    let Some((path_a, path_b)) = &args.compare else {
-        return strict_drops_gate(dropped_samples);
-    };
-    let read = |path: &str| {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        parse_profile(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let a = read(path_a)?;
-    let b = read(path_b)?;
-    let diff = compare(&a, &b, args.tolerance);
-    println!(
-        "comparing {} (baseline, {} on {}) vs {} (candidate, {} on {}):",
-        path_a, a.design, a.bench, path_b, b.design, b.bench
-    );
-    print!("{}", diff.render());
-    if diff.has_regressions() {
-        Err(format!(
-            "{} stage(s) regressed beyond {}% tolerance",
-            diff.regressions(),
-            args.tolerance
-        ))
-    } else {
-        strict_drops_gate(dropped_samples)
     }
+    if args.strict_drops && dropped_samples > 0 {
+        return Err(format!(
+            "--strict-drops: the metrics export dropped {dropped_samples} sample(s)"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -896,5 +890,104 @@ mod sweep_tests {
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.csv_row(), p.csv_row());
         }
+    }
+}
+
+/// The auditor's negative paths, through the same `build`, `drive` and
+/// `audit_verdict` that `run` uses, with a desync injected between the
+/// build and the workload.
+#[cfg(test)]
+mod audit_tests {
+    use super::*;
+    use ccnvm::obs::audit::AuditMode;
+
+    fn strict(run: RunArgs) -> RunArgs {
+        RunArgs {
+            audit: Some(AuditMode::Strict),
+            ..run
+        }
+    }
+
+    /// Drives `run` with its dirty address queue desynchronized from
+    /// the Meta Cache before the workload.
+    fn drive_desynced(run: &RunArgs) -> Simulator {
+        let (mut sim, _) = build(run).expect("valid run");
+        let mem = sim.memory_mut();
+        let t = mem.inject_dirty_queue_desync(0).expect("write-backs");
+        mem.audit_now(t);
+        drive(&mut sim, run).expect("drives");
+        sim
+    }
+
+    /// The auditor's report, and the verdict `run` exits with.
+    fn verdict(sim: &Simulator) -> (String, String) {
+        let report = sim.memory().auditor().expect("attached").report();
+        let err = audit_verdict(sim.memory()).expect_err("strict mode fails");
+        (report, err)
+    }
+
+    #[test]
+    fn injected_dirty_queue_desync_fails_a_strict_audit() {
+        let sim = drive_desynced(&strict(RunArgs {
+            instructions: 5_000,
+            ..RunArgs::default()
+        }));
+        let (report, err) = verdict(&sim);
+        assert!(report.contains("dirty-coverage violated"), "{report}");
+        assert!(err.contains("strict mode"), "{err}");
+    }
+
+    /// A strict auditor that latches on the first checkpoint stops a
+    /// cyclic trace replay there, well short of the instruction budget.
+    #[test]
+    fn trace_replay_stops_at_a_latched_strict_audit() {
+        let path =
+            std::env::temp_dir().join(format!("ccnvm-sim-replay-audit-{}.txt", std::process::id()));
+        let ops: String = (0..64u64)
+            .map(|i| {
+                let op = if i % 3 == 0 { 'W' } else { 'R' };
+                format!("{} {op} {:#x}\n", i % 7, i * 4096)
+            })
+            .collect();
+        std::fs::write(&path, ops).expect("trace written");
+        let run = strict(RunArgs {
+            instructions: 100_000,
+            trace: Some(path.display().to_string()),
+            ..RunArgs::default()
+        });
+        let sim = drive_desynced(&run);
+        std::fs::remove_file(&path).ok();
+        let (report, err) = verdict(&sim);
+        assert_eq!(
+            report.matches("dirty-coverage violated").count(),
+            1,
+            "{report}"
+        );
+        assert!(err.contains("strict mode"), "{err}");
+        assert!(
+            sim.instructions() < run.instructions,
+            "the replay must stop at the latch, not at the budget: {}",
+            sim.instructions()
+        );
+    }
+
+    /// `--wear-out --audit strict` over a ledger skewed before the
+    /// workload: the conservation check fails the run.
+    #[test]
+    fn injected_wear_desync_fails_a_strict_audit() {
+        let run = strict(RunArgs {
+            bench: "lbm".to_owned(),
+            instructions: 50_000,
+            wear_out: Some("unwritten.json".to_owned()),
+            ..RunArgs::default()
+        });
+        let (mut sim, _) = build(&run).expect("valid run");
+        sim.memory_mut().inject_wear_attribution_desync();
+        drive(&mut sim, &run).expect("drives");
+        let (report, err) = verdict(&sim);
+        assert!(report.contains("wear-conservation violated"), "{report}");
+        assert!(err.contains("strict mode"), "{err}");
+        let wear = sim.memory().wear_report(&run.bench, sim.instructions());
+        assert!(!wear.expect("ledger attached").conserved());
     }
 }

@@ -66,22 +66,6 @@ fn bogus_audit_mode_is_rejected() {
 }
 
 #[test]
-fn strict_audit_selftest_exits_nonzero() {
-    let out = bin()
-        .args(["run", "--instructions", "5000", "--audit", "strict"])
-        .env("CCNVM_AUDIT_SELFTEST", "1")
-        .output()
-        .expect("binary runs");
-    assert!(
-        !out.status.success(),
-        "strict mode must fail on the injected violation"
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("dirty-coverage"), "stderr was: {err}");
-    assert!(err.contains("strict mode"), "stderr was: {err}");
-}
-
-#[test]
 fn clean_strict_audit_run_succeeds() {
     let out = bin()
         .args(["run", "--instructions", "5000", "--audit", "strict"])
@@ -161,59 +145,6 @@ fn single_owner_artifacts_keep_the_given_names() {
 fn read_json(path: &std::path::Path) -> ccnvm::obs::json::Json {
     let text = std::fs::read_to_string(path).expect("artifact written");
     ccnvm::obs::json::parse(&text).expect("well-formed JSON")
-}
-
-/// A strict auditor that latches on the first checkpoint stops a
-/// cyclic trace replay there, well short of the instruction budget.
-#[test]
-fn trace_replay_stops_at_a_latched_strict_audit() {
-    let dir = fresh_dir("replay-audit");
-    let trace = dir.join("trace.txt");
-    let ops: String = (0..64u64)
-        .map(|i| {
-            format!(
-                "{} {} {:#x}\n",
-                i % 7,
-                if i % 3 == 0 { 'W' } else { 'R' },
-                i * 4096
-            )
-        })
-        .collect();
-    std::fs::write(&trace, ops).expect("trace written");
-    let out = bin()
-        .args([
-            "run",
-            "--instructions",
-            "100000",
-            "--audit",
-            "strict",
-            "--csv",
-            "--trace",
-        ])
-        .arg(&trace)
-        .env("CCNVM_AUDIT_SELFTEST", "1")
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success(), "strict mode must fail");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        stderr.matches("dirty-coverage violated").count(),
-        1,
-        "stderr was: {stderr}"
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let row = stdout.lines().nth(1).expect("csv row");
-    // design,bench,instructions,...
-    let instructions: u64 = row
-        .split(',')
-        .nth(2)
-        .and_then(|v| v.parse().ok())
-        .expect("instructions column");
-    assert!(
-        instructions < 100_000,
-        "the replay must stop at the latch, not at the budget: {row}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// In memory, `recover` crashes a quiescent machine: the forensic
@@ -404,7 +335,8 @@ fn recover_locates_a_line_spoofed_on_the_reopened_file_store() {
 
 /// `recover` reads a store back and never creates one: a directory
 /// that does not exist is a one-line error, not an empty image judged
-/// ATTACKED.
+/// ATTACKED. It is refused before the re-simulation and before any
+/// artifact file is created.
 #[test]
 fn recover_refuses_a_missing_store_and_creates_nothing() {
     let dir = fresh_dir("missing-store");
@@ -417,7 +349,9 @@ fn recover_refuses_a_missing_store_and_creates_nothing() {
             "--bench",
             "lbm",
             "--instructions",
-            "20000",
+            "5000000",
+            "--chrome-trace",
+            "c.json",
         ])
         .output()
         .expect("binary runs");
@@ -428,6 +362,33 @@ fn recover_refuses_a_missing_store_and_creates_nothing() {
     assert!(
         file_names(&dir).is_empty(),
         "recover created {:?}",
+        file_names(&dir)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `sweep` writes no artifact, so an artifact flag is a parse error
+/// with the usage, before any point runs.
+#[test]
+fn sweep_refuses_an_artifact_flag_and_writes_nothing() {
+    let dir = fresh_dir("sweep-artifact");
+    let out = bin()
+        .current_dir(&dir)
+        .args(["sweep", "--param", "n", "--values", "4"])
+        .args(["--trace-out", "t.jsonl"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error: --trace-out does not apply to the sweep subcommand\n")
+            && err.contains("USAGE:"),
+        "stderr was: {err}"
+    );
+    assert!(
+        file_names(&dir).is_empty(),
+        "sweep created {:?}",
         file_names(&dir)
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -143,7 +143,7 @@ impl PowerCut {
     /// # Errors
     ///
     /// Returns [`FileBackendError::NoStore`] when `dir` holds no
-    /// `commit.log` (reading back never creates a store), and another
+    /// store ([`FileBackend::require_existing`]), and another
     /// [`FileBackendError`] when the sidecar cannot be read or the
     /// store cannot be reopened.
     pub fn reopen(
@@ -153,11 +153,7 @@ impl PowerCut {
         tcb: Tcb,
     ) -> Result<PowerCut, FileBackendError> {
         let dir = dir.as_ref();
-        if !dir.join(LOG_FILE).is_file() {
-            return Err(FileBackendError::NoStore {
-                path: dir.to_path_buf(),
-            });
-        }
+        FileBackend::require_existing(dir)?;
         let (flight, flight_discarded) = read_flight_log(dir)?;
         let store = FileBackend::open(dir, backend)?;
         let image = CrashImage {

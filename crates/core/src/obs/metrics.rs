@@ -284,83 +284,42 @@ pub struct MetricsFooter {
     pub interval: u64,
 }
 
-/// [`parse_metrics`] plus the footer's drop accounting (`None` when
-/// the export carries no footer record — hand-trimmed files parse but
-/// their truncation state is unknown).
-///
-/// # Errors
-///
-/// Same as [`parse_metrics`], plus a malformed footer record.
-pub fn parse_metrics_with_footer(
-    text: &str,
-) -> Result<(Vec<Sample>, Option<MetricsFooter>), String> {
-    let samples = parse_metrics(text)?;
-    let mut footer = None;
-    for (i, line) in text.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-        if line.starts_with('{') {
-            let obj = crate::obs::json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            if obj.get("metric").is_none() {
-                continue;
-            }
-            footer = Some(MetricsFooter {
-                samples: obj
-                    .num_field("samples")
-                    .map_err(|e| format!("footer: {e}"))?,
-                dropped: obj
-                    .num_field("dropped")
-                    .map_err(|e| format!("footer: {e}"))?,
-                interval: obj
-                    .num_field("interval")
-                    .map_err(|e| format!("footer: {e}"))?,
-            });
-        } else if let Some(rest) = line.strip_prefix("footer,") {
-            let fields: Vec<&str> = rest.split(',').collect();
-            if fields.len() < 3 {
-                return Err(format!("footer row too short: {line:?}"));
-            }
-            let num = |j: usize, name: &str| -> Result<u64, String> {
-                fields[j]
-                    .parse()
-                    .map_err(|e| format!("footer field {name}: {e}"))
-            };
-            footer = Some(MetricsFooter {
-                samples: num(0, "samples")?,
-                dropped: num(1, "dropped")?,
-                interval: num(2, "interval")?,
-            });
-        }
-    }
-    Ok((samples, footer))
-}
-
 /// Parses a metrics export (either format: the CSV and JSONL exports
-/// are auto-detected) back into samples, skipping the footer record.
+/// are auto-detected) back into samples, and the footer's drop
+/// accounting (`None` when the export carries no footer record —
+/// hand-trimmed files parse but their truncation state is unknown).
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed row: an unknown CSV
-/// header, a non-integer field, or a JSONL record missing a series.
-pub fn parse_metrics(text: &str) -> Result<Vec<Sample>, String> {
+/// header, a non-integer field, a JSONL record missing a series, or a
+/// malformed footer record.
+pub fn parse_metrics_with_footer(
+    text: &str,
+) -> Result<(Vec<Sample>, Option<MetricsFooter>), String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty()).peekable();
     let first = *lines.peek().ok_or("empty metrics file")?;
     let mut samples = Vec::new();
+    let mut footer = None;
     if first.starts_with('{') {
         for (i, line) in lines.enumerate() {
-            let obj = crate::obs::json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+            let at_line = |e: String| format!("line {}: {e}", i + 1);
+            let obj = crate::obs::json::parse(line).map_err(at_line)?;
             if obj.get("metric").is_some() {
-                continue; // footer
+                let field = |name| obj.num_field(name).map_err(|e| format!("footer: {e}"));
+                footer = Some(MetricsFooter {
+                    samples: field("samples")?,
+                    dropped: field("dropped")?,
+                    interval: field("interval")?,
+                });
+                continue;
             }
             let mut sample = Sample {
-                at: obj
-                    .num_field("at")
-                    .map_err(|e| format!("line {}: {e}", i + 1))?,
+                at: obj.num_field("at").map_err(at_line)?,
                 ..Sample::default()
             };
             for (name, _) in SERIES {
-                let v = obj
-                    .num_field(name)
-                    .map_err(|e| format!("line {}: {e}", i + 1))?;
-                set_series(&mut sample, name, v);
+                set_series(&mut sample, name, obj.num_field(name).map_err(at_line)?);
             }
             samples.push(sample);
         }
@@ -371,7 +330,20 @@ pub fn parse_metrics(text: &str) -> Result<Vec<Sample>, String> {
         let columns = Sample::CSV_HEADER.split(',').count();
         for (i, line) in lines.skip(1).enumerate() {
             let fields: Vec<&str> = line.split(',').collect();
-            if fields.first() == Some(&"footer") {
+            if fields[0] == "footer" {
+                if fields.len() < 4 {
+                    return Err(format!("footer row too short: {line:?}"));
+                }
+                let field = |j: usize, name: &str| -> Result<u64, String> {
+                    fields[j]
+                        .parse()
+                        .map_err(|e| format!("footer field {name}: {e}"))
+                };
+                footer = Some(MetricsFooter {
+                    samples: field(1, "samples")?,
+                    dropped: field(2, "dropped")?,
+                    interval: field(3, "interval")?,
+                });
                 continue;
             }
             if fields.len() != columns {
@@ -395,7 +367,16 @@ pub fn parse_metrics(text: &str) -> Result<Vec<Sample>, String> {
             samples.push(sample);
         }
     }
-    Ok(samples)
+    Ok((samples, footer))
+}
+
+/// [`parse_metrics_with_footer`] without the footer.
+///
+/// # Errors
+///
+/// Same as [`parse_metrics_with_footer`].
+pub fn parse_metrics(text: &str) -> Result<Vec<Sample>, String> {
+    parse_metrics_with_footer(text).map(|(samples, _)| samples)
 }
 
 fn set_series(sample: &mut Sample, name: &str, v: u64) {
@@ -699,6 +680,18 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn malformed_footer_is_rejected_in_both_formats() {
+        for short in ["footer", "footer,2,1"] {
+            let csv = format!("{}\n{short}\n", Sample::CSV_HEADER);
+            let err = parse_metrics_with_footer(&csv).unwrap_err();
+            assert!(err.starts_with("footer row too short"), "{err}");
+        }
+        let jsonl = "{\"metric\":\"footer\",\"samples\":0,\"interval\":10}\n";
+        let err = parse_metrics(jsonl).unwrap_err();
+        assert!(err.starts_with("footer: "), "{err}");
     }
 
     #[test]

@@ -197,8 +197,7 @@ impl WearLedger {
     }
 
     /// Skews the attribution by one phantom data write — a deliberate
-    /// conservation break for the strict-audit negative test (CI's
-    /// `CCNVM_WEAR_SELFTEST` path).
+    /// conservation break for the strict-audit negative tests.
     pub fn inject_attribution_skew(&mut self) {
         self.data += 1;
     }

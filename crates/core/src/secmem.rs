@@ -506,7 +506,7 @@ impl SecureMemory {
     /// Meta Cache (drainer designs): performs write-backs until
     /// on-chip metadata is dirty, then clears the queue behind the
     /// drainer's back. Exists so the auditor's negative path can be
-    /// exercised end-to-end (tests, CI, `CCNVM_AUDIT_SELFTEST`);
+    /// exercised end-to-end (the library's and `ccnvm-sim`'s tests);
     /// returns the cycle after the last write-back.
     ///
     /// # Errors
@@ -526,8 +526,8 @@ impl SecureMemory {
 
     /// Deliberately skews the wear ledger's attribution away from the
     /// memory controller's ground truth, so the conservation check's
-    /// negative path can be exercised end-to-end (tests, CI,
-    /// `CCNVM_WEAR_SELFTEST`). No-op without an attached ledger.
+    /// negative path can be exercised end-to-end (the library's and
+    /// `ccnvm-sim`'s tests). No-op without an attached ledger.
     pub fn inject_wear_attribution_desync(&mut self) {
         if let Some(w) = self.obs.wear.as_deref_mut() {
             w.inject_attribution_skew();

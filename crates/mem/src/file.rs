@@ -348,6 +348,24 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
+    /// Checks that `dir` holds a store to read back. Every opened store
+    /// has a commit log, and reading a store back never creates one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FileBackendError::NoStore`] when `dir` has no commit
+    /// log.
+    pub fn require_existing(dir: impl AsRef<Path>) -> Result<(), FileBackendError> {
+        let dir = dir.as_ref();
+        if dir.join(LOG_FILE).is_file() {
+            Ok(())
+        } else {
+            Err(FileBackendError::NoStore {
+                path: dir.to_path_buf(),
+            })
+        }
+    }
+
     /// Opens (or creates) the backend rooted at `dir`: loads the
     /// manifest, replays the commit log over it (discarding a torn
     /// tail record and any group without its `COMMIT` marker), and
