@@ -19,7 +19,8 @@
 //! Part 1's crash points are independent simulations run on `threads`
 //! workers (default: all cores); results are identical at any thread
 //! count. Part 1 re-simulates the workload to each of its crash points,
-//! so the instruction budget is capped at 400 000.
+//! so the instruction budget defaults to [`MAX_INSTRUCTIONS`] and a
+//! larger one is refused.
 
 use ccnvm::attack;
 use ccnvm::layout::SecureLayout;
@@ -28,6 +29,9 @@ use ccnvm_bench::{parallel::parallel_map, row, Args, SEED};
 use ccnvm_mem::LineAddr;
 
 const CRASH_POINTS: u64 = 8;
+
+/// The largest (and default) instruction budget.
+const MAX_INSTRUCTIONS: u64 = 400_000;
 
 /// The crash-consistent designs.
 const DESIGNS: [DesignKind; 4] = [
@@ -108,8 +112,7 @@ fn main() {
     let Args {
         instructions,
         threads,
-    } = Args::from_command_line();
-    let instructions = instructions.min(400_000);
+    } = Args::from_command_line_capped(MAX_INSTRUCTIONS);
     let profile = profiles::mixed();
 
     println!("§4.4 — crash recovery and attack locating\n");

@@ -69,9 +69,28 @@ impl Args {
     /// A one-line message naming the first argument that is not a
     /// positive integer, or the first one past the second.
     pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Args, String> {
+        Args::parse_capped(argv, u64::MAX)
+    }
+
+    /// [`Args::parse`] for a binary that runs at most `cap`
+    /// instructions per point: an omitted budget is the smaller of
+    /// [`DEFAULT_INSTRUCTIONS`] and `cap`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::parse`], plus a message naming the cap for a larger
+    /// budget.
+    pub fn parse_capped<S: AsRef<str>>(argv: &[S], cap: u64) -> Result<Args, String> {
         let arg = |i: usize| argv.get(i).map(AsRef::as_ref);
+        let instructions = match positive("instructions", arg(0))? {
+            Some(n) if n > cap => {
+                return Err(format!("instructions must be at most {cap}, got {n}"))
+            }
+            Some(n) => n,
+            None => DEFAULT_INSTRUCTIONS.min(cap),
+        };
         let args = Args {
-            instructions: positive("instructions", arg(0))?.unwrap_or(DEFAULT_INSTRUCTIONS),
+            instructions,
             threads: parallel::thread_count(positive("threads", arg(1))?),
         };
         match arg(2) {
@@ -84,12 +103,18 @@ impl Args {
     /// command line is reported on one stderr line, with the usage,
     /// and exits with status 2 before anything runs.
     pub fn from_command_line() -> Args {
+        Args::from_command_line_capped(u64::MAX)
+    }
+
+    /// [`Args::parse_capped`] over this process's arguments, reporting
+    /// an invalid command line as [`Args::from_command_line`] does.
+    pub fn from_command_line_capped(cap: u64) -> Args {
         let argv: Vec<String> = std::env::args().collect();
         let program = argv
             .first()
             .and_then(|p| Path::new(p).file_name()?.to_str())
             .unwrap_or("figure");
-        Args::parse(argv.get(1..).unwrap_or_default()).unwrap_or_else(|e| {
+        Args::parse_capped(argv.get(1..).unwrap_or_default(), cap).unwrap_or_else(|e| {
             eprintln!("error: {e} (usage: {program} [instructions] [threads])");
             std::process::exit(2)
         })
@@ -203,6 +228,23 @@ mod tests {
         ] {
             assert_eq!(Args::parse(argv), Err(message.to_owned()), "{argv:?}");
         }
+    }
+
+    #[test]
+    fn a_capped_budget_defaults_to_the_cap_and_refuses_more() {
+        let none: [&str; 0] = [];
+        assert_eq!(
+            Args::parse_capped(&none, 400_000).unwrap().instructions,
+            400_000
+        );
+        let within = Args::parse_capped(&["400_000"], 400_000).unwrap();
+        assert_eq!(within.instructions, 400_000);
+        assert_eq!(
+            Args::parse_capped(&["400001"], 400_000),
+            Err("instructions must be at most 400000, got 400001".to_owned())
+        );
+        let above_default = Args::parse_capped(&none, 2 * DEFAULT_INSTRUCTIONS).unwrap();
+        assert_eq!(above_default.instructions, DEFAULT_INSTRUCTIONS);
     }
 
     #[test]

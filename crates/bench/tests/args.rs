@@ -28,6 +28,11 @@ fn bad_arguments_fail_before_anything_runs() {
             &["1", "2", "3"],
             "unexpected argument \"3\"".to_owned(),
         ),
+        (
+            env!("CARGO_BIN_EXE_recovery"),
+            &["1000000", "1"],
+            "instructions must be at most 400000, got 1000000".to_owned(),
+        ),
     ] {
         let out = Command::new(bin).args(args).output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);

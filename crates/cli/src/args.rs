@@ -71,7 +71,8 @@ pub struct RunArgs {
     /// Write the time-series metrics export to this path (`.csv`
     /// extension selects CSV, anything else JSON lines).
     pub metrics_out: Option<String>,
-    /// Simulated cycles between metrics samples (must be positive).
+    /// Simulated cycles between metrics samples (must be positive;
+    /// only given with `metrics_out` or `chrome_trace`, which sample).
     pub metrics_interval: u64,
     /// Write a Chrome trace-event (Perfetto-loadable) JSON rendering
     /// of the run to this path.
@@ -97,7 +98,8 @@ pub struct RunArgs {
     /// Attach the flight recorder: an in-process ring of recent flight
     /// entries, mirrored into the file backend's durable `flight.log`
     /// sidecar when `--backend file:` is in use. `forensics` forces
-    /// this on.
+    /// this on; `run`, which reads no ring, takes it only with a file
+    /// backend.
     pub flight: bool,
     /// Write the `ccnvm-forensics/1` JSON report to this path
     /// (`recover` / `forensics` only).
@@ -262,7 +264,8 @@ OPTIONS:
                       (bit-identical output; simd errors out when the
                       build/host has no hardware path)
   --flight            attach the flight recorder (with --backend file: the
-                      entries also persist to the flight.log sidecar)
+                      entries also persist to the flight.log sidecar;
+                      run takes it only with --backend file:)
 
 OBSERVER OPTIONS (run, recover, forensics):
   --trace-out FILE    write the event trace (.csv => CSV, else JSON lines)
@@ -270,6 +273,7 @@ OBSERVER OPTIONS (run, recover, forensics):
   --profile-out FILE  write the per-stage attribution profile (JSON)
   --metrics-out FILE  write time-series metrics (.csv => CSV, else JSON lines)
   --metrics-interval C  simulated cycles between metrics samples     [1000]
+                      (with --metrics-out or --chrome-trace)
   --chrome-trace FILE write a Chrome trace-event JSON (load in Perfetto)
   --wear-out FILE     write the ccnvm-wear/1 write-provenance, per-line
                       wear and durability-lag report
@@ -441,10 +445,19 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
         "list" => Ok(Command::List),
         "run" | "recover" | "forensics" => {
             let mut args = RunArgs::default();
+            let mut interval_given = false;
             while let Some(flag) = iter.next() {
                 if !parse_common(&mut args, flag, &mut iter)? {
                     return Err(ParseArgsError(format!("unknown option {flag:?}")));
                 }
+                interval_given |= flag == "--metrics-interval";
+            }
+            if interval_given && args.metrics_out.is_none() && args.chrome_trace.is_none() {
+                return Err(ParseArgsError(
+                    "--metrics-interval needs --metrics-out or --chrome-trace, the only \
+                     observers that sample metrics"
+                        .into(),
+                ));
             }
             if sub != "forensics" && args.kill.is_some() {
                 return Err(ParseArgsError(format!(
@@ -467,6 +480,13 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                 if args.strict {
                     return Err(ParseArgsError(
                         "--strict gates recovery verdicts — use `recover` or `forensics`".into(),
+                    ));
+                }
+                if args.flight && args.backend == BackendChoice::Mem {
+                    return Err(ParseArgsError(
+                        "--flight on `run` needs --backend file:<dir>, whose flight.log \
+                         keeps the entries; nothing reads the in-memory ring"
+                            .into(),
                     ));
                 }
             }
@@ -933,7 +953,7 @@ mod tests {
 
     #[test]
     fn flight_parses_everywhere_but_kill_is_forensics_only() {
-        let Command::Run(args) = parse(&["run", "--flight"]).unwrap() else {
+        let Command::Run(args) = parse(&["run", "--flight", "--backend", "file:d"]).unwrap() else {
             panic!("expected run");
         };
         assert!(args.flight);
@@ -953,6 +973,58 @@ mod tests {
         assert!(err.to_string().contains("--forensics-out"));
         let err = parse(&["run", "--strict"]).unwrap_err();
         assert!(err.to_string().contains("--strict"));
+    }
+
+    /// `run --flight` over the in-memory store would fill a ring that
+    /// nothing reads; `recover` reads it for `--forensics-out`, and a
+    /// file store persists it.
+    #[test]
+    fn run_flight_needs_a_file_backend() {
+        let err = parse(&["run", "--flight"]).unwrap_err();
+        assert!(err
+            .to_string()
+            .starts_with("--flight on `run` needs --backend file:"));
+        let err = parse(&["run", "--backend", "mem", "--flight"]).unwrap_err();
+        assert!(err.to_string().starts_with("--flight"));
+        for argv in [
+            &["recover", "--flight"][..],
+            &["run", "--flight", "--backend", "file:d"],
+            &[
+                "run",
+                "--backend",
+                "file:fstore-batch",
+                "--fsync",
+                "batch:8",
+                "--design",
+                "ccnvm",
+                "--bench",
+                "lbm",
+                "--instructions",
+                "200000",
+                "--flight",
+            ],
+        ] {
+            parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        }
+    }
+
+    /// `--metrics-interval` sets how often the metrics registry
+    /// samples, and only `--metrics-out` and `--chrome-trace` attach
+    /// one.
+    #[test]
+    fn metrics_interval_needs_a_sampling_observer() {
+        for sub in ["run", "recover", "forensics"] {
+            let err = parse(&[sub, "--metrics-interval", "500"]).unwrap_err();
+            assert!(
+                err.to_string()
+                    .starts_with("--metrics-interval needs --metrics-out or --chrome-trace"),
+                "{sub}: {err}"
+            );
+            for sampler in ["--metrics-out", "--chrome-trace"] {
+                let argv = [sub, "--metrics-interval", "500", sampler, "out"];
+                parse(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,24 @@ fn zero_metrics_interval_exits_nonzero_with_typed_message() {
     );
 }
 
+/// `run --flight` over the in-memory store is a parse error: nothing
+/// runs and nothing reaches stdout.
+#[test]
+fn run_flight_without_a_file_backend_is_refused() {
+    let out = bin()
+        .args(["run", "--instructions", "1000", "--flight"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(
+        out.stdout.is_empty(),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("error: --flight"), "stderr was: {err}");
+}
+
 #[test]
 fn unwritable_chrome_trace_path_fails_fast() {
     let out = bin()

@@ -58,8 +58,9 @@ pub struct TreeMismatch {
 pub struct Bmt {
     layout: SecureLayout,
     engine: CryptoEngine,
-    /// `default_nodes[k-1]` is the content of an untouched node at
-    /// stored level `k`.
+    /// `default_nodes[k]` is the content of an untouched line at level
+    /// `k`: the all-zero counter line at level 0, then one node per
+    /// stored level up to the top.
     default_nodes: Vec<Line>,
     default_root: Mac128,
 }
@@ -68,8 +69,9 @@ impl Bmt {
     /// Builds the tree helper, precomputing per-level default nodes.
     pub fn new(layout: SecureLayout, engine: CryptoEngine) -> Self {
         let levels = layout.internal_levels();
-        let mut default_nodes = Vec::with_capacity(levels);
+        let mut default_nodes = Vec::with_capacity(levels + 1);
         let mut child_content = [0u8; 64]; // level 0: all-zero counter line
+        default_nodes.push(child_content);
         for level in 1..=levels {
             let mut node = [0u8; 64];
             for pos in 0..MACS_PER_LINE as u8 {
@@ -106,10 +108,33 @@ impl Bmt {
     /// Default content of a node at stored `level` (1-based); level 0
     /// (a counter line) defaults to all zeros.
     pub fn default_node(&self, level: usize) -> Line {
-        if level == 0 {
-            [0u8; 64]
+        self.default_nodes[level]
+    }
+
+    /// The MAC of an untouched line `(level, idx)`, from the default
+    /// tree (see [`Bmt::link_mac`]).
+    fn default_mac(&self, level: usize, idx: u64) -> Mac128 {
+        match self.default_nodes.get(level + 1) {
+            Some(parent) => Self::slot(parent, idx),
+            None => self.default_root,
+        }
+    }
+
+    /// The MAC that authenticates line `(level, idx)` holding
+    /// `content` — its parent's slot, or the root for the top node.
+    /// When `content` is its level's default, that MAC is a slot of the
+    /// parent level's default node (the default root for the top node),
+    /// which [`Bmt::new`] already computed from exactly this input, so
+    /// it is read from there instead of hashed. For fetch verification,
+    /// where never-written metadata is common; the update paths write
+    /// non-default content and compute directly.
+    pub(crate) fn link_mac(&self, level: usize, idx: u64, content: &Line) -> Mac128 {
+        if *content == self.default_nodes[level] {
+            self.default_mac(level, idx)
+        } else if level == self.layout.internal_levels() {
+            self.engine.node_mac(level, 0, content)
         } else {
-            self.default_nodes[level - 1]
+            self.child_mac(level, idx, content)
         }
     }
 
@@ -477,6 +502,39 @@ mod tests {
         let (nodes, root) = b.rebuild(Vec::new());
         assert!(nodes.is_empty());
         assert_eq!(root, b.default_root());
+    }
+
+    /// The MAC over `content` at `(level, pos)` as the hash computes
+    /// it: a child MAC below the top, the root MAC at the top.
+    fn computed_mac(b: &Bmt, level: usize, pos: u64, content: &Line) -> Mac128 {
+        if level == b.layout().internal_levels() {
+            b.engine().node_mac(level, 0, content)
+        } else {
+            b.child_mac(level, pos, content)
+        }
+    }
+
+    /// Every default answer equals the MAC computed over the default
+    /// content, and a default line with one bit flipped (one per byte)
+    /// is hashed, not answered from the table.
+    #[test]
+    fn default_answers_equal_the_computed_macs() {
+        let b = bmt();
+        for level in 0..=b.layout().internal_levels() {
+            let default = b.default_node(level);
+            for pos in 0..MACS_PER_LINE {
+                let want = computed_mac(&b, level, pos, &default);
+                assert_eq!(b.default_mac(level, pos), want, "level {level}, pos {pos}");
+                assert_eq!(b.link_mac(level, pos, &default), want);
+                for byte in 0..64 {
+                    let mut flipped = default;
+                    flipped[byte] ^= 1 << (byte % 8);
+                    let got = b.link_mac(level, pos, &flipped);
+                    assert_eq!(got, computed_mac(&b, level, pos, &flipped));
+                    assert_ne!(got, want, "level {level}, pos {pos}, byte {byte}");
+                }
+            }
+        }
     }
 
     #[test]

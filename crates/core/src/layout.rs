@@ -267,9 +267,13 @@ impl SecureLayout {
     ///
     /// Panics if `line` is not in the tree region.
     pub fn node_of_line(&self, line: LineAddr) -> (usize, u64) {
-        for (k, (&base, &count)) in self.level_base.iter().zip(&self.level_count).enumerate() {
-            if (base..base + count).contains(&line.0) {
-                return (k + 1, line.0 - base);
+        // The levels lie back to back in ascending address order, so
+        // the level holding `line` is the last one based at or below it.
+        let above = self.level_base.partition_point(|&base| base <= line.0);
+        if let Some(k) = above.checked_sub(1) {
+            let idx = line.0 - self.level_base[k];
+            if idx < self.level_count[k] {
+                return (k + 1, idx);
             }
         }
         panic!("{line} is not a Merkle-tree node line");
@@ -417,6 +421,37 @@ mod tests {
             let line = l.node_line(level, idx);
             assert_eq!(l.node_of_line(line), (level, idx));
         }
+    }
+
+    #[test]
+    fn node_of_line_finds_every_node() {
+        let l = SecureLayout::new(1 << 20);
+        for level in 1..=l.internal_levels() {
+            for idx in 0..l.level_nodes(level) {
+                assert_eq!(l.node_of_line(l.node_line(level, idx)), (level, idx));
+            }
+        }
+        let l = SecureLayout::new(16 << 30);
+        for level in 1..=l.internal_levels() {
+            let last = l.level_nodes(level) - 1;
+            for idx in [0, last / 2, last] {
+                assert_eq!(l.node_of_line(l.node_line(level, idx)), (level, idx));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a Merkle-tree node line")]
+    fn node_of_line_rejects_the_line_below_the_tree() {
+        let l = SecureLayout::new(1 << 20);
+        l.node_of_line(LineAddr(l.node_line(1, 0).0 - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a Merkle-tree node line")]
+    fn node_of_line_rejects_the_line_past_the_top() {
+        let l = SecureLayout::new(1 << 20);
+        l.node_of_line(LineAddr(l.node_line(l.internal_levels(), 0).0 + 1));
     }
 
     #[test]

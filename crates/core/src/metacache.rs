@@ -58,6 +58,10 @@ pub struct MetaCache {
     /// Counter-region boundary, for routing.
     counter_base: u64,
     counter_end: u64,
+    /// Resident dirty lines across both banks, kept from the dirty-bit
+    /// transitions each bank reports, so [`Self::dirty_len`] reads no
+    /// set.
+    dirty: usize,
 }
 
 impl MetaCache {
@@ -84,6 +88,7 @@ impl MetaCache {
             tree,
             counter_base,
             counter_end: counter_base + layout.counter_lines(),
+            dirty: 0,
         }
     }
 
@@ -106,9 +111,22 @@ impl MetaCache {
         }
     }
 
-    /// Accesses `line` (see [`SetAssocCache::access`]).
-    pub fn access(&mut self, line: LineAddr, write: bool) -> AccessResult<MetaPayload> {
-        self.bank_for_mut(line).access(line, write)
+    /// Reads `line`, allocating it clean on a miss (see
+    /// [`SetAssocCache::access`]); only [`Self::mark_dirty`] dirties a
+    /// line.
+    pub fn access(&mut self, line: LineAddr) -> AccessResult<MetaPayload> {
+        let result = self.bank_for_mut(line).access(line, false);
+        if result.evicted.as_ref().is_some_and(|e| e.dirty) {
+            self.dirty -= 1;
+        }
+        result
+    }
+
+    /// A hit without the miss path (see [`SetAssocCache::touch`]):
+    /// refreshes LRU and counts the hit when `line` is resident,
+    /// changes nothing when it is not.
+    pub fn touch(&mut self, line: LineAddr) -> bool {
+        self.bank_for_mut(line).touch(line)
     }
 
     /// Whether `line` is resident.
@@ -126,14 +144,23 @@ impl MetaCache {
         self.bank_for(line).peek_victim(line)
     }
 
-    /// Marks `line` dirty (resident lines only).
+    /// Marks `line` dirty (resident lines only), returning whether it
+    /// is resident.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        self.bank_for_mut(line).mark_dirty(line)
+        let was = self.bank_for_mut(line).mark_dirty(line);
+        if was == Some(false) {
+            self.dirty += 1;
+        }
+        was.is_some()
     }
 
-    /// Clears `line`'s dirty bit.
+    /// Clears `line`'s dirty bit, returning whether it is resident.
     pub fn mark_clean(&mut self, line: LineAddr) -> bool {
-        self.bank_for_mut(line).mark_clean(line)
+        let was = self.bank_for_mut(line).mark_clean(line);
+        if was == Some(true) {
+            self.dirty -= 1;
+        }
+        was.is_some()
     }
 
     /// Mutable payload of a resident line.
@@ -143,7 +170,11 @@ impl MetaCache {
 
     /// Removes `line`, returning whether it was resident and dirty.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        self.bank_for_mut(line).invalidate(line).map(|e| e.dirty)
+        let dirty = self.bank_for_mut(line).invalidate(line).map(|e| e.dirty);
+        if dirty == Some(true) {
+            self.dirty -= 1;
+        }
+        dirty
     }
 
     /// All resident dirty lines across both banks, allocation-free.
@@ -170,9 +201,10 @@ impl MetaCache {
     }
 
     /// Resident dirty lines across both banks (the metrics sampler's
-    /// dirtiness gauge).
+    /// dirtiness gauge and the auditor's coverage total), without a
+    /// scan.
     pub fn dirty_len(&self) -> usize {
-        self.dirty_lines().count()
+        self.dirty
     }
 
     /// Whether nothing is resident.
@@ -201,8 +233,9 @@ mod tests {
     fn shared_routes_everything_to_one_bank() {
         let l = layout();
         let mut c = MetaCache::new(CacheConfig::new(4096, 4), MetaCacheOrg::Shared, &l);
-        c.access(ctr_line(&l, 0), true);
-        c.access(node_line(&l), false);
+        c.access(ctr_line(&l, 0));
+        c.mark_dirty(ctr_line(&l, 0));
+        c.access(node_line(&l));
         assert_eq!(c.len(), 2);
         assert!(c.is_dirty(ctr_line(&l, 0)));
         assert!(!c.is_dirty(node_line(&l)));
@@ -214,9 +247,10 @@ mod tests {
         let mut c = MetaCache::new(CacheConfig::new(4096, 4), MetaCacheOrg::Split, &l);
         assert_eq!(c.org(), MetaCacheOrg::Split);
         // Fill the counter bank: counter lines never evict tree nodes.
-        c.access(node_line(&l), true);
+        c.access(node_line(&l));
+        c.mark_dirty(node_line(&l));
         for i in 0..64 {
-            c.access(ctr_line(&l, i), false);
+            c.access(ctr_line(&l, i));
         }
         assert!(c.contains(node_line(&l)), "tree bank is isolated");
     }
@@ -228,7 +262,7 @@ mod tests {
         // 4096 B shared = 64 lines; split = 32 lines per bank. Insert
         // 40 distinct counters: at most 32 survive.
         for i in 0..40 {
-            c.access(ctr_line(&l, i), false);
+            c.access(ctr_line(&l, i));
         }
         assert!(c.len() <= 32);
     }
@@ -237,9 +271,9 @@ mod tests {
     fn hit_miss_aggregates_banks() {
         let l = layout();
         let mut c = MetaCache::new(CacheConfig::new(4096, 4), MetaCacheOrg::Split, &l);
-        c.access(ctr_line(&l, 0), false); // miss
-        c.access(ctr_line(&l, 0), false); // hit
-        c.access(node_line(&l), false); // miss
+        c.access(ctr_line(&l, 0)); // miss
+        c.access(ctr_line(&l, 0)); // hit
+        c.access(node_line(&l)); // miss
         assert_eq!(c.hit_miss(), (1, 2));
     }
 
@@ -247,12 +281,59 @@ mod tests {
     fn payload_and_dirty_tracking_work_through_routing() {
         let l = layout();
         let mut c = MetaCache::new(CacheConfig::new(4096, 4), MetaCacheOrg::Split, &l);
-        c.access(ctr_line(&l, 3), true);
+        c.access(ctr_line(&l, 3));
+        c.mark_dirty(ctr_line(&l, 3));
         c.payload_mut(ctr_line(&l, 3)).unwrap().updates = 7;
         assert_eq!(c.dirty_lines().collect::<Vec<_>>(), vec![ctr_line(&l, 3)]);
         assert!(c.mark_clean(ctr_line(&l, 3)));
         assert_eq!(c.dirty_lines().count(), 0);
         assert_eq!(c.invalidate(ctr_line(&l, 3)), Some(false));
         assert!(c.is_empty());
+    }
+
+    /// The running dirty count equals a full scan after every step of
+    /// a seeded random mix of the operations that move dirty bits —
+    /// installs (with evictions), marks, invalidations and touches —
+    /// on both organizations.
+    #[test]
+    fn dirty_len_tracks_a_full_scan() {
+        use ccnvm_rng::Rng;
+        let l = layout();
+        for org in [MetaCacheOrg::Shared, MetaCacheOrg::Split] {
+            // 512 B per bank at most: 8 lines, so evictions are common.
+            let mut c = MetaCache::new(CacheConfig::new(1024, 2), org, &l);
+            let mut rng = Rng::seed_from_u64(0xd1e7);
+            for step in 0..5_000 {
+                let idx = rng.next_u64() % 24;
+                let line = if rng.next_u64().is_multiple_of(2) {
+                    ctr_line(&l, idx)
+                } else {
+                    l.node_line(1, idx)
+                };
+                match rng.next_u64() % 5 {
+                    0 => {
+                        c.access(line);
+                    }
+                    1 => {
+                        c.mark_dirty(line);
+                    }
+                    2 => {
+                        c.mark_clean(line);
+                    }
+                    3 => {
+                        c.invalidate(line);
+                    }
+                    _ => {
+                        c.touch(line);
+                    }
+                }
+                assert_eq!(
+                    c.dirty_len(),
+                    c.dirty_lines().count(),
+                    "{org:?}, step {step}"
+                );
+            }
+            assert!(c.dirty_len() > 0, "{org:?}: the mix must leave dirt");
+        }
     }
 }

@@ -360,6 +360,28 @@ mod tests {
         assert!(aud.failed(), "strict auditor must latch the violation");
     }
 
+    /// The counted coverage check falls back to the full scan to name
+    /// what it found: the injected desync leaves exactly page 0's
+    /// counter line dirty and unqueued.
+    #[test]
+    fn desync_names_the_one_uncovered_line() {
+        let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
+        m.attach_auditor(AuditMode::Record);
+        let t = m.inject_dirty_queue_desync(0).unwrap();
+        m.audit_now(t);
+        let aud = m.auditor().expect("attached");
+        let coverage: Vec<&str> = aud
+            .violations()
+            .iter()
+            .filter(|v| v.check == AuditCheck::DirtyCoverage)
+            .map(|v| v.detail.as_str())
+            .collect();
+        assert_eq!(
+            coverage,
+            ["dirty L0x4000 has no dirty-address-queue reservation"]
+        );
+    }
+
     #[test]
     fn root_old_movement_outside_commit_is_caught() {
         let (mut m, t) = written_memory(DesignKind::CcNvm);

@@ -35,12 +35,23 @@ pub(crate) fn data_hmac_matches(
 }
 
 impl SecureMemory {
-    /// Installs `line` into the Meta Cache, handling a dirty victim per
-    /// the active design. The content is resolved from the NVM layer
-    /// *after* room is made, so repairs triggered by the eviction are
-    /// never lost. Returns the advanced clock.
-    pub(crate) fn install_meta(&mut self, line: LineAddr, mut t: Cycle) -> Cycle {
+    /// Installs `line` into the Meta Cache with `content`, the value
+    /// the fetch resolved, handling a dirty victim per the active
+    /// design. Only a dirty victim can change `line`'s NVM copy — its
+    /// drain persists every queued line, and its chain repair patches
+    /// ancestors that are not on chip — so after one the content is
+    /// resolved again, and repairs triggered by the eviction are never
+    /// lost; clean evictions leave it as fetched. Returns the advanced
+    /// clock.
+    pub(crate) fn install_meta(
+        &mut self,
+        line: LineAddr,
+        mut content: Line,
+        mut t: Cycle,
+    ) -> Cycle {
+        let mut rewritten = false;
         while let Some((victim, dirty)) = self.meta_cache.peek_victim(line) {
+            rewritten |= dirty;
             if dirty && self.design().has_drainer() {
                 // Trigger 2: a dirty line is about to be evicted — drain
                 // first so the eviction is clean.
@@ -70,10 +81,12 @@ impl SecureMemory {
                 t = self.evict_dirty_meta(victim, victim_content, t);
             }
         }
-        let content = self
-            .functional_nvm(line)
-            .unwrap_or_else(|| self.meta_default(line));
-        let result = self.meta_cache.access(line, false);
+        if rewritten {
+            content = self
+                .functional_nvm(line)
+                .unwrap_or_else(|| self.meta_default(line));
+        }
+        let result = self.meta_cache.access(line);
         debug_assert!(result.evicted.is_none(), "room was made above");
         debug_assert!(result.is_miss(), "install_meta on a resident line");
         self.chip_meta.write(line, content);
@@ -182,31 +195,32 @@ impl SecureMemory {
         &mut self,
         line: LineAddr,
         now: Cycle,
-        verify: bool,
     ) -> Result<Cycle, IntegrityError> {
         let mut t = now + self.config.meta_cycles;
         self.prof_engine(Stage::MetaFetch, self.config.meta_cycles);
-        if self.meta_cache.contains(line) {
-            self.meta_cache.access(line, false);
+        if self.meta_cache.touch(line) {
             self.stats.meta_hits += 1;
             return Ok(t);
         }
         // Collect the missing chain bottom-up until a cached ancestor,
-        // in the reusable scratch buffer (bounded by one tree path, so
-        // it reaches steady-state capacity after the first deep miss
-        // and the hot path stays allocation-free). Taken out of `self`
-        // for the borrow and put back below; the integrity-error exit
-        // drops it, which only costs the capacity on a terminal path.
+        // with each member's tree coordinates, in the reusable scratch
+        // buffer (bounded by one tree path, so it reaches steady-state
+        // capacity after the first deep miss and the hot path stays
+        // allocation-free). Taken out of `self` for the borrow and put
+        // back below; the integrity-error exit drops it, which only
+        // costs the capacity on a terminal path.
         let mut chain = std::mem::take(&mut self.meta_chain_scratch);
         chain.clear();
-        chain.push(line);
-        let mut cur = line;
-        while let Some(parent) = self.parent_of(cur) {
+        let (mut level, mut idx) = self.layout.level_of(line);
+        chain.push((line, level, idx));
+        while level < self.layout.internal_levels() {
+            level += 1;
+            idx /= 4;
+            let parent = self.layout.node_line(level, idx);
             if self.meta_cache.contains(parent) {
                 break;
             }
-            chain.push(parent);
-            cur = parent;
+            chain.push((parent, level, idx));
         }
         self.stats.meta_misses += chain.len() as u64;
         // Install top-down so each verification sees a trusted parent.
@@ -214,32 +228,35 @@ impl SecureMemory {
         // update the NVM copy of a not-yet-installed chain member but
         // never installs one; reading the content fresh per iteration
         // picks any such repair up.
-        for &l in chain.iter().rev() {
+        for &(l, level, idx) in chain.iter().rev() {
             let content = self
                 .functional_nvm(l)
-                .unwrap_or_else(|| self.meta_default(l));
+                .unwrap_or_else(|| self.bmt.default_node(level));
             let fetch_start = t;
             t = self.mc.read(l, t);
             self.prof_engine(Stage::MetaFetch, t.saturating_sub(fetch_start));
-            if verify {
-                t = self.verify_fetched(l, &content, t)?;
-            }
-            t = self.install_meta(l, t);
+            t = self.verify_fetched(level, idx, &content, t)?;
+            t = self.install_meta(l, content, t);
         }
         chain.clear();
         self.meta_chain_scratch = chain;
         Ok(t)
     }
 
-    /// Verifies a freshly fetched metadata line against its (cached)
-    /// parent slot, or against the persistent roots for the top node.
-    pub(crate) fn verify_fetched(
+    /// Verifies freshly fetched metadata line `(level, idx)` against its
+    /// (cached) parent slot, or against the persistent roots for the
+    /// top node. A line that holds its level's default is checked
+    /// against the default tree's own MAC ([`Bmt::link_mac`]) instead
+    /// of a hash, but is still charged one HMAC: the modelled engine
+    /// cannot tell untouched metadata apart, so `RunStats::hmacs` and
+    /// the latency count every check.
+    fn verify_fetched(
         &mut self,
-        line: LineAddr,
+        level: usize,
+        idx: u64,
         content: &Line,
         mut t: Cycle,
     ) -> Result<Cycle, IntegrityError> {
-        let (level, idx) = self.layout.level_of(line);
         self.stats.hmacs += 1;
         t += HMAC_LATENCY_CYCLES;
         self.prof_engine(
@@ -250,23 +267,17 @@ impl SecureMemory {
             },
             HMAC_LATENCY_CYCLES,
         );
-        match self.parent_of(line) {
-            Some(parent) => {
-                let mac = self.bmt.child_mac(level, idx, content);
-                let pcontent = self.meta_content(parent);
-                if Bmt::slot(&pcontent, idx) != mac {
-                    return Err(IntegrityError::TreeMismatch {
-                        child_level: level,
-                        child_index: idx,
-                    });
-                }
+        let mac = self.bmt.link_mac(level, idx, content);
+        if level < self.layout.internal_levels() {
+            let parent = self.layout.node_line(level + 1, idx / 4);
+            if Bmt::slot(&self.meta_content(parent), idx) != mac {
+                return Err(IntegrityError::TreeMismatch {
+                    child_level: level,
+                    child_index: idx,
+                });
             }
-            None => {
-                let root = self.bmt.engine().node_mac(level, 0, content);
-                if !self.tcb.matches_either_root(&root) {
-                    return Err(IntegrityError::RootMismatch);
-                }
-            }
+        } else if !self.tcb.matches_either_root(&mac) {
+            return Err(IntegrityError::RootMismatch);
         }
         Ok(t)
     }
@@ -328,6 +339,175 @@ mod tests {
         for i in 0..32u64 {
             m.read_data(LineAddr(i * 64), 2_000_000_000 + i * 100_000)
                 .expect("overlay models the online counter recovery");
+        }
+    }
+
+    /// A cc-NVM memory whose page 0 was written and drained: counter 0
+    /// and its whole path are durable, non-default and clean on chip.
+    fn drained_page_zero() -> SecureMemory {
+        let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
+        let t = m.write_back(LineAddr(7), 0).unwrap();
+        m.drain(t + 100_000, DrainTrigger::External);
+        m
+    }
+
+    /// Line `(level, idx)` of the small layout (level 0: a counter).
+    fn meta_line(m: &SecureMemory, level: usize, idx: u64) -> LineAddr {
+        match level {
+            0 => m.layout().counter_line_at(idx),
+            _ => m.layout().node_line(level, idx),
+        }
+    }
+
+    /// Replaces durable metadata lines and drops the listed lines from
+    /// the Meta Cache, so the next read fetches and verifies them.
+    fn tamper(m: &mut SecureMemory, forged: &[(LineAddr, Line)], flush: &[LineAddr]) {
+        for &(line, content) in forged {
+            m.tamper_durable(line, content);
+        }
+        for &line in flush {
+            m.flush_meta_line(line);
+        }
+    }
+
+    /// A fetched line whose content is its level's default is answered
+    /// from the default tree, but still against its parent's slot: a
+    /// line rolled back to default under a parent that holds a written
+    /// child's MAC, and a forged line under a default parent, both
+    /// mismatch at the child.
+    #[test]
+    fn rolled_back_and_forged_lines_still_mismatch_their_parent() {
+        // Counter 0 rolled back to all-zero; its level-1 parent holds
+        // the written counter's MAC.
+        let mut m = drained_page_zero();
+        let ctr = meta_line(&m, 0, 0);
+        tamper(&mut m, &[(ctr, [0u8; 64])], &[ctr]);
+        assert_eq!(
+            m.read_data(LineAddr(7), 10_000_000).unwrap_err(),
+            IntegrityError::TreeMismatch {
+                child_level: 0,
+                child_index: 0
+            }
+        );
+        // Level-1 node 0 rolled back to the default node under the
+        // written level-2 node 0.
+        let mut m = drained_page_zero();
+        let node = meta_line(&m, 1, 0);
+        let (default, ctr) = (m.bmt().default_node(1), meta_line(&m, 0, 0));
+        tamper(&mut m, &[(node, default)], &[ctr, node]);
+        assert_eq!(
+            m.read_data(LineAddr(7), 10_000_000).unwrap_err(),
+            IntegrityError::TreeMismatch {
+                child_level: 1,
+                child_index: 0
+            }
+        );
+        // Forged counter 5 and forged level-1 node 1 (pages 4..8)
+        // under default parents on a fresh memory.
+        for (level, idx) in [(0usize, 5u64), (1, 1)] {
+            let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
+            let line = meta_line(&m, level, idx);
+            let mut forged = m.bmt().default_node(level);
+            forged[63] ^= 1;
+            tamper(&mut m, &[(line, forged)], &[]);
+            assert_eq!(
+                m.read_data(LineAddr(5 * 64), 0).unwrap_err(),
+                IntegrityError::TreeMismatch {
+                    child_level: level,
+                    child_index: idx
+                },
+                "level {level}"
+            );
+        }
+    }
+
+    /// The top node is verified against the root registers: rolled
+    /// back to default under a written root, or forged under the
+    /// default root, it is a root mismatch.
+    #[test]
+    fn the_top_node_is_still_checked_against_the_root() {
+        let mut m = drained_page_zero();
+        let top = m.layout().internal_levels();
+        let path: Vec<LineAddr> = (0..=top).map(|level| meta_line(&m, level, 0)).collect();
+        let default = m.bmt().default_node(top);
+        tamper(&mut m, &[(path[top], default)], &path);
+        assert_eq!(
+            m.read_data(LineAddr(7), 10_000_000).unwrap_err(),
+            IntegrityError::RootMismatch
+        );
+        let mut m = SecureMemory::new(SimConfig::small(DesignKind::CcNvm)).unwrap();
+        let mut forged = m.bmt().default_node(top);
+        forged[0] ^= 0x80;
+        tamper(&mut m, &[(path[top], forged)], &[]);
+        assert_eq!(
+            m.read_data(LineAddr(7), 0).unwrap_err(),
+            IntegrityError::RootMismatch
+        );
+    }
+
+    /// FNV-1a, 64-bit, over every durable line of a crash image in
+    /// address order (address bytes, then content).
+    fn image_digest(m: &SecureMemory) -> u64 {
+        let nvm = m.crash_image().nvm;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for addr in nvm.sorted_addrs() {
+            for b in addr.0.to_le_bytes().into_iter().chain(nvm.read(addr)) {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// `RunStats::csv_row` of `mixed`, 150 000 instructions at seed 7,
+    /// over `SimConfig::small` with an 8-line Meta Cache, in
+    /// `DesignKind::ALL` order.
+    const TINY_META_STATS: [&str; 5] = [
+        "150001,13032061,0.011510,23784,24259,20661,13996,8454,35198,7273,77560,7273,7256,\
+         10534,0,25063,0,0,0,0,0,78359,21076,0,0,12761657,5950834",
+        "150001,17201380,0.008720,23784,24259,20661,13996,7445,61384,7273,88990,7273,7271,\
+         35840,0,50384,0,0,0,0,0,115618,21076,0,0,16930976,13127343",
+        "150001,21325279,0.007034,23784,24259,20661,13996,7445,61384,7273,112167,7273,7273,\
+         180,0,14726,0,0,0,0,0,162369,21076,0,0,21054875,15096293",
+        "150001,19382081,0.007739,23784,24259,20661,13996,7445,61384,7273,102011,7273,7273,\
+         36340,0,50886,7258,0,7258,0,2724457,115618,21076,0,0,19111677,16375513",
+        "150001,13415088,0.011182,23784,24259,20661,13996,8454,35198,7273,72836,7273,7254,\
+         21477,0,36004,3173,0,3173,0,3017825,74544,21076,0,0,13144684,8818802",
+    ];
+
+    /// The crash image's digest after the same runs.
+    const TINY_META_DIGESTS: [u64; 5] = [
+        0xa43d_f1cb_4f19_b28e,
+        0xf033_f91b_6ed5_414c,
+        0xf9eb_ecc0_739d_1c86,
+        0xa554_fc2b_f3de_e871,
+        0x10a4_fac0_037e_9a5f,
+    ];
+
+    /// The fetch path under constant pressure: an 8-line Meta Cache
+    /// makes nearly every fetch walk a chain, install over a victim
+    /// and, on every design but SC (which persists and cleans its path
+    /// within each write-back), evict dirty metadata. Every `RunStats`
+    /// field and the crash image are pinned per design.
+    #[test]
+    fn tiny_meta_cache_runs_are_pinned_on_every_design() {
+        use ccnvm_trace::{profiles, TraceGenerator};
+        for (d, design) in DesignKind::ALL.into_iter().enumerate() {
+            let mut cfg = SimConfig::small(design);
+            cfg.meta = ccnvm_mem::CacheConfig::new(512, 2);
+            let mut sim = crate::sim::Simulator::new(cfg).unwrap();
+            let s = sim
+                .run(TraceGenerator::new(profiles::mixed(), 7), 150_000)
+                .expect("attack-free run");
+            if design != DesignKind::StrictConsistency {
+                let dirty_evictions = match design {
+                    DesignKind::WithoutCc => s.meta_writes,
+                    DesignKind::OsirisPlus => sim.memory().nvm.overlay.len() as u64,
+                    _ => s.drains_evict,
+                };
+                assert!(dirty_evictions > 0, "{design}: no dirty eviction");
+            }
+            assert_eq!(s.csv_row(), TINY_META_STATS[d], "{design}");
+            assert_eq!(image_digest(sim.memory()), TINY_META_DIGESTS[d], "{design}");
         }
     }
 

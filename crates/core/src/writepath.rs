@@ -151,17 +151,17 @@ impl SecureMemory {
         // drains, which clear the dirty address queue; that is safe
         // only while nothing of *this* write-back is dirty yet, so all
         // fetches happen before the reservation and the counter bump.
-        t = self.ensure_meta_cached(ctr_line, t, true)?;
+        t = self.ensure_meta_cached(ctr_line, t)?;
         if self.design().updates_root_every_wb() {
             for &(_, _, node_line) in path.nodes() {
                 if !self.meta_cache.contains(node_line) {
-                    t = self.ensure_meta_cached(node_line, t, true)?;
+                    t = self.ensure_meta_cached(node_line, t)?;
                 }
             }
             if !self.meta_cache.contains(ctr_line) {
                 // A tiny meta cache can displace the counter while the
                 // path streams in; bring it back.
-                t = self.ensure_meta_cached(ctr_line, t, true)?;
+                t = self.ensure_meta_cached(ctr_line, t)?;
             }
         }
         self.emit(obs::Event::WriteBack {

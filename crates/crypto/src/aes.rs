@@ -102,11 +102,16 @@ impl Aes128 {
         Self { rk }
     }
 
-    /// Encrypts one 16-byte block under an explicit crypto tier:
-    /// AES-NI where the host has it, otherwise the T-table cipher.
-    /// Bit-identical to [`Self::encrypt_block`].
-    pub fn encrypt_block_with(&self, tier: crate::tier::CryptoTier, block: [u8; 16]) -> [u8; 16] {
-        crate::hw::aes128_encrypt(tier, &self.rk, block, |b| self.encrypt_block(b))
+    /// Encrypts four 16-byte blocks under an explicit crypto tier: one
+    /// interleaved AES-NI pass where the host has it, otherwise the
+    /// T-table cipher on each. Bit-identical to four
+    /// [`Self::encrypt_block`] calls.
+    pub fn encrypt4_with(
+        &self,
+        tier: crate::tier::CryptoTier,
+        blocks: [[u8; 16]; 4],
+    ) -> [[u8; 16]; 4] {
+        crate::hw::aes128_encrypt4(tier, &self.rk, blocks, |b| self.encrypt_block(b))
     }
 
     /// Encrypts one 16-byte block.
@@ -316,8 +321,22 @@ mod tests {
             0x0b, 0x32,
         ];
         let aes = Aes128::new(&key);
+        let c1_key: [u8; 16] = core::array::from_fn(|i| i as u8);
+        let c1_pt: [u8; 16] = core::array::from_fn(|i| (i * 0x11) as u8);
+        let c1_expect = [
+            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+            0xc5, 0x5a,
+        ];
+        let c1 = Aes128::new(&c1_key);
         for tier in [CryptoTier::Portable, CryptoTier::Simd] {
-            assert_eq!(aes.encrypt_block_with(tier, pt), expect);
+            // Each vector in every lane of the four-block kernel.
+            for lane in 0..4 {
+                let mut blocks = [[0u8; 16]; 4];
+                blocks[lane] = pt;
+                assert_eq!(aes.encrypt4_with(tier, blocks)[lane], expect, "{tier}");
+                blocks[lane] = c1_pt;
+                assert_eq!(c1.encrypt4_with(tier, blocks)[lane], c1_expect, "{tier}");
+            }
         }
         let mut x = 0xfeed_f00d_dead_beefu64;
         let mut next = move || {
@@ -328,11 +347,12 @@ mod tests {
         };
         for _ in 0..64 {
             let key: [u8; 16] = core::array::from_fn(|_| next() as u8);
-            let block: [u8; 16] = core::array::from_fn(|_| next() as u8);
+            let blocks: [[u8; 16]; 4] =
+                core::array::from_fn(|_| core::array::from_fn(|_| next() as u8));
             let aes = Aes128::new(&key);
-            let want = aes.encrypt_block(block);
-            assert_eq!(aes.encrypt_block_with(CryptoTier::Portable, block), want);
-            assert_eq!(aes.encrypt_block_with(CryptoTier::Simd, block), want);
+            let want = blocks.map(|b| aes.encrypt_block(b));
+            assert_eq!(aes.encrypt4_with(CryptoTier::Portable, blocks), want);
+            assert_eq!(aes.encrypt4_with(CryptoTier::Simd, blocks), want);
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Hardware-accelerated SHA-1 and AES block functions.
 //!
 //! [`compress_block`] runs one FIPS 180-4 SHA-1 compression with the
-//! SHA-NI round instructions, and [`aes128_encrypt`] one AES-128 block
-//! with AES-NI. Both are bit-identical to the portable code they fall
-//! back to: the scalar compression in [`crate::sha1`] and the T-table
-//! cipher in [`crate::aes`].
+//! SHA-NI round instructions, and [`aes128_encrypt4`] four AES-128
+//! blocks with AES-NI — the four blocks of one one-time pad, their
+//! rounds interleaved so the AES unit's pipeline stays full. Both are
+//! bit-identical to the portable code they fall back to: the scalar
+//! compression in [`crate::sha1`] and the T-table cipher in
+//! [`crate::aes`].
 //!
 //! Which path runs is decided at runtime from [`crate::tier`]: each
 //! entry point takes the resolved [`CryptoTier`] and falls back
@@ -28,24 +30,25 @@ pub(crate) fn compress_block(tier: CryptoTier, state: [u32; 5], block: &[u8; 64]
     crate::sha1::Sha1::compress_block(state, block)
 }
 
-/// One AES-128 block encryption under `tier` from pre-expanded round
+/// Four AES-128 block encryptions under `tier` from pre-expanded round
 /// keys in state-column layout (`rk[round][column]`, little-endian
 /// packed — byte-for-byte the FIPS 197 expanded key, which is exactly
-/// what AES-NI consumes). Bit-identical to the T-table cipher.
-pub(crate) fn aes128_encrypt(
+/// what AES-NI consumes): one interleaved AES-NI pass, or `ttable` on
+/// each block. Bit-identical to the T-table cipher.
+pub(crate) fn aes128_encrypt4(
     tier: CryptoTier,
     rk: &[[u32; 4]; 11],
-    block: [u8; 16],
+    blocks: [[u8; 16]; 4],
     ttable: impl Fn([u8; 16]) -> [u8; 16],
-) -> [u8; 16] {
+) -> [[u8; 16]; 4] {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if tier == CryptoTier::Simd && crate::tier::caps().aes_ni {
         // SAFETY: CPUID reported AES-NI (`caps`); SSE2 is baseline on
         // x86-64.
-        return unsafe { x86::aes128_encrypt_aesni(rk, block) };
+        return unsafe { x86::aes128_encrypt4_aesni(rk, &blocks) };
     }
     let _ = (tier, rk);
-    ttable(block)
+    blocks.map(ttable)
 }
 
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -225,31 +228,40 @@ mod x86 {
         out
     }
 
-    /// Single-block AES-128 encryption with AES-NI. The round keys the
-    /// T-table cipher pre-expands (`rk[round][column]`, little-endian
-    /// packed) are byte-for-byte the FIPS 197 expanded key, so they
-    /// load directly.
+    /// Four AES-128 block encryptions with AES-NI, round by round
+    /// across the blocks: the four `AESENC` chains are independent, so
+    /// each round's four instructions overlap in the pipeline where one
+    /// block at a time waits out every round's latency. The round keys
+    /// the T-table cipher pre-expands (`rk[round][column]`,
+    /// little-endian packed) are byte-for-byte the FIPS 197 expanded
+    /// key, so they load directly.
     ///
     /// # Safety
     ///
     /// The CPU must support AES-NI and SSE2.
     #[target_feature(enable = "aes,sse2")]
-    pub(super) unsafe fn aes128_encrypt_aesni(rk: &[[u32; 4]; 11], block: [u8; 16]) -> [u8; 16] {
+    pub(super) unsafe fn aes128_encrypt4_aesni(
+        rk: &[[u32; 4]; 11],
+        blocks: &[[u8; 16]; 4],
+    ) -> [[u8; 16]; 4] {
         let key = |r: usize| _mm_loadu_si128(rk[r].as_ptr() as *const __m128i);
-        let mut b = _mm_loadu_si128(block.as_ptr() as *const __m128i);
-        b = _mm_xor_si128(b, key(0));
-        b = _mm_aesenc_si128(b, key(1));
-        b = _mm_aesenc_si128(b, key(2));
-        b = _mm_aesenc_si128(b, key(3));
-        b = _mm_aesenc_si128(b, key(4));
-        b = _mm_aesenc_si128(b, key(5));
-        b = _mm_aesenc_si128(b, key(6));
-        b = _mm_aesenc_si128(b, key(7));
-        b = _mm_aesenc_si128(b, key(8));
-        b = _mm_aesenc_si128(b, key(9));
-        b = _mm_aesenclast_si128(b, key(10));
-        let mut out = [0u8; 16];
-        _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, b);
+        let mut b = [_mm_setzero_si128(); 4];
+        let k0 = key(0);
+        for (state, block) in b.iter_mut().zip(blocks) {
+            *state = _mm_xor_si128(_mm_loadu_si128(block.as_ptr() as *const __m128i), k0);
+        }
+        for r in 1..10 {
+            let k = key(r);
+            for state in &mut b {
+                *state = _mm_aesenc_si128(*state, k);
+            }
+        }
+        let k10 = key(10);
+        let mut out = [[0u8; 16]; 4];
+        for (block, state) in out.iter_mut().zip(b) {
+            let last = _mm_aesenclast_si128(state, k10);
+            _mm_storeu_si128(block.as_mut_ptr() as *mut __m128i, last);
+        }
         out
     }
 }

@@ -219,6 +219,22 @@ impl<T> SetAssocCache<T> {
         }
     }
 
+    /// A read hit without the miss path: when `line` is resident,
+    /// refreshes its LRU position and counts a hit exactly as
+    /// `access(line, false)` would, and returns `true`; when it is
+    /// absent, changes nothing and returns `false`. One set probe where
+    /// `contains` followed by `access` takes two.
+    pub fn touch(&mut self, line: LineAddr) -> bool {
+        let idx = self.set_index(line);
+        let Some(way) = self.sets[idx].iter_mut().find(|w| w.addr == line) else {
+            return false;
+        };
+        self.tick += 1;
+        way.lru_stamp = self.tick;
+        self.hits += 1;
+        true
+    }
+
     /// Whether `line` is resident (does not touch LRU state).
     pub fn contains(&self, line: LineAddr) -> bool {
         self.sets[self.set_index(line)]
@@ -250,27 +266,23 @@ impl<T> SetAssocCache<T> {
             .map(|w| &mut w.payload)
     }
 
-    /// Clears `line`'s dirty bit (after a write-back), returning whether
-    /// the line was resident.
-    pub fn mark_clean(&mut self, line: LineAddr) -> bool {
-        let idx = self.set_index(line);
-        if let Some(w) = self.sets[idx].iter_mut().find(|w| w.addr == line) {
-            w.dirty = false;
-            true
-        } else {
-            false
-        }
+    /// Clears `line`'s dirty bit (after a write-back), returning the bit
+    /// it replaced, or `None` when the line is not resident.
+    pub fn mark_clean(&mut self, line: LineAddr) -> Option<bool> {
+        self.set_dirty(line, false)
     }
 
-    /// Marks a resident `line` dirty without touching LRU order.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
+    /// Marks a resident `line` dirty without touching LRU order,
+    /// returning the bit it replaced, or `None` when the line is not
+    /// resident.
+    pub fn mark_dirty(&mut self, line: LineAddr) -> Option<bool> {
+        self.set_dirty(line, true)
+    }
+
+    fn set_dirty(&mut self, line: LineAddr, dirty: bool) -> Option<bool> {
         let idx = self.set_index(line);
-        if let Some(w) = self.sets[idx].iter_mut().find(|w| w.addr == line) {
-            w.dirty = true;
-            true
-        } else {
-            false
-        }
+        let w = self.sets[idx].iter_mut().find(|w| w.addr == line)?;
+        Some(std::mem::replace(&mut w.dirty, dirty))
     }
 
     /// The victim an `access(line, …)` miss would evict right now:
@@ -396,9 +408,10 @@ mod tests {
         let mut c = tiny();
         c.access(LineAddr(0), true);
         assert!(c.is_dirty(LineAddr(0)));
-        assert!(c.mark_clean(LineAddr(0)));
+        assert_eq!(c.mark_clean(LineAddr(0)), Some(true));
         assert!(!c.is_dirty(LineAddr(0)));
         assert!(c.contains(LineAddr(0)));
+        assert_eq!(c.mark_clean(LineAddr(0)), Some(false), "already clean");
     }
 
     #[test]
@@ -449,12 +462,21 @@ mod tests {
     #[test]
     fn mark_clean_and_dirty_on_absent_lines() {
         let mut c = tiny();
-        assert!(!c.mark_clean(LineAddr(7)), "absent line cannot be cleaned");
-        assert!(!c.mark_dirty(LineAddr(7)), "absent line cannot be dirtied");
+        assert_eq!(
+            c.mark_clean(LineAddr(7)),
+            None,
+            "absent line cannot be cleaned"
+        );
+        assert_eq!(
+            c.mark_dirty(LineAddr(7)),
+            None,
+            "absent line cannot be dirtied"
+        );
         assert!(!c.contains(LineAddr(7)), "marking must not insert");
         c.access(LineAddr(0), false);
-        assert!(c.mark_dirty(LineAddr(0)));
+        assert_eq!(c.mark_dirty(LineAddr(0)), Some(false));
         assert!(c.is_dirty(LineAddr(0)));
+        assert_eq!(c.mark_dirty(LineAddr(0)), Some(true), "already dirty");
         // A line evicted from its set is absent again.
         c.access(LineAddr(1), false);
         c.access(LineAddr(2), false);
@@ -463,8 +485,28 @@ mod tests {
         } else {
             LineAddr(0)
         };
-        assert!(!c.mark_dirty(gone));
-        assert!(!c.mark_clean(gone));
+        assert_eq!(c.mark_dirty(gone), None);
+        assert_eq!(c.mark_clean(gone), None);
+    }
+
+    /// `touch` is a read `access` restricted to hits: on a resident
+    /// line it leaves the cache in exactly the state `access` leaves it
+    /// in (LRU stamps, clock, hit count, dirty bits), and on an absent
+    /// line it changes nothing at all.
+    #[test]
+    fn touch_is_access_on_a_hit_and_nothing_on_a_miss() {
+        let mut touched = tiny();
+        touched.access(LineAddr(0), true);
+        touched.access(LineAddr(1), false);
+        let mut accessed = touched.clone();
+        assert!(touched.touch(LineAddr(0)));
+        assert!(accessed.access(LineAddr(0), false).is_hit());
+        assert_eq!(format!("{touched:?}"), format!("{accessed:?}"));
+        assert_eq!(touched.hit_miss(), (1, 2));
+        assert_eq!(touched.peek_victim(LineAddr(2)), Some((LineAddr(1), false)));
+        let before = format!("{touched:?}");
+        assert!(!touched.touch(LineAddr(2)));
+        assert_eq!(format!("{touched:?}"), before);
     }
 
     #[test]
