@@ -98,8 +98,8 @@ pub struct RunArgs {
     /// Attach the flight recorder: an in-process ring of recent flight
     /// entries, mirrored into the file backend's durable `flight.log`
     /// sidecar when `--backend file:` is in use. `forensics` forces
-    /// this on; `run`, which reads no ring, takes it only with a file
-    /// backend.
+    /// this on; `run` and `sweep`, which read no ring, take it only
+    /// with a file backend.
     pub flight: bool,
     /// Write the `ccnvm-forensics/1` JSON report to this path
     /// (`recover` / `forensics` only).
@@ -265,7 +265,7 @@ OPTIONS:
                       build/host has no hardware path)
   --flight            attach the flight recorder (with --backend file: the
                       entries also persist to the flight.log sidecar;
-                      run takes it only with --backend file:)
+                      run and sweep take it only with --backend file:)
 
 OBSERVER OPTIONS (run, recover, forensics):
   --trace-out FILE    write the event trace (.csv => CSV, else JSON lines)
@@ -306,11 +306,21 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
         .ok_or_else(|| ParseArgsError(format!("{flag} needs a value")))
 }
 
+/// Parses one option `sub` shares with the other simulating
+/// subcommands into `args`. Returns `false` for an unknown option.
 fn parse_common<'a, I: Iterator<Item = &'a str>>(
+    sub: &str,
     args: &mut RunArgs,
     flag: &str,
     iter: &mut I,
 ) -> Result<bool, ParseArgsError> {
+    if let Some((_, subs)) = SCOPED.iter().find(|(scoped, _)| *scoped == flag) {
+        if !subs.contains(&sub) {
+            return Err(ParseArgsError(format!(
+                "{flag} does not apply to the {sub} subcommand"
+            )));
+        }
+    }
     match flag {
         "--design" => {
             let v = take_value(flag, iter)?;
@@ -413,21 +423,41 @@ fn parse_narrow<T: TryFrom<u64>>(flag: &str, v: &str) -> Result<T, ParseArgsErro
     narrow(flag, parse_number(flag, v)?)
 }
 
-/// The run options `sweep` never acts on: it prints one stats row per
-/// point and writes no artifact, audit verdict or recovery.
-const SWEEP_REJECTS: [&str; 11] = [
-    "--trace-out",
-    "--epoch-report",
-    "--profile-out",
-    "--metrics-out",
-    "--metrics-interval",
-    "--chrome-trace",
-    "--wear-out",
-    "--audit",
-    "--forensics-out",
-    "--strict",
-    "--kill",
+/// The subcommands that simulate one run and can observe it.
+const RUNS: &[&str] = &["run", "recover", "forensics"];
+/// The subcommands that recover, so have a report and a verdict.
+const RECOVERIES: &[&str] = &["recover", "forensics"];
+
+/// The options only some subcommands take, each with the subcommands
+/// that accept it. `sweep` prints one stats row per point and writes no
+/// artifact, audit verdict or recovery; only `sweep` has points to
+/// spread over threads; only `forensics` kills its run.
+const SCOPED: [(&str, &[&str]); 12] = [
+    ("--trace-out", RUNS),
+    ("--epoch-report", RUNS),
+    ("--profile-out", RUNS),
+    ("--metrics-out", RUNS),
+    ("--metrics-interval", RUNS),
+    ("--chrome-trace", RUNS),
+    ("--wear-out", RUNS),
+    ("--audit", RUNS),
+    ("--threads", &["sweep"]),
+    ("--forensics-out", RECOVERIES),
+    ("--strict", RECOVERIES),
+    ("--kill", &["forensics"]),
 ];
+
+/// `--flight` over the in-memory store fills a ring that only a
+/// recovery reads, so `run` and `sweep` take it only with a file store.
+fn check_flight(sub: &str, args: &RunArgs) -> Result<(), ParseArgsError> {
+    if args.flight && args.backend == BackendChoice::Mem && !RECOVERIES.contains(&sub) {
+        return Err(ParseArgsError(format!(
+            "--flight on `{sub}` needs --backend file:<dir>, whose flight.log \
+             keeps the entries; nothing reads the in-memory ring"
+        )));
+    }
+    Ok(())
+}
 
 /// Parses the full command line (without the program name).
 ///
@@ -447,7 +477,7 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
             let mut args = RunArgs::default();
             let mut interval_given = false;
             while let Some(flag) = iter.next() {
-                if !parse_common(&mut args, flag, &mut iter)? {
+                if !parse_common(sub, &mut args, flag, &mut iter)? {
                     return Err(ParseArgsError(format!("unknown option {flag:?}")));
                 }
                 interval_given |= flag == "--metrics-interval";
@@ -459,37 +489,7 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                         .into(),
                 ));
             }
-            if sub != "forensics" && args.kill.is_some() {
-                return Err(ParseArgsError(format!(
-                    "--kill only applies to the forensics subcommand, not `{sub}`"
-                )));
-            }
-            if args.threads.is_some() {
-                return Err(ParseArgsError(format!(
-                    "--threads only applies to the sweep subcommand, not `{sub}`"
-                )));
-            }
-            if sub == "run" {
-                if args.forensics_out.is_some() {
-                    return Err(ParseArgsError(
-                        "--forensics-out needs a recovery to report on — use \
-                         `recover` or `forensics`"
-                            .into(),
-                    ));
-                }
-                if args.strict {
-                    return Err(ParseArgsError(
-                        "--strict gates recovery verdicts — use `recover` or `forensics`".into(),
-                    ));
-                }
-                if args.flight && args.backend == BackendChoice::Mem {
-                    return Err(ParseArgsError(
-                        "--flight on `run` needs --backend file:<dir>, whose flight.log \
-                         keeps the entries; nothing reads the in-memory ring"
-                            .into(),
-                    ));
-                }
-            }
+            check_flight(sub, &args)?;
             Ok(match sub {
                 "run" => Command::Run(args),
                 "recover" => Command::Recover(args),
@@ -563,18 +563,14 @@ pub fn parse<S: AsRef<str>>(argv: &[S]) -> Result<Command, ParseArgsError> {
                             values.push(parse_number("--values", v)?);
                         }
                     }
-                    _ if SWEEP_REJECTS.contains(&flag) => {
-                        return Err(ParseArgsError(format!(
-                            "{flag} does not apply to the sweep subcommand"
-                        )));
-                    }
                     _ => {
-                        if !parse_common(&mut args, flag, &mut iter)? {
+                        if !parse_common(sub, &mut args, flag, &mut iter)? {
                             return Err(ParseArgsError(format!("unknown option {flag:?}")));
                         }
                     }
                 }
             }
+            check_flight(sub, &args)?;
             let param = param.ok_or_else(|| ParseArgsError("sweep needs --param {n|m}".into()))?;
             if values.is_empty() {
                 return Err(ParseArgsError("sweep needs --values a,b,c".into()));
@@ -682,7 +678,7 @@ mod tests {
             let err = parse(&[sub, "--threads", "2"]).unwrap_err();
             assert_eq!(
                 err.to_string(),
-                format!("--threads only applies to the sweep subcommand, not `{sub}`")
+                format!("--threads does not apply to the {sub} subcommand")
             );
         }
     }
@@ -762,7 +758,8 @@ mod tests {
 
     #[test]
     fn sweep_rejects_the_run_options_it_ignores() {
-        for flag in SWEEP_REJECTS {
+        let ignored = SCOPED.iter().filter(|(_, subs)| !subs.contains(&"sweep"));
+        for &(flag, _) in ignored {
             // Value or not, the flag itself is the error.
             let argv = ["sweep", "--param", "n", "--values", "4", flag, "x"];
             let err = parse(&argv).unwrap_err();
@@ -771,6 +768,65 @@ mod tests {
                 format!("{flag} does not apply to the sweep subcommand")
             );
         }
+    }
+
+    /// Every scoped flag, under every subcommand that simulates: the
+    /// subcommands its row of [`SCOPED`] names parse it, and every
+    /// other one refuses it with the one message.
+    #[test]
+    fn every_scoped_flag_parses_only_under_its_subcommands() {
+        for &(flag, subs) in &SCOPED {
+            // The flag with a value it accepts, and what that value needs.
+            let with_value: &[&str] = match flag {
+                "--epoch-report" | "--strict" => &[],
+                "--metrics-interval" => &["500", "--metrics-out", "m.csv"],
+                "--audit" => &["record"],
+                "--threads" => &["2"],
+                "--kill" => &["drain-stage"],
+                _ => &["out.json"],
+            };
+            for sub in ["run", "recover", "forensics", "sweep"] {
+                let mut argv = vec![sub];
+                if sub == "sweep" {
+                    argv.extend(["--param", "n", "--values", "4"]);
+                }
+                argv.push(flag);
+                argv.extend(with_value);
+                let parsed = parse(&argv);
+                if subs.contains(&sub) {
+                    parsed.unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+                } else {
+                    assert_eq!(
+                        parsed.unwrap_err().to_string(),
+                        format!("{flag} does not apply to the {sub} subcommand"),
+                        "{argv:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Like `run`, `sweep` reads no in-memory flight ring.
+    #[test]
+    fn sweep_flight_needs_a_file_backend() {
+        let err = parse(&["sweep", "--param", "n", "--values", "4,8", "--flight"]).unwrap_err();
+        assert!(err
+            .to_string()
+            .starts_with("--flight on `sweep` needs --backend file:"));
+        let argv = [
+            "sweep",
+            "--param",
+            "n",
+            "--values",
+            "4,8",
+            "--backend",
+            "file:d",
+            "--flight",
+        ];
+        let Command::Sweep(sw) = parse(&argv).unwrap() else {
+            panic!("expected sweep");
+        };
+        assert!(sw.run.flight);
     }
 
     #[test]

@@ -110,19 +110,6 @@ impl DirtyAddressQueue {
         self.members.clear();
         self.order.clear();
     }
-
-    /// Empties the queue (drain committed), moving the drained
-    /// addresses into `out` (cleared first) in insertion order.
-    ///
-    /// Taking caller-owned scratch instead of returning a fresh `Vec`
-    /// keeps the drain hot loop at 0 allocs/op: both the queue's
-    /// buffer and the caller's keep their high-water capacity across
-    /// epochs.
-    pub fn drain_all(&mut self, out: &mut Vec<LineAddr>) {
-        out.clear();
-        out.extend_from_slice(&self.order);
-        self.clear();
-    }
 }
 
 #[cfg(test)]
@@ -162,18 +149,17 @@ mod tests {
 
     #[test]
     fn drain_empties_in_order() {
+        // A drain reads the entries in insertion order, then clears.
         let mut q = DirtyAddressQueue::new(8);
         q.try_insert_all(&lines(&[5, 1, 9]));
-        // Pre-dirtied scratch proves drain_all clears before filling.
-        let mut drained = lines(&[77]);
-        q.drain_all(&mut drained);
-        assert_eq!(drained, lines(&[5, 1, 9]));
+        assert_eq!(q.entries(), lines(&[5, 1, 9]));
+        q.clear();
         assert!(q.is_empty());
+        assert!(q.entries().is_empty());
         assert!(!q.contains(LineAddr(5)));
-        // Reusable afterwards, and the scratch can go around again.
+        // Reusable afterwards.
         assert!(q.try_insert_all(&lines(&[5])));
-        q.drain_all(&mut drained);
-        assert_eq!(drained, lines(&[5]));
+        assert_eq!(q.entries(), lines(&[5]));
     }
 
     #[test]

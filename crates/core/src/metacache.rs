@@ -50,7 +50,6 @@ impl MetaCacheOrg {
 /// Counter + Merkle-tree node cache with a region-routing front end.
 #[derive(Debug)]
 pub struct MetaCache {
-    org: MetaCacheOrg,
     /// Shared organization uses only `primary`; split puts counters in
     /// `primary` and tree nodes in `tree`.
     primary: SetAssocCache<MetaPayload>,
@@ -83,18 +82,12 @@ impl MetaCache {
         };
         let counter_base = layout.counter_line_at(0).0;
         Self {
-            org,
             primary,
             tree,
             counter_base,
             counter_end: counter_base + layout.counter_lines(),
             dirty: 0,
         }
-    }
-
-    /// The organization in use.
-    pub fn org(&self) -> MetaCacheOrg {
-        self.org
     }
 
     fn bank_for(&self, line: LineAddr) -> &SetAssocCache<MetaPayload> {
@@ -245,7 +238,6 @@ mod tests {
     fn split_partitions_counters_and_nodes() {
         let l = layout();
         let mut c = MetaCache::new(CacheConfig::new(4096, 4), MetaCacheOrg::Split, &l);
-        assert_eq!(c.org(), MetaCacheOrg::Split);
         // Fill the counter bank: counter lines never evict tree nodes.
         c.access(node_line(&l));
         c.mark_dirty(node_line(&l));

@@ -343,9 +343,6 @@ mod tests {
             self.stores.set(self.stores.get() + 1);
             self.inner.write(line, content);
         }
-        fn erase(&mut self, line: LineAddr) -> Option<Line> {
-            self.inner.erase(line)
-        }
         fn len(&self) -> usize {
             self.inner.len()
         }

@@ -224,16 +224,6 @@ impl RunStats {
         self.data_writes + self.dh_writes + self.meta_writes + self.reenc_writes
     }
 
-    /// L2 (LLC) miss rate.
-    pub fn l2_miss_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 / total as f64
-        }
-    }
-
     /// Meta-cache hit rate.
     pub fn meta_hit_rate(&self) -> f64 {
         let total = self.meta_hits + self.meta_misses;
@@ -513,15 +503,12 @@ mod tests {
     #[test]
     fn rates() {
         let s = RunStats {
-            l2_hits: 3,
-            l2_misses: 1,
             meta_hits: 9,
             meta_misses: 1,
             write_backs: 5,
             instructions: 1000,
             ..Default::default()
         };
-        assert!((s.l2_miss_rate() - 0.25).abs() < 1e-12);
         assert!((s.meta_hit_rate() - 0.9).abs() < 1e-12);
         assert!((s.wbpki() - 5.0).abs() < 1e-12);
     }

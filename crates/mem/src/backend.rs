@@ -35,9 +35,6 @@ pub trait DurableBackend: std::fmt::Debug + Send {
     /// Durably stores `content` at `line`.
     fn store(&mut self, line: LineAddr, content: Line);
 
-    /// Removes `line`, returning its previous content.
-    fn erase(&mut self, line: LineAddr) -> Option<Line>;
-
     /// Number of stored lines.
     fn len(&self) -> usize;
 
@@ -66,7 +63,7 @@ pub trait DurableBackend: std::fmt::Debug + Send {
         self.load(line).unwrap_or(ZERO_LINE)
     }
 
-    /// Opens an atomic persist group: subsequent stores/erases up to
+    /// Opens an atomic persist group: subsequent stores up to
     /// [`commit_atomic`](Self::commit_atomic) must survive a crash
     /// all-or-nothing. Groups do not nest. No-op by default (in-memory
     /// stores are trivially atomic).
@@ -116,10 +113,6 @@ impl DurableBackend for LineStore {
         self.write(line, content);
     }
 
-    fn erase(&mut self, line: LineAddr) -> Option<Line> {
-        LineStore::erase(self, line)
-    }
-
     fn len(&self) -> usize {
         LineStore::len(self)
     }
@@ -153,9 +146,10 @@ mod tests {
         assert_eq!(b.addrs(), vec![LineAddr(3)]);
         let snap = b.snapshot();
         assert_eq!(snap.read(LineAddr(3)), [7u8; 64]);
-        assert_eq!(b.erase(LineAddr(3)), Some([7u8; 64]));
-        assert!(b.is_empty());
+        b.store(LineAddr(3), [8u8; 64]);
+        b.store(LineAddr(4), [4u8; 64]);
         b.restore(&snap);
         assert_eq!(b.read(LineAddr(3)), [7u8; 64]);
+        assert!(!b.contains(LineAddr(4)));
     }
 }

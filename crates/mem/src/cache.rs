@@ -324,13 +324,6 @@ impl<T> SetAssocCache<T> {
             .map(|w| w.addr)
     }
 
-    /// All resident line addresses, in unspecified order.
-    ///
-    /// Allocation-free for the same reason as [`Self::dirty_lines`].
-    pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.sets.iter().flatten().map(|w| w.addr)
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
@@ -456,7 +449,7 @@ mod tests {
         c.access(LineAddr(0), true);
         c.access(LineAddr(1), false);
         assert_eq!(c.dirty_lines().collect::<Vec<_>>(), vec![LineAddr(0)]);
-        assert_eq!(c.resident_lines().count(), 2);
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::timing::Cycle;
 use crate::LineAddr;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,8 +57,9 @@ pub const FLIGHT_FILE: &str = "flight.log";
 
 const MANIFEST_MAGIC: [u8; 8] = *b"CCNVMMF1";
 
+// Kind 2 stays unused: it was an ERASE record that nothing wrote, and
+// replay reads it as a corrupt tail, like any unknown kind.
 const KIND_STORE: u8 = 1;
-const KIND_ERASE: u8 = 2;
 const KIND_BEGIN: u8 = 3;
 const KIND_COMMIT: u8 = 4;
 
@@ -312,6 +313,97 @@ fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// The bytes of the file at `path`, or `None` when there is none.
+fn read_if_present(path: &Path) -> Result<Option<Vec<u8>>, FileBackendError> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(bytes)),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(source) => Err(FileBackendError::Io {
+            path: path.to_path_buf(),
+            source,
+        }),
+    }
+}
+
+/// One append-only log of CRC-32-framed records: `commit.log`, or the
+/// `flight.log` sidecar. Frames wait in a buffer until [`Log::flush`]
+/// writes and fsyncs them; a kill loses the buffer.
+#[derive(Debug)]
+struct Log {
+    file: File,
+    /// Encoded frames not yet written + fsynced.
+    pending: Vec<u8>,
+    /// Number of frames in `pending`.
+    frames: u64,
+}
+
+impl Log {
+    /// Opens the log at `path` for appending (creating it), first
+    /// cutting it back to the well-formed prefix whose length
+    /// `valid_len` finds in its bytes, so new frames extend a
+    /// well-formed log. Returns the log and the number of bytes cut.
+    fn open(
+        path: &Path,
+        valid_len: impl FnOnce(&[u8]) -> usize,
+    ) -> Result<(Self, u64), FileBackendError> {
+        let io_error = |source| FileBackendError::Io {
+            path: path.to_path_buf(),
+            source,
+        };
+        let bytes = read_if_present(path)?.unwrap_or_default();
+        let valid = valid_len(&bytes);
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(io_error)?;
+        if valid < bytes.len() {
+            file.set_len(valid as u64)
+                .and_then(|()| file.sync_data())
+                .map_err(io_error)?;
+        }
+        let log = Self {
+            file,
+            pending: Vec::new(),
+            frames: 0,
+        };
+        Ok((log, (bytes.len() - valid) as u64))
+    }
+
+    /// Buffers one frame: `parts` in order, then their CRC-32.
+    fn frame(&mut self, parts: &[&[u8]]) {
+        let start = self.pending.len();
+        for part in parts {
+            self.pending.extend_from_slice(part);
+        }
+        let crc = crc32(&self.pending[start..]);
+        self.pending.extend_from_slice(&crc.to_le_bytes());
+        self.frames += 1;
+    }
+
+    /// Writes and fsyncs the buffered frames, and returns the bytes
+    /// written: 0, with no fsync, when nothing was buffered.
+    fn flush(&mut self) -> io::Result<u64> {
+        if self.pending.is_empty() {
+            return Ok(0);
+        }
+        self.file.write_all(&self.pending)?;
+        self.file.sync_data()?;
+        let written = self.pending.len() as u64;
+        self.pending.clear();
+        self.frames = 0;
+        Ok(written)
+    }
+
+    /// Drops the buffered frames and empties the file durably.
+    fn truncate(&mut self) -> io::Result<()> {
+        self.pending.clear();
+        self.frames = 0;
+        self.file.set_len(0)?;
+        self.file.sync_data()
+    }
+}
+
 /// The file-backed durable store. See the module docs for the on-disk
 /// format and durability model.
 ///
@@ -323,21 +415,16 @@ fn crc32(data: &[u8]) -> u32 {
 #[derive(Debug)]
 pub struct FileBackend {
     dir: PathBuf,
-    log: File,
+    log: Log,
     mirror: LineStore,
     config: FileBackendConfig,
-    /// Encoded records not yet written + fsynced. A kill loses these.
-    pending: Vec<u8>,
-    pending_records: u64,
-    /// Flight sidecar handle, present when `config.flight` is set.
-    flight: Option<File>,
-    /// Encoded flight frames not yet written + fsynced. Under
-    /// `always` this never survives a statement boundary (flight
+    /// The flight sidecar, present when `config.flight` is set. Under
+    /// `always` its buffer never survives a statement boundary (flight
     /// appends flush immediately so the entry is durable before the
     /// crash point it brackets can fire); under `batch`/`interval` it
     /// rides the commit log's flush cadence — the fsync-loss window
     /// the forensic report quantifies.
-    flight_pending: Vec<u8>,
+    flight: Option<Log>,
     /// Sequence number of the open atomic group, if any.
     group: Option<u64>,
     next_seq: u64,
@@ -395,52 +482,18 @@ impl FileBackend {
         let counters = Arc::new(FileIoCounters::default());
         let mut mirror = load_manifest(&dir.join(MANIFEST_FILE))?;
 
-        let log_path = dir.join(LOG_FILE);
-        let bytes = match std::fs::read(&log_path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(source) => {
-                return Err(FileBackendError::Io {
-                    path: log_path,
-                    source,
-                })
-            }
-        };
-        let replay = replay_log(&bytes, &mut mirror);
+        let mut replay = Replay::default();
+        let (log, discarded) = Log::open(&dir.join(LOG_FILE), |bytes| {
+            replay = replay_log(bytes, &mut mirror);
+            replay.applied_end
+        })?;
         counters.add(&counters.replayed_records, replay.applied_records);
-        counters.add(
-            &counters.discarded_bytes,
-            (bytes.len() - replay.applied_end) as u64,
-        );
-        if replay.applied_end < bytes.len() {
-            // Cut the torn/uncommitted tail off so new appends extend
-            // a well-formed log.
-            let f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(&log_path)
-                .map_err(|source| FileBackendError::Io {
-                    path: log_path.clone(),
-                    source,
-                })?;
-            f.set_len(replay.applied_end as u64)
-                .and_then(|()| f.sync_data())
-                .map_err(|source| FileBackendError::Io {
-                    path: log_path.clone(),
-                    source,
-                })?;
-        }
-        let log = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&log_path)
-            .map_err(|source| FileBackendError::Io {
-                path: log_path,
-                source,
-            })?;
+        counters.add(&counters.discarded_bytes, discarded);
         let flight = if config.flight {
-            Some(open_flight_sidecar(&dir)?)
+            let (flight, _) = Log::open(&dir.join(FLIGHT_FILE), |bytes| {
+                flight_frames(bytes).last().map_or(0, |(_, end)| end)
+            })?;
+            Some(flight)
         } else {
             None
         };
@@ -449,10 +502,7 @@ impl FileBackend {
             log,
             mirror,
             config,
-            pending: Vec::new(),
-            pending_records: 0,
             flight,
-            flight_pending: Vec::new(),
             group: None,
             next_seq: replay.next_seq,
             records_since_compact: replay.applied_records,
@@ -480,12 +530,9 @@ impl FileBackend {
         );
     }
 
-    fn append_record(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
-        let start = self.pending.len();
-        encode(&mut self.pending);
-        let crc = crc32(&self.pending[start..]);
-        self.pending.extend_from_slice(&crc.to_le_bytes());
-        self.pending_records += 1;
+    /// Buffers one commit-log record made of `parts`.
+    fn append_record(&mut self, parts: &[&[u8]]) {
+        self.log.frame(parts);
         self.records_since_compact += 1;
         self.counters.add(&self.counters.appends, 1);
     }
@@ -493,70 +540,37 @@ impl FileBackend {
     /// Writes + fsyncs everything buffered. The durability frontier of
     /// a reopen moves to this point.
     fn flush(&mut self) {
-        if !self.pending.is_empty() {
-            let n = self.pending.len() as u64;
-            if let Err(e) = self.log.write_all(&self.pending) {
-                self.io_panic("append to the commit log", e);
+        match self.log.flush() {
+            Ok(0) => {}
+            Ok(written) => {
+                self.counters.add(&self.counters.bytes_written, written);
+                self.counters.add(&self.counters.fsyncs, 1);
             }
-            if let Err(e) = self.log.sync_data() {
-                self.io_panic("fsync the commit log", e);
-            }
-            self.counters.add(&self.counters.bytes_written, n);
-            self.counters.add(&self.counters.fsyncs, 1);
-            self.pending.clear();
-            self.pending_records = 0;
+            Err(e) => self.io_panic("append to the commit log", e),
         }
         self.flush_flight();
         self.last_sync = self.now;
     }
 
-    /// Frames `entry` into the flight buffer (no-op without a
-    /// sidecar). Does not flush; callers pick the durability point.
-    fn encode_flight(&mut self, entry: &[u8]) {
-        if self.flight.is_none() {
-            return;
-        }
-        let start = self.flight_pending.len();
-        self.flight_pending.push(KIND_FLIGHT);
-        self.flight_pending
-            .extend_from_slice(&(entry.len() as u32).to_le_bytes());
-        self.flight_pending.extend_from_slice(entry);
-        let crc = crc32(&self.flight_pending[start..]);
-        self.flight_pending.extend_from_slice(&crc.to_le_bytes());
-    }
-
     /// Writes + fsyncs the buffered flight frames. The forensic
     /// record's durability frontier moves to this point.
     fn flush_flight(&mut self) {
-        if self.flight_pending.is_empty() {
-            return;
-        }
-        let Some(f) = self.flight.as_mut() else {
-            self.flight_pending.clear();
-            return;
-        };
-        let res = f
-            .write_all(&self.flight_pending)
-            .and_then(|()| f.sync_data());
-        if let Err(e) = res {
+        if let Some(Err(e)) = self.flight.as_mut().map(Log::flush) {
             self.io_panic("append to the flight log", e);
         }
-        self.flight_pending.clear();
     }
 
     /// Truncates the flight sidecar and stamps a rotation marker —
     /// called once a compaction has folded history into the manifest,
     /// so the sidecar stays bounded alongside the commit log.
     fn rotate_flight(&mut self) {
-        let Some(f) = self.flight.as_mut() else {
+        let Some(flight) = self.flight.as_mut() else {
             return;
         };
-        let res = f.set_len(0).and_then(|()| f.sync_data());
-        if let Err(e) = res {
+        if let Err(e) = flight.truncate() {
             self.io_panic("rotate the flight log", e);
         }
-        self.flight_pending.clear();
-        self.encode_flight(crashpoint::ROTATE_ENTRY.as_bytes());
+        self.flight_append(crashpoint::ROTATE_ENTRY.as_bytes());
         self.flush_flight();
     }
 
@@ -584,7 +598,7 @@ impl FileBackend {
         debug_assert!(self.group.is_none(), "safe point inside an atomic group");
         let due = match self.config.fsync {
             FsyncStrategy::Always => true,
-            FsyncStrategy::Batch(n) => self.pending_records >= u64::from(n),
+            FsyncStrategy::Batch(n) => self.log.frames >= u64::from(n),
             FsyncStrategy::Interval(c) => self.now.saturating_sub(self.last_sync) >= c,
         };
         if due {
@@ -614,7 +628,7 @@ impl FileBackend {
             self.io_panic("swap the manifest", e);
         }
         self.flight_begin(Boundary::ManifestSwap);
-        if let Err(e) = self.log.set_len(0).and_then(|()| self.log.sync_data()) {
+        if let Err(e) = self.log.truncate() {
             self.io_panic("truncate the compacted log", e);
         }
         crashpoint::fire(Boundary::ManifestSwap.label());
@@ -647,76 +661,33 @@ impl FileBackend {
         drop(f);
         crashpoint::fire(Boundary::ManifestSwap.label());
         std::fs::rename(&tmp, self.dir.join(MANIFEST_FILE))?;
-        // Make the rename itself durable; best effort where directory
-        // fds cannot be fsynced.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        // Make the rename itself durable.
+        File::open(&self.dir)?.sync_all()?;
         crashpoint::fire(Boundary::ManifestSwap.label());
         self.flight_end(Boundary::ManifestSwap);
         Ok(())
     }
 }
 
-/// Opens the flight sidecar for appending, first cutting off any torn
-/// tail left by a kill mid-write (same discipline as the commit log).
-fn open_flight_sidecar(dir: &Path) -> Result<File, FileBackendError> {
-    let path = dir.join(FLIGHT_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(source) => {
-            return Err(FileBackendError::Io {
-                path: path.clone(),
-                source,
-            })
+/// The well-formed frames at the head of a flight log, oldest first:
+/// each frame's payload and the offset just past the frame. Stops at
+/// the first torn or corrupt frame.
+fn flight_frames(bytes: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let rest = &bytes[pos..];
+        if rest.first() != Some(&KIND_FLIGHT) {
+            return None;
         }
-    };
-    let valid = flight_valid_prefix(&bytes);
-    if valid < bytes.len() {
-        let f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)
-            .map_err(|source| FileBackendError::Io {
-                path: path.clone(),
-                source,
-            })?;
-        f.set_len(valid as u64)
-            .and_then(|()| f.sync_data())
-            .map_err(|source| FileBackendError::Io {
-                path: path.clone(),
-                source,
-            })?;
-    }
-    OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map_err(|source| FileBackendError::Io { path, source })
-}
-
-/// Byte length of the longest well-formed prefix of a flight log.
-fn flight_valid_prefix(bytes: &[u8]) -> usize {
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        if bytes[pos] != KIND_FLIGHT || pos + 5 > bytes.len() {
-            break;
+        let len = u32::from_le_bytes(rest.get(1..5)?.try_into().ok()?) as usize;
+        let frame = rest.get(..FLIGHT_OVERHEAD + len)?;
+        let (body, crc) = frame.split_at(frame.len() - 4);
+        if crc32(body).to_le_bytes() != crc {
+            return None;
         }
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().expect("4")) as usize;
-        let frame = FLIGHT_OVERHEAD + len;
-        if pos + frame > bytes.len() {
-            break;
-        }
-        let body = &bytes[pos..pos + frame - 4];
-        let crc = u32::from_le_bytes(bytes[pos + frame - 4..pos + frame].try_into().expect("4"));
-        if crc32(body) != crc {
-            break;
-        }
-        pos += frame;
-    }
-    pos
+        pos += frame.len();
+        Some((&body[5..], pos))
+    })
 }
 
 /// Reads the flight sidecar under `dir` without opening the backend:
@@ -731,35 +702,24 @@ fn flight_valid_prefix(bytes: &[u8]) -> usize {
 ///
 /// Returns [`FileBackendError`] on filesystem failures.
 pub fn read_flight_log(dir: impl AsRef<Path>) -> Result<(Vec<String>, u64), FileBackendError> {
-    let path = dir.as_ref().join(FLIGHT_FILE);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(source) => return Err(FileBackendError::Io { path, source }),
-    };
-    let valid = flight_valid_prefix(&bytes);
-    let mut entries = Vec::new();
-    let mut pos = 0usize;
-    while pos < valid {
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().expect("4")) as usize;
-        let payload = &bytes[pos + 5..pos + 5 + len];
-        entries.push(String::from_utf8_lossy(payload).into_owned());
-        pos += FLIGHT_OVERHEAD + len;
-    }
+    let bytes = read_if_present(&dir.as_ref().join(FLIGHT_FILE))?.unwrap_or_default();
+    let mut valid = 0;
+    let entries = flight_frames(&bytes)
+        .map(|(payload, end)| {
+            valid = end;
+            String::from_utf8_lossy(payload).into_owned()
+        })
+        .collect();
     Ok((entries, (bytes.len() - valid) as u64))
 }
 
+#[derive(Default)]
 struct Replay {
     /// Byte offset just past the last applied record (standalone, or
     /// the `COMMIT` of a complete group).
     applied_end: usize,
     applied_records: u64,
     next_seq: u64,
-}
-
-enum Op {
-    Store(LineAddr, Line),
-    Erase(LineAddr),
 }
 
 /// Replays a commit log over `mirror`. Stops at the first torn record
@@ -771,45 +731,33 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
     let mut applied_end = 0usize;
     let mut applied_records = 0u64;
     let mut next_seq = 0u64;
-    // Sequence number of the open group; its members wait in `ops`,
+    // Sequence number of the open group; its stores wait in `staged`,
     // one buffer reused by every group.
     let mut group: Option<u64> = None;
-    let mut ops: Vec<Op> = Vec::new();
-
-    let apply = |mirror: &mut LineStore, op: &Op| match op {
-        Op::Store(addr, content) => mirror.write(*addr, *content),
-        Op::Erase(addr) => {
-            mirror.erase(*addr);
-        }
-    };
+    let mut staged: Vec<(LineAddr, Line)> = Vec::new();
 
     while pos < bytes.len() {
         let kind = bytes[pos];
         let frame = match kind {
             KIND_STORE => STORE_RECORD,
-            KIND_ERASE | KIND_BEGIN | KIND_COMMIT => SHORT_RECORD,
+            KIND_BEGIN | KIND_COMMIT => SHORT_RECORD,
             _ => break, // unknown kind: torn/corrupt tail
         };
         if pos + frame > bytes.len() {
             break; // truncated tail record
         }
-        let body = &bytes[pos..pos + frame - 4];
-        let crc = u32::from_le_bytes(bytes[pos + frame - 4..pos + frame].try_into().expect("4"));
-        if crc32(body) != crc {
+        let (body, crc) = bytes[pos..pos + frame].split_at(frame - 4);
+        if crc32(body).to_le_bytes() != crc {
             break; // torn tail record
         }
         let arg = u64::from_le_bytes(body[1..9].try_into().expect("8"));
         match kind {
-            KIND_STORE | KIND_ERASE => {
-                let op = if kind == KIND_STORE {
-                    Op::Store(LineAddr(arg), body[9..73].try_into().expect("64"))
-                } else {
-                    Op::Erase(LineAddr(arg))
-                };
+            KIND_STORE => {
+                let content: Line = body[9..73].try_into().expect("64");
                 if group.is_some() {
-                    ops.push(op);
+                    staged.push((LineAddr(arg), content));
                 } else {
-                    apply(mirror, &op);
+                    mirror.write(LineAddr(arg), content);
                     applied_records += 1;
                     applied_end = pos + frame;
                 }
@@ -821,17 +769,15 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
                 let Some(after) = arg.checked_add(1) else {
                     break; // no sequence can follow: corrupt tail
                 };
-                ops.clear();
+                staged.clear();
                 group = Some(arg);
                 next_seq = next_seq.max(after);
             }
             KIND_COMMIT => match group.take() {
                 Some(seq) if seq == arg => {
-                    for op in &ops {
-                        apply(mirror, op);
-                    }
+                    mirror.extend(staged.iter().copied());
                     // markers + members all count as applied records.
-                    applied_records += ops.len() as u64 + 2;
+                    applied_records += staged.len() as u64 + 2;
                     applied_end = pos + frame;
                 }
                 _ => break, // COMMIT without matching BEGIN: corrupt
@@ -848,15 +794,8 @@ fn replay_log(bytes: &[u8], mirror: &mut LineStore) -> Replay {
 }
 
 fn load_manifest(path: &Path) -> Result<LineStore, FileBackendError> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(LineStore::new()),
-        Err(source) => {
-            return Err(FileBackendError::Io {
-                path: path.to_path_buf(),
-                source,
-            })
-        }
+    let Some(bytes) = read_if_present(path)? else {
+        return Ok(LineStore::new());
     };
     let corrupt = |detail: &str| FileBackendError::CorruptManifest {
         path: path.to_path_buf(),
@@ -876,8 +815,7 @@ fn load_manifest(path: &Path) -> Result<LineStore, FileBackendError> {
             bytes.len()
         )));
     }
-    let crc = u32::from_le_bytes(crc.try_into().expect("4"));
-    if crc32(&body[8..]) != crc {
+    if crc32(&body[8..]).to_le_bytes() != crc {
         return Err(corrupt("checksum mismatch"));
     }
     // The length check above bounds the count, so the exact size hint
@@ -898,28 +836,10 @@ impl DurableBackend for FileBackend {
 
     fn store(&mut self, line: LineAddr, content: Line) {
         self.mirror.write(line, content);
-        self.append_record(|buf| {
-            buf.push(KIND_STORE);
-            buf.extend_from_slice(&line.0.to_le_bytes());
-            buf.extend_from_slice(&content);
-        });
+        self.append_record(&[&[KIND_STORE], &line.0.to_le_bytes(), &content]);
         if self.group.is_none() {
             self.safe_point();
         }
-    }
-
-    fn erase(&mut self, line: LineAddr) -> Option<Line> {
-        let prev = self.mirror.erase(line);
-        if prev.is_some() {
-            self.append_record(|buf| {
-                buf.push(KIND_ERASE);
-                buf.extend_from_slice(&line.0.to_le_bytes());
-            });
-            if self.group.is_none() {
-                self.safe_point();
-            }
-        }
-        prev
     }
 
     fn len(&self) -> usize {
@@ -935,16 +855,14 @@ impl DurableBackend for FileBackend {
     }
 
     fn restore(&mut self, image: &LineStore) {
-        // Wholesale replacement: drop anything buffered, install the
-        // image as the new manifest and start from an empty log.
-        self.pending.clear();
-        self.pending_records = 0;
+        // Wholesale replacement: install the image as the new manifest
+        // and start from an empty log, dropping anything buffered.
         self.group = None;
         self.mirror = image.clone();
         if let Err(e) = self.write_manifest() {
             self.io_panic("swap the manifest during restore", e);
         }
-        if let Err(e) = self.log.set_len(0).and_then(|()| self.log.sync_data()) {
+        if let Err(e) = self.log.truncate() {
             self.io_panic("truncate the log during restore", e);
         }
         self.records_since_compact = 0;
@@ -963,10 +881,7 @@ impl DurableBackend for FileBackend {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.append_record(|buf| {
-            buf.push(KIND_BEGIN);
-            buf.extend_from_slice(&seq.to_le_bytes());
-        });
+        self.append_record(&[&[KIND_BEGIN], &seq.to_le_bytes()]);
         self.group = Some(seq);
     }
 
@@ -975,10 +890,7 @@ impl DurableBackend for FileBackend {
             .group
             .take()
             .expect("commit_atomic without begin_atomic");
-        self.append_record(|buf| {
-            buf.push(KIND_COMMIT);
-            buf.extend_from_slice(&seq.to_le_bytes());
-        });
+        self.append_record(&[&[KIND_COMMIT], &seq.to_le_bytes()]);
         self.safe_point();
     }
 
@@ -1002,10 +914,10 @@ impl DurableBackend for FileBackend {
     }
 
     fn flight_append(&mut self, entry: &[u8]) {
-        if self.flight.is_none() {
+        let Some(flight) = self.flight.as_mut() else {
             return;
-        }
-        self.encode_flight(entry);
+        };
+        flight.frame(&[&[KIND_FLIGHT], &(entry.len() as u32).to_le_bytes(), entry]);
         // Under `always` the entry must be durable before the caller's
         // next crash point can fire — flight appends happen *inside*
         // atomic groups too (WPQ retire), where `safe_point` never
@@ -1053,6 +965,16 @@ mod tests {
         !crc
     }
 
+    /// One CRC-valid commit-log record of `kind`, as a forger writes it.
+    fn record(kind: u8, arg: u64, content: Option<Line>) -> Vec<u8> {
+        let mut f = vec![kind];
+        f.extend_from_slice(&arg.to_le_bytes());
+        f.extend_from_slice(content.as_ref().map_or(&[][..], |c| &c[..]));
+        let crc = crc32(&f);
+        f.extend_from_slice(&crc.to_le_bytes());
+        f
+    }
+
     /// FNV-1a, 64-bit: a dependency-free digest for pinning file bytes.
     fn fnv1a64(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -1061,9 +983,9 @@ mod tests {
     }
 
     /// Drives one fixed sequence through a store with the flight
-    /// sidecar on: standalone stores, an erase, atomic groups (one with
-    /// an erase inside), flight entries and a forced compaction, then
-    /// more of each so all three files end non-empty.
+    /// sidecar on: standalone stores, atomic groups, flight entries and
+    /// a forced compaction, then more of each so all three files end
+    /// non-empty.
     fn write_fixed_store(dir: &Path) {
         let cfg = FileBackendConfig {
             fsync: FsyncStrategy::Always,
@@ -1076,7 +998,6 @@ mod tests {
         for i in 0..6u64 {
             b.store(LineAddr(i * 7), line(i));
         }
-        assert_eq!(b.erase(LineAddr(7)), Some(line(1)));
         b.begin_atomic();
         b.store(LineAddr(100), line(100));
         b.store(LineAddr(101), line(101));
@@ -1088,7 +1009,6 @@ mod tests {
         }
         b.begin_atomic();
         b.store(LineAddr(3), line(3));
-        b.erase(LineAddr(0));
         b.commit_atomic();
         b.flight_append(b"{\"flight\":\"epoch\",\"at\":2,\"index\":2}");
         b.sync();
@@ -1126,8 +1046,8 @@ mod tests {
         assert_eq!(
             [digest(LOG_FILE), digest(MANIFEST_FILE), digest(FLIGHT_FILE)],
             [
-                0x6337_1e97_10af_b103,
-                0x7791_6b17_1958_7429,
+                0x3ea3_db7b_7064_9f68,
+                0x03ef_dd57_aa07_80c4,
                 0xd84a_e51e_2fe6_1298
             ],
             "commit.log, manifest, flight.log"
@@ -1218,6 +1138,125 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Cuts the fixed store's `commit.log` at every byte offset: a
+    /// reopen applies exactly the standalone records and complete
+    /// groups that end at or before the cut, counts the rest as
+    /// discarded and leaves the log at the applied prefix.
+    #[test]
+    fn every_commit_log_cut_applies_exactly_the_units_before_it() {
+        let dir = temp_dir("logcuts");
+        write_fixed_store(&dir);
+        let log = std::fs::read(dir.join(LOG_FILE)).expect("read");
+        let manifest = std::fs::read(dir.join(MANIFEST_FILE)).expect("read");
+        let base = load_manifest(&dir.join(MANIFEST_FILE)).expect("manifest");
+        // The log's units, in order: each standalone STORE and each
+        // BEGIN..COMMIT group, with the offset just past it, its
+        // stores and its record count.
+        type Store = (LineAddr, Line);
+        let mut units: Vec<(usize, Vec<Store>, u64)> = Vec::new();
+        let mut group: Option<Vec<Store>> = None;
+        let mut pos = 0;
+        while pos < log.len() {
+            match log[pos] {
+                KIND_STORE => {
+                    let addr = u64::from_le_bytes(log[pos + 1..pos + 9].try_into().unwrap());
+                    let store = (LineAddr(addr), log[pos + 9..pos + 73].try_into().unwrap());
+                    pos += STORE_RECORD;
+                    match group.as_mut() {
+                        Some(stores) => stores.push(store),
+                        None => units.push((pos, vec![store], 1)),
+                    }
+                }
+                KIND_BEGIN => {
+                    pos += SHORT_RECORD;
+                    group = Some(Vec::new());
+                }
+                kind => {
+                    assert_eq!(kind, KIND_COMMIT);
+                    pos += SHORT_RECORD;
+                    let stores = group.take().expect("BEGIN before COMMIT");
+                    let records = stores.len() as u64 + 2;
+                    units.push((pos, stores, records));
+                }
+            }
+        }
+        assert!(
+            units.iter().any(|u| u.2 == 1) && units.iter().any(|u| u.2 > 1),
+            "the fixed log has standalone records and a group"
+        );
+
+        let work = temp_dir("logcuts-work");
+        for cut in 0..=log.len() {
+            std::fs::create_dir_all(&work).expect("work dir");
+            std::fs::write(work.join(MANIFEST_FILE), &manifest).expect("write");
+            std::fs::write(work.join(LOG_FILE), &log[..cut]).expect("write");
+            let mut expected = base.clone();
+            let (mut end, mut records) = (0, 0);
+            for (unit_end, stores, n) in units.iter().take_while(|u| u.0 <= cut) {
+                expected.extend(stores.iter().copied());
+                end = *unit_end;
+                records += n;
+            }
+            let b = open(&work);
+            let stats = b.io_counters().stats();
+            assert_eq!(stats.replayed_records, records, "cut {cut}");
+            assert_eq!(stats.discarded_bytes, (cut - end) as u64, "cut {cut}");
+            assert_eq!(b.len(), expected.len(), "cut {cut}");
+            for (line, content) in expected.iter() {
+                assert_eq!(b.load(line), Some(*content), "cut {cut}, {line:?}");
+            }
+            drop(b);
+            let len = std::fs::metadata(work.join(LOG_FILE)).expect("log").len();
+            assert_eq!(len, end as u64, "cut {cut}");
+            std::fs::remove_dir_all(&work).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Cuts the fixed store's `flight.log` at every byte offset: the
+    /// reader returns exactly the entries whose frames end at or
+    /// before the cut, and a flight-on open cuts the sidecar there.
+    #[test]
+    fn every_flight_log_cut_keeps_exactly_the_frames_before_it() {
+        let dir = temp_dir("flightcuts");
+        write_fixed_store(&dir);
+        let flight = std::fs::read(dir.join(FLIGHT_FILE)).expect("read");
+        let (all, discarded) = read_flight_log(&dir).expect("read");
+        assert_eq!(discarded, 0);
+        // The offset just past each frame, in order.
+        let mut ends = Vec::new();
+        let mut pos = 0;
+        while pos < flight.len() {
+            let len = u32::from_le_bytes(flight[pos + 1..pos + 5].try_into().unwrap());
+            pos += FLIGHT_OVERHEAD + len as usize;
+            ends.push(pos);
+        }
+        assert_eq!(ends.len(), all.len());
+        assert!(all.len() >= 2, "the fixed sidecar has several frames");
+
+        let work = temp_dir("flightcuts-work");
+        let cfg = FileBackendConfig {
+            flight: true,
+            ..FileBackendConfig::default()
+        };
+        for cut in 0..=flight.len() {
+            std::fs::create_dir_all(&work).expect("work dir");
+            std::fs::write(work.join(FLIGHT_FILE), &flight[..cut]).expect("write");
+            let kept = ends.partition_point(|&end| end <= cut);
+            let end = kept.checked_sub(1).map_or(0, |i| ends[i]);
+            let (entries, discarded) = read_flight_log(&work).expect("read");
+            assert_eq!(entries, all[..kept], "cut {cut}");
+            assert_eq!(discarded, (cut - end) as u64, "cut {cut}");
+            drop(FileBackend::open(&work, cfg).expect("a torn sidecar is no error"));
+            let len = std::fs::metadata(work.join(FLIGHT_FILE))
+                .expect("sidecar")
+                .len();
+            assert_eq!(len, end as u64, "cut {cut}");
+            std::fs::remove_dir_all(&work).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn store_survives_reopen() {
         let dir = temp_dir("reopen");
@@ -1225,12 +1264,12 @@ mod tests {
             let mut b = open(&dir);
             b.store(LineAddr(3), [7u8; 64]);
             b.store(LineAddr(9), [9u8; 64]);
-            assert_eq!(b.erase(LineAddr(9)), Some([9u8; 64]));
+            b.store(LineAddr(9), [8u8; 64]);
         }
         let b = open(&dir);
         assert_eq!(b.load(LineAddr(3)), Some([7u8; 64]));
-        assert_eq!(b.load(LineAddr(9)), None);
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.load(LineAddr(9)), Some([8u8; 64]), "the overwrite wins");
+        assert_eq!(b.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1341,7 +1380,7 @@ mod tests {
             let mut b = open(&dir);
             b.store(LineAddr(1), [1u8; 64]);
             b.store(LineAddr(2), [2u8; 64]);
-            b.erase(LineAddr(2));
+            b.store(LineAddr(2), [3u8; 64]);
             log_copy = std::fs::read(dir.join(LOG_FILE)).unwrap();
             b.compact();
         }
@@ -1349,8 +1388,8 @@ mod tests {
         std::fs::write(dir.join(LOG_FILE), &log_copy).unwrap();
         let b = open(&dir);
         assert_eq!(b.load(LineAddr(1)), Some([1u8; 64]));
-        assert_eq!(b.load(LineAddr(2)), None);
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.load(LineAddr(2)), Some([3u8; 64]));
+        assert_eq!(b.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1412,17 +1451,9 @@ mod tests {
             let mut b = open(&dir);
             b.store(LineAddr(1), [1u8; 64]);
         }
-        let frame = |kind: u8, arg: u64, content: Option<Line>| {
-            let mut f = vec![kind];
-            f.extend_from_slice(&arg.to_le_bytes());
-            f.extend_from_slice(content.as_ref().map_or(&[][..], |c| &c[..]));
-            let crc = crc32(&f);
-            f.extend_from_slice(&crc.to_le_bytes());
-            f
-        };
-        let mut tail = frame(KIND_BEGIN, u64::MAX, None);
-        tail.extend(frame(KIND_STORE, 7, Some([7u8; 64])));
-        tail.extend(frame(KIND_COMMIT, u64::MAX, None));
+        let mut tail = record(KIND_BEGIN, u64::MAX, None);
+        tail.extend(record(KIND_STORE, 7, Some([7u8; 64])));
+        tail.extend(record(KIND_COMMIT, u64::MAX, None));
         let log = dir.join(LOG_FILE);
         let mut f = OpenOptions::new().append(true).open(&log).unwrap();
         f.write_all(&tail).unwrap();
@@ -1447,23 +1478,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Kind 2 was the ERASE record. A CRC-valid kind-2 frame after a
+    /// committed group is a corrupt tail: the group applies, and the
+    /// frame and all after it are discarded.
+    #[test]
+    fn a_kind_2_frame_is_a_corrupt_tail() {
+        let dir = temp_dir("kind2");
+        {
+            let mut b = open(&dir);
+            b.begin_atomic();
+            b.store(LineAddr(1), [1u8; 64]);
+            b.store(LineAddr(2), [2u8; 64]);
+            b.commit_atomic();
+        }
+        let log = dir.join(LOG_FILE);
+        let committed = std::fs::metadata(&log).unwrap().len();
+        let mut tail = record(2, 1, None);
+        tail.extend(record(KIND_STORE, 3, Some([3u8; 64])));
+        let mut f = OpenOptions::new().append(true).open(&log).unwrap();
+        f.write_all(&tail).unwrap();
+        drop(f);
+        let b = open(&dir);
+        assert_eq!(b.load(LineAddr(1)), Some([1u8; 64]), "nothing erases it");
+        assert_eq!(b.load(LineAddr(2)), Some([2u8; 64]));
+        assert_eq!(b.load(LineAddr(3)), None, "nothing after the frame applies");
+        let stats = b.io_counters().stats();
+        assert_eq!(stats.replayed_records, 4);
+        assert_eq!(stats.discarded_bytes, tail.len() as u64);
+        drop(b);
+        assert_eq!(std::fs::metadata(&log).unwrap().len(), committed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn a_log_ending_at_the_last_sequence_number_keeps_the_next_commit() {
         // A CRC-valid committed group at u64::MAX - 1 replays, leaving
         // the writer with no successor sequence for its next group.
         let dir = temp_dir("lastseq");
         drop(open(&dir));
-        let frame = |kind: u8, arg: u64, content: Option<Line>| {
-            let mut f = vec![kind];
-            f.extend_from_slice(&arg.to_le_bytes());
-            f.extend_from_slice(content.as_ref().map_or(&[][..], |c| &c[..]));
-            let crc = crc32(&f);
-            f.extend_from_slice(&crc.to_le_bytes());
-            f
-        };
-        let mut log = frame(KIND_BEGIN, u64::MAX - 1, None);
-        log.extend(frame(KIND_STORE, 7, Some([7u8; 64])));
-        log.extend(frame(KIND_COMMIT, u64::MAX - 1, None));
+        let mut log = record(KIND_BEGIN, u64::MAX - 1, None);
+        log.extend(record(KIND_STORE, 7, Some([7u8; 64])));
+        log.extend(record(KIND_COMMIT, u64::MAX - 1, None));
         std::fs::write(dir.join(LOG_FILE), &log).unwrap();
         let mut b = open(&dir);
         assert_eq!(b.load(LineAddr(7)), Some([7u8; 64]), "the group replays");

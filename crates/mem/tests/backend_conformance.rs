@@ -32,7 +32,6 @@ fn conformance(mut b: Box<dyn DurableBackend>) {
         assert_eq!(b.read(l), ZERO_LINE);
     }
     assert!(b.addrs().is_empty());
-    assert_eq!(b.erase(FREE[0]), None, "erasing nothing returns None");
 
     // Store / load / overwrite.
     b.store(FREE[0], [1u8; 64]);
@@ -55,11 +54,7 @@ fn conformance(mut b: Box<dyn DurableBackend>) {
     assert_eq!(snap.read(FREE[0]), [3u8; 64]);
     assert_eq!(snap.read(FREE[1]), [2u8; 64]);
 
-    // Erase returns the previous content and forgets the line.
-    assert_eq!(b.erase(FREE[0]), Some([3u8; 64]));
-    assert_eq!(b.load(FREE[0]), None);
-    assert_eq!(b.read(FREE[0]), ZERO_LINE);
-    assert_eq!(b.len(), 1);
+    b.store(FREE[0], [6u8; 64]);
     b.store(FREE[2], [4u8; 64]);
 
     // Restore replaces the entire contents with the snapshot.
@@ -102,7 +97,7 @@ fn file_backend_conforms_across_a_reopen() {
     {
         let mut warm = FileBackend::open(&dir, FileBackendConfig::default()).expect("open");
         warm.store(LineAddr(999), [9u8; 64]);
-        warm.erase(LineAddr(999));
+        warm.restore(&LineStore::new());
     }
     let b = FileBackend::open(&dir, FileBackendConfig::default()).expect("reopen");
     conformance(Box::new(b));

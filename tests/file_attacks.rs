@@ -62,17 +62,17 @@ fn same_lines(a: &LineStore, b: &LineStore) -> bool {
 }
 
 /// Writes every line `forged` changed relative to `clean` into the
-/// store at `dir` as CRC-valid frames, and syncs them.
+/// store at `dir` as CRC-valid frames, and syncs them. No attack
+/// removes a line, so the changed lines are the whole forgery.
 fn forge(dir: &Path, clean: &CrashImage, forged: &CrashImage) {
+    assert!(
+        clean.nvm.iter().all(|(line, _)| forged.nvm.contains(line)),
+        "no attack removes a line"
+    );
     let mut store = FileBackend::open(dir, FileBackendConfig::default()).expect("store reopens");
     for (line, content) in forged.nvm.iter() {
         if clean.nvm.get(line) != Some(content) {
             store.store(line, *content);
-        }
-    }
-    for (line, _) in clean.nvm.iter() {
-        if !forged.nvm.contains(line) {
-            store.erase(line);
         }
     }
     store.sync();
