@@ -265,7 +265,8 @@ OPTIONS:
                       build/host has no hardware path)
   --flight            attach the flight recorder (with --backend file: the
                       entries also persist to the flight.log sidecar;
-                      run and sweep take it only with --backend file:)
+                      run and sweep take it only with --backend file:,
+                      recover with it or --forensics-out)
 
 OBSERVER OPTIONS (run, recover, forensics):
   --trace-out FILE    write the event trace (.csv => CSV, else JSON lines)
@@ -448,12 +449,20 @@ const SCOPED: [(&str, &[&str]); 12] = [
 ];
 
 /// `--flight` over the in-memory store fills a ring that only a
-/// recovery reads, so `run` and `sweep` take it only with a file store.
+/// forensic report reads, so `run` and `sweep` take it only with a file
+/// store, and `recover` with a file store or `--forensics-out`.
+/// (`forensics` always runs on a file store and refuses any other.)
 fn check_flight(sub: &str, args: &RunArgs) -> Result<(), ParseArgsError> {
-    if args.flight && args.backend == BackendChoice::Mem && !RECOVERIES.contains(&sub) {
+    let reads_ring = sub == "forensics" || (sub == "recover" && args.forensics_out.is_some());
+    if args.flight && args.backend == BackendChoice::Mem && !reads_ring {
+        let ring = if sub == "recover" {
+            ", or --forensics-out, the only reader of the in-memory ring"
+        } else {
+            "; nothing reads the in-memory ring"
+        };
         return Err(ParseArgsError(format!(
             "--flight on `{sub}` needs --backend file:<dir>, whose flight.log \
-             keeps the entries; nothing reads the in-memory ring"
+             keeps the entries{ring}"
         )));
     }
     Ok(())
@@ -1032,8 +1041,8 @@ mod tests {
     }
 
     /// `run --flight` over the in-memory store would fill a ring that
-    /// nothing reads; `recover` reads it for `--forensics-out`, and a
-    /// file store persists it.
+    /// nothing reads; `recover --forensics-out` reads it, and a file
+    /// store persists it.
     #[test]
     fn run_flight_needs_a_file_backend() {
         let err = parse(&["run", "--flight"]).unwrap_err();
@@ -1043,7 +1052,7 @@ mod tests {
         let err = parse(&["run", "--backend", "mem", "--flight"]).unwrap_err();
         assert!(err.to_string().starts_with("--flight"));
         for argv in [
-            &["recover", "--flight"][..],
+            &["recover", "--flight", "--forensics-out", "f.json"][..],
             &["run", "--flight", "--backend", "file:d"],
             &[
                 "run",
@@ -1059,6 +1068,31 @@ mod tests {
                 "200000",
                 "--flight",
             ],
+        ] {
+            parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        }
+    }
+
+    /// In-memory `recover` reads its flight ring only to write
+    /// `--forensics-out`, so `--flight` needs that or a file store.
+    #[test]
+    fn recover_flight_needs_a_file_backend_or_a_forensic_report() {
+        for argv in [
+            &["recover", "--flight"][..],
+            &["recover", "--backend", "mem", "--flight", "--strict"],
+        ] {
+            let err = parse(argv).unwrap_err().to_string();
+            assert!(
+                err.starts_with("--flight on `recover` needs --backend file:<dir>")
+                    && err.contains("or --forensics-out"),
+                "{argv:?}: {err}"
+            );
+        }
+        for argv in [
+            &["recover", "--flight", "--forensics-out", "f.json"][..],
+            &["recover", "--forensics-out", "f.json", "--flight"],
+            &["recover", "--flight", "--backend", "file:d"],
+            &["forensics", "--flight", "--backend", "file:d"],
         ] {
             parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
         }

@@ -49,6 +49,29 @@ fn run_flight_without_a_file_backend_is_refused() {
     assert!(err.starts_with("error: --flight"), "stderr was: {err}");
 }
 
+/// In-memory `recover --flight` without `--forensics-out` is refused
+/// the same way: nothing would read the ring it fills.
+#[test]
+fn recover_flight_without_a_reader_is_refused() {
+    let out = bin()
+        .args(["recover", "--instructions", "1000", "--flight"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    assert!(
+        out.stdout.is_empty(),
+        "stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.starts_with("error: --flight on `recover`")
+            && err.contains("--forensics-out")
+            && err.contains("USAGE:"),
+        "stderr was: {err}"
+    );
+}
+
 #[test]
 fn unwritable_chrome_trace_path_fails_fast() {
     let out = bin()

@@ -116,7 +116,7 @@ impl SecureMemory {
         // together and overlap across banks.
         scratch.contents.clear();
         for &line in &scratch.entries {
-            if !self.chip_meta.contains(line) {
+            if !self.meta_cache.contains(line) {
                 t = t.max(self.mc.read(line, now));
             }
             scratch.contents.insert(line.0, self.meta_content(line));
@@ -201,12 +201,10 @@ impl SecureMemory {
             self.nvm.persist_meta(line, content);
             self.stats.meta_writes += 1;
             self.obs.book_write(Some(Stage::DrainCommit), None);
-            if self.meta_cache.contains(line) {
-                self.chip_meta.write(line, content);
+            if let Some(p) = self.meta_cache.payload_mut(line) {
+                p.content = content;
+                p.updates = 0;
                 self.meta_cache.mark_clean(line);
-                if let Some(p) = self.meta_cache.payload_mut(line) {
-                    p.updates = 0;
-                }
             }
         }
         self.nvm.commit_atomic();

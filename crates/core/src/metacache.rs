@@ -15,12 +15,13 @@
 //!   `ccnvm-bench`'s `ablation` binary.
 //!
 //! [`MetaCache`] presents one interface either way; the routing is by
-//! address region.
+//! address region. Each way holds its line's content
+//! ([`MetaPayload::content`]), the only on-chip copy of it.
 
 use crate::layout::SecureLayout;
 use crate::secmem::MetaPayload;
 use ccnvm_mem::cache::{AccessResult, SetAssocCache};
-use ccnvm_mem::{CacheConfig, LineAddr};
+use ccnvm_mem::{CacheConfig, Line, LineAddr};
 
 /// Organization of the metadata cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -156,18 +157,32 @@ impl MetaCache {
         was.is_some()
     }
 
+    /// Content of a resident line.
+    pub fn content(&self, line: LineAddr) -> Option<Line> {
+        self.bank_for(line).payload(line).map(|p| p.content)
+    }
+
     /// Mutable payload of a resident line.
     pub fn payload_mut(&mut self, line: LineAddr) -> Option<&mut MetaPayload> {
         self.bank_for_mut(line).payload_mut(line)
     }
 
-    /// Removes `line`, returning whether it was resident and dirty.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        let dirty = self.bank_for_mut(line).invalidate(line).map(|e| e.dirty);
-        if dirty == Some(true) {
+    /// Removes `line`, returning its dirty bit and content if it was
+    /// resident.
+    pub fn invalidate(&mut self, line: LineAddr) -> Option<(bool, Line)> {
+        let evicted = self.bank_for_mut(line).invalidate(line)?;
+        if evicted.dirty {
             self.dirty -= 1;
         }
-        dirty
+        Some((evicted.dirty, evicted.payload.content))
+    }
+
+    /// Every resident line with its content, across both banks.
+    pub fn resident(&self) -> impl Iterator<Item = (LineAddr, &Line)> + '_ {
+        self.primary
+            .resident()
+            .chain(self.tree.iter().flat_map(|t| t.resident()))
+            .map(|(line, p)| (line, &p.content))
     }
 
     /// All resident dirty lines across both banks, allocation-free.
@@ -276,11 +291,32 @@ mod tests {
         c.access(ctr_line(&l, 3));
         c.mark_dirty(ctr_line(&l, 3));
         c.payload_mut(ctr_line(&l, 3)).unwrap().updates = 7;
+        c.payload_mut(ctr_line(&l, 3)).unwrap().content = [3; 64];
+        assert_eq!(c.content(ctr_line(&l, 3)), Some([3; 64]));
+        assert_eq!(c.content(node_line(&l)), None);
         assert_eq!(c.dirty_lines().collect::<Vec<_>>(), vec![ctr_line(&l, 3)]);
         assert!(c.mark_clean(ctr_line(&l, 3)));
         assert_eq!(c.dirty_lines().count(), 0);
-        assert_eq!(c.invalidate(ctr_line(&l, 3)), Some(false));
+        assert_eq!(c.invalidate(ctr_line(&l, 3)), Some((false, [3; 64])));
+        assert_eq!(c.invalidate(ctr_line(&l, 3)), None);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn resident_walks_both_banks_with_contents() {
+        let l = layout();
+        for org in [MetaCacheOrg::Shared, MetaCacheOrg::Split] {
+            let mut c = MetaCache::new(CacheConfig::new(4096, 4), org, &l);
+            let mut want = vec![(ctr_line(&l, 2), [2u8; 64]), (node_line(&l), [9u8; 64])];
+            for &(line, content) in &want {
+                c.access(line);
+                c.payload_mut(line).unwrap().content = content;
+            }
+            let mut got: Vec<(LineAddr, Line)> = c.resident().map(|(l, &c)| (l, c)).collect();
+            got.sort_unstable_by_key(|&(line, _)| line);
+            want.sort_unstable_by_key(|&(line, _)| line);
+            assert_eq!(got, want, "{org:?}");
+        }
     }
 
     /// The running dirty count equals a full scan after every step of

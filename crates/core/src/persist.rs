@@ -163,7 +163,6 @@ impl SecureMemory {
             bmt,
             tcb,
             nvm: NvmState::new(durable),
-            chip_meta: LineStore::new(),
             staged: Vec::new(),
             drain_scratch: Default::default(),
             meta_chain_scratch: Vec::new(),
@@ -288,7 +287,7 @@ impl SecureMemory {
                 }
             }
         };
-        for (line, _) in self.chip_meta.iter() {
+        for (line, _) in self.meta_cache.resident() {
             consider(line, self);
         }
         for (line, _) in self.nvm.overlay.iter() {
@@ -445,6 +444,65 @@ mod tests {
             .expect_err("must refuse tampered state");
         assert!(matches!(err, ResumeError::TamperedImage { .. }));
         assert!(err.to_string().contains("tampered"));
+    }
+
+    /// FNV-1a, 64-bit, over a ground truth's counter lines and then its
+    /// data versions, each in address order (address bytes, then the
+    /// content or the version's bytes).
+    fn truth_digest(truth: &GroundTruth) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut counters: Vec<_> = truth.counter_lines.iter().collect();
+        counters.sort_unstable();
+        for (addr, content) in counters {
+            eat(&addr.to_le_bytes());
+            eat(content);
+        }
+        let mut versions: Vec<_> = truth.data_versions.iter().collect();
+        versions.sort_unstable();
+        for (addr, version) in versions {
+            eat(&addr.to_le_bytes());
+            eat(&version.to_le_bytes());
+        }
+        h
+    }
+
+    /// `(truth_digest, current_root)` of `ground_truth` after `mixed`,
+    /// 150 000 instructions at seed 7, over `SimConfig::small`.
+    const GROUND_TRUTH_PIN: (u64, u128) = (
+        0xac66_64c1_5ee8_03f1,
+        0xcb63_fd84_2386_7e3c_c08f_12a4_caaf_0172,
+    );
+
+    /// The ground truth the crash sweep and the recovery tests compare
+    /// against, pinned on every design with every metadata line
+    /// resident (the paper's Meta Cache holds all of a small layout's)
+    /// and with an 8-line Meta Cache that evicts all the time. The
+    /// counters and data versions follow from the write-back sequence
+    /// alone, which L1 and L2 fix, so all ten runs give the one pin.
+    #[test]
+    fn ground_truth_is_pinned_on_every_design() {
+        use ccnvm_mem::CacheConfig;
+        use ccnvm_trace::{profiles, TraceGenerator};
+        for design in DesignKind::ALL {
+            for meta in [SimConfig::paper(design).meta, CacheConfig::new(512, 2)] {
+                let mut cfg = SimConfig::small(design);
+                cfg.meta = meta;
+                let mut sim = crate::sim::Simulator::new(cfg).unwrap();
+                sim.run(TraceGenerator::new(profiles::mixed(), 7), 150_000)
+                    .expect("attack-free run");
+                let truth = sim.memory().ground_truth();
+                let got = (
+                    truth_digest(&truth),
+                    u128::from_be_bytes(truth.current_root),
+                );
+                assert_eq!(got, GROUND_TRUTH_PIN, "{design}, {meta:?}");
+            }
+        }
     }
 
     #[test]

@@ -40,11 +40,11 @@
 //!   online check reconstructs the fresh value on the next fetch, which
 //!   this layer models), so runtime reads see the fresh value while the
 //!   crash image does not.
-//! * `chip_meta` — contents of the lines resident in the Meta Cache,
-//!   lost on crash.
+//! * the Meta Cache's ways — each resident line's content lives in its
+//!   way ([`MetaPayload::content`]) and is lost on crash.
 //!
-//! Runtime metadata reads resolve `chip_meta → overlay → durable →
-//! default`; recovery sees `durable` only.
+//! Runtime metadata reads resolve `way → overlay → durable → default`;
+//! recovery sees `durable` only.
 
 use crate::bmt::Bmt;
 use crate::config::{DesignKind, SimConfig};
@@ -80,11 +80,22 @@ pub enum DrainTrigger {
 }
 
 /// Per-resident-line Meta Cache state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MetaPayload {
     /// Updates since the line became dirty (drain trigger 3 /
     /// Osiris stop-loss counter).
     pub updates: u32,
+    /// The line's current content, lost on a crash.
+    pub content: Line,
+}
+
+impl Default for MetaPayload {
+    fn default() -> Self {
+        Self {
+            updates: 0,
+            content: [0; 64],
+        }
+    }
 }
 
 /// Deterministic plaintext of data line `line` at write-back `version`.
@@ -133,7 +144,6 @@ pub struct SecureMemory {
     pub(crate) bmt: Bmt,
     pub(crate) tcb: Tcb,
     pub(crate) nvm: NvmState,
-    pub(crate) chip_meta: LineStore,
     pub(crate) staged: Vec<(LineAddr, Line)>,
     /// Reusable drain working buffers (see [`crate::epoch`]).
     pub(crate) drain_scratch: crate::epoch::DrainScratch,
@@ -627,9 +637,8 @@ impl SecureMemory {
 
     /// Current (runtime-truth) content of a metadata line.
     pub(crate) fn meta_content(&self, line: LineAddr) -> Line {
-        self.chip_meta
-            .get(line)
-            .copied()
+        self.meta_cache
+            .content(line)
             .or_else(|| self.functional_nvm(line))
             .unwrap_or_else(|| self.meta_default(line))
     }
@@ -729,7 +738,6 @@ impl SecureMemory {
     /// attack demonstrations.
     pub fn flush_meta_line(&mut self, line: LineAddr) {
         self.meta_cache.invalidate(line);
-        self.chip_meta.erase(line);
     }
 }
 

@@ -63,11 +63,10 @@ impl SecureMemory {
                 );
                 continue; // re-check: the victim is clean now
             }
-            self.meta_cache.invalidate(victim);
-            let victim_content = self
-                .chip_meta
-                .erase(victim)
-                .unwrap_or_else(|| self.meta_default(victim));
+            let (_, victim_content) = self
+                .meta_cache
+                .invalidate(victim)
+                .expect("the victim is resident");
             self.emit(obs::Event::Meta {
                 at: t,
                 action: if dirty {
@@ -89,7 +88,10 @@ impl SecureMemory {
         let result = self.meta_cache.access(line);
         debug_assert!(result.evicted.is_none(), "room was made above");
         debug_assert!(result.is_miss(), "install_meta on a resident line");
-        self.chip_meta.write(line, content);
+        self.meta_cache
+            .payload_mut(line)
+            .expect("just installed")
+            .content = content;
         self.emit(obs::Event::Meta {
             at: t,
             action: obs::MetaAction::Install,
@@ -155,10 +157,8 @@ impl SecureMemory {
             let mac = self.bmt.child_mac(level, idx, &child_content);
             let parent = self.layout.node_line(level + 1, idx / 4);
             let off = (idx % 4) as usize * 16;
-            if self.meta_cache.contains(parent) {
-                let mut pcontent = self.meta_content(parent);
-                pcontent[off..off + 16].copy_from_slice(&mac);
-                self.chip_meta.write(parent, pcontent);
+            if let Some(p) = self.meta_cache.payload_mut(parent) {
+                p.content[off..off + 16].copy_from_slice(&mac);
                 self.meta_cache.mark_dirty(parent);
                 return t;
             }
@@ -508,6 +508,98 @@ mod tests {
             }
             assert_eq!(s.csv_row(), TINY_META_STATS[d], "{design}");
             assert_eq!(image_digest(sim.memory()), TINY_META_DIGESTS[d], "{design}");
+        }
+    }
+
+    /// Dirty lines the run behind `m`'s recorder evicted from each bank
+    /// of a split Meta Cache, `[counter bank, tree bank]`: every
+    /// `EvictDirty`, and on the drainer designs the eviction that
+    /// follows a dirty-eviction drain, whose victim the drain cleaned.
+    fn dirty_evictions_per_bank(m: &SecureMemory) -> [u64; 2] {
+        use crate::obs::{DrainStage, Event, MetaAction};
+        let mut banks = [0u64; 2];
+        let mut drained_victim = false;
+        for event in m.recorder().expect("recorder attached").trace().iter() {
+            match *event {
+                Event::Drain {
+                    stage: DrainStage::Commit,
+                    trigger: Some(DrainTrigger::DirtyEviction),
+                    ..
+                } => drained_victim = true,
+                Event::Meta { action, line, .. } => {
+                    if action == MetaAction::EvictDirty
+                        || (drained_victim && action == MetaAction::EvictClean)
+                    {
+                        banks[usize::from(!m.layout().is_counter_line(line))] += 1;
+                    }
+                    drained_victim = false;
+                }
+                _ => {}
+            }
+        }
+        banks
+    }
+
+    /// `RunStats::csv_row` of the runs of [`TINY_META_STATS`] with the
+    /// Meta Cache split into an 8-line counter bank and an 8-line tree
+    /// bank, in `DesignKind::ALL` order.
+    const SPLIT_META_STATS: [&str; 5] = [
+        "150001,7858980,0.019087,23784,24259,20661,13996,14146,17043,7273,51698,7273,7246,\
+         6652,0,21171,0,0,0,0,0,48613,21076,0,0,7588576,4084864",
+        "150001,11608422,0.012922,23784,24259,20661,13996,14146,35872,7273,63478,7273,7270,\
+         34035,0,48578,0,0,0,0,0,90106,21076,0,0,11338018,9883315",
+        "150001,14256040,0.010522,23784,24259,20661,13996,14146,35872,7273,76250,7273,7272,\
+         180,0,14725,0,0,0,0,0,122173,21076,0,0,13985636,11719254",
+        "150001,13915329,0.010780,23784,24259,20661,13996,14146,35872,7273,74196,7273,7273,\
+         36113,0,50659,7108,0,7108,0,2310764,90106,21076,0,0,13644925,12717724",
+        "150001,8122064,0.018468,23784,24259,20661,13996,14146,17043,7273,49160,7273,7247,\
+         14256,0,28776,1486,0,1486,0,1611206,49168,21076,0,0,7851660,5877909",
+    ];
+
+    /// The crash image's digest after the same runs.
+    const SPLIT_META_DIGESTS: [u64; 5] = [
+        0x1ed1_fcf6_f65b_336f,
+        0xf033_f91b_6ed5_414c,
+        0xf9eb_ecc0_739d_1c86,
+        0xa554_fc2b_f3de_e871,
+        0x7726_989d_de7f_025e,
+    ];
+
+    /// The split organization under the same pressure. Each bank evicts
+    /// dirty lines on every design that dirties its lines on chip: SC
+    /// cleans its path within each write-back, and cc-NVM dirties only
+    /// counters on chip (its drain computes the tree). Every `RunStats`
+    /// field and the crash image are pinned per design.
+    #[test]
+    fn split_meta_cache_runs_are_pinned_on_every_design() {
+        use crate::metacache::MetaCacheOrg;
+        use ccnvm_trace::{profiles, TraceGenerator};
+        for (d, design) in DesignKind::ALL.into_iter().enumerate() {
+            let mut cfg = SimConfig::small(design);
+            cfg.meta = ccnvm_mem::CacheConfig::new(1024, 2);
+            cfg.meta_org = MetaCacheOrg::Split;
+            let mut sim = crate::sim::Simulator::new(cfg).unwrap();
+            sim.memory_mut().attach_recorder(Default::default());
+            let s = sim
+                .run(TraceGenerator::new(profiles::mixed(), 7), 150_000)
+                .expect("attack-free run");
+            let [counters, nodes] = dirty_evictions_per_bank(sim.memory());
+            let dirtied = match design {
+                DesignKind::StrictConsistency => [false, false],
+                DesignKind::CcNvm => [true, false],
+                _ => [true, true],
+            };
+            assert_eq!(
+                [counters > 0, nodes > 0],
+                dirtied,
+                "{design}: {counters} counter and {nodes} tree-node dirty evictions"
+            );
+            assert_eq!(s.csv_row(), SPLIT_META_STATS[d], "{design}");
+            assert_eq!(
+                image_digest(sim.memory()),
+                SPLIT_META_DIGESTS[d],
+                "{design}"
+            );
         }
     }
 

@@ -20,6 +20,7 @@ use crate::config::DesignKind;
 use crate::counter::CounterLine;
 use crate::error::IntegrityError;
 use crate::layout::MAX_TREE_LEVELS;
+use crate::metacache::MetaCache;
 use crate::obs::{self, profile::Stage, WriteKind};
 use crate::secmem::{pattern, DrainTrigger, SecureMemory};
 use crate::view::{MetaSource, MetaView};
@@ -29,24 +30,34 @@ use ccnvm_mem::{Cycle, DurableBackend, Line, LineAddr, LineStore};
 
 /// Chip-over-NVM metadata view used by full-path tree updates.
 struct ChipView<'a> {
-    chip: &'a mut LineStore,
-    overlay: &'a LineStore,
+    chip: &'a mut MetaCache,
+    overlay: &'a mut LineStore,
     durable: &'a dyn DurableBackend,
 }
 
 impl MetaSource for ChipView<'_> {
     fn load_meta(&self, line: LineAddr) -> Option<Line> {
         self.chip
-            .get(line)
-            .copied()
+            .content(line)
             .or_else(|| self.overlay.get(line).copied())
             .or_else(|| self.durable.load(line))
     }
 }
 
 impl MetaView for ChipView<'_> {
+    /// Writes and dirties a resident line's way. A path node that is
+    /// not (or no longer) resident — say, on a path longer than a tiny
+    /// Meta Cache — has its fresh value in NVM pending persistence, so
+    /// it goes to the functional overlay, where reads, repairs and
+    /// drains see it instead of the stale durable copy.
     fn store_meta(&mut self, line: LineAddr, content: Line) {
-        self.chip.write(line, content);
+        match self.chip.payload_mut(line) {
+            Some(p) => {
+                p.content = content;
+                self.chip.mark_dirty(line);
+            }
+            None => self.overlay.write(line, content),
+        }
     }
 }
 
@@ -201,13 +212,13 @@ impl SecureMemory {
         let old_ctr = CounterLine::decode(&self.meta_content(ctr_line));
         let mut ctr = old_ctr;
         let overflowed = ctr.bump(line.page_offset());
-        self.chip_meta.write(ctr_line, ctr.encode());
         self.meta_cache.mark_dirty(ctr_line);
         let updates = {
             let p = self
                 .meta_cache
                 .payload_mut(ctr_line)
                 .expect("counter just cached");
+            p.content = ctr.encode();
             p.updates += 1;
             p.updates
         };
@@ -247,30 +258,15 @@ impl SecureMemory {
         let mut tree_done = t;
         let mut eager_root = None;
         if self.design().updates_root_every_wb() {
-            let (root, hmacs) = {
-                let mut view = ChipView {
-                    chip: &mut self.chip_meta,
-                    overlay: &self.nvm.overlay,
-                    durable: self.nvm.durable.as_ref(),
-                };
-                self.bmt.update_path(&mut view, path.ctr_idx)
+            let mut view = ChipView {
+                chip: &mut self.meta_cache,
+                overlay: &mut self.nvm.overlay,
+                durable: self.nvm.durable.as_ref(),
             };
+            let (root, hmacs) = self.bmt.update_path(&mut view, path.ctr_idx);
             self.stats.hmacs += hmacs as u64;
             tree_done += hmacs as u64 * HMAC_LATENCY_CYCLES;
             eager_root = Some(root);
-            for &(_, _, node_line) in path.nodes() {
-                if self.meta_cache.contains(node_line) {
-                    self.meta_cache.mark_dirty(node_line);
-                } else if let Some(content) = self.chip_meta.erase(node_line) {
-                    // The path update touched a node that is not (or no
-                    // longer) cache-resident — e.g. a path longer than a
-                    // tiny meta cache. Its fresh value conceptually lives
-                    // in NVM pending persistence; keep it in the
-                    // functional overlay so reads, repairs and drains see
-                    // it instead of the stale durable copy.
-                    self.nvm.overlay.write(node_line, content);
-                }
-            }
         }
         // (w/o CC and cc-NVM: the dirtied counter *is* the trust
         // frontier; all tree work is deferred — to eviction time or to

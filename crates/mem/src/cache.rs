@@ -5,11 +5,12 @@
 //! Cache holding encryption counters and Merkle-tree nodes. All use
 //! 64-byte lines, LRU replacement and write-back with write-allocate.
 //!
-//! The cache is *tag-only* — contents live in the functional layer —
-//! but each resident line carries a caller-defined payload `T`. The
-//! Meta Cache uses the payload to count updates per dirty line, which
-//! drives the paper's third epoch trigger ("a cacheline has been
-//! updated more than N times since it became dirty").
+//! The model keeps tags, dirty bits and LRU order, and each resident
+//! line carries a caller-defined payload `T`: L1 and L2 carry none,
+//! and the Meta Cache's payload holds the line's content plus its
+//! update count, which drives the paper's third epoch trigger ("a
+//! cacheline has been updated more than N times since it became
+//! dirty").
 
 use crate::addr::{LineAddr, LINE_SIZE};
 
@@ -198,6 +199,13 @@ impl<T: Default> SetAssocCache<T> {
         } else {
             None
         };
+        if set.capacity() == 0 {
+            // A set's first line allocates all its ways. Grown by
+            // doubling, every set would free a smaller block on the way,
+            // and with the Meta Cache's 88-byte ways that churn cost each
+            // cold-read point's set-up over a third more time (DESIGN.md §5c).
+            set.reserve_exact(ways);
+        }
         set.push(WayState {
             addr: line,
             dirty: write,
@@ -322,6 +330,11 @@ impl<T> SetAssocCache<T> {
             .flatten()
             .filter(|w| w.dirty)
             .map(|w| w.addr)
+    }
+
+    /// Every resident line with its payload, in unspecified order.
+    pub fn resident(&self) -> impl Iterator<Item = (LineAddr, &T)> + '_ {
+        self.sets.iter().flatten().map(|w| (w.addr, &w.payload))
     }
 
     /// Number of resident lines.
@@ -450,6 +463,26 @@ mod tests {
         c.access(LineAddr(1), false);
         assert_eq!(c.dirty_lines().collect::<Vec<_>>(), vec![LineAddr(0)]);
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn resident_lists_every_line_with_its_payload() {
+        // 2 sets × 2 ways.
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheConfig::new(256, 2));
+        assert_eq!(c.resident().count(), 0);
+        for line in 0..5 {
+            c.access(LineAddr(line), line % 2 == 0);
+            *c.payload_mut(LineAddr(line)).unwrap() = line as u32 * 10;
+        }
+        c.invalidate(LineAddr(3));
+        let mut got: Vec<(LineAddr, u32)> = c.resident().map(|(l, &p)| (l, p)).collect();
+        got.sort_unstable_by_key(|&(l, _)| l);
+        // Line 4 evicted line 0 from set 0; line 3 was invalidated.
+        assert_eq!(
+            got,
+            vec![(LineAddr(1), 10), (LineAddr(2), 20), (LineAddr(4), 40)]
+        );
+        assert_eq!(got.len(), c.len());
     }
 
     #[test]

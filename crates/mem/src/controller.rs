@@ -167,14 +167,14 @@ pub struct MemController {
     read_queue: BoundedQueue,
     write_queue: BoundedQueue,
     wpq: BoundedQueue,
-    /// Pending (not yet serviced) write-queue entries by line, for
-    /// write combining: a store to a line that is still queued merges
-    /// into the existing entry instead of issuing another array write.
-    pending_writes: LineMap<Cycle>,
-    /// Array writes per line, for endurance accounting.
-    wear: LineMap<u64>,
+    /// Per written line, `(pending until, array writes)`: the completion
+    /// cycle of its last write-queue entry (0 when it has none), for
+    /// write combining — a store to a line that is still queued merges
+    /// into the existing entry instead of issuing another array write —
+    /// and its array writes, for endurance accounting.
+    lines: LineMap<(Cycle, u64)>,
     /// Running copy of the hottest line's write count (so gauges can
-    /// sample it without scanning the wear map).
+    /// sample it without scanning the line map).
     wear_max: u64,
     stats: MemStats,
     /// Optional queue-event observer; `None` (the default) keeps the
@@ -191,8 +191,7 @@ impl MemController {
             read_queue: BoundedQueue::new(config.read_queue_entries),
             write_queue: BoundedQueue::new(config.write_queue_entries),
             wpq: BoundedQueue::new(config.wpq_entries),
-            pending_writes: LineMap::default(),
-            wear: LineMap::default(),
+            lines: LineMap::default(),
             wear_max: 0,
             stats: MemStats::default(),
             recorder: None,
@@ -259,14 +258,13 @@ impl MemController {
     /// issued or counted.
     pub fn write(&mut self, line: LineAddr, now: Cycle) -> Cycle {
         // Staleness is checked on lookup: an entry whose write already
-        // drained (`done <= now`) no longer merges, and the insert
-        // below overwrites it. At most one entry per distinct line ever
-        // accumulates — the same footprint as the wear map.
-        if let Some(&done) = self.pending_writes.get(&line.0) {
-            if done > now {
-                self.stats.merged_writes += 1;
-                return now;
-            }
+        // drained (`pending_until <= now`) no longer merges, and the
+        // write below replaces it. A line enters the map only with an
+        // array write, so its entry always counts at least one.
+        let (pending_until, wear) = self.lines.entry(line.0).or_default();
+        if *pending_until > now {
+            self.stats.merged_writes += 1;
+            return now;
         }
         let before = self.write_queue.stalled_accepts();
         let slot = self.write_queue.accept(now);
@@ -275,10 +273,9 @@ impl MemController {
         self.stats.write_wait_cycles += slot.saturating_sub(now);
         let done = self.nvm.access(line, true, slot);
         self.write_queue.push(done);
-        self.pending_writes.insert(line.0, done);
-        let worn = self.wear.entry(line.0).or_insert(0);
-        *worn += 1;
-        self.wear_max = self.wear_max.max(*worn);
+        *pending_until = done;
+        *wear += 1;
+        self.wear_max = self.wear_max.max(*wear);
         self.stats.writes += 1;
         if let Some(rec) = &mut self.recorder {
             rec.push(QueueEvent {
@@ -301,9 +298,9 @@ impl MemController {
         self.stats.wpq_wait_cycles += slot.saturating_sub(now);
         let done = self.nvm.access(line, true, slot);
         self.wpq.push(done);
-        let worn = self.wear.entry(line.0).or_insert(0);
-        *worn += 1;
-        self.wear_max = self.wear_max.max(*worn);
+        let (_, wear) = self.lines.entry(line.0).or_default();
+        *wear += 1;
+        self.wear_max = self.wear_max.max(*wear);
         self.stats.wpq_writes += 1;
         if let Some(rec) = &mut self.recorder {
             rec.push(QueueEvent {
@@ -338,7 +335,7 @@ impl MemController {
         let mut max = 0u64;
         let mut hottest = None;
         let mut total = 0u64;
-        for (&line, &count) in &self.wear {
+        for (&line, &(_, count)) in &self.lines {
             total += count;
             // Ties break to the lowest address so the report is
             // deterministic despite the map's iteration order.
@@ -349,7 +346,7 @@ impl MemController {
                 hottest = Some(LineAddr(line));
             }
         }
-        let lines = self.wear.len() as u64;
+        let lines = self.lines.len() as u64;
         WearStats {
             max_line_writes: max,
             hottest_line: hottest,
@@ -364,7 +361,7 @@ impl MemController {
 
     /// Array writes endured by `line` so far.
     pub fn line_wear(&self, line: LineAddr) -> u64 {
-        self.wear.get(&line.0).copied().unwrap_or(0)
+        self.lines.get(&line.0).map_or(0, |&(_, wear)| wear)
     }
 
     /// Writes endured by the single hottest line so far — the running
@@ -378,9 +375,9 @@ impl MemController {
     /// export order is deterministic despite the map.
     pub fn wear_entries(&self) -> Vec<(LineAddr, u64)> {
         let mut entries: Vec<(LineAddr, u64)> = self
-            .wear
+            .lines
             .iter()
-            .map(|(&line, &count)| (LineAddr(line), count))
+            .map(|(&line, &(_, count))| (LineAddr(line), count))
             .collect();
         entries.sort_unstable_by_key(|&(line, _)| line.0);
         entries

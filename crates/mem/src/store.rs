@@ -9,7 +9,7 @@
 //!
 //! It also defines [`LineHasher`], the one hasher for maps keyed by
 //! line address ([`LineMap`], [`LineSet`]): the store itself, the
-//! memory controller's write-combining and wear maps, and the
+//! memory controller's per-line write-combining and wear map, and the
 //! simulator's per-line bookkeeping.
 
 use crate::addr::LineAddr;
