@@ -44,11 +44,15 @@ pub(crate) struct NvmState {
     /// The in-process flight ring, when attached: it receives every
     /// entry the durable sidecar does.
     pub(crate) flight: Option<FlightRecorder>,
+    /// Whether `durable` keeps a flight sidecar, read once when the
+    /// state is built: the answer is fixed for a backend's life.
+    durable_flight: bool,
 }
 
 impl NvmState {
     pub(crate) fn new(durable: Box<dyn DurableBackend>) -> Self {
         Self {
+            durable_flight: durable.flight_enabled(),
             durable,
             overlay: LineStore::new(),
             versions: LineMap::default(),
@@ -85,10 +89,10 @@ impl NvmState {
 
     /// Whether any flight sink is live — the in-process ring or the
     /// backend's durable sidecar. Gates entry construction so the
-    /// default path pays one branch.
+    /// default path pays one branch and no call.
     #[inline]
     pub(crate) fn flight_active(&self) -> bool {
-        self.flight.is_some() || self.durable.flight_enabled()
+        self.flight.is_some() || self.durable_flight
     }
 
     /// The one flight writer: appends `entry` to the durable sidecar

@@ -376,8 +376,17 @@ impl SecureMemory {
     /// Takes a [`Sample`](crate::obs::metrics::Sample) if one is due at
     /// simulated time `now`. All gauges derive from simulated state, so
     /// the series is byte-identical across host thread counts and HMAC
-    /// modes.
+    /// modes. Without a registry this is one inline branch.
+    #[inline]
     pub(crate) fn maybe_sample_metrics(&mut self, now: Cycle) {
+        if self.obs.metrics.is_some() {
+            self.sample_metrics(now);
+        }
+    }
+
+    /// [`SecureMemory::maybe_sample_metrics`] with a registry attached.
+    #[cold]
+    fn sample_metrics(&mut self, now: Cycle) {
         let Some(m) = self.obs.metrics.as_deref() else {
             return;
         };

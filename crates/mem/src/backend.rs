@@ -90,6 +90,9 @@ pub trait DurableBackend: std::fmt::Debug + Send {
 
     /// Whether [`flight_append`](Self::flight_append) actually
     /// persists anything — callers use this to skip building entries.
+    /// The answer is fixed for a backend's life (a
+    /// [`crate::FileBackend`] keeps a sidecar exactly when it was
+    /// opened with one), so callers may read it once.
     fn flight_enabled(&self) -> bool {
         false
     }

@@ -5,7 +5,9 @@
 //! treats everything else as all-zeros — the conventional
 //! "zero-initialized memory" assumption secure-memory papers make, and
 //! the one the sparse Merkle tree in `ccnvm` relies on (untouched
-//! subtrees hash to a per-level default).
+//! subtrees hash to a per-level default). It keeps their contents in
+//! fixed 32 KiB slabs behind an index of slot numbers, so growing it
+//! never moves a line and cloning it copies one block per slab.
 //!
 //! It also defines [`LineHasher`], the one hasher for maps keyed by
 //! line address ([`LineMap`], [`LineSet`]): the store itself, the
@@ -13,7 +15,9 @@
 //! simulator's per-line bookkeeping.
 
 use crate::addr::LineAddr;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher for `u64` line addresses: one multiply and one rotate.
@@ -72,7 +76,24 @@ pub type Line = [u8; 64];
 /// A zero line, the content of any never-written address.
 pub const ZERO_LINE: Line = [0u8; 64];
 
+/// Lines per slab: 32 KiB of content per allocation, which a store of a
+/// handful of lines (an overlay, say) pays in full. Large enough that
+/// cloning a recovery image takes few allocations:
+/// `tests/hot_path_allocs.rs` bounds a recovery pass, and 64-line slabs
+/// broke that bound.
+const SLAB_LINES: usize = 512;
+
+/// One slab of line slots.
+type Slab = [Line; SLAB_LINES];
+
 /// Sparse map from line address to content; absent lines read as zero.
+///
+/// An index maps each stored line's address to a slot, and the slots
+/// live in slabs of 512 lines (32 KiB), allocated as the store fills.
+/// A write probes the index once and copies 64 bytes into its slot; an
+/// erase frees the slot for the next new line. Growth rehashes the
+/// 16-byte index entries and never moves a line, and a clone copies
+/// the index plus one block per slab.
 ///
 /// # Example
 ///
@@ -84,9 +105,51 @@ pub const ZERO_LINE: Line = [0u8; 64];
 /// store.write(LineAddr(9), [7u8; 64]);
 /// assert_eq!(store.read(LineAddr(9))[0], 7);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct LineStore {
-    lines: LineMap<Line>,
+    /// Line address → slot.
+    index: LineMap<u32>,
+    /// The slots the index points into.
+    slots: Slots,
+}
+
+/// Line slots in fixed slabs: slot `s` is line `s % SLAB_LINES` of
+/// slab `s / SLAB_LINES`.
+#[derive(Clone, Default)]
+struct Slots {
+    slabs: Vec<Box<Slab>>,
+    /// Slots handed out so far; those below it not in use are in `free`.
+    used: u32,
+    /// Erased slots, reused before fresh ones.
+    free: Vec<u32>,
+}
+
+impl Slots {
+    /// A slot for a new line: an erased one, else the next fresh one,
+    /// allocating its slab when it starts one.
+    fn take(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slot = self.used;
+        if slot as usize == self.slabs.len() * SLAB_LINES {
+            self.slabs.push(Box::new([ZERO_LINE; SLAB_LINES]));
+        }
+        self.used = slot
+            .checked_add(1)
+            .expect("a line store holds under 2^32 lines");
+        slot
+    }
+
+    fn get(&self, slot: u32) -> &Line {
+        let slot = slot as usize;
+        &self.slabs[slot / SLAB_LINES][slot % SLAB_LINES]
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut Line {
+        let slot = slot as usize;
+        &mut self.slabs[slot / SLAB_LINES][slot % SLAB_LINES]
+    }
 }
 
 impl LineStore {
@@ -97,43 +160,51 @@ impl LineStore {
 
     /// Reads the content of `line` (zeros if never written).
     pub fn read(&self, line: LineAddr) -> Line {
-        self.lines.get(&line.0).copied().unwrap_or(ZERO_LINE)
+        self.get(line).copied().unwrap_or(ZERO_LINE)
     }
 
     /// Returns the content of `line` if it was ever written.
     pub fn get(&self, line: LineAddr) -> Option<&Line> {
-        self.lines.get(&line.0)
+        self.index.get(&line.0).map(|&slot| self.slots.get(slot))
     }
 
     /// Writes `content` to `line`.
     pub fn write(&mut self, line: LineAddr, content: Line) {
-        self.lines.insert(line.0, content);
+        let slot = match self.index.entry(line.0) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => *e.insert(self.slots.take()),
+        };
+        *self.slots.get_mut(slot) = content;
     }
 
     /// Removes `line`, restoring its content to zeros. Returns the old
     /// content if present.
     pub fn erase(&mut self, line: LineAddr) -> Option<Line> {
-        self.lines.remove(&line.0)
+        let slot = self.index.remove(&line.0)?;
+        self.slots.free.push(slot);
+        Some(*self.slots.get(slot))
     }
 
     /// Whether `line` was ever written.
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.lines.contains_key(&line.0)
+        self.index.contains_key(&line.0)
     }
 
     /// Number of materialized (ever-written) lines.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.index.len()
     }
 
     /// Whether no line was ever written.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.index.is_empty()
     }
 
     /// Iterates over the materialized lines in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &Line)> {
-        self.lines.iter().map(|(&a, l)| (LineAddr(a), l))
+        self.index
+            .iter()
+            .map(|(&a, &slot)| (LineAddr(a), self.slots.get(slot)))
     }
 
     /// Materialized line addresses, sorted ascending (for deterministic
@@ -148,24 +219,43 @@ impl LineStore {
     /// first), so repeated walks reuse one allocation.
     pub fn sorted_addrs_into(&self, out: &mut Vec<LineAddr>) {
         out.clear();
-        out.extend(self.lines.keys().copied().map(LineAddr));
+        out.extend(self.index.keys().copied().map(LineAddr));
         out.sort_unstable();
     }
 }
 
-// Both delegate to the map, which reserves room for the iterator's
-// size hint before inserting.
+/// The stored lines in address order, not the slabs.
+impl fmt::Debug for LineStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.sorted_addrs().into_iter().map(|a| (a, self.read(a))))
+            .finish()
+    }
+}
+
 impl FromIterator<(LineAddr, Line)> for LineStore {
     fn from_iter<T: IntoIterator<Item = (LineAddr, Line)>>(iter: T) -> Self {
-        Self {
-            lines: iter.into_iter().map(|(a, l)| (a.0, l)).collect(),
-        }
+        let mut store = Self::new();
+        store.extend(iter);
+        store
     }
 }
 
 impl Extend<(LineAddr, Line)> for LineStore {
+    /// Reserves index room for the iterator's size hint first, all of
+    /// it into an empty store and half of it otherwise (some lines may
+    /// already be stored), as the standard map does.
     fn extend<T: IntoIterator<Item = (LineAddr, Line)>>(&mut self, iter: T) {
-        self.lines.extend(iter.into_iter().map(|(a, l)| (a.0, l)));
+        let iter = iter.into_iter();
+        let hint = iter.size_hint().0;
+        self.index.reserve(if self.is_empty() {
+            hint
+        } else {
+            hint.div_ceil(2)
+        });
+        for (line, content) in iter {
+            self.write(line, content);
+        }
     }
 }
 

@@ -1,9 +1,10 @@
-//! Randomized model tests: the cache against a straightforward
-//! reference implementation, and queue invariants. Driven by the
-//! workspace's deterministic PRNG so every failure is reproducible.
+//! Randomized model tests: the cache and the line store against
+//! straightforward reference implementations, and queue invariants.
+//! Driven by the workspace's deterministic PRNG so every failure is
+//! reproducible.
 
 use ccnvm_mem::timing::BoundedQueue;
-use ccnvm_mem::{CacheConfig, LineAddr, SetAssocCache};
+use ccnvm_mem::{CacheConfig, Line, LineAddr, LineStore, SetAssocCache};
 use ccnvm_rng::Rng;
 use std::collections::HashMap;
 
@@ -78,6 +79,100 @@ fn cache_matches_reference() {
             .collect();
         want_dirty.sort_unstable();
         assert_eq!(got_dirty, want_dirty);
+    }
+}
+
+/// Everything `store` reports about itself agrees with `model`: its
+/// length, every line's content, its iteration and its sorted walk.
+fn assert_store_matches(store: &LineStore, model: &HashMap<u64, Line>) {
+    assert_eq!(store.len(), model.len());
+    assert_eq!(store.is_empty(), model.is_empty());
+    for (&addr, content) in model {
+        assert_eq!(store.get(LineAddr(addr)), Some(content), "line {addr}");
+        assert_eq!(store.read(LineAddr(addr)), *content, "line {addr}");
+        assert!(store.contains(LineAddr(addr)), "line {addr}");
+    }
+    let iterated: HashMap<u64, Line> = store.iter().map(|(a, l)| (a.0, *l)).collect();
+    assert_eq!(store.iter().count(), model.len(), "iter repeats a line");
+    assert_eq!(&iterated, model);
+    let mut want: Vec<u64> = model.keys().copied().collect();
+    want.sort_unstable();
+    let sorted: Vec<u64> = store.sorted_addrs().into_iter().map(|a| a.0).collect();
+    assert_eq!(sorted, want);
+    // A caller's scratch is cleared first.
+    let mut scratch = vec![LineAddr(u64::MAX)];
+    store.sorted_addrs_into(&mut scratch);
+    assert!(scratch.iter().map(|a| a.0).eq(want));
+}
+
+/// One random operation on `store` and its map `model`: a write (to a
+/// new or existing line), an erase (of a present or absent line, so
+/// freed storage is reused), an `extend` whose batch repeats addresses
+/// (the last write wins, in a store collected from the batch too), or
+/// point reads. Addresses fall in `0..span`.
+fn store_step(rng: &mut Rng, store: &mut LineStore, model: &mut HashMap<u64, Line>, span: u64) {
+    let addr = rng.gen_range(0..span);
+    match rng.gen_range(0u32..10) {
+        0..=4 => {
+            let content: Line = rng.gen_array();
+            store.write(LineAddr(addr), content);
+            model.insert(addr, content);
+        }
+        5..=7 => assert_eq!(store.erase(LineAddr(addr)), model.remove(&addr)),
+        8 => {
+            let batch: Vec<(LineAddr, Line)> = (0..rng.gen_range(0usize..12))
+                .map(|_| (LineAddr(addr + rng.gen_range(0u64..4)), rng.gen_array()))
+                .collect();
+            let batch_model: HashMap<u64, Line> = batch.iter().map(|&(a, l)| (a.0, l)).collect();
+            assert_store_matches(&batch.iter().copied().collect(), &batch_model);
+            model.extend(batch_model);
+            store.extend(batch);
+        }
+        _ => {}
+    }
+    let want = model.get(&addr);
+    assert_eq!(store.get(LineAddr(addr)), want, "line {addr}");
+    assert_eq!(store.read(LineAddr(addr)), want.copied().unwrap_or([0; 64]));
+    assert_eq!(store.contains(LineAddr(addr)), want.is_some());
+    assert_eq!(store.len(), model.len());
+}
+
+/// The line store agrees with a plain map over random writes, erases
+/// and extends, over address spans small enough to overwrite and erase
+/// constantly and large enough to fill many slabs; a collected store
+/// and a clone that diverges from its source agree with theirs too.
+#[test]
+fn line_store_matches_map_model() {
+    const SPANS: [u64; 4] = [8, 64, 2048, 1 << 40];
+    let mut rng = Rng::seed_from_u64(0x3e04);
+    for round in 0..24 {
+        let span = SPANS[round % SPANS.len()];
+        let mut store = LineStore::new();
+        let mut model = HashMap::new();
+        for op in 0..rng.gen_range(1usize..4000) {
+            store_step(&mut rng, &mut store, &mut model, span);
+            if op % 512 == 0 {
+                assert_store_matches(&store, &model);
+            }
+        }
+        assert_store_matches(&store, &model);
+
+        let collected: LineStore = model.iter().map(|(&a, &l)| (LineAddr(a), l)).collect();
+        assert_store_matches(&collected, &model);
+
+        let mut copy = store.clone();
+        let mut copy_model = model.clone();
+        assert_store_matches(&copy, &copy_model);
+        for _ in 0..rng.gen_range(1usize..600) {
+            store_step(&mut rng, &mut copy, &mut copy_model, span);
+        }
+        assert_store_matches(&copy, &copy_model);
+        assert_store_matches(&store, &model);
+        for _ in 0..rng.gen_range(1usize..600) {
+            store_step(&mut rng, &mut store, &mut model, span);
+        }
+        assert_store_matches(&store, &model);
+        assert_store_matches(&copy, &copy_model);
     }
 }
 

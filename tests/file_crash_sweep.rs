@@ -6,11 +6,12 @@
 //! sidecar closes the forensic loop: for every kill, the recovered
 //! log's inferred cause must name exactly the boundary that was armed.
 //! The price of that durability — fsyncs and bytes written under each
-//! fsync strategy and epoch length — is pinned exactly.
+//! fsync strategy and epoch length — is pinned exactly, and so is what
+//! the benchmark's restart (reopen, snapshot, recover) yields.
 
 use ccnvm::prelude::*;
 use ccnvm::secmem::SecureMemory;
-use ccnvm_mem::{FileBackend, FileBackendConfig, FsyncStrategy, LineAddr};
+use ccnvm_mem::{DurableBackend, FileBackend, FileBackendConfig, FsyncStrategy, LineAddr};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -192,6 +193,144 @@ fn fsync_and_byte_costs_are_pinned_per_strategy_and_epoch_length() {
             (s.fsyncs, s.bytes_written),
             (fsyncs, bytes_written),
             "fsync={strategy}, epoch length {epoch_len}"
+        );
+    }
+}
+
+/// What one restart of the benchmark's crash cycle yields.
+#[derive(Debug, PartialEq, Eq)]
+struct Restart {
+    /// Durable lines in the reopened store's snapshot.
+    lines: usize,
+    total_retries: u64,
+    max_line_retries: u64,
+    recovered_counter_lines: u64,
+    recovery_cycles: u64,
+    /// The rebuilt root, read big-endian.
+    rebuilt_root: u128,
+    /// FNV-1a, 64-bit, over `recovered_nvm` in address order (address
+    /// bytes, then content).
+    digest: u64,
+}
+
+/// Runs `design` on `mixed` at seed 42 over a fresh `batch:64` file
+/// store with default compaction for `instructions`, syncs, cuts power
+/// (drops the simulator), reopens the store and recovers its
+/// snapshot: the benchmark's crash-recover cycle.
+fn restart(design: DesignKind, instructions: u64) -> Restart {
+    let dir = temp_dir("restart");
+    let store_config = FileBackendConfig {
+        fsync: FsyncStrategy::Batch(64),
+        ..FileBackendConfig::default()
+    };
+    let config = SimConfig::paper(design);
+    let backend = FileBackend::open(&dir, store_config).expect("fresh store");
+    let mut sim = Simulator::with_backend(config.clone(), Box::new(backend)).expect("paper config");
+    let trace = TraceGenerator::new(profiles::by_name("mixed").expect("mixed"), 42);
+    sim.run(trace, instructions).expect("attack-free run");
+    sim.memory_mut().sync_durable();
+    // The TCB registers are battery-backed: they survive the power cut.
+    let tcb = sim.memory().tcb().clone();
+    drop(sim);
+
+    let reopened = FileBackend::open(&dir, store_config).expect("reopen");
+    let image = CrashImage {
+        design,
+        capacity_bytes: config.capacity_bytes,
+        update_limit: config.update_limit,
+        tcb,
+        nvm: reopened.snapshot(),
+        staged_lines_lost: 0,
+    };
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+    let report = recover(&image);
+    assert!(report.is_clean(), "{design} at {instructions}: not clean");
+    let nvm = &report.recovered_nvm;
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for addr in nvm.sorted_addrs() {
+        for b in addr.0.to_le_bytes().into_iter().chain(nvm.read(addr)) {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    Restart {
+        lines: image.nvm.len(),
+        total_retries: report.total_retries,
+        max_line_retries: report.max_line_retries,
+        recovered_counter_lines: report.recovered_counter_lines,
+        recovery_cycles: report.recovery_cycles,
+        rebuilt_root: u128::from_be_bytes(report.rebuilt_root),
+        digest,
+    }
+}
+
+/// The restart at two crash points of cc-NVM and Osiris Plus. Both
+/// designs reach the same recovered image at the same point, since it
+/// follows from the write-back sequence alone.
+const RESTARTS: [(DesignKind, u64, Restart); 4] = [
+    (
+        DesignKind::CcNvm,
+        150_000,
+        Restart {
+            lines: 445,
+            total_retries: 16,
+            max_line_retries: 1,
+            recovered_counter_lines: 14,
+            recovery_cycles: 122_400,
+            rebuilt_root: 0x4a13_0b30_fdef_4c09_a6f7_dd53_84cc_def9,
+            digest: 0xecdc_ac2d_efcf_8bcd,
+        },
+    ),
+    (
+        DesignKind::CcNvm,
+        300_000,
+        Restart {
+            lines: 2813,
+            total_retries: 3,
+            max_line_retries: 1,
+            recovered_counter_lines: 3,
+            recovery_cycles: 777_040,
+            rebuilt_root: 0x313e_b4b0_6d37_ef65_367e_0eb7_b3fb_0b22,
+            digest: 0xad6e_d8d8_1bcd_03ea,
+        },
+    ),
+    (
+        DesignKind::OsirisPlus,
+        150_000,
+        Restart {
+            lines: 274,
+            total_retries: 152,
+            max_line_retries: 1,
+            recovered_counter_lines: 72,
+            recovery_cycles: 88_560,
+            rebuilt_root: 0x4a13_0b30_fdef_4c09_a6f7_dd53_84cc_def9,
+            digest: 0xecdc_ac2d_efcf_8bcd,
+        },
+    ),
+    (
+        DesignKind::OsirisPlus,
+        300_000,
+        Restart {
+            lines: 2132,
+            total_retries: 1309,
+            max_line_retries: 2,
+            recovered_counter_lines: 379,
+            recovery_cycles: 704_200,
+            rebuilt_root: 0x313e_b4b0_6d37_ef65_367e_0eb7_b3fb_0b22,
+            digest: 0xad6e_d8d8_1bcd_03ea,
+        },
+    ),
+];
+
+/// The benchmark's restart (reopen, snapshot, recover) gives the same
+/// image and the same recovery work whatever the line store's layout.
+#[test]
+fn benchmark_restart_is_pinned() {
+    for (design, instructions, want) in RESTARTS {
+        assert_eq!(
+            restart(design, instructions),
+            want,
+            "{design} at {instructions}"
         );
     }
 }

@@ -13,38 +13,55 @@
 //! [`RECOVERY_ALLOC_CEILING`] per pass, on the portable and the
 //! detected tier.
 //!
-//! The counting allocator keeps one count per thread, so tests running
+//! A [`LineStore`] filled with 20 000 lines never holds more than
+//! [`STORE_PEAK_BYTES_PER_LINE`] heap bytes per line, and rewriting
+//! them allocates nothing.
+//!
+//! The counting allocator keeps its counts per thread, so tests running
 //! in parallel never see each other's allocations. No simulator code
-//! spawns threads, so the count sees every allocation a gate makes.
+//! spawns threads, so the counts see every allocation a gate makes.
 
 use ccnvm::obs::flight::FlightConfig;
 use ccnvm::prelude::*;
 use ccnvm::recovery::{recover_with, RecoveryScratch};
 use ccnvm_crypto::CryptoSelect;
-use ccnvm_mem::LineAddr;
+use ccnvm_mem::{LineAddr, LineStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// The system allocator, counting allocations per thread. `realloc`
-/// and `alloc_zeroed` go through `alloc` and count as one each.
+/// The system allocator, counting allocations and heap bytes per
+/// thread. `realloc` and `alloc_zeroed` go through `alloc` (and
+/// `realloc` through `dealloc`), so a reallocation counts as one
+/// allocation and briefly holds both blocks, as a moving one does.
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread; negative once
+    /// it frees more than it allocated (another thread's blocks).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE` since `peak_bytes_in` last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 // SAFETY: both methods forward their arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a `const`
-// thread-local of a type without `Drop`, so touching it never allocates.
+// which upholds the `GlobalAlloc` contract; the counters are `const`
+// thread-locals of types without `Drop`, so touching them never
+// allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: a thread's count may already be gone while it exits.
+        // `try_with`: a thread's counts may already be gone while it exits.
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        let _ = LIVE.try_with(|live| {
+            live.set(live.get() + layout.size() as i64);
+            let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+        });
         // SAFETY: the caller's obligations on `layout` pass through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|live| live.set(live.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -58,6 +75,15 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// The most heap bytes this thread holds at once while `f` runs, over
+/// what it held before.
+fn peak_bytes_in(f: impl FnOnce()) -> u64 {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(before));
+    f();
+    (PEAK.with(Cell::get) - before) as u64
 }
 
 /// The crypto tier selections every hot path runs under.
@@ -74,12 +100,21 @@ const RECOVERIES: u64 = 4;
 const WB_PAGES: u64 = 64;
 
 /// Recovery's allocation ceiling with a reused scratch. The working
-/// line-store clone (which becomes the recovered image), the layout's
-/// two level tables, the per-level default nodes and the three-span
+/// line-store clone (which becomes the recovered image: its slot
+/// index, its slab table and one slab per 512 lines), the layout's two
+/// level tables, the per-level default nodes and the three-span
 /// timeline remain; address walks, retry bookkeeping and rebuild
-/// levels come from the scratch. A pass makes about 5; the
-/// ceiling leaves headroom for map-growth jitter only.
+/// levels come from the scratch. A pass over this one-slab image makes
+/// about 7; the ceiling leaves headroom for map-growth jitter only.
 const RECOVERY_ALLOC_CEILING: f64 = 8.0;
+
+/// Distinct lines the store gate writes.
+const STORE_LINES: u64 = 20_000;
+
+/// A line store's heap ceiling per line it holds: 64 bytes of content
+/// plus its index entry, its share of a partly filled slab and the
+/// index table it outgrew, which is freed only after the move.
+const STORE_PEAK_BYTES_PER_LINE: f64 = 100.0;
 
 fn memory(design: DesignKind, crypto: CryptoSelect) -> SecureMemory {
     let mut config = SimConfig::paper(design);
@@ -235,4 +270,31 @@ fn recovery_with_a_reused_scratch_stays_under_its_ceiling() {
              scratch-reuse ceiling of {RECOVERY_ALLOC_CEILING}"
         );
     }
+}
+
+#[test]
+fn line_store_peak_heap_stays_under_its_per_line_ceiling() {
+    let mut store = LineStore::new();
+    let line = |i: u64| (LineAddr(i * 64 + i % 64), [i as u8; 64]);
+    let peak = peak_bytes_in(|| {
+        for i in 0..STORE_LINES {
+            let (addr, content) = line(i);
+            store.write(addr, content);
+        }
+    });
+    assert_eq!(store.len() as u64, STORE_LINES);
+    let per_line = peak as f64 / STORE_LINES as f64;
+    assert!(
+        per_line <= STORE_PEAK_BYTES_PER_LINE,
+        "{STORE_LINES} lines peak at {per_line:.1} heap bytes per line, over the \
+         ceiling of {STORE_PEAK_BYTES_PER_LINE}"
+    );
+    // Rewriting a stored line copies into its slot.
+    let allocs = allocs_in(|| {
+        for i in 0..STORE_LINES {
+            let (addr, _) = line(i);
+            store.write(addr, [!(i as u8); 64]);
+        }
+    });
+    assert_eq!(allocs, 0, "rewriting stored lines must not allocate");
 }
